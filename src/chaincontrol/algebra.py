@@ -154,6 +154,7 @@ class NilpotentAlgebra:
 
         self.dim = n
         self.structure = c
+        self._structure_rows = c.reshape(n * n, n)  # row i*n + j holds [e_i, e_j]
 
         # descending central series: U^1 = g, U^{p+1} = [g, U^p]
         bases = [np.eye(n)]
@@ -206,8 +207,16 @@ class NilpotentAlgebra:
     # -- basic operations ------------------------------------------------
 
     def bracket(self, x, y):
-        """[x, y], batched over leading axes."""
-        return np.einsum("ijk,...i,...j->...k", self.structure, x, y)
+        """[x, y], batched over leading axes with broadcasting.
+
+        One matmul: the outer product x_i y_j, flattened over (i, j),
+        against the structure tensor flattened the same way.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        outer = x[..., :, None] * y[..., None, :]
+        return outer.reshape(outer.shape[:-2] + (self.dim * self.dim,)) \
+            @ self._structure_rows
 
     def ad(self, x):
         """Matrix of ad(x) = [x, .], batched over leading axes of x."""
@@ -221,8 +230,11 @@ class NilpotentAlgebra:
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        out = x + y
+        if self.nilpotency_class < 2:
+            return out  # abelian: every bracket vanishes
         b = self.bracket(x, y)
-        out = x + y + 0.5 * b
+        out = out + 0.5 * b
         if self.nilpotency_class >= 3:
             out = out + (self.bracket(x, b) - self.bracket(y, b)) / 12.0
         if self.nilpotency_class >= 4:

@@ -2,13 +2,23 @@
 
 The state window is a finite grid: each torus angle (and each angular
 nilpotent coordinate) carries a uniform circular grid, each remaining
-nilpotent coordinate a uniform box grid.  From every cell center the
-control field is integrated for each constant control in a finite family;
-endpoints sampled at durations inside [tau, 2*tau] that land within eps
-plus the cell slack of another center become directed edges.  Strongly
-connected components with at least one internal edge approximate chain
-control sets; the per-level bound formula turns empirical source suprema
-into boundedness diagnostics.
+nilpotent coordinate a uniform box grid.  Every cell center is run under
+each constant control of a finite family; endpoints sampled at durations
+inside [tau, 2*tau] that land within eps plus the cell slack of another
+center become directed edges.  Strongly connected components with at least
+one internal edge approximate chain control sets; the per-level bound
+formula turns empirical source suprema into boundedness diagnostics.
+
+Cell runs come from the translation identity of a linear system,
+phi(t, g, u) = phi(t, e, u) * phi_t(g): the run from g is the run from the
+identity (the anchor), right-multiplied by the drift flow of g.  One
+batched RK4 run over the first grid step gives the anchors of the whole
+control family (later anchors follow from the same identity), and each
+cell's state at step k is one group product with (h_g, e^{k h D} x_g).
+Truncation keeps its meaning: the window box is tested on every step, and
+a run freezes at the first step it leaves.  `_propagate`, which integrates
+every cell directly, is kept as the slow, independent oracle behind
+`audit_edges`.
 """
 
 import csv
@@ -17,15 +27,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import NotHyperbolicError, TauTooSmallError, ValidationError
-from .lcs import _rk4_step
+from .lcs import _power_stack, _rk4_step
 from .spectral import decay_constants
 
 NODE_LIMIT = 1_500_000
+# rows (controls x starts x kept snapshots) one anchored run may hold; larger
+# families are run in slices of controls so memory stays bounded
+ANCHOR_ROW_LIMIT = 1 << 21
 
 
 def _cell_centers(lower, count, delta):
@@ -303,6 +317,26 @@ def _default_time_samples(tau):
     return tau * np.array([1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0])
 
 
+def _flow_stack(system, h, n_steps):
+    """Drift flows F_k = (e^{hD})^k for k = 0..n_steps, one (n, n) each."""
+    return _power_stack(expm(h * system.derivation), n_steps)
+
+
+def _step_grid(system, tau, step_scale):
+    """The fixed RK4 grid on [0, 2*tau]: step h, step count, drift flows."""
+    h_nominal = system.step_limit * 10.0 * step_scale
+    n_steps = max(1, int(math.ceil(2.0 * tau / h_nominal)))
+    h = 2.0 * tau / n_steps
+    return h, n_steps, _flow_stack(system, h, n_steps)
+
+
+def _control_slices(n_controls, rows_per_control):
+    """Slices of a control family whose anchored runs stay within
+    ANCHOR_ROW_LIMIT rows."""
+    width = max(1, ANCHOR_ROW_LIMIT // max(1, rows_per_control))
+    return [slice(a, a + width) for a in range(0, n_controls, width)]
+
+
 def _propagate(system, starts, u_val, h, n_steps, snapshot_steps,
                box_lower, box_upper, free_columns, record_stride=0):
     """Fixed-step batched integration with window truncation.
@@ -311,6 +345,9 @@ def _propagate(system, starts, u_val, h, n_steps, snapshot_steps,
     their last inside state and stop producing snapshots.  Returns the
     snapshot states, per-snapshot alive masks, the truncation mask, and
     (optionally) states recorded every record_stride steps while alive.
+
+    Integrates every row directly; the graph builds its runs from anchors
+    (`_propagate_family`), and this path is kept as their oracle.
     """
     group = system.group
     y = group.normalize(np.array(starts, dtype=float))
@@ -337,6 +374,78 @@ def _propagate(system, starts, u_val, h, n_steps, snapshot_steps,
         if record_stride and step % record_stride == 0:
             recorded.append((y.copy(), alive.copy()))
     return snapshots, truncated, recorded
+
+
+def _propagate_family(system, starts, family, h, flows, snapshot_steps,
+                      box_lower, box_upper, free_columns, record_stride=0):
+    """`_propagate` for every control of a family at once, from anchors.
+
+    The anchor a_k = phi(k h, e, u) of each control comes from the
+    translation identity itself: one batched RK4 run over the first grid
+    step, at the step limit `integrate` uses, gives a_1, and then
+    a_{k+1} = a_1 * Phi_h(a_k).  (Running RK4 over the whole grid instead
+    lets its relative error act on anchors that an expanding drift drives
+    far out, |a| ~ 22 on heisenberg-expanding, and put landings 1.4e-8 off
+    direct integration.)  The state of start g at step k is then
+    a_k * (h_g, F_k x_g) with F_k = flows[k]; the box is tested on every
+    step and only rows still alive are multiplied.
+
+    Same contract as `_propagate` (n_steps = len(flows) - 1), with a
+    leading control axis on every array: snapshot states (U, N, dim) and
+    alive masks (U, N), the truncation mask (U, N), and the records.
+    """
+    group = system.group
+    family = np.atleast_2d(np.asarray(family, dtype=float))
+    y0 = group.normalize(np.array(starts, dtype=float))
+    n_u, n_rows = len(family), len(y0)
+
+    def drift(g, flow):
+        h_g, x_g = group.split(g)
+        return group.join(h_g, x_g @ flow.T)
+
+    # a_1 for every control, then a_k = a_1 * Phi_h(a_{k-1}) in the loop
+    n_sub = max(1, math.ceil(h / system.step_limit - 1e-9))
+    first = np.zeros((n_u, group.dim))
+    for _ in range(n_sub):
+        first = group.normalize(_rk4_step(system, first, family, h / n_sub))
+    anchor = group.identity()
+
+    # flat row r runs control r // n_rows from start r % n_rows
+    states = np.tile(y0, (n_u, 1))  # last state of each row while alive
+    alive = np.ones(n_u * n_rows, dtype=bool)
+    rows = np.arange(n_u * n_rows)
+    u_of, start_of = np.divmod(rows, n_rows)
+    current = states.copy()  # states of the alive rows, aligned with rows
+
+    def frame():
+        states[rows] = current
+        return (states.reshape(n_u, n_rows, -1).copy(),
+                alive.reshape(n_u, n_rows).copy())
+
+    snapshots = {}
+    recorded = []
+    if record_stride:
+        recorded.append(frame())
+    want = set(int(s) for s in snapshot_steps)
+    for step in range(1, len(flows)):
+        anchor = group.multiply(first, drift(anchor, flows[1]))
+        if rows.size:
+            advanced = group.multiply(anchor[u_of],
+                                      drift(y0, flows[step])[start_of])
+            free = advanced[:, free_columns]
+            out = np.any((free < box_lower) | (free > box_upper), axis=1)
+            if out.any():
+                states[rows[out]] = current[out]
+                alive[rows[out]] = False
+                keep = ~out
+                rows, u_of, start_of = rows[keep], u_of[keep], start_of[keep]
+                advanced = advanced[keep]
+            current = advanced
+        if step in want:
+            snapshots[step] = frame()
+        if record_stride and step % record_stride == 0:
+            recorded.append(frame())
+    return snapshots, ~alive.reshape(n_u, n_rows), recorded
 
 
 def build_chain_graph(system, window, eps, tau, control_family=None,
@@ -375,9 +484,7 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     if np.any(time_samples < tau - 1e-9) or np.any(time_samples > 2 * tau + 1e-9):
         raise ValidationError("time samples must lie in [tau, 2*tau]")
 
-    h_nominal = system.step_limit * 10.0 * step_scale
-    n_steps = max(1, int(math.ceil(2.0 * tau / h_nominal)))
-    h = 2.0 * tau / n_steps
+    h, n_steps, flows = _step_grid(system, tau, step_scale)
     snap = np.rint(time_samples / h).astype(int)
     snap = np.clip(snap, int(math.ceil(tau / h - 1e-9)), n_steps)
     snap = np.unique(snap)
@@ -391,35 +498,37 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     centers = window.points
     truncated = np.zeros(window.n_nodes, dtype=bool)
     blocks = []
-    for u_idx in range(len(control_family)):
-        snapshots, trunc, _ = _propagate(
-            system, centers, control_family[u_idx], h, n_steps, snap,
+    n_u = len(control_family)
+    for part in _control_slices(n_u, window.n_nodes * (snap.size + 2)):
+        snapshots, trunc, _ = _propagate_family(
+            system, centers, control_family[part], h, flows, snap,
             lo_inf, hi_inf, window.free_columns)
-        truncated |= trunc
-        for t_idx, step in enumerate(snap):
-            states, alive = snapshots[int(step)]
-            rows = np.flatnonzero(alive)
-            if rows.size == 0:
-                continue
-            landed = states[rows]
-            balls = tree.query_ball_point(window.embed(landed), query_radius,
-                                          return_sorted=True)
-            counts = np.fromiter((len(b) for b in balls), dtype=np.int64,
-                                 count=len(balls))
-            if counts.sum() == 0:
-                continue
-            flat_dst = np.concatenate(
-                [np.asarray(b, dtype=np.int64) for b in balls if len(b)])
-            flat_src = np.repeat(rows, counts)
-            d = system.group.distance(landed[np.repeat(
-                np.arange(rows.size), counts)], centers[flat_dst])
-            keep = d <= radius + 1e-12
-            if keep.any():
-                e = keep.sum()
-                blocks.append(np.stack([
-                    flat_src[keep], flat_dst[keep],
-                    np.full(e, u_idx, dtype=np.int64),
-                    np.full(e, t_idx, dtype=np.int64)], axis=1))
+        truncated |= trunc.any(axis=0)
+        for j, u_idx in enumerate(range(n_u)[part]):
+            for t_idx, step in enumerate(snap):
+                states, alive = snapshots[int(step)]
+                rows = np.flatnonzero(alive[j])
+                if rows.size == 0:
+                    continue
+                landed = states[j, rows]
+                balls = tree.query_ball_point(window.embed(landed),
+                                              query_radius, return_sorted=True)
+                counts = np.fromiter((len(b) for b in balls), dtype=np.int64,
+                                     count=len(balls))
+                if counts.sum() == 0:
+                    continue
+                flat_dst = np.concatenate(
+                    [np.asarray(b, dtype=np.int64) for b in balls if len(b)])
+                flat_src = np.repeat(rows, counts)
+                d = system.group.distance(landed[np.repeat(
+                    np.arange(rows.size), counts)], centers[flat_dst])
+                keep = d <= radius + 1e-12
+                if keep.any():
+                    e = keep.sum()
+                    blocks.append(np.stack([
+                        flat_src[keep], flat_dst[keep],
+                        np.full(e, u_idx, dtype=np.int64),
+                        np.full(e, t_idx, dtype=np.int64)], axis=1))
 
     if blocks:
         all_edges = np.concatenate(blocks, axis=0)
@@ -647,23 +756,22 @@ def estimate_source_constants(system, window, tau, control_family=None,
         seeds = seeds[::stride]
     starts = window.points[seeds]
 
-    h_nominal = system.step_limit * 10.0 * step_scale
-    n_steps = max(1, int(math.ceil(2.0 * tau / h_nominal)))
-    h = 2.0 * tau / n_steps
-
+    h, n_steps, flows = _step_grid(system, tau, step_scale)
+    n_records = n_steps // record_stride + 1
     sup = np.zeros(alg.nilpotency_class)
     mask = group.x_mask
-    for u in control_family:
-        _, _, recorded = _propagate(
-            system, starts, u, h, n_steps, np.array([], dtype=int),
-            window.x_lower, window.x_upper, window.free_columns,
-            record_stride=record_stride)
+    for part in _control_slices(len(control_family), len(starts) * n_records):
+        family = control_family[part]
+        _, _, recorded = _propagate_family(
+            system, starts, family, h, flows, (), window.x_lower,
+            window.x_upper, window.free_columns, record_stride=record_stride)
         for states, alive in recorded:
             if not alive.any():
                 continue
-            pts = states[alive]
+            u_idx, rows = np.nonzero(alive)
+            pts = states[u_idx, rows]
             x = pts[:, group.h_dim:]
-            xdot = group.split(system.field(u, pts))[1]
+            xdot = group.split(system.field(family[u_idx], pts))[1]
             if mask.any():
                 x = np.array(x, copy=True)
                 xdot = np.array(xdot, copy=True)
@@ -790,21 +898,22 @@ def jump_and_tube_sets(system, graph, chain_set, max_edges=2000,
         stride = int(math.ceil(e_src.size / max_edges))
         e_src, e_u, e_t = e_src[::stride], e_u[::stride], e_t[::stride]
     tree = cKDTree(window.embed(window.points))
+    flows = _flow_stack(system, graph.step, graph.n_steps)
 
     landing_nodes = []
-    for u_idx in np.unique(e_u):
-        rows = e_src[e_u == u_idx]
-        wanted = graph.snapshot_steps[e_t[e_u == u_idx]]
-        snapshots, _, _ = _propagate(
-            system, window.points[rows], graph.control_family[u_idx],
-            graph.step, graph.n_steps, np.unique(wanted),
-            graph.inflated_lower, graph.inflated_upper, window.free_columns)
+    if e_src.size:
+        rows, pos = np.unique(e_src, return_inverse=True)
+        wanted = graph.snapshot_steps[e_t]
+        snapshots, _, _ = _propagate_family(
+            system, window.points[rows], graph.control_family, graph.step,
+            flows, np.unique(wanted), graph.inflated_lower,
+            graph.inflated_upper, window.free_columns)
         for step in np.unique(wanted):
             pick = wanted == step
             states, alive = snapshots[int(step)]
-            ok = alive[pick]
+            ok = alive[e_u[pick], pos[pick]]
             if ok.any():
-                landed = states[pick][ok]
+                landed = states[e_u[pick], pos[pick]][ok]
                 _, nearest = tree.query(window.embed(landed))
                 landing_nodes.append(np.atleast_1d(nearest).astype(np.int64))
     if landing_nodes:
@@ -817,12 +926,13 @@ def jump_and_tube_sets(system, graph, chain_set, max_edges=2000,
     tube_sup = np.zeros(group.algebra.nilpotency_class)
     samples = 0
     starts = window.points[jump]
-    for u in graph.control_family:
-        _, _, recorded = _propagate(
-            system, starts, u, graph.step, graph.n_steps,
-            np.array([], dtype=int), graph.inflated_lower,
-            graph.inflated_upper, window.free_columns,
-            record_stride=record_stride)
+    n_records = graph.n_steps // record_stride + 1
+    for part in _control_slices(len(graph.control_family),
+                                len(starts) * n_records):
+        _, _, recorded = _propagate_family(
+            system, starts, graph.control_family[part], graph.step, flows,
+            (), graph.inflated_lower, graph.inflated_upper,
+            window.free_columns, record_stride=record_stride)
         for states, alive in recorded:
             if not alive.any():
                 continue

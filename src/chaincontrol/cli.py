@@ -8,8 +8,10 @@ hyperbolic part, and verify executes the whole acceptance battery.
 Every run writes report.json into the output directory.  The file holds a
 "body" (canonically ordered, reproducible for a fixed config and seed) and
 a separate "timings" key that stays outside the reproducibility contract.
-Exit codes: 0 all verdicts passed, 2 validation failure, 3 a theorem check
-failed.
+Exit codes: 0 all verdicts passed, 2 validation failure (ValidationError,
+TauTooSmallError) or a run that exhausted its budget (IntegratorBudgetError,
+BudgetExceededError), each reported as one line on stderr, 3 a theorem
+check failed.
 """
 
 import argparse
@@ -35,7 +37,13 @@ from .chains import (
     write_plot_slice,
     write_sets_jsonl,
 )
-from .errors import NotHyperbolicError, TauTooSmallError, ValidationError
+from .errors import (
+    BudgetExceededError,
+    IntegratorBudgetError,
+    NotHyperbolicError,
+    TauTooSmallError,
+    ValidationError,
+)
 from .group import ConjugationMap
 from .lcs import ControlFunction, cross_check_residual, integrate
 from .spectral import SpectralSplit, check_derivation, decay_constants
@@ -239,7 +247,7 @@ def cmd_simulate(args):
 
     residuals = [_residual_row("integrator_error_estimate",
                                traj.stats["error_estimate"],
-                               1e-8 * duration)]
+                               traj.stats["error_budget"])]
     if args.cross_check:
         gap = cross_check_residual(system, duration, g0, control)
         residuals.append(_residual_row("closed_form_cross_check", gap, 1e-6))
@@ -592,11 +600,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return int(args.func(args))
-    except ValidationError as exc:
+    except (ValidationError, TauTooSmallError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
-    except TauTooSmallError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
+    except (IntegratorBudgetError, BudgetExceededError) as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
 
 

@@ -39,3 +39,7 @@ class TauTooSmallError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """Scan ran out of its time budget before the sought event occurred."""
+
+
+class IntegratorBudgetError(RuntimeError):
+    """Integrator error estimate exceeds its budget for the run."""

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ValidationError
+from .errors import IntegratorBudgetError, ValidationError
 from .group import validate_linear_flow
 from .spectral import block_decompose
 
@@ -232,15 +232,18 @@ def integrate(system, duration, g0, control, record=True):
 
     duration < 0 integrates backward (the control must cover [duration, 0]).
     Each accepted step is the two-half-step result; the difference to the
-    full step, scaled by 1/15, accumulates into the error estimate, which
-    must stay below 1e-8 per unit time.
+    full step, scaled by 1/15, accumulates into the error estimate.  The
+    estimate must stay below 1e-8 per unit time, relative to the state
+    scale max(1, sup |y| along the run), or IntegratorBudgetError is
+    raised; the budget is kept in stats["error_budget"].
     """
     group = system.group
     g0 = np.asarray(g0, dtype=float)
     if abs(duration) < 1e-15:
         point = group.normalize(g0)
         return Trajectory([0.0], [point], control,
-                          {"steps": 0, "error_estimate": 0.0})
+                          {"steps": 0, "error_estimate": 0.0,
+                           "error_budget": 0.0})
     if duration > 0:
         pieces = control.pieces_over(0.0, duration)
         sign = 1.0
@@ -257,6 +260,7 @@ def integrate(system, duration, g0, control, record=True):
     times = [0.0]
     points = [y]
     err = np.zeros(y.shape[:-1])
+    peak_sq = float((y * y).sum(-1).max())  # sup of |y|^2 along the run
     steps = 0
     for length, u in pieces:
         n = max(1, math.ceil(length / system.step_limit))
@@ -266,6 +270,7 @@ def integrate(system, duration, g0, control, record=True):
             half = _rk4_step(system, _rk4_step(system, y, u, 0.5 * h), u, 0.5 * h)
             err = err + group.distance(full, half) / 15.0
             y = group.normalize(half)
+            peak_sq = max(peak_sq, float((y * y).sum(-1).max()))
             t += h
             steps += 1
             if record:
@@ -275,12 +280,13 @@ def integrate(system, duration, g0, control, record=True):
         times.append(t)
         points.append(y)
     total = float(np.max(err))
-    budget = 1e-8 * abs(duration)
-    if total > budget:
-        raise RuntimeError(
+    budget = 1e-8 * abs(duration) * max(1.0, math.sqrt(peak_sq))
+    if not total <= budget:  # also catches the NaN of an overflowing state
+        raise IntegratorBudgetError(
             f"integrator error estimate {total:.3e} exceeds budget {budget:.3e}")
     return Trajectory(times, points, control,
-                      {"steps": steps, "error_estimate": total})
+                      {"steps": steps, "error_estimate": total,
+                       "error_budget": budget})
 
 
 def translation_identity_residual(system, t, h_point, g_point, control):

@@ -41,6 +41,60 @@ def test_bch_closed_form_matches_dynkin_series(name):
         assert np.allclose(direct, series, atol=1e-12)
 
 
+PRESET_ALGEBRAS = ["heisenberg3", "filiform4", "filiform5"] + [
+    f"abelian:{n}" for n in range(1, 9)]
+
+
+def _reference_bracket(alg, x, y):
+    return np.einsum("ijk,...i,...j->...k", alg.structure, x, y)
+
+
+def _random_nilpotent(rng):
+    """A preset algebra, or a direct sum of two within dimension 8, in a
+    random orthonormal basis: the structure constants come out dense."""
+    parts = [preset_structure(name) for name in
+             rng.choice(["heisenberg3", "filiform4", "filiform5"],
+                        size=int(rng.integers(1, 3)))]
+    if sum(c.shape[0] for c in parts) > 8:
+        parts = parts[:1]
+    n = sum(c.shape[0] for c in parts)
+    c = np.zeros((n, n, n))
+    at = 0
+    for part in parts:
+        d = part.shape[0]
+        c[at:at + d, at:at + d, at:at + d] = part
+        at += d
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return NilpotentAlgebra(np.einsum("ai,bj,abl,lk->ijk", q, q, c, q))
+
+
+def _assert_bracket_matches(alg, rng, size=6):
+    n = alg.dim
+    shapes = [((n,), (size, n)), ((size, n), (size, n)),
+              ((2, 3, n), (n,)), ((n,), (n,))]
+    for x_shape, y_shape in shapes:
+        x = rng.uniform(-1.0, 1.0, x_shape)
+        y = rng.uniform(-1.0, 1.0, y_shape)
+        got = alg.bracket(x, y)
+        ref = _reference_bracket(alg, x, y)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", PRESET_ALGEBRAS)
+def test_bracket_matches_einsum_on_presets(name):
+    _assert_bracket_matches(NilpotentAlgebra.from_preset(name),
+                            np.random.default_rng(3))
+
+
+def test_bracket_matches_einsum_on_random_structures():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        alg = _random_nilpotent(rng)
+        assert np.abs(alg.structure).astype(bool).sum() > alg.dim
+        _assert_bracket_matches(alg, rng)
+
+
 def test_bch_group_laws_class_four():
     alg = NilpotentAlgebra.from_preset("filiform5")
     rng = np.random.default_rng(11)

@@ -1,12 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from chaincontrol import config as cfg
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
 from chaincontrol.chains import (
     ChainControlSetApprox,
     GridWindow,
+    _default_time_samples,
+    _propagate,
+    _propagate_family,
+    _step_grid,
     audit_edges,
     build_chain_graph,
     central_fiber_nodes,
@@ -531,3 +537,105 @@ def test_writers_roundtrip(tmp_path, stable_setup):
     plot_path = tmp_path / "slice.csv"
     with pytest.raises(ValidationError):
         write_plot_slice(plot_path, graph, sets[0])
+
+
+# -- anchored runs against the direct-integration oracle ----------------------
+
+# Start cells per preset for the oracle comparison: every cell where the
+# oracle is cheap, a strided sample where integrating every cell directly
+# would take tens of seconds (heisenberg-expanding: 20,000 cells x 12
+# controls x 600 steps; rotation-plane: 6,400 x 5 x 400; conjugation-upstairs:
+# 2,304 x 9 x 200).
+ORACLE_STRIDE = {"heisenberg-expanding": 40, "rotation-plane": 16,
+                 "conjugation-upstairs": 4}
+
+
+def _snapshot_steps(times, tau, h, n_steps):
+    snap = np.rint(np.asarray(times) / h).astype(int)
+    return np.unique(np.clip(snap, int(math.ceil(tau / h - 1e-9)), n_steps))
+
+
+@pytest.mark.parametrize("name", cfg.preset_names())
+def test_anchored_runs_match_direct_integration(name):
+    c = cfg.preset_config(name)
+    system = cfg.build_system(c)
+    window = cfg.build_window(c, system)
+    family = (system.range.sample_family() if c.family is None
+              else c.family)
+    times = _default_time_samples(c.tau) if c.times is None else c.times
+    h, n_steps, flows = _step_grid(system, c.tau, 1.0)
+    snap = _snapshot_steps(times, c.tau, h, n_steps)
+    lo, hi = window.inflated_bounds(c.eps + window.half_diameter)
+    starts = window.points[::ORACLE_STRIDE.get(name, 1)]
+    stride = n_steps // 4
+
+    snapshots, truncated, recorded = _propagate_family(
+        system, starts, family, h, flows, snap, lo, hi,
+        window.free_columns, record_stride=stride)
+    assert truncated.shape == (len(family), len(starts))
+    for j, u in enumerate(family):
+        ref_snap, ref_trunc, ref_rec = _propagate(
+            system, starts, u, h, n_steps, snap, lo, hi,
+            window.free_columns, record_stride=stride)
+        assert np.array_equal(truncated[j], ref_trunc)
+        assert sorted(snapshots) == sorted(ref_snap)
+        pairs = [(snapshots[s], ref_snap[s]) for s in ref_snap]
+        assert len(recorded) == len(ref_rec)
+        pairs += list(zip(recorded, ref_rec))
+        for (states, alive), (ref_states, ref_alive) in pairs:
+            assert np.array_equal(alive[j], ref_alive)
+            gap = system.group.distance(states[j][ref_alive],
+                                        ref_states[ref_alive])
+            assert np.all(gap <= 1e-8), float(np.max(gap))
+
+
+def _oracle_edges(system, window, graph):
+    """(src, dst) pairs from direct integration and brute-force distances,
+    plus the pairs with some landing within 1e-9 of the radius."""
+    edges, near = set(), set()
+    centers = window.points
+    for u in graph.control_family:
+        snapshots, _, _ = _propagate(
+            system, centers, u, graph.step, graph.n_steps,
+            graph.snapshot_steps, graph.inflated_lower, graph.inflated_upper,
+            window.free_columns)
+        for step in graph.snapshot_steps:
+            states, alive = snapshots[int(step)]
+            src = np.flatnonzero(alive)
+            d = system.group.distance(states[src][:, None, :],
+                                      centers[None, :, :])
+            a, b = np.nonzero(d <= graph.radius + 1e-12)
+            edges.update(zip(src[a].tolist(), b.tolist()))
+            a, b = np.nonzero(np.abs(d - graph.radius) <= 1e-9)
+            near.update(zip(src[a].tolist(), b.tolist()))
+    return edges, near
+
+
+@pytest.mark.parametrize("name", ["scalar-stable", "scalar-unstable",
+                                  "rotation-plane-small"])
+def test_graph_edges_match_direct_integration(name):
+    c = cfg.preset_config(name.removesuffix("-small"))
+    system = cfg.build_system(c)
+    if name == "rotation-plane-small":
+        window = GridWindow(system.group, [-0.6, -0.6], [0.6, 0.6], c.delta,
+                            angle_cells=(16,))
+    else:
+        window = cfg.build_window(c, system)
+    graph = build_chain_graph(system, window, c.eps, c.tau,
+                              control_family=c.family, time_samples=c.times)
+    assert graph.n_edges > 0
+    oracle, near = _oracle_edges(system, window, graph)
+    pairs = {tuple(p) for p in graph.edge_pairs().tolist()}
+    # an edge may only flip where some landing sits on the radius
+    assert pairs ^ oracle <= near
+
+
+def test_audit_clean_on_expanding_graph():
+    c = cfg.preset_config("heisenberg-expanding")
+    system = cfg.build_system(c)
+    window = cfg.build_window(c, system)
+    graph = build_chain_graph(system, window, c.eps, c.tau,
+                              control_family=c.family, time_samples=c.times)
+    report = audit_edges(system, graph, fraction=2e-5, seed=7)
+    assert report["checked"] > 0
+    assert report["failures"] == 0

@@ -5,9 +5,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 
+from chaincontrol import cli
 from chaincontrol import config as cfg
 from chaincontrol.cli import main
+from chaincontrol.errors import BudgetExceededError, IntegratorBudgetError
 from chaincontrol.verify import encode_body
 
 
@@ -111,6 +114,29 @@ def test_simulate_piecewise_control_file(tmp_path):
     mid = 1.0 - math.exp(-0.5)
     expected = (mid + 1.0) * math.exp(-0.5) - 1.0
     assert abs(body["endpoint"][0] - expected) < 1e-9
+
+
+def test_simulate_growing_state_ends_without_traceback(tmp_path, capsys):
+    # the state grows to 3.6e10, far past any absolute error budget
+    code = main(["simulate", "--preset", "scalar-unstable", "--duration",
+                 "25", "--start", "0.5", "--out", str(tmp_path / "s")])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [IntegratorBudgetError,
+                                   BudgetExceededError])
+def test_budget_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                            error):
+    def exhausted(*args, **kwargs):
+        raise error("estimate 1.0 exceeds budget 0.5")
+
+    monkeypatch.setattr(cli, "integrate", exhausted)
+    code = main(["simulate", "--preset", "scalar-stable",
+                 "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "exceeds budget" in err[0]
 
 
 def test_simulate_rejects_bad_inputs(tmp_path):
