@@ -7,7 +7,6 @@ is built from this tensor, so the constructor validates it hard.
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,6 +89,19 @@ def preset_structure(name):
     raise ValidationError(f"unknown algebra preset: {name}")
 
 
+def structure_residuals(c):
+    """(antisymmetry, Jacobi) sup residuals of a bracket tensor."""
+    c = np.asarray(c, dtype=float)
+    if not c.size:
+        return 0.0, 0.0
+    anti = float(np.max(np.abs(c + c.transpose(1, 0, 2))))
+    # Jacobi: [a,[b,c]] + [b,[c,a]] + [c,[a,b]] = 0 on basis triples
+    t1 = np.einsum("bcl,alm->abcm", c, c)
+    t2 = np.einsum("cal,blm->abcm", c, c)
+    t3 = np.einsum("abl,clm->abcm", c, c)
+    return anti, float(np.max(np.abs(t1 + t2 + t3)))
+
+
 def _orthonormal_range(columns):
     """Orthonormal basis of the column span, rank decided by singular values."""
     if columns.size == 0:
@@ -140,15 +152,9 @@ class NilpotentAlgebra:
         if n > MAX_DIM:
             raise ValidationError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
 
-        anti = np.max(np.abs(c + c.transpose(1, 0, 2))) if n else 0.0
+        anti, jac = structure_residuals(c)
         if anti > atol:
             raise ValidationError(f"bracket not antisymmetric, residual {anti:.3e}")
-
-        # Jacobi: [a,[b,c]] + [b,[c,a]] + [c,[a,b]] = 0 on basis triples
-        t1 = np.einsum("bcl,alm->abcm", c, c)
-        t2 = np.einsum("cal,blm->abcm", c, c)
-        t3 = np.einsum("abl,clm->abcm", c, c)
-        jac = np.max(np.abs(t1 + t2 + t3)) if n else 0.0
         if jac > atol:
             raise ValidationError(f"Jacobi identity fails, residual {jac:.3e}")
 
@@ -198,8 +204,6 @@ class NilpotentAlgebra:
             [np.full(d, i + 1) for i, d in enumerate(self.component_dims)]
         ) if n else np.zeros(0, dtype=int)
 
-        self._translation_coeffs = {}
-
     @classmethod
     def from_preset(cls, name):
         return cls(preset_structure(name))
@@ -241,10 +245,6 @@ class NilpotentAlgebra:
             out = out - self.bracket(y, self.bracket(x, b)) / 24.0
         return out
 
-    def bch_inverse(self, x):
-        """Group inverse is plain negation in exponential coordinates."""
-        return -np.asarray(x, dtype=float)
-
     # -- graded structure ------------------------------------------------
 
     def projector(self, level):
@@ -270,61 +270,6 @@ class NilpotentAlgebra:
             return np.zeros((self.dim, self.dim))
         b = self.series_bases[p - 1]
         return b @ b.T
-
-    # -- translation derivative coefficients ------------------------------
-
-    def translation_coefficients(self, side="left"):
-        """Coefficients a_p with d/dt|0 of the translated curve equal to
-        sum_p a_p ad(x)^p w.
-
-        side "left": curve t -> product(x, t w); side "right": t -> product(t w, x).
-        Fitted numerically from the group product (central differences plus
-        one Richardson step, then least squares over random samples) and
-        snapped to small rationals.  Cached per side.
-        """
-        if side not in ("left", "right"):
-            raise ValidationError(f"side must be left or right, got {side!r}")
-        if side in self._translation_coeffs:
-            return self._translation_coeffs[side]
-
-        k = self.nilpotency_class
-        rng = np.random.default_rng(20240801)
-        rows = []
-        rhs = []
-        h = 1e-4
-        for _ in range(6 * k + 12):
-            x = rng.standard_normal(self.dim)
-            w = rng.standard_normal(self.dim)
-
-            def curve(t):
-                return self.bch(x, t * w) if side == "left" else self.bch(t * w, x)
-
-            d1 = (curve(h) - curve(-h)) / (2 * h)
-            d2 = (curve(h / 2) - curve(-h / 2)) / h
-            deriv = (4 * d2 - d1) / 3  # Richardson, O(h^4)
-
-            a = self.ad(x)
-            col = w
-            block = [col]
-            for _ in range(k - 1):
-                col = a @ col
-                block.append(col)
-            rows.append(np.stack(block, axis=1))
-            rhs.append(deriv)
-
-        design = np.vstack(rows)
-        target = np.concatenate(rhs)
-        fit, *_ = np.linalg.lstsq(design, target, rcond=None)
-
-        snapped = np.empty_like(fit)
-        for i, value in enumerate(fit):
-            frac = Fraction(value).limit_denominator(24)
-            if abs(float(frac) - value) > 1e-6:
-                raise ValidationError(
-                    f"translation coefficient {i} not near a small rational: {value!r}")
-            snapped[i] = float(frac)
-        self._translation_coeffs[side] = snapped
-        return snapped
 
 
 def quotient_by_central(algebra, kernel):

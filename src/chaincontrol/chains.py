@@ -679,6 +679,11 @@ def extract_chain_sets(graph):
     return sets
 
 
+def main_set(sets):
+    """The largest extracted set (the first one on ties), None if none."""
+    return max(sets, key=lambda s: s.size) if sets else None
+
+
 # -- theoretical bound ---------------------------------------------------
 
 
@@ -833,7 +838,7 @@ def verify_uniqueness_and_containment(sets, fiber_nodes, bounds=None):
     extents_ok = True
     boundary_touched = False
     if n_sets:
-        main = max(sets, key=lambda s: s.size)
+        main = main_set(sets)
         if fiber_nodes.size:
             inside = np.isin(fiber_nodes, main.nodes)
             missing = int((~inside).sum())

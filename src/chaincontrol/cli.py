@@ -9,9 +9,9 @@ Every run writes report.json into the output directory.  The file holds a
 "body" (canonically ordered, reproducible for a fixed config and seed) and
 a separate "timings" key that stays outside the reproducibility contract.
 Exit codes: 0 all verdicts passed, 2 validation failure (ValidationError,
-TauTooSmallError) or a run that exhausted its budget (IntegratorBudgetError,
-BudgetExceededError), each reported as one line on stderr, 3 a theorem
-check failed.
+TauTooSmallError) or an integrator whose error budget ran out or whose
+state overflowed (IntegratorBudgetError), each reported as one line on
+stderr, 3 a theorem check failed.
 """
 
 import argparse
@@ -25,11 +25,11 @@ import numpy as np
 import yaml
 
 from . import config as cfg
+from .algebra import structure_residuals
 from .chains import (
-    build_chain_graph,
     central_fiber_nodes,
     estimate_source_constants,
-    extract_chain_sets,
+    main_set,
     theoretical_bound,
     verify_uniqueness_and_containment,
     write_edges_csv,
@@ -38,16 +38,14 @@ from .chains import (
     write_sets_jsonl,
 )
 from .errors import (
-    BudgetExceededError,
     IntegratorBudgetError,
     NotHyperbolicError,
     TauTooSmallError,
     ValidationError,
 )
-from .group import ConjugationMap
 from .lcs import ControlFunction, cross_check_residual, integrate
 from .spectral import SpectralSplit, check_derivation, decay_constants
-from .verify import DEFAULT_SEED, acceptance_report
+from .verify import DEFAULT_SEED, acceptance_report, chain_run, quotient_run
 
 
 # -- shared plumbing ---------------------------------------------------------
@@ -116,12 +114,7 @@ def _exit_code(body):
 
 def _structure_residuals(system):
     """Rows for the structural identities every run silently relies on."""
-    c = system.algebra.structure
-    anti = float(np.max(np.abs(c + c.transpose(1, 0, 2)))) if c.size else 0.0
-    t1 = np.einsum("bcl,alm->abcm", c, c)
-    t2 = np.einsum("cal,blm->abcm", c, c)
-    t3 = np.einsum("abl,clm->abcm", c, c)
-    jac = float(np.max(np.abs(t1 + t2 + t3))) if c.size else 0.0
+    anti, jac = structure_residuals(system.algebra.structure)
     leib = check_derivation(system.algebra, system.derivation)
     return [
         _residual_row("bracket_antisymmetry", anti, 1e-12),
@@ -277,18 +270,6 @@ def cmd_simulate(args):
 # -- chainset ----------------------------------------------------------------
 
 
-def _chain_run(config):
-    """System, window, graph, sets, fiber nodes for a parsed config."""
-    system = cfg.build_system(config)
-    window = cfg.build_window(config, system)
-    graph = build_chain_graph(system, window, config.eps, config.tau,
-                              control_family=config.family,
-                              time_samples=config.times)
-    sets = extract_chain_sets(graph)
-    fiber = central_fiber_nodes(window)
-    return system, window, graph, sets, fiber
-
-
 def _chain_verdict_rows(config, sets, fiber, bound, report):
     """Verdicts plus the residual rows backing each of them."""
     verdicts = {
@@ -304,12 +285,11 @@ def _chain_verdict_rows(config, sets, fiber, bound, report):
     ]
     if len(sets) == 0:
         residuals[0] = _residual_row("extra_chain_sets", 1, 0)
+    main = main_set(sets)
     if bound is not None and sets:
-        main = max(sets, key=lambda s: s.size)
         for i, (ext, lim) in enumerate(zip(main.extents, bound.bounds), 1):
             residuals.append(_residual_row(f"level_{i}_extent", ext, lim))
     if config.require_interior and sets:
-        main = max(sets, key=lambda s: s.size)
         residuals.append(_residual_row("boundary_touches",
                                        int(main.boundary_touch.sum()), 0))
     return verdicts, residuals
@@ -318,7 +298,8 @@ def _chain_verdict_rows(config, sets, fiber, bound, report):
 def cmd_chainset(args):
     t0 = time.perf_counter()
     config = cfg.parse_config(_raw_config(args))
-    system, window, graph, sets, fiber = _chain_run(config)
+    system, window, graph, sets = chain_run(config)
+    fiber = central_fiber_nodes(window)
     t_graph = time.perf_counter() - t0
 
     bound = None
@@ -365,7 +346,7 @@ def cmd_chainset(args):
         "edges": int(graph.n_edges),
         "n_sets": len(sets),
         "set_sizes": [s.size for s in sets],
-        "extents": ([float(v) for v in max(sets, key=lambda s: s.size).extents]
+        "extents": ([float(v) for v in main_set(sets).extents]
                     if sets else None),
         "bounds": ([float(v) for v in bound.bounds]
                    if bound is not None else None),
@@ -391,129 +372,49 @@ def cmd_chainset(args):
 # -- conjugate ---------------------------------------------------------------
 
 
-def _downstairs_raw(config, psi):
-    """Raw config dict for the quotient system psi maps onto."""
-    target = psi.target
-    data = {
-        "schema": cfg.SCHEMA_VERSION,
-        "name": config.name + "-quotient",
-        "seed": config.seed,
-        "algebra": {"structure": target.algebra.structure.tolist()},
-        "derivation": psi.matrix_hat.tolist(),
-        "torus": {
-            "dim": int(target.h_dim),
-            "speeds": [float(v) for v in target.torus.speeds],
-            "generators": [g.tolist() for g in target.action.generators],
-        },
-        "control": {
-            "z": (config.control_vectors @ psi.w).tolist(),
-            "lower": config.lower.tolist(),
-            "upper": config.upper.tolist(),
-        },
-        "chain": {
-            "eps": config.eps,
-            "tau": config.tau,
-            "delta": config.delta.tolist(),
-            "angle_cells": list(config.angle_cells),
-        },
-        "output": {"formats": list(config.formats)},
-    }
-    if config.torus_controls is not None:
-        data["control"]["torus_controls"] = config.torus_controls.tolist()
-    if config.family is not None:
-        data["control"]["family"] = config.family.tolist()
-    if config.x_lower is not None:
-        data["chain"]["x_lower"] = config.x_lower.tolist()
-        data["chain"]["x_upper"] = config.x_upper.tolist()
-    else:
-        data["chain"]["level_bounds"] = config.level_bounds.tolist()
-        data["chain"]["window_factor"] = config.window_factor
-    if config.times is not None:
-        data["chain"]["times"] = config.times.tolist()
-    return data
-
-
 def cmd_conjugate(args):
     t0 = time.perf_counter()
     config = cfg.parse_config(_raw_config(args))
-    system = cfg.build_system(config)
-    window = cfg.build_window(config, system)
-    psi = ConjugationMap(system.group, system.derivation,
-                         extra_kernel=config.extra_kernel)
-
-    full = np.linalg.eigvals(system.derivation)
-    nonzero = np.sort_complex(full[np.abs(full.real) > 1e-9])
-    hat = np.sort_complex(np.linalg.eigvals(psi.matrix_hat))
-    eig_gap = (float(np.max(np.abs(nonzero - hat)))
-               if nonzero.size or hat.size else 0.0)
-    hom = float(psi.homomorphism_residual())
-    flow = float(psi.flow_equivariance_residual())
-
-    down_raw = _downstairs_raw(config, psi)
-    down_cfg = cfg.parse_config(down_raw)
+    run = quotient_run(config)
+    psi, r = run.psi, run.residuals
     out = _out_dir(args, "conjugate")
-    cfg.dump_config(down_raw, out / "downstairs.yaml")
+    cfg.dump_config(run.downstairs_raw, out / "downstairs.yaml")
 
-    graph = build_chain_graph(system, window, config.eps, config.tau,
-                              control_family=config.family,
-                              time_samples=config.times)
-    usets = extract_chain_sets(graph)
-
-    down_sys = cfg.build_system(down_cfg)
-    down_win = cfg.build_window(down_cfg, down_sys)
-    dgraph = build_chain_graph(down_sys, down_win, config.eps, config.tau,
-                               control_family=config.family,
-                               time_samples=config.times)
-    dsets = extract_chain_sets(dgraph)
-
-    spacing = float(np.max(config.delta))
-    if config.angle_cells:
-        spacing = max(spacing, 2.0 * np.pi / min(config.angle_cells))
-    tol_incl = config.eps + spacing
-    worst = np.inf
-    mapped = None
-    if usets and dsets:
-        up_main = max(usets, key=lambda s: s.size)
-        down_main = max(dsets, key=lambda s: s.size)
-        mapped = psi.apply(window.points[up_main.nodes])
-        dpts = down_win.points[down_main.nodes]
-        dist = psi.target.distance(mapped[:, None, :], dpts[None, :, :])
-        worst = float(dist.min(axis=1).max())
-
-    if mapped is not None and "csv" in config.formats:
+    if run.mapped is not None and "csv" in config.formats:
         names = [f"theta{j}" for j in range(psi.target.h_dim)] + \
             [f"x{j}" for j in range(psi.target.x_dim)]
         with open(out / "mapped_nodes.csv", "w") as fh:
             fh.write(",".join(names) + "\n")
-            for row in mapped:
+            for row in run.mapped:
                 fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
     residuals = [
-        _residual_row("eigenvalue_match", eig_gap, 1e-9),
-        _residual_row("homomorphism", hom, 1e-9),
-        _residual_row("flow_equivariance", flow, 1e-9),
-        _residual_row("set_inclusion", worst, tol_incl),
+        _residual_row("eigenvalue_match", r["eigenvalue_match"], 1e-9),
+        _residual_row("homomorphism", r["homomorphism"], 1e-9),
+        _residual_row("flow_equivariance", r["flow_equivariance"], 1e-9),
+        _residual_row("set_inclusion", r["inclusion"],
+                      run.inclusion_tolerance),
     ]
     body = {
         "command": "conjugate",
         "name": config.name,
         "seed": config.seed,
         "quotient_dim": int(psi.target.x_dim),
-        "identity_map": bool(psi.target is system.group),
-        "n_sets_upstairs": len(usets),
-        "n_sets_downstairs": len(dsets),
-        "inclusion_tolerance": tol_incl,
+        "identity_map": bool(psi.target is psi.group),
+        "n_sets_upstairs": len(run.usets),
+        "n_sets_downstairs": len(run.dsets),
+        "inclusion_tolerance": run.inclusion_tolerance,
         "residuals": residuals,
         "verdicts": {
-            "unique_upstairs": len(usets) == 1,
-            "unique_downstairs": len(dsets) == 1,
+            "unique_upstairs": len(run.usets) == 1,
+            "unique_downstairs": len(run.dsets) == 1,
             "inclusion": residuals[3]["passed"],
         },
     }
     timings = {"total": time.perf_counter() - t0}
     path = _write_report(out, body, timings)
     print(f"quotient dimension {body['quotient_dim']}, "
-          f"sets {len(usets)} up / {len(dsets)} down")
+          f"sets {len(run.usets)} up / {len(run.dsets)} down")
     for key, value in body["verdicts"].items():
         print(f"  {key}: {value}")
     print(f"downstairs config: {out / 'downstairs.yaml'}")
@@ -528,10 +429,7 @@ def cmd_verify(args):
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     report = acceptance_report(seed)
     out = _out_dir(args, "verify")
-    path = out / "report.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    path = _write_report(out, report["body"], report["timings"])
     all_passed = True
     for rec in report["body"]["checks"]:
         status = "PASS" if rec["passed"] else "FAIL"
@@ -603,7 +501,7 @@ def main(argv=None):
     except (ValidationError, TauTooSmallError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
-    except (IntegratorBudgetError, BudgetExceededError) as exc:
+    except IntegratorBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,6 @@ class RunConfig:
     structure: np.ndarray
     derivation: np.ndarray
     torus_dim: int
-    torus_speeds: np.ndarray
     generators: list
     angular_coords: list
     control_vectors: np.ndarray
@@ -101,10 +100,13 @@ def parse_config(data):
     torus = data.get("torus") or {}
     torus_dim = int(torus.get("dim", 0))
     _require(torus_dim >= 0, "torus.dim must be nonnegative")
+    # zero speeds are still accepted, so older files keep loading
     speeds = _matrix(torus.get("speeds", [0.0] * torus_dim), "torus.speeds")
     speeds = np.atleast_1d(speeds)
     _require(speeds.shape == (torus_dim,),
              "torus.speeds must list one speed per circle")
+    _require(not speeds.any(), "torus.speeds must be zero: a torus "
+             "translation drift is not an automorphism flow")
     generators = [_matrix(g, f"torus.generators[{i}]")
                   for i, g in enumerate(torus.get("generators", []))]
     _require(len(generators) == torus_dim,
@@ -178,7 +180,7 @@ def parse_config(data):
     return RunConfig(
         name=name, seed=seed,
         algebra_preset=preset or "", structure=structure_arr,
-        derivation=derivation, torus_dim=torus_dim, torus_speeds=speeds,
+        derivation=derivation, torus_dim=torus_dim,
         generators=generators, angular_coords=angular,
         control_vectors=z, torus_controls=torus_controls,
         lower=lower, upper=upper, family=family,
@@ -205,7 +207,7 @@ def build_system(config):
     still fail here with a named residual.
     """
     algebra = NilpotentAlgebra(config.structure)
-    torus = TorusGroup(config.torus_dim, speeds=config.torus_speeds)
+    torus = TorusGroup(config.torus_dim)
     action = RhoAction(algebra, config.generators)
     mask = None
     if config.angular_coords:
@@ -229,6 +231,47 @@ def build_window(config, system):
                                   angle_cells=config.angle_cells,
                                   masked_cells=config.masked_cells,
                                   factor=config.window_factor)
+
+
+def downstairs_raw(config, psi):
+    """Raw config dict for the quotient system psi maps onto."""
+    target = psi.target
+    data = {
+        "schema": SCHEMA_VERSION,
+        "name": config.name + "-quotient",
+        "seed": config.seed,
+        "algebra": {"structure": target.algebra.structure.tolist()},
+        "derivation": psi.matrix_hat.tolist(),
+        "torus": {
+            "dim": int(target.h_dim),
+            "generators": [g.tolist() for g in target.action.generators],
+        },
+        "control": {
+            "z": (config.control_vectors @ psi.w).tolist(),
+            "lower": config.lower.tolist(),
+            "upper": config.upper.tolist(),
+        },
+        "chain": {
+            "eps": config.eps,
+            "tau": config.tau,
+            "delta": config.delta.tolist(),
+            "angle_cells": list(config.angle_cells),
+        },
+        "output": {"formats": list(config.formats)},
+    }
+    if config.torus_controls is not None:
+        data["control"]["torus_controls"] = config.torus_controls.tolist()
+    if config.family is not None:
+        data["control"]["family"] = config.family.tolist()
+    if config.x_lower is not None:
+        data["chain"]["x_lower"] = config.x_lower.tolist()
+        data["chain"]["x_upper"] = config.x_upper.tolist()
+    else:
+        data["chain"]["level_bounds"] = config.level_bounds.tolist()
+        data["chain"]["window_factor"] = config.window_factor
+    if config.times is not None:
+        data["chain"]["times"] = config.times.tolist()
+    return data
 
 
 # -- bundled presets ---------------------------------------------------------
@@ -274,7 +317,7 @@ _register("rotation-plane", {
     "seed": 20260818,
     "algebra": {"preset": "abelian:2"},
     "derivation": [[-1.0, 0.0], [0.0, -1.0]],
-    "torus": {"dim": 1, "speeds": [0.0], "generators": [ROT2]},
+    "torus": {"dim": 1, "generators": [ROT2]},
     "control": {"z": [[1.0, 0.0]], "lower": [-1.0], "upper": [1.0]},
     "chain": {
         "x_lower": [-1.0, -1.0], "x_upper": [1.0, 1.0],
@@ -314,7 +357,7 @@ _register("conjugation-upstairs", {
     "algebra": {"preset": "abelian:3"},
     "derivation": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]],
     "torus": {
-        "dim": 1, "speeds": [0.0],
+        "dim": 1,
         "generators": [[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],
         "angular_coords": [2],
     },

@@ -37,9 +37,5 @@ class TauTooSmallError(ValueError):
     """Chain period too small for the contraction bound to converge."""
 
 
-class BudgetExceededError(RuntimeError):
-    """Scan ran out of its time budget before the sought event occurred."""
-
-
 class IntegratorBudgetError(RuntimeError):
     """Integrator error estimate exceeds its budget for the run."""

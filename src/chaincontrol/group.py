@@ -10,7 +10,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import (
-    BudgetExceededError,
     IncompatibleActionError,
     NotAutomorphismError,
     ValidationError,
@@ -26,24 +25,16 @@ def wrap_angle(values):
 
 
 class TorusGroup:
-    """Flat torus T^m written additively, with an optional isometric drift.
+    """Flat torus T^m written additively.
 
-    The drift h -> h + t*speeds is a flow of isometries of the bi-invariant
-    distance but is a group automorphism only when speeds == 0, so control
-    systems reject nonzero speeds while recurrence demos may use them.
+    A translation drift h -> h + t s with s != 0 moves the identity, so it
+    is not an automorphism flow; the torus part of every drift is trivial.
     """
 
-    def __init__(self, dim, speeds=None):
+    def __init__(self, dim):
         if dim < 0:
             raise ValidationError("torus dimension must be nonnegative")
         self.dim = int(dim)
-        self.speeds = np.zeros(self.dim) if speeds is None else np.asarray(
-            speeds, dtype=float)
-        if self.speeds.shape != (self.dim,):
-            raise ValidationError("torus drift speeds have wrong shape")
-
-    def wrap(self, h):
-        return wrap_angle(h)
 
     def add(self, a, b):
         return wrap_angle(np.asarray(a, dtype=float) + b)
@@ -55,31 +46,6 @@ class TorusGroup:
         """Bi-invariant distance: norm of the wrapped coordinate difference."""
         diff = wrap_angle(np.asarray(b, dtype=float) - a)
         return np.linalg.norm(diff, axis=-1)
-
-    def flow(self, t, h):
-        t = np.asarray(t, dtype=float)[..., None]
-        return wrap_angle(np.asarray(h, dtype=float) + t * self.speeds)
-
-
-def recurrence_time(torus, h, eps, tau, budget):
-    """Smallest sampled T >= tau with d(flow_T(h), h) < eps.
-
-    Scans with step eps / (2 |speeds|); compactness guarantees a return, so
-    running past the budget raises rather than looping forever.
-    """
-    if eps <= 0 or tau <= 0:
-        raise ValidationError("eps and tau must be positive")
-    speed = float(np.linalg.norm(torus.speeds))
-    if speed == 0.0:
-        return tau
-    step = eps / (2.0 * speed)
-    t = tau
-    while t <= budget:
-        if torus.distance(torus.flow(t, h), h) < eps:
-            return t
-        t += step
-    raise BudgetExceededError(
-        f"no return within distance {eps} found up to time budget {budget}")
 
 
 class RhoAction:
@@ -172,13 +138,6 @@ class RhoAction:
         coords = x @ self.basis_inv.T
         out = (coords * phases) @ self.basis.T
         return out.real
-
-    def generator_combo(self, v):
-        """The derivation generating rho along direction v in parameter space."""
-        if self.n_params == 0:
-            return np.zeros((self.dim, self.dim))
-        v = np.asarray(v, dtype=float)
-        return sum(v[l] * self.generators[l] for l in range(self.n_params))
 
 
 def action_automorphism_residual(action, n_samples=20, seed=5):
@@ -311,15 +270,14 @@ class SemidirectGroup:
         return d_h + np.linalg.norm(x_rel, axis=-1)
 
     def linear_flow(self, t, g, matrix):
-        """(h, x) -> (phi_t(h), e^{t matrix} x) for the drift derivation matrix."""
+        """(h, x) -> (h, e^{t matrix} x) for the drift derivation matrix."""
         h, x = self.split(np.asarray(g, dtype=float))
-        h_t = self.torus.flow(float(t), h)
         prop = expm(float(t) * np.asarray(matrix, dtype=float))
-        return self.normalize(self.join(h_t, x @ prop.T))
+        return self.normalize(self.join(h, x @ prop.T))
 
 
 def compatibility_residual(group, matrix, n_samples=20, seed=8):
-    """Sup over samples of |e^{tD} rho(h) - rho(phi_t(h)) e^{tD}|."""
+    """Sup over samples of |e^{tD} rho(h) - rho(h) e^{tD}|."""
     rng = np.random.default_rng(seed)
     d = np.asarray(matrix, dtype=float)
     worst = 0.0
@@ -328,7 +286,7 @@ def compatibility_residual(group, matrix, n_samples=20, seed=8):
         t = rng.uniform(-2.0, 2.0)
         prop = expm(t * d)
         lhs = prop @ group.action.matrix(h)
-        rhs = group.action.matrix(group.torus.flow(t, h)) @ prop
+        rhs = group.action.matrix(h) @ prop
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -337,13 +295,9 @@ def validate_linear_flow(group, matrix, n_samples=20, seed=8, atol=1e-8):
     """Drift flow must consist of group automorphisms.
 
     Checks phi_t(ab) = phi_t(a) phi_t(b) on random pairs together with the
-    action compatibility e^{tD} rho(h) = rho(phi_t(h)) e^{tD}.  A nonzero
-    torus drift translates the compact part and cannot fix the identity, so
-    it is rejected outright.  Raises beyond atol.
+    action compatibility e^{tD} rho(h) = rho(h) e^{tD}.  Raises beyond
+    atol.
     """
-    if np.linalg.norm(group.torus.speeds) > 0:
-        raise NotAutomorphismError(
-            "torus translation drift is not an automorphism flow")
     d = np.asarray(matrix, dtype=float)
     if d.shape != (group.x_dim, group.x_dim):
         raise ValidationError("drift matrix has wrong shape")

@@ -141,8 +141,8 @@ class LinearControlSystem:
 
     control_vectors: (m, n) rows in the nilpotent algebra.
     torus_controls: optional (m, h_dim) rows of compact-part control speeds.
-    The drift's compact part must vanish (a translation flow on the torus is
-    not by automorphisms), which validate_linear_flow enforces.
+    The drift moves only the nilpotent part: a translation flow on the
+    torus is not by automorphisms, so TorusGroup carries none.
     """
 
     def __init__(self, group, derivation, control_vectors, control_range,
@@ -171,9 +171,6 @@ class LinearControlSystem:
         self.flow_residual = validate_linear_flow(group, self.derivation)
         self.blocks = block_decompose(self.algebra, self.derivation)
 
-        # series coefficients for the right-invariant extension, fixed by
-        # differentiating the group product rather than trusting a formula
-        self.coefficients = self.algebra.translation_coefficients("right")
         self.gen_stack = (np.stack(group.action.generators)
                           if group.action.generators
                           else np.zeros((0, group.x_dim, group.x_dim)))
@@ -183,17 +180,20 @@ class LinearControlSystem:
     # -- field -------------------------------------------------------------
 
     def nilpotent_velocity(self, v, x):
-        """Right-invariant series sum_p c_p ad(x)^p v, batched."""
-        out = self.coefficients[0] * np.broadcast_to(
+        """Right-invariant field d/dt|0 bch(t v, x), batched.
+
+        The derivative of exp gives v - [x,v]/2 + [x,[x,v]]/12 through
+        class 4, where the ad(x)^3 Bernoulli coefficient is zero.
+        """
+        alg = self.algebra
+        out = np.broadcast_to(
             v, np.broadcast_shapes(v.shape, x.shape)).astype(float)
-        cur = v
-        a = None
-        for p in range(1, self.coefficients.size):
-            if a is None:
-                a = self.algebra.ad(x)
-            cur = np.einsum("...ij,...j->...i", a, cur)
-            if self.coefficients[p] != 0.0:
-                out = out + self.coefficients[p] * cur
+        if alg.nilpotency_class < 2:
+            return out
+        b = alg.bracket(x, v)
+        out = out - b / 2
+        if alg.nilpotency_class >= 3:
+            out = out + (1.0 / 12.0) * alg.bracket(x, b)
         return out
 
     def field(self, u, g):
@@ -227,6 +227,16 @@ def _rk4_step(system, y, u, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _state_scale(y, t):
+    """sup over rows of |y|, by hypot so a finite state cannot overflow it;
+    a state that is no longer finite ends the run."""
+    scale = float(np.hypot.reduce(y, axis=-1).max())
+    if not math.isfinite(scale):
+        raise IntegratorBudgetError(f"state is not finite at t = {t:.6g}")
+    return scale
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends the run below
 def integrate(system, duration, g0, control, record=True):
     """Fixed-step 4th order integration over [0, duration].
 
@@ -235,7 +245,8 @@ def integrate(system, duration, g0, control, record=True):
     full step, scaled by 1/15, accumulates into the error estimate.  The
     estimate must stay below 1e-8 per unit time, relative to the state
     scale max(1, sup |y| along the run), or IntegratorBudgetError is
-    raised; the budget is kept in stats["error_budget"].
+    raised; the budget is kept in stats["error_budget"].  A state that
+    overflows raises IntegratorBudgetError at the step where it happens.
     """
     group = system.group
     g0 = np.asarray(g0, dtype=float)
@@ -260,7 +271,7 @@ def integrate(system, duration, g0, control, record=True):
     times = [0.0]
     points = [y]
     err = np.zeros(y.shape[:-1])
-    peak_sq = float((y * y).sum(-1).max())  # sup of |y|^2 along the run
+    peak = _state_scale(y, t)  # sup of |y| along the run
     steps = 0
     for length, u in pieces:
         n = max(1, math.ceil(length / system.step_limit))
@@ -270,8 +281,8 @@ def integrate(system, duration, g0, control, record=True):
             half = _rk4_step(system, _rk4_step(system, y, u, 0.5 * h), u, 0.5 * h)
             err = err + group.distance(full, half) / 15.0
             y = group.normalize(half)
-            peak_sq = max(peak_sq, float((y * y).sum(-1).max()))
             t += h
+            peak = max(peak, _state_scale(y, t))
             steps += 1
             if record:
                 times.append(t)
@@ -280,7 +291,7 @@ def integrate(system, duration, g0, control, record=True):
         times.append(t)
         points.append(y)
     total = float(np.max(err))
-    budget = 1e-8 * abs(duration) * max(1.0, math.sqrt(peak_sq))
+    budget = 1e-8 * abs(duration) * max(1.0, peak)
     if not total <= budget:  # also catches the NaN of an overflowing state
         raise IntegratorBudgetError(
             f"integrator error estimate {total:.3e} exceeds budget {budget:.3e}")

@@ -10,18 +10,19 @@ the comparison as a final record.
 
 import json
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import config as cfg
-from .algebra import NilpotentAlgebra, bch_dynkin
+from .algebra import NilpotentAlgebra, bch_dynkin, structure_residuals
 from .chains import (
-    GridWindow,
     build_chain_graph,
     central_fiber_nodes,
     estimate_source_constants,
     extract_chain_sets,
     level_extents,
+    main_set,
     theoretical_bound,
     verify_uniqueness_and_containment,
 )
@@ -29,27 +30,88 @@ from .errors import NotHyperbolicError
 from .group import ConjugationMap
 from .lcs import (
     ControlFunction,
-    LinearControlSystem,
     cocycle_residual,
     cross_check_residual,
     translation_identity_residual,
 )
-from .spectral import GradedBlocks, SpectralSplit
+from .spectral import GradedBlocks
 
 DEFAULT_SEED = 20260818
 
 REPORT_SCHEMA = 1
 
 
-def _run_preset(name, times_override=None):
-    """Build system, window, graph, and extracted sets for a bundled preset."""
+def chain_run(config, system=None):
+    """System, window, graph, and extracted sets for a parsed config."""
+    if system is None:
+        system = cfg.build_system(config)
+    window = cfg.build_window(config, system)
+    graph = build_chain_graph(system, window, config.eps, config.tau,
+                              control_family=config.family,
+                              time_samples=config.times)
+    return system, window, graph, extract_chain_sets(graph)
+
+
+def _run_preset(name):
     c = cfg.preset_config(name)
-    system = cfg.build_system(c)
-    window = cfg.build_window(c, system)
-    times = c.times if times_override is None else times_override
-    graph = build_chain_graph(system, window, c.eps, c.tau,
-                              control_family=c.family, time_samples=times)
-    return c, system, window, graph, extract_chain_sets(graph)
+    return (c, *chain_run(c))
+
+
+@dataclass
+class QuotientRun:
+    """Upstairs and downstairs runs of one config compared through psi."""
+
+    psi: ConjugationMap
+    downstairs_raw: dict
+    residuals: dict
+    usets: list
+    dsets: list
+    mapped: np.ndarray
+    inclusion_tolerance: float
+
+
+def quotient_run(config):
+    """Conjugate a run onto its hyperbolic part and compare the sets.
+
+    The downstairs system is built from its own raw config, so that config
+    is exactly what ran.  The residuals are the eigenvalue match of the
+    compressed drift, the homomorphism and flow-equivariance residuals of
+    psi, and the worst distance (with the fraction within tolerance) from
+    the mapped main upstairs set to the main downstairs set.  The
+    tolerance is eps plus one cell spacing: the largest delta, or one
+    angle cell if that is wider.
+    """
+    system = cfg.build_system(config)
+    psi = ConjugationMap(system.group, system.derivation,
+                         extra_kernel=config.extra_kernel)
+    full = np.linalg.eigvals(system.derivation)
+    nonzero = np.sort_complex(full[np.abs(full.real) > 1e-9])
+    hat = np.sort_complex(np.linalg.eigvals(psi.matrix_hat))
+    residuals = {
+        "eigenvalue_match": (float(np.max(np.abs(nonzero - hat)))
+                             if nonzero.size or hat.size else 0.0),
+        "homomorphism": float(psi.homomorphism_residual()),
+        "flow_equivariance": float(psi.flow_equivariance_residual()),
+        "inclusion": np.inf, "mapped_fraction": 0.0}
+    down_raw = cfg.downstairs_raw(config, psi)
+    down_config = cfg.parse_config(down_raw)
+    _, window, _, usets = chain_run(config, system)
+    _, down_win, _, dsets = chain_run(down_config)
+
+    spacing = float(np.max(config.delta))
+    if config.angle_cells:
+        spacing = max(spacing, 2.0 * np.pi / min(config.angle_cells))
+    tol_incl = config.eps + spacing
+    mapped = None
+    if usets and dsets:
+        mapped = psi.apply(window.points[main_set(usets).nodes])
+        dpts = down_win.points[main_set(dsets).nodes]
+        dist = psi.target.distance(mapped[:, None, :], dpts[None, :, :])
+        nearest = dist.min(axis=1)
+        residuals["inclusion"] = float(nearest.max())
+        residuals["mapped_fraction"] = float(np.mean(nearest <= tol_incl))
+    return QuotientRun(psi, down_raw, residuals, usets, dsets, mapped,
+                       tol_incl)
 
 
 def check_bracket_laws(seed):
@@ -66,13 +128,9 @@ def check_bracket_laws(seed):
     n_pairs = 20
     for name in ("heisenberg3", "filiform4"):
         alg = NilpotentAlgebra.from_preset(name)
-        c = alg.structure
-        worst_anti = max(worst_anti,
-                         float(np.max(np.abs(c + c.transpose(1, 0, 2)))))
-        t1 = np.einsum("bcl,alm->abcm", c, c)
-        t2 = np.einsum("cal,blm->abcm", c, c)
-        t3 = np.einsum("abl,clm->abcm", c, c)
-        worst_jacobi = max(worst_jacobi, float(np.max(np.abs(t1 + t2 + t3))))
+        anti, jacobi = structure_residuals(alg.structure)
+        worst_anti = max(worst_anti, anti)
+        worst_jacobi = max(worst_jacobi, jacobi)
         for _ in range(n_triples):
             x, y, z = rng.uniform(-1.0, 1.0, (3, alg.dim))
             left = alg.bch(alg.bch(x, y), z)
@@ -213,7 +271,7 @@ def check_scalar_line_sets(seed):
         hull = None
         identity = False
         if sets:
-            main = max(sets, key=lambda st: st.size)
+            main = main_set(sets)
             centers = window.points[main.nodes][:, system.group.h_dim:]
             hull = [float(centers.min()), float(centers.max())]
             identity = bool(main.contains_identity)
@@ -239,7 +297,7 @@ def check_rotation_fiber_glue(seed):
     covered = 0
     frac = 0.0
     if sets:
-        main = max(sets, key=lambda st: st.size)
+        main = main_set(sets)
         inside = np.isin(fiber, main.nodes)
         frac = float(inside.mean())
         theta_idx = window.axis_indices()[main.nodes, 0]
@@ -277,11 +335,11 @@ def check_expanding_containment(seed):
     window_ext = level_extents(system.algebra, corners)
     window_inside = bool(np.all(window_ext <= 1.5 * bound.bounds))
 
-    extents = max(sets, key=lambda st: st.size).extents if sets else None
+    main = main_set(sets)
     measured = {
         "n_sets": len(sets),
-        "set_nodes": int(max(sets, key=lambda st: st.size).size) if sets else 0,
-        "extents": [float(v) for v in extents] if extents is not None else None,
+        "set_nodes": main.size if sets else 0,
+        "extents": [float(v) for v in main.extents] if sets else None,
         "bounds": [float(v) for v in bound.bounds],
         "contraction": [float(v) for v in bound.contraction],
         "source_constants": [float(v) for v in consts],
@@ -305,55 +363,17 @@ def check_quotient_conjugation(seed):
     rounding level, and map the upstairs chain set into the downstairs
     one within eps plus one cell spacing.
     """
-    c = cfg.preset_config("conjugation-upstairs")
-    system = cfg.build_system(c)
-    window = cfg.build_window(c, system)
-    psi = ConjugationMap(system.group, system.derivation)
-
-    full = np.linalg.eigvals(system.derivation)
-    nonzero = np.sort_complex(full[np.abs(full.real) > 1e-9])
-    hat = np.sort_complex(SpectralSplit(psi.matrix_hat).eigenvalues)
-    eig_gap = float(np.max(np.abs(nonzero - hat))) if nonzero.size else 0.0
-    hom = float(psi.homomorphism_residual())
-    flow = float(psi.flow_equivariance_residual())
-
-    z_hat = c.control_vectors @ psi.w
-    down = LinearControlSystem(psi.target, psi.matrix_hat, z_hat,
-                               system.range, torus_controls=c.torus_controls)
-    dwin = GridWindow(psi.target, c.x_lower, c.x_upper, c.delta,
-                      angle_cells=c.angle_cells)
-
-    ugraph = build_chain_graph(system, window, c.eps, c.tau,
-                               control_family=c.family, time_samples=c.times)
-    usets = extract_chain_sets(ugraph)
-    dgraph = build_chain_graph(down, dwin, c.eps, c.tau,
-                               control_family=c.family, time_samples=c.times)
-    dsets = extract_chain_sets(dgraph)
-
-    spacing = max(float(np.max(c.delta)),
-                  2.0 * np.pi / min(c.angle_cells or (1,)))
-    tol_incl = c.eps + spacing
-    worst = np.inf
-    frac = 0.0
-    if usets and dsets:
-        up_main = max(usets, key=lambda st: st.size)
-        down_main = max(dsets, key=lambda st: st.size)
-        mapped = psi.apply(window.points[up_main.nodes])
-        dpts = dwin.points[down_main.nodes]
-        dist = psi.target.distance(mapped[:, None, :], dpts[None, :, :])
-        nearest = dist.min(axis=1)
-        worst = float(nearest.max())
-        frac = float(np.mean(nearest <= tol_incl))
+    run = quotient_run(cfg.preset_config("conjugation-upstairs"))
+    r = run.residuals
     tol = {"eigenvalue_match": 1e-9, "homomorphism": 1e-9,
-           "flow_equivariance": 1e-9, "inclusion": tol_incl,
+           "flow_equivariance": 1e-9, "inclusion": run.inclusion_tolerance,
            "mapped_fraction": 1.0}
-    measured = {"eigenvalue_match": eig_gap, "homomorphism": hom,
-                "flow_equivariance": flow, "inclusion": worst,
-                "mapped_fraction": frac,
-                "n_sets_upstairs": len(usets), "n_sets_downstairs": len(dsets),
-                "quotient_dim": int(psi.target.x_dim)}
-    passed = (eig_gap < 1e-9 and hom < 1e-9 and flow < 1e-9
-              and len(usets) == 1 and len(dsets) == 1 and frac == 1.0)
+    measured = dict(r, n_sets_upstairs=len(run.usets),
+                    n_sets_downstairs=len(run.dsets),
+                    quotient_dim=int(run.psi.target.x_dim))
+    passed = (r["eigenvalue_match"] < 1e-9 and r["homomorphism"] < 1e-9
+              and r["flow_equivariance"] < 1e-9 and len(run.usets) == 1
+              and len(run.dsets) == 1 and r["mapped_fraction"] == 1.0)
     return {"passed": bool(passed), "tolerances": tol, "measured": measured}
 
 
@@ -372,7 +392,7 @@ def check_flat_direction_growth(seed):
         ok = len(sets) == 1
         touch = None
         if sets:
-            main = max(sets, key=lambda st: st.size)
+            main = main_set(sets)
             bt = main.boundary_touch
             touch = bt.astype(bool).tolist()
             ok = ok and bool(bt[0, 0]) and bool(bt[0, 1])

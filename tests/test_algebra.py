@@ -8,6 +8,8 @@ from chaincontrol.algebra import (
     quotient_by_central,
 )
 from chaincontrol.errors import NotNilpotentError, ValidationError
+from chaincontrol.group import RhoAction, SemidirectGroup, TorusGroup
+from chaincontrol.lcs import ControlRange, LinearControlSystem
 
 
 def test_heisenberg_bracket_hand_value():
@@ -105,7 +107,7 @@ def test_bch_group_laws_class_four():
         z = rng.standard_normal(alg.dim)
         assert np.allclose(alg.bch(x, zero), x, atol=1e-13)
         assert np.allclose(alg.bch(zero, x), x, atol=1e-13)
-        assert np.allclose(alg.bch(x, alg.bch_inverse(x)), zero, atol=1e-12)
+        assert np.allclose(alg.bch(x, -x), zero, atol=1e-12)
         left = alg.bch(alg.bch(x, y), z)
         right = alg.bch(x, alg.bch(y, z))
         assert np.allclose(left, right, atol=1e-10)
@@ -206,30 +208,34 @@ def test_rejects_oversized_dimension():
         NilpotentAlgebra(np.zeros((9, 9, 9)))
 
 
-def test_translation_coefficients_left():
-    # d/dt|0 product(x, t w) = w + [x,w]/2 + [x,[x,w]]/12 + 0
-    alg = NilpotentAlgebra.from_preset("filiform5")
-    coeffs = alg.translation_coefficients("left")
-    assert np.allclose(coeffs, [1.0, 0.5, 1.0 / 12.0, 0.0], atol=1e-9)
+FIELD_CASES = ["heisenberg3", "filiform4", "filiform5", "abelian:3",
+               "heisenberg3-hand"] + [f"random-{i}" for i in range(10)]
 
 
-def test_translation_coefficients_right_alternates_sign():
-    alg = NilpotentAlgebra.from_preset("filiform5")
-    left = alg.translation_coefficients("left")
-    right = alg.translation_coefficients("right")
-    signs = np.array([(-1.0) ** p for p in range(len(left))])
-    assert np.allclose(right, signs * left, atol=1e-9)
-
-
-def test_translation_coefficients_heisenberg_hand_case():
-    # x = e2, w = e1: curve bch(x, t w) = (t, 1, -t/2), derivative e1 - e3/2
-    alg = NilpotentAlgebra.from_preset("heisenberg3")
-    coeffs = alg.translation_coefficients("left")
-    x = np.array([0.0, 1.0, 0.0])
-    w = np.array([1.0, 0.0, 0.0])
-    deriv = sum(coeffs[p] * np.linalg.matrix_power(alg.ad(x), p) @ w
-                for p in range(len(coeffs)))
-    assert np.allclose(deriv, [1.0, 0.0, -0.5], atol=1e-12)
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_field_is_derivative_of_product(case):
+    # the control field at x along v is d/dt|0 bch(t v, x); through class 4
+    # bch(t v, x) is at most quadratic in t, so the central difference is
+    # exact up to rounding
+    rng = np.random.default_rng(13)
+    if case.startswith("random-"):
+        alg = _random_nilpotent(np.random.default_rng(100 + int(case[7:])))
+    else:
+        alg = NilpotentAlgebra.from_preset(case.removesuffix("-hand"))
+    n = alg.dim
+    x, v = rng.standard_normal((2, 5, n))
+    if case == "heisenberg3-hand":
+        x, v = np.eye(3)[[1]], np.eye(3)[[0]]
+    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    system = LinearControlSystem(group, np.zeros((n, n)), np.eye(n),
+                                 ControlRange(-np.ones(n), np.ones(n)))
+    field = system.field(v, x)
+    h = 1e-4
+    ref = (alg.bch(h * v, x) - alg.bch(-h * v, x)) / (2.0 * h)
+    np.testing.assert_allclose(field, ref, rtol=0.0, atol=1e-8)
+    if case == "heisenberg3-hand":
+        # bch(t e1, e2) = (t, 1, t/2)
+        np.testing.assert_allclose(field, [[1.0, 0.0, 0.5]], atol=1e-15)
 
 
 def test_quotient_heisenberg_by_center_is_abelian():

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from chaincontrol import cli
 from chaincontrol import config as cfg
 from chaincontrol.cli import main
-from chaincontrol.errors import BudgetExceededError, IntegratorBudgetError
+from chaincontrol.errors import IntegratorBudgetError
 from chaincontrol.verify import encode_body
 
 
@@ -124,8 +125,23 @@ def test_simulate_growing_state_ends_without_traceback(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [IntegratorBudgetError,
-                                   BudgetExceededError])
+@pytest.mark.parametrize("duration, start, codes", [
+    ("1", "1e154", (0, 2)),  # |y|^2 overflows while y stays finite
+    ("5", "1e307", (2,)),    # the state overflows near t = 1.1
+])
+def test_simulate_huge_state_ends_with_one_line(tmp_path, capsys, duration,
+                                                start, codes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails
+        code = main(["simulate", "--preset", "scalar-unstable", "--duration",
+                     duration, "--start", start, "--out", str(tmp_path / "s")])
+    assert code in codes
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == (code == 2)
+
+
+@pytest.mark.parametrize("error", [IntegratorBudgetError])
 def test_budget_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
                                             error):
     def exhausted(*args, **kwargs):
@@ -238,6 +254,9 @@ def test_conjugate_identity_quotient(tmp_path):
     assert (out / "mapped_nodes.csv").exists()
     rows = {r["name"]: r for r in body["residuals"]}
     assert rows["set_inclusion"]["value"] == 0.0
+    # no angle cells: the spacing is the largest delta alone
+    assert body["inclusion_tolerance"] == up.eps + max(up.delta)
+    assert body["inclusion_tolerance"] == pytest.approx(0.15)
 
 
 def test_seed_override_lands_in_report(tmp_path):

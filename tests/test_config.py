@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chaincontrol import config as cfg
+from chaincontrol.cli import main
 from chaincontrol.errors import ValidationError
 
 
@@ -79,6 +80,22 @@ def test_shape_guards():
     raw["torus"] = {"dim": 1, "speeds": [0.0], "generators": []}
     with pytest.raises(ValidationError):
         cfg.parse_config(raw)
+
+
+def test_torus_speeds_must_be_zero(tmp_path, capsys):
+    raw = copy.deepcopy(cfg.PRESETS["rotation-plane"])
+    raw["torus"]["speeds"] = [0.0]
+    assert cfg.parse_config(raw).torus_dim == 1
+    raw["torus"]["speeds"] = [1.0]
+    with pytest.raises(ValidationError, match="speeds must be zero"):
+        cfg.parse_config(raw)
+    path = tmp_path / "drift.yaml"
+    cfg.dump_config(raw, path)
+    code = main(["decompose", "--config", str(path), "--out",
+                 str(tmp_path / "d")])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "speeds must be zero" in err[0]
 
 
 def test_window_spec_exactly_one():

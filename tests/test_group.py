@@ -3,9 +3,7 @@ import pytest
 
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
 from chaincontrol.errors import (
-    BudgetExceededError,
     IncompatibleActionError,
-    NotAutomorphismError,
     NotDerivationError,
     ValidationError,
 )
@@ -17,7 +15,6 @@ from chaincontrol.group import (
     action_automorphism_residual,
     action_homomorphism_residual,
     compatibility_residual,
-    recurrence_time,
     validate_linear_flow,
     wrap_angle,
 )
@@ -64,17 +61,6 @@ def test_torus_group_laws():
         c = rng.uniform(-np.pi, np.pi, size=2)
         lhs = torus.distance(torus.add(c, a), torus.add(c, b))
         assert lhs == pytest.approx(torus.distance(a, b), abs=1e-12)
-
-
-def test_torus_flow_isometry():
-    torus = TorusGroup(2, speeds=(1.0, np.sqrt(2.0)))
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a = rng.uniform(-np.pi, np.pi, size=2)
-        b = rng.uniform(-np.pi, np.pi, size=2)
-        t = rng.uniform(-5.0, 5.0)
-        moved = torus.distance(torus.flow(t, a), torus.flow(t, b))
-        assert moved == pytest.approx(torus.distance(a, b), abs=1e-9)
 
 
 def test_rotation_product_frozen():
@@ -183,14 +169,6 @@ def test_validate_linear_flow_rejects_noncommuting():
         validate_linear_flow(group, d)
 
 
-def test_validate_linear_flow_rejects_torus_drift():
-    alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    action = RhoAction(alg, [ROT])
-    group = SemidirectGroup(TorusGroup(1, speeds=(1.0,)), alg, action)
-    with pytest.raises(NotAutomorphismError):
-        validate_linear_flow(group, -np.eye(2))
-
-
 def test_compatibility_residual_zero_for_commuting():
     group = rotation_plane_group()
     assert compatibility_residual(group, -np.eye(2)) < 1e-12
@@ -235,33 +213,6 @@ def test_action_apply_matches_matrix():
     out = group.action.apply(h, x)
     for i in range(5):
         assert np.allclose(out[i], group.action.matrix(h[i]) @ x[i], atol=1e-12)
-
-
-def test_recurrence_time_circle():
-    torus = TorusGroup(1, speeds=(1.0,))
-    t = recurrence_time(torus, np.array([0.7]), eps=0.1, tau=1.0, budget=20.0)
-    assert t >= 1.0
-    assert abs(t - 2 * np.pi) < 0.1
-    assert torus.distance(torus.flow(t, [0.7]), [0.7]) < 0.1
-
-
-def test_recurrence_time_trivial_drift():
-    torus = TorusGroup(2)
-    assert recurrence_time(torus, np.zeros(2), eps=0.05, tau=1.5, budget=10.0) == 1.5
-
-
-def test_recurrence_time_irrational_pair():
-    torus = TorusGroup(2, speeds=(1.0, np.sqrt(2.0)))
-    h = np.zeros(2)
-    t = recurrence_time(torus, h, eps=0.05, tau=1.0, budget=300.0)
-    assert t >= 1.0
-    assert torus.distance(torus.flow(t, h), h) < 0.05
-
-
-def test_recurrence_time_budget_exceeded():
-    torus = TorusGroup(2, speeds=(1.0, np.sqrt(2.0)))
-    with pytest.raises(BudgetExceededError):
-        recurrence_time(torus, np.zeros(2), eps=0.01, tau=1.0, budget=5.0)
 
 
 def test_angular_mask_wraps_central_coordinate():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
-from chaincontrol.errors import NotAutomorphismError, ValidationError
+from chaincontrol.errors import ValidationError
 from chaincontrol.group import RhoAction, SemidirectGroup, TorusGroup
 from chaincontrol.lcs import (
     ControlFunction,
@@ -326,12 +326,3 @@ def test_continuity_in_control():
     for delta, gap in zip(deltas, gaps):
         assert gap <= rate * delta * 1.05
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
-
-
-def test_system_rejects_torus_drift():
-    alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    group = SemidirectGroup(TorusGroup(1, speeds=(1.0,)), alg,
-                            RhoAction(alg, [ROT]))
-    with pytest.raises(NotAutomorphismError):
-        LinearControlSystem(group, -np.eye(2), [[1.0, 0.0]],
-                            ControlRange([-1.0], [1.0]))
