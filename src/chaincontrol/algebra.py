@@ -78,9 +78,10 @@ def preset_structure(name):
     if name == "heisenberg3":
         return tensor(3, [(0, 1, 2)])
     if name.startswith("abelian:"):
-        dim = int(name.split(":", 1)[1])
+        tail = name.split(":", 1)[1]
+        dim = int(tail) if tail.isdigit() else 0
         if not 1 <= dim <= MAX_DIM:
-            raise ValidationError(f"abelian preset dim out of range: {dim}")
+            raise ValidationError(f"abelian preset dim out of range: {tail}")
         return np.zeros((dim, dim, dim))
     if name == "filiform4":
         return tensor(4, [(0, 1, 2), (0, 2, 3)])
@@ -200,9 +201,6 @@ class NilpotentAlgebra:
 
         starts = np.cumsum([0] + self.component_dims)
         self.level_slices = [slice(int(a), int(b)) for a, b in zip(starts, starts[1:])]
-        self.level_of_slot = np.concatenate(
-            [np.full(d, i + 1) for i, d in enumerate(self.component_dims)]
-        ) if n else np.zeros(0, dtype=int)
 
     @classmethod
     def from_preset(cls, name):
@@ -247,11 +245,6 @@ class NilpotentAlgebra:
 
     # -- graded structure ------------------------------------------------
 
-    def projector(self, level):
-        """Orthogonal projector onto V_level (1-based)."""
-        v = self.component_frames[level - 1]
-        return v @ v.T
-
     def component(self, x, level):
         """Component of x in V_level, batched."""
         v = self.component_frames[level - 1]
@@ -263,13 +256,6 @@ class NilpotentAlgebra:
 
     def from_graded(self, xg):
         return np.einsum("ij,...j->...i", self.frame, xg)
-
-    def series_projector(self, p):
-        """Orthogonal projector onto U^p (1-based); zero map past the class."""
-        if p > self.nilpotency_class:
-            return np.zeros((self.dim, self.dim))
-        b = self.series_bases[p - 1]
-        return b @ b.T
 
 
 def quotient_by_central(algebra, kernel):

@@ -32,7 +32,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import NotHyperbolicError, TauTooSmallError, ValidationError
+from .errors import TauTooSmallError, ValidationError
 from .lcs import _power_stack, _rk4_step
 from .spectral import decay_constants
 
@@ -77,12 +77,17 @@ class GridWindow:
             raise ValidationError("angle grids need at least one cell")
 
         free = ~mask
-        x_lower = np.broadcast_to(np.asarray(x_lower, dtype=float),
-                                  (int(free.sum()),)).astype(float)
-        x_upper = np.broadcast_to(np.asarray(x_upper, dtype=float),
-                                  (int(free.sum()),)).astype(float)
-        x_delta = np.broadcast_to(np.asarray(x_delta, dtype=float),
-                                  (int(free.sum()),)).astype(float)
+        try:
+            x_lower = np.broadcast_to(np.asarray(x_lower, dtype=float),
+                                      (int(free.sum()),)).astype(float)
+            x_upper = np.broadcast_to(np.asarray(x_upper, dtype=float),
+                                      (int(free.sum()),)).astype(float)
+            x_delta = np.broadcast_to(np.asarray(x_delta, dtype=float),
+                                      (int(free.sum()),)).astype(float)
+        except ValueError:
+            raise ValidationError(
+                f"window bounds and cell sizes need one entry, or one per "
+                f"box coordinate ({int(free.sum())})")
         if np.any(x_delta <= 0.0):
             raise ValidationError("cell sizes must be positive")
         if np.any(x_upper <= x_lower):
@@ -92,6 +97,12 @@ class GridWindow:
         if np.any(np.abs(counts - snapped) > 1e-6) or np.any(snapped < 1):
             raise ValidationError(
                 "window extent must be a whole number of cells per coordinate")
+        # refused before any per-axis grid is allocated
+        n_nodes = float(np.prod(snapped)) * math.prod(angle_cells + masked_cells)
+        if n_nodes > NODE_LIMIT:
+            raise ValidationError(f"window has {n_nodes:.0f} cells, over the "
+                                  f"{NODE_LIMIT} limit")
+        self.n_nodes = int(n_nodes)
 
         # per-axis grids in enumeration order: torus, then x in ambient order
         axis_centers = []
@@ -129,14 +140,7 @@ class GridWindow:
         self.x_lower = x_lower
         self.x_upper = x_upper
         self.x_delta = x_delta
-        self.free_mask = free
         self.free_columns = group.h_dim + np.flatnonzero(free)
-
-        n_nodes = int(np.prod(self.shape, dtype=np.int64))
-        if n_nodes > NODE_LIMIT:
-            raise ValidationError(f"window has {n_nodes} cells, over the "
-                                  f"{NODE_LIMIT} limit")
-        self.n_nodes = n_nodes
 
         grids = np.meshgrid(*axis_centers, indexing="ij")
         self.points = np.stack([g.reshape(-1) for g in grids], axis=1)
@@ -187,16 +191,17 @@ class GridWindow:
                 cols.append(col)
         return np.stack(cols, axis=-1)
 
-    def embedding_factor(self, radius, n_directions=16, seed=4571):
+    def embedding_factor(self, radius):
         """Measured sup of embedded distance over true distance at the given
-        radius, padded by 5 percent; lower-bounded by 1."""
+        radius, over 16 random directions, padded by 5 percent;
+        lower-bounded by 1."""
         group = self.group
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(4571)
         stride = max(1, self.n_nodes // 128)
         sample = self.points[::stride][:256]
         h, x = group.split(sample)
         worst = 1.0
-        for _ in range(n_directions):
+        for _ in range(16):
             w_h = rng.standard_normal((len(sample), group.h_dim)) \
                 if group.h_dim else np.zeros((len(sample), 0))
             w_x = rng.standard_normal((len(sample), group.x_dim))
@@ -308,26 +313,18 @@ class ChainGraph:
     def n_edges(self):
         return int(self.src.size)
 
-    def edge_pairs(self):
-        """(n_edges, 2) array of (src, dst), lexicographically sorted."""
-        return np.stack([self.src, self.dst], axis=1)
-
 
 def _default_time_samples(tau):
     return tau * np.array([1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0])
 
 
-def _flow_stack(system, h, n_steps):
-    """Drift flows F_k = (e^{hD})^k for k = 0..n_steps, one (n, n) each."""
-    return _power_stack(expm(h * system.derivation), n_steps)
-
-
-def _step_grid(system, tau, step_scale):
-    """The fixed RK4 grid on [0, 2*tau]: step h, step count, drift flows."""
-    h_nominal = system.step_limit * 10.0 * step_scale
+def _step_grid(system, tau):
+    """The fixed RK4 grid on [0, 2*tau]: step h, step count, and the drift
+    flows F_k = (e^{hD})^k for k = 0..n_steps, one (n, n) each."""
+    h_nominal = system.step_limit * 10.0
     n_steps = max(1, int(math.ceil(2.0 * tau / h_nominal)))
     h = 2.0 * tau / n_steps
-    return h, n_steps, _flow_stack(system, h, n_steps)
+    return h, n_steps, _power_stack(expm(h * system.derivation), n_steps)
 
 
 def _control_slices(n_controls, rows_per_control):
@@ -337,14 +334,14 @@ def _control_slices(n_controls, rows_per_control):
     return [slice(a, a + width) for a in range(0, n_controls, width)]
 
 
-def _propagate(system, starts, u_val, h, n_steps, snapshot_steps,
-               box_lower, box_upper, free_columns, record_stride=0):
+def _propagate(system, starts, u_val, h, n_steps, steps,
+               box_lower, box_upper, free_columns):
     """Fixed-step batched integration with window truncation.
 
     Rows whose free coordinates leave [box_lower, box_upper] freeze at
-    their last inside state and stop producing snapshots.  Returns the
-    snapshot states, per-snapshot alive masks, the truncation mask, and
-    (optionally) states recorded every record_stride steps while alive.
+    their last inside state and stop being alive.  Returns the frames, one
+    (states, alive mask) pair per entry of steps (step 0 is the start), and
+    the truncation mask.
 
     Integrates every row directly; the graph builds its runs from anchors
     (`_propagate_family`), and this path is kept as their oracle.
@@ -355,11 +352,8 @@ def _propagate(system, starts, u_val, h, n_steps, snapshot_steps,
     truncated = np.zeros(len(y), dtype=bool)
     u = np.asarray(u_val, dtype=float)
 
-    snapshots = {}
-    recorded = []
-    if record_stride:
-        recorded.append((y.copy(), alive.copy()))
-    want = set(int(s) for s in snapshot_steps)
+    want = {int(s) for s in steps}
+    frames = {0: (y.copy(), alive.copy())} if 0 in want else {}
     for step in range(1, n_steps + 1):
         advanced = group.normalize(_rk4_step(system, y, u, h))
         free = advanced[:, free_columns]
@@ -370,14 +364,12 @@ def _propagate(system, starts, u_val, h, n_steps, snapshot_steps,
         y = np.where(moved[:, None], advanced, y)
         alive = moved
         if step in want:
-            snapshots[step] = (y.copy(), alive.copy())
-        if record_stride and step % record_stride == 0:
-            recorded.append((y.copy(), alive.copy()))
-    return snapshots, truncated, recorded
+            frames[step] = (y.copy(), alive.copy())
+    return [frames[int(s)] for s in steps], truncated
 
 
-def _propagate_family(system, starts, family, h, flows, snapshot_steps,
-                      box_lower, box_upper, free_columns, record_stride=0):
+def _propagate_family(system, starts, family, h, flows, steps,
+                      box_lower, box_upper, free_columns):
     """`_propagate` for every control of a family at once, from anchors.
 
     The anchor a_k = phi(k h, e, u) of each control comes from the
@@ -391,8 +383,8 @@ def _propagate_family(system, starts, family, h, flows, snapshot_steps,
     step and only rows still alive are multiplied.
 
     Same contract as `_propagate` (n_steps = len(flows) - 1), with a
-    leading control axis on every array: snapshot states (U, N, dim) and
-    alive masks (U, N), the truncation mask (U, N), and the records.
+    leading control axis on every array: frame states (U, N, dim) and
+    alive masks (U, N), and the truncation mask (U, N).
     """
     group = system.group
     family = np.atleast_2d(np.asarray(family, dtype=float))
@@ -422,11 +414,8 @@ def _propagate_family(system, starts, family, h, flows, snapshot_steps,
         return (states.reshape(n_u, n_rows, -1).copy(),
                 alive.reshape(n_u, n_rows).copy())
 
-    snapshots = {}
-    recorded = []
-    if record_stride:
-        recorded.append(frame())
-    want = set(int(s) for s in snapshot_steps)
+    want = {int(s) for s in steps}
+    frames = {0: frame()} if 0 in want else {}
     for step in range(1, len(flows)):
         anchor = group.multiply(first, drift(anchor, flows[1]))
         if rows.size:
@@ -442,14 +431,12 @@ def _propagate_family(system, starts, family, h, flows, snapshot_steps,
                 advanced = advanced[keep]
             current = advanced
         if step in want:
-            snapshots[step] = frame()
-        if record_stride and step % record_stride == 0:
-            recorded.append(frame())
-    return snapshots, ~alive.reshape(n_u, n_rows), recorded
+            frames[step] = frame()
+    return [frames[int(s)] for s in steps], ~alive.reshape(n_u, n_rows)
 
 
 def build_chain_graph(system, window, eps, tau, control_family=None,
-                      time_samples=None, step_scale=1.0):
+                      time_samples=None):
     """Build the (eps, tau) cell reachability graph.
 
     Edge a -> b iff some sampled constant control u and duration T in
@@ -484,7 +471,7 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     if np.any(time_samples < tau - 1e-9) or np.any(time_samples > 2 * tau + 1e-9):
         raise ValidationError("time samples must lie in [tau, 2*tau]")
 
-    h, n_steps, flows = _step_grid(system, tau, step_scale)
+    h, n_steps, flows = _step_grid(system, tau)
     snap = np.rint(time_samples / h).astype(int)
     snap = np.clip(snap, int(math.ceil(tau / h - 1e-9)), n_steps)
     snap = np.unique(snap)
@@ -500,13 +487,12 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     blocks = []
     n_u = len(control_family)
     for part in _control_slices(n_u, window.n_nodes * (snap.size + 2)):
-        snapshots, trunc, _ = _propagate_family(
+        frames, trunc = _propagate_family(
             system, centers, control_family[part], h, flows, snap,
             lo_inf, hi_inf, window.free_columns)
         truncated |= trunc.any(axis=0)
         for j, u_idx in enumerate(range(n_u)[part]):
-            for t_idx, step in enumerate(snap):
-                states, alive = snapshots[int(step)]
+            for t_idx, (states, alive) in enumerate(frames):
                 rows = np.flatnonzero(alive[j])
                 if rows.size == 0:
                     continue
@@ -580,7 +566,6 @@ class ChainControlSetApprox:
     contains_identity: bool
     contains_central_fiber: bool
     boundary_touch: np.ndarray  # (n_free, 2) low/high per box coordinate
-    component_count: int
 
     @property
     def touches_boundary(self):
@@ -674,8 +659,7 @@ def extract_chain_sets(graph):
             if identity_nodes.size else False,
             contains_central_fiber=bool(member[fiber].all())
             if fiber.size else False,
-            boundary_touch=layer.any(axis=0),
-            component_count=len(components)))
+            boundary_touch=layer.any(axis=0)))
     return sets
 
 
@@ -734,43 +718,39 @@ def theoretical_bound(system, tau, c_estimates):
                        tau=float(tau))
 
 
-def estimate_source_constants(system, window, tau, control_family=None,
-                              seeds=None, max_seeds=256, record_stride=5,
-                              step_scale=1.0):
+def estimate_source_constants(system, window, tau, control_family=None):
     """Empirical per-level source constants C_i for theoretical_bound.
 
-    Integrates the family of constant controls over [0, 2*tau] from seed
-    nodes (default: the central-fiber cells), truncating runs that leave
-    the window, and records the sup of each level's source term (the level
-    component of the velocity minus its diagonal-block part).  The action
-    norm sup over the window's compact part is added per the bound's
-    jump-size constant.
+    Integrates the family of constant controls over [0, 2*tau] from the
+    central-fiber cells (at most 256 of them, evenly strided), truncating
+    runs that leave the window, and records the sup of each level's source
+    term (the level component of the velocity minus its diagonal-block
+    part) every fifth step.  The action norm sup over the window's compact
+    part is added per the bound's jump-size constant.
     """
     group = system.group
     alg = system.algebra
     if control_family is None:
         control_family = system.range.sample_family()
     control_family = np.atleast_2d(np.asarray(control_family, dtype=float))
-    if seeds is None:
-        seeds = central_fiber_nodes(window)
-    seeds = np.asarray(seeds, dtype=np.int64)
+    seeds = central_fiber_nodes(window)
     if seeds.size == 0:
         raise ValidationError("no seed nodes to sample trajectories from")
-    if seeds.size > max_seeds:
-        stride = int(math.ceil(seeds.size / max_seeds))
+    if seeds.size > 256:
+        stride = int(math.ceil(seeds.size / 256))
         seeds = seeds[::stride]
     starts = window.points[seeds]
 
-    h, n_steps, flows = _step_grid(system, tau, step_scale)
-    n_records = n_steps // record_stride + 1
+    h, n_steps, flows = _step_grid(system, tau)
+    steps = range(0, n_steps + 1, 5)
     sup = np.zeros(alg.nilpotency_class)
     mask = group.x_mask
-    for part in _control_slices(len(control_family), len(starts) * n_records):
+    for part in _control_slices(len(control_family), len(starts) * len(steps)):
         family = control_family[part]
-        _, _, recorded = _propagate_family(
-            system, starts, family, h, flows, (), window.x_lower,
-            window.x_upper, window.free_columns, record_stride=record_stride)
-        for states, alive in recorded:
+        frames, _ = _propagate_family(
+            system, starts, family, h, flows, steps, window.x_lower,
+            window.x_upper, window.free_columns)
+        for states, alive in frames:
             if not alive.any():
                 continue
             u_idx, rows = np.nonzero(alive)
@@ -868,87 +848,6 @@ def verify_uniqueness_and_containment(sets, fiber_nodes, bounds=None):
         boundary_touched=boundary_touched, failures=failures)
 
 
-# -- jump set and trajectory tube -------------------------------------------
-
-
-@dataclass
-class JumpTube:
-    """Jump-node estimate and sampled trajectory tube of a chain set."""
-
-    jump_nodes: np.ndarray
-    jump_extents: np.ndarray
-    tube_extents: np.ndarray
-    tube_samples: int
-
-
-def jump_and_tube_sets(system, graph, chain_set, max_edges=2000,
-                       record_stride=5):
-    """Estimate the jump node set and the trajectory tube of a chain set.
-
-    Jump nodes: the set's own nodes plus the nearest node of every sampled
-    internal-edge landing.  Tube: states recorded along [0, 2*tau] runs of
-    the whole control family from the jump nodes, truncated at the graph's
-    inflated window.  Per-level extents of both are reported.
-    """
-    window = graph.window
-    group = system.group
-    members = np.asarray(chain_set.nodes, dtype=np.int64)
-    in_set = np.zeros(graph.n_nodes, dtype=bool)
-    in_set[members] = True
-    internal = in_set[graph.src] & in_set[graph.dst]
-    e_src = graph.src[internal]
-    e_u = graph.witness_u[internal]
-    e_t = graph.witness_t[internal]
-    if e_src.size > max_edges:
-        stride = int(math.ceil(e_src.size / max_edges))
-        e_src, e_u, e_t = e_src[::stride], e_u[::stride], e_t[::stride]
-    tree = cKDTree(window.embed(window.points))
-    flows = _flow_stack(system, graph.step, graph.n_steps)
-
-    landing_nodes = []
-    if e_src.size:
-        rows, pos = np.unique(e_src, return_inverse=True)
-        wanted = graph.snapshot_steps[e_t]
-        snapshots, _, _ = _propagate_family(
-            system, window.points[rows], graph.control_family, graph.step,
-            flows, np.unique(wanted), graph.inflated_lower,
-            graph.inflated_upper, window.free_columns)
-        for step in np.unique(wanted):
-            pick = wanted == step
-            states, alive = snapshots[int(step)]
-            ok = alive[e_u[pick], pos[pick]]
-            if ok.any():
-                landed = states[e_u[pick], pos[pick]][ok]
-                _, nearest = tree.query(window.embed(landed))
-                landing_nodes.append(np.atleast_1d(nearest).astype(np.int64))
-    if landing_nodes:
-        jump = np.union1d(members, np.concatenate(landing_nodes))
-    else:
-        jump = members
-    jump_x = window.points[jump][:, group.h_dim:]
-    jump_extents = level_extents(group.algebra, jump_x, group.x_mask)
-
-    tube_sup = np.zeros(group.algebra.nilpotency_class)
-    samples = 0
-    starts = window.points[jump]
-    n_records = graph.n_steps // record_stride + 1
-    for part in _control_slices(len(graph.control_family),
-                                len(starts) * n_records):
-        _, _, recorded = _propagate_family(
-            system, starts, graph.control_family[part], graph.step, flows,
-            (), graph.inflated_lower, graph.inflated_upper,
-            window.free_columns, record_stride=record_stride)
-        for states, alive in recorded:
-            if not alive.any():
-                continue
-            x = states[alive][:, group.h_dim:]
-            tube_sup = np.maximum(
-                tube_sup, level_extents(group.algebra, x, group.x_mask))
-            samples += int(alive.sum())
-    return JumpTube(jump_nodes=jump, jump_extents=jump_extents,
-                    tube_extents=tube_sup, tube_samples=samples)
-
-
 # -- audit -------------------------------------------------------------------
 
 
@@ -976,12 +875,10 @@ def audit_edges(system, graph, fraction=0.01, seed=1234, refine=10):
         u_idx = int(group_key) // len(graph.snapshot_steps)
         t_idx = int(group_key) % len(graph.snapshot_steps)
         n_fine = int(graph.snapshot_steps[t_idx]) * refine
-        snapshots, _, _ = _propagate(
+        [(states, alive)], _ = _propagate(
             system, window.points[graph.src[sel]],
-            graph.control_family[u_idx], h_fine, n_fine,
-            np.array([n_fine]), graph.inflated_lower, graph.inflated_upper,
-            window.free_columns)
-        states, alive = snapshots[n_fine]
+            graph.control_family[u_idx], h_fine, n_fine, [n_fine],
+            graph.inflated_lower, graph.inflated_upper, window.free_columns)
         d = system.group.distance(states, window.points[graph.dst[sel]])
         excess = d - graph.radius
         bad = ~alive | (excess > 1e-6)

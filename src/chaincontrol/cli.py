@@ -17,6 +17,7 @@ stderr, 3 a theorem check failed.
 import argparse
 import copy
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -27,11 +28,7 @@ import yaml
 from . import config as cfg
 from .algebra import structure_residuals
 from .chains import (
-    central_fiber_nodes,
-    estimate_source_constants,
     main_set,
-    theoretical_bound,
-    verify_uniqueness_and_containment,
     write_edges_csv,
     write_nodes_csv,
     write_plot_slice,
@@ -45,10 +42,25 @@ from .errors import (
 )
 from .lcs import ControlFunction, cross_check_residual, integrate
 from .spectral import SpectralSplit, check_derivation, decay_constants
-from .verify import DEFAULT_SEED, acceptance_report, chain_run, quotient_run
+from .verify import (
+    DEFAULT_SEED,
+    acceptance_report,
+    chain_run,
+    quotient_run,
+    verdict_run,
+)
 
 
 # -- shared plumbing ---------------------------------------------------------
+
+
+def _numbers(text, what):
+    """Comma separated numbers from a flag or a file row."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{what} must be comma separated numbers, "
+                              f"got {text!r}")
 
 
 def _raw_config(args):
@@ -68,6 +80,12 @@ def _raw_config(args):
                 data = yaml.safe_load(fh)
         except OSError as exc:
             raise ValidationError(f"cannot read config {path}: {exc}")
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" (line {mark.line + 1})" if mark else ""
+            raise ValidationError(f"config {path} is not valid YAML{where}")
+        if not isinstance(data, dict):
+            raise ValidationError(f"config {path} must hold a mapping")
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
     chain = data.setdefault("chain", {})
@@ -76,7 +94,7 @@ def _raw_config(args):
     if getattr(args, "tau", None) is not None:
         chain["tau"] = args.tau
     if getattr(args, "delta", None) is not None:
-        chain["delta"] = [float(v) for v in args.delta.split(",")]
+        chain["delta"] = _numbers(args.delta, "--delta")
     return data
 
 
@@ -188,7 +206,7 @@ def _parse_control(args, m, duration):
                     line = line.strip()
                     if not line or line.startswith("#"):
                         continue
-                    rows.append([float(v) for v in line.split(",")])
+                    rows.append(_numbers(line, "control file row"))
         except OSError as exc:
             raise ValidationError(f"cannot read control file: {exc}")
         if not rows or any(len(r) != m + 1 for r in rows):
@@ -200,7 +218,7 @@ def _parse_control(args, m, duration):
         values = [r[1:] for r in rows]
         return ControlFunction(starts + [duration], values)
     if args.control is not None:
-        value = [float(v) for v in args.control.split(",")]
+        value = _numbers(args.control, "--control")
         if len(value) != m:
             raise ValidationError(f"--control needs {m} comma separated values")
     else:
@@ -214,12 +232,12 @@ def cmd_simulate(args):
     system = cfg.build_system(config)
     group = system.group
     duration = float(args.duration)
-    if duration <= 0:
-        raise ValidationError("--duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise ValidationError("--duration must be positive and finite")
     control = _parse_control(args, system.range.m, duration)
 
     if args.start is not None:
-        g0 = np.array([float(v) for v in args.start.split(",")])
+        g0 = np.array(_numbers(args.start, "--start"))
         if g0.shape != (group.dim,):
             raise ValidationError(
                 f"--start needs {group.dim} comma separated coordinates")
@@ -270,7 +288,7 @@ def cmd_simulate(args):
 # -- chainset ----------------------------------------------------------------
 
 
-def _chain_verdict_rows(config, sets, fiber, bound, report):
+def _chain_verdict_rows(config, sets, bound, report):
     """Verdicts plus the residual rows backing each of them."""
     verdicts = {
         "unique": report.unique,
@@ -299,23 +317,10 @@ def cmd_chainset(args):
     t0 = time.perf_counter()
     config = cfg.parse_config(_raw_config(args))
     system, window, graph, sets = chain_run(config)
-    fiber = central_fiber_nodes(window)
     t_graph = time.perf_counter() - t0
 
-    bound = None
-    diagnostic = None
-    try:
-        consts = estimate_source_constants(system, window, config.tau,
-                                           control_family=config.family)
-        bound = theoretical_bound(system, config.tau, consts)
-    except NotHyperbolicError as exc:
-        diagnostic = f"unbounded direction detected: {exc}"
-    except TauTooSmallError as exc:
-        diagnostic = f"no contraction at this tau: {exc}"
-
-    report = verify_uniqueness_and_containment(sets, fiber, bounds=bound)
-    verdicts, residuals = _chain_verdict_rows(config, sets, fiber, bound,
-                                              report)
+    bound, diagnostic, report = verdict_run(config, system, window, sets)
+    verdicts, residuals = _chain_verdict_rows(config, sets, bound, report)
     residuals = _structure_residuals(system) + residuals
 
     out = _out_dir(args, "chainset")

@@ -10,7 +10,7 @@ import copy
 
 import numpy as np
 import yaml
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import NilpotentAlgebra, preset_structure
 from .chains import GridWindow
@@ -29,12 +29,11 @@ class RunConfig:
 
     name: str
     seed: int
-    algebra_preset: str
     structure: np.ndarray
     derivation: np.ndarray
     torus_dim: int
     generators: list
-    angular_coords: list
+    angular_coords: tuple
     control_vectors: np.ndarray
     torus_controls: np.ndarray
     lower: np.ndarray
@@ -53,12 +52,30 @@ class RunConfig:
     level_bounds: np.ndarray
     extra_kernel: np.ndarray
     formats: tuple
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _require(cond, message):
     if not cond:
         raise ValidationError(message)
+
+
+def _convert(kind, value, name):
+    """kind(value), with a value kind refuses reported as a ValidationError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} has an invalid value {value!r}")
+
+
+def _ints(values):
+    return tuple(int(k) for k in values)
+
+
+def _block(data, key):
+    """An optional sub-block: a mapping, empty when absent."""
+    block = data.get(key) or {}
+    _require(isinstance(block, dict), f"{key} must be a mapping")
+    return block
 
 
 def _matrix(value, name):
@@ -77,7 +94,7 @@ def parse_config(data):
              f"unsupported schema {data.get('schema')!r}, "
              f"expected {SCHEMA_VERSION}")
     name = str(data.get("name", "run"))
-    seed = int(data.get("seed", 0))
+    seed = _convert(int, data.get("seed", 0), "seed")
     _require(0 <= seed < 2 ** 64, "seed must fit in 64 bits")
 
     alg_block = data.get("algebra")
@@ -97,8 +114,8 @@ def parse_config(data):
     _require(derivation.shape == (n, n),
              f"derivation must be {n} x {n}, got {derivation.shape}")
 
-    torus = data.get("torus") or {}
-    torus_dim = int(torus.get("dim", 0))
+    torus = _block(data, "torus")
+    torus_dim = _convert(int, torus.get("dim", 0), "torus.dim")
     _require(torus_dim >= 0, "torus.dim must be nonnegative")
     # zero speeds are still accepted, so older files keep loading
     speeds = _matrix(torus.get("speeds", [0.0] * torus_dim), "torus.speeds")
@@ -107,13 +124,16 @@ def parse_config(data):
              "torus.speeds must list one speed per circle")
     _require(not speeds.any(), "torus.speeds must be zero: a torus "
              "translation drift is not an automorphism flow")
+    generators = _convert(list, torus.get("generators", []),
+                          "torus.generators")
     generators = [_matrix(g, f"torus.generators[{i}]")
-                  for i, g in enumerate(torus.get("generators", []))]
+                  for i, g in enumerate(generators)]
     _require(len(generators) == torus_dim,
              "need one action generator per torus dimension")
     for i, g in enumerate(generators):
         _require(g.shape == (n, n), f"torus.generators[{i}] must be {n} x {n}")
-    angular = [int(i) for i in torus.get("angular_coords", [])]
+    angular = _convert(_ints, torus.get("angular_coords", []),
+                       "torus.angular_coords")
     _require(all(0 <= i < n for i in angular),
              "angular_coords must index nilpotent coordinates")
 
@@ -142,9 +162,10 @@ def parse_config(data):
 
     chain = data.get("chain")
     _require(isinstance(chain, dict), "missing chain block")
-    eps = float(chain.get("eps", 0.0))
-    tau = float(chain.get("tau", 0.0))
-    _require(eps > 0 and tau > 0, "chain.eps and chain.tau must be positive")
+    eps = _convert(float, chain.get("eps", 0.0), "chain.eps")
+    tau = _convert(float, chain.get("tau", 0.0), "chain.tau")
+    _require(0 < eps < np.inf and 0 < tau < np.inf,
+             "chain.eps and chain.tau must be positive and finite")
     delta = np.atleast_1d(_matrix(chain.get("delta"), "chain.delta"))
     xl = chain.get("x_lower")
     xu = chain.get("x_upper")
@@ -157,29 +178,33 @@ def parse_config(data):
     x_upper = None if xu is None else np.atleast_1d(_matrix(xu, "chain.x_upper"))
     level_bounds = None if lb is None else np.atleast_1d(
         _matrix(lb, "chain.level_bounds"))
-    window_factor = float(chain.get("window_factor", 1.5))
-    angle_cells = tuple(int(k) for k in chain.get("angle_cells", []))
+    window_factor = _convert(float, chain.get("window_factor", 1.5),
+                             "chain.window_factor")
+    angle_cells = _convert(_ints, chain.get("angle_cells", []),
+                           "chain.angle_cells")
     _require(len(angle_cells) == torus_dim,
              "chain.angle_cells must list one count per torus circle")
-    masked_cells = tuple(int(k) for k in chain.get("masked_cells", []))
+    masked_cells = _convert(_ints, chain.get("masked_cells", []),
+                            "chain.masked_cells")
     _require(len(masked_cells) == len(angular),
              "chain.masked_cells must list one count per angular coordinate")
     t = chain.get("times")
     times = None if t is None else np.atleast_1d(_matrix(t, "chain.times"))
     require_interior = bool(chain.get("require_interior", False))
 
-    conj = data.get("conjugation") or {}
+    conj = _block(data, "conjugation")
     ek = conj.get("extra_kernel")
     extra_kernel = None if ek is None else _matrix(ek, "conjugation.extra_kernel")
 
-    output = data.get("output") or {}
-    formats = tuple(str(f) for f in output.get("formats", ("csv", "jsonl")))
+    output = _block(data, "output")
+    formats = _convert(tuple, output.get("formats", ("csv", "jsonl")),
+                       "output.formats")
+    formats = tuple(str(f) for f in formats)
     for f in formats:
         _require(f in ("csv", "jsonl"), f"unknown output format {f!r}")
 
     return RunConfig(
-        name=name, seed=seed,
-        algebra_preset=preset or "", structure=structure_arr,
+        name=name, seed=seed, structure=structure_arr,
         derivation=derivation, torus_dim=torus_dim,
         generators=generators, angular_coords=angular,
         control_vectors=z, torus_controls=torus_controls,
@@ -189,14 +214,7 @@ def parse_config(data):
         eps=eps, tau=tau, times=times, require_interior=require_interior,
         window_factor=window_factor,
         level_bounds=level_bounds, extra_kernel=extra_kernel,
-        formats=formats, raw=copy.deepcopy(data))
-
-
-def load_config(path):
-    """Parse a YAML config file."""
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
-    return parse_config(data)
+        formats=formats)
 
 
 def build_system(config):
@@ -399,10 +417,6 @@ def preset_config(name):
         known = ", ".join(sorted(PRESETS))
         raise ValidationError(f"unknown preset {name!r}; known: {known}")
     return parse_config(copy.deepcopy(PRESETS[name]))
-
-
-def preset_names():
-    return sorted(PRESETS)
 
 
 def dump_config(config_dict, path):

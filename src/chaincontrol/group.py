@@ -39,9 +39,6 @@ class TorusGroup:
     def add(self, a, b):
         return wrap_angle(np.asarray(a, dtype=float) + b)
 
-    def inverse(self, a):
-        return wrap_angle(-np.asarray(a, dtype=float))
-
     def distance(self, a, b):
         """Bi-invariant distance: norm of the wrapped coordinate difference."""
         diff = wrap_angle(np.asarray(b, dtype=float) - a)
@@ -140,34 +137,6 @@ class RhoAction:
         return out.real
 
 
-def action_automorphism_residual(action, n_samples=20, seed=5):
-    """Sup over samples of |rho(h)[x,y] - [rho(h)x, rho(h)y]|."""
-    alg = action.algebra
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        h = rng.uniform(-np.pi, np.pi, size=action.n_params)
-        x = rng.standard_normal(alg.dim)
-        y = rng.standard_normal(alg.dim)
-        lhs = action.apply(h, alg.bracket(x, y))
-        rhs = alg.bracket(action.apply(h, x), action.apply(h, y))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
-def action_homomorphism_residual(action, n_samples=20, seed=6):
-    """Sup over samples of |rho(h1 + h2) - rho(h1) rho(h2)|."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        h1 = rng.uniform(-np.pi, np.pi, size=action.n_params)
-        h2 = rng.uniform(-np.pi, np.pi, size=action.n_params)
-        lhs = action.matrix(h1 + h2)
-        rhs = action.matrix(h1) @ action.matrix(h2)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
 class SemidirectGroup:
     """T^m x_rho N with points stored as arrays (..., m + n).
 
@@ -246,12 +215,6 @@ class SemidirectGroup:
         h_b, x_b = self.split(b)
         h = self.torus.add(h_a, h_b)
         x = self.algebra.bch(x_a, self.action.apply(h_a, x_b))
-        return self.normalize(self.join(h, x))
-
-    def inverse(self, a):
-        h_a, x_a = self.split(a)
-        h = self.torus.inverse(h_a)
-        x = -self.action.apply(h, x_a)
         return self.normalize(self.join(h, x))
 
     def distance(self, a, b):

@@ -125,11 +125,10 @@ class ControlFunction:
 class Trajectory:
     """Integrated path: times[k] to points[k]; points may carry batch axes."""
 
-    def __init__(self, times, points, control=None, stats=None):
+    def __init__(self, times, points, stats):
         self.times = np.asarray(times, dtype=float)
         self.points = np.asarray(points, dtype=float)
-        self.control = control
-        self.stats = stats or {}
+        self.stats = stats
 
     @property
     def endpoint(self):
@@ -212,12 +211,6 @@ class LinearControlSystem:
             np.broadcast_to(xdot, lead + (self.group.x_dim,)),
         ], axis=-1)
 
-    def field_eval(self, u, g):
-        """Validated single evaluation: u must lie in the control range."""
-        if not self.range.contains(u):
-            raise ValidationError(f"control value {u} outside the admissible range")
-        return self.field(np.atleast_1d(np.asarray(u, dtype=float)), g)
-
 
 def _rk4_step(system, y, u, h):
     k1 = system.field(u, y)
@@ -252,7 +245,7 @@ def integrate(system, duration, g0, control, record=True):
     g0 = np.asarray(g0, dtype=float)
     if abs(duration) < 1e-15:
         point = group.normalize(g0)
-        return Trajectory([0.0], [point], control,
+        return Trajectory([0.0], [point],
                           {"steps": 0, "error_estimate": 0.0,
                            "error_budget": 0.0})
     if duration > 0:
@@ -295,7 +288,7 @@ def integrate(system, duration, g0, control, record=True):
     if not total <= budget:  # also catches the NaN of an overflowing state
         raise IntegratorBudgetError(
             f"integrator error estimate {total:.3e} exceeds budget {budget:.3e}")
-    return Trajectory(times, points, control,
+    return Trajectory(times, points,
                       {"steps": steps, "error_estimate": total,
                        "error_budget": budget})
 
@@ -368,11 +361,9 @@ def _power_stack(mat, count):
 
 
 class TriangularSolution:
-    def __init__(self, t, components, combined, grid_times):
-        self.t = t
+    def __init__(self, components, combined):
         self.components = components
         self.combined = combined
-        self.grid_times = grid_times
 
 
 def triangular_solve(system, duration, g0, control):
@@ -396,7 +387,7 @@ def triangular_solve(system, duration, g0, control):
         raise ValidationError("closed-form solve takes a single start point")
     if duration == 0:
         comps = [alg.component(x0, i + 1) for i in range(alg.nilpotency_class)]
-        return TriangularSolution(0.0, comps, x0.copy(), np.zeros(1))
+        return TriangularSolution(comps, x0.copy())
 
     pieces = control.pieces_over(0.0, duration)
     for _, value in pieces:
@@ -407,16 +398,11 @@ def triangular_solve(system, duration, g0, control):
     # boundary nodes, where the trailing piece recomputes its own source
     layout = []
     node_total = 0
-    t0 = 0.0
-    grid_times = [np.zeros(1)]
     for length, value in pieces:
         n = 2 * max(1, math.ceil(length / (2.0 * system.step_limit)))
         h = length / n
         layout.append((node_total, n, h, value))
-        grid_times.append(t0 + h * np.arange(1, n + 1))
         node_total += n
-        t0 += length
-    grid_times = np.concatenate(grid_times)
     n_nodes = node_total + 1
 
     xg0 = alg.to_graded(x0)
@@ -461,7 +447,7 @@ def triangular_solve(system, duration, g0, control):
         ambient = ambient + x_level @ alg.component_frames[level - 1].T
         components.append(alg.component(ambient[-1], level))
 
-    return TriangularSolution(duration, components, ambient[-1], grid_times)
+    return TriangularSolution(components, ambient[-1])
 
 
 def cross_check_residual(system, duration, g0, control):

@@ -54,19 +54,6 @@ def check_series_preservation(algebra, matrix, atol=1e-10):
     return worst
 
 
-def check_subalgebra_closure(algebra, basis, atol=1e-9):
-    """Brackets of basis columns must stay inside their own span."""
-    b = np.asarray(basis, dtype=float)
-    if b.shape[1] == 0:
-        return 0.0
-    proj = b @ np.linalg.pinv(b)
-    prods = np.einsum("ijk,ia,jb->abk", algebra.structure, b, b)
-    residual = float(np.max(np.abs(prods - np.einsum("km,abm->abk", proj, prods))))
-    if residual > atol:
-        raise ValidationError(f"subspace not bracket closed, residual {residual:.3e}")
-    return residual
-
-
 class SpectralSplit:
     """Invariant splitting of a matrix by sign of the real part of eigenvalues.
 
@@ -113,7 +100,7 @@ class SpectralSplit:
             parts.append(basis @ rows[-1])
         self.pi_stable, self.pi_center, self.pi_unstable = parts
         # coefficient rows: pi = basis @ rows, handy for subspace propagation
-        self.stable_rows, self.center_rows, self.unstable_rows = rows
+        self.stable_rows, self.unstable_rows = rows[0], rows[2]
 
         ident = self.pi_stable + self.pi_center + self.pi_unstable
         if np.max(np.abs(ident - np.eye(n))) > 1e-9:
@@ -123,12 +110,6 @@ class SpectralSplit:
                 raise DefectiveClusteringError("projection is not idempotent")
             if _norm2(pi @ d - d @ pi) > 1e-7 * max(1.0, _norm2(d)):
                 raise DefectiveClusteringError("projection does not commute with matrix")
-
-
-def validate_derivation_split(algebra, split, atol=1e-9):
-    """Stable, center, and unstable subspaces of a derivation are subalgebras."""
-    for basis in (split.stable_basis, split.center_basis, split.unstable_basis):
-        check_subalgebra_closure(algebra, basis, atol=atol)
 
 
 class GradedBlocks:
@@ -142,9 +123,6 @@ class GradedBlocks:
     def block(self, i, j):
         """Block mapping level j into level i (1-based)."""
         return self.matrix[self.slices[i - 1], self.slices[j - 1]]
-
-    def diagonal_blocks(self):
-        return [self.block(i, i) for i in range(1, self.levels + 1)]
 
     def upper_residual(self):
         worst = 0.0
@@ -165,33 +143,6 @@ def block_decompose(algebra, matrix, atol=1e-12):
         raise SeriesNotPreservedError(
             f"upper graded blocks nonzero, residual {residual:.3e}")
     return blocks
-
-
-def ad_chain_blocks(algebra, x, atol=1e-12):
-    """Graded blocks of ad(x) with the filtration shift certified.
-
-    With p the lowest level where x has a component, [U^p, U^j] lands in
-    U^{p+j}, so block (i, j) vanishes for i < p + j.  Returns (blocks, p).
-    """
-    x = np.asarray(x, dtype=float)
-    p = None
-    for level in range(1, algebra.nilpotency_class + 1):
-        if np.max(np.abs(algebra.component(x, level))) > 1e-12:
-            p = level
-            break
-    if p is None:
-        return GradedBlocks(algebra, np.zeros((algebra.dim, algebra.dim))), 0
-    blocks = GradedBlocks(algebra, algebra.ad(x))
-    worst = 0.0
-    for i in range(1, algebra.nilpotency_class + 1):
-        for j in range(1, algebra.nilpotency_class + 1):
-            if i < p + j:
-                b = blocks.block(i, j)
-                if b.size:
-                    worst = max(worst, float(np.max(np.abs(b))))
-    if worst > atol:
-        raise ValidationError(f"filtration shift violated, residual {worst:.3e}")
-    return blocks, p
 
 
 def decay_constants(matrix, mu_scale=0.9, grid_step=0.01, horizon_scale=50.0,

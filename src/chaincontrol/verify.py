@@ -26,7 +26,7 @@ from .chains import (
     theoretical_bound,
     verify_uniqueness_and_containment,
 )
-from .errors import NotHyperbolicError
+from .errors import NotHyperbolicError, TauTooSmallError
 from .group import ConjugationMap
 from .lcs import (
     ControlFunction,
@@ -55,6 +55,29 @@ def chain_run(config, system=None):
 def _run_preset(name):
     c = cfg.preset_config(name)
     return (c, *chain_run(c))
+
+
+def verdict_run(config, system, window, sets):
+    """Theoretical bound and uniqueness report of a chain run.
+
+    Estimates the source constants, forms the per-level bound, and checks
+    the sets against it and the central fiber.  A refused bound (a flat
+    direction, or no contraction at this tau) comes back as None with a
+    diagnostic, and the report then checks no extents.  Returns (bound,
+    diagnostic, report).
+    """
+    bound = diagnostic = None
+    try:
+        consts = estimate_source_constants(system, window, config.tau,
+                                           control_family=config.family)
+        bound = theoretical_bound(system, config.tau, consts)
+    except NotHyperbolicError as exc:
+        diagnostic = f"unbounded direction detected: {exc}"
+    except TauTooSmallError as exc:
+        diagnostic = f"no contraction at this tau: {exc}"
+    report = verify_uniqueness_and_containment(
+        sets, central_fiber_nodes(window), bounds=bound)
+    return bound, diagnostic, report
 
 
 @dataclass
@@ -320,34 +343,36 @@ def check_expanding_containment(seed):
     identity cell, keep its per-level extents below the bound, and stay
     off the window boundary.  The run window itself must sit inside the
     bound box inflated by 1.5, so no part of the predicted region is cut.
+    A refused bound fails the check, with its diagnostic among the
+    failures.
     """
     c, system, window, graph, sets = _run_preset("heisenberg-expanding")
-    consts = estimate_source_constants(system, window, c.tau,
-                                       control_family=c.family)
-    bound = theoretical_bound(system, c.tau, consts)
-    fiber = central_fiber_nodes(window)
-    report = verify_uniqueness_and_containment(sets, fiber, bounds=bound)
+    bound, diagnostic, report = verdict_run(c, system, window, sets)
+    refused = bound is None
 
     corners = np.array([[sx, sy, sz]
                         for sx in (c.x_lower[0], c.x_upper[0])
                         for sy in (c.x_lower[1], c.x_upper[1])
                         for sz in (c.x_lower[2], c.x_upper[2])])
     window_ext = level_extents(system.algebra, corners)
-    window_inside = bool(np.all(window_ext <= 1.5 * bound.bounds))
+    window_inside = (not refused
+                     and bool(np.all(window_ext <= 1.5 * bound.bounds)))
 
     main = main_set(sets)
     measured = {
         "n_sets": len(sets),
         "set_nodes": main.size if sets else 0,
         "extents": [float(v) for v in main.extents] if sets else None,
-        "bounds": [float(v) for v in bound.bounds],
-        "contraction": [float(v) for v in bound.contraction],
-        "source_constants": [float(v) for v in consts],
+        "bounds": None if refused else [float(v) for v in bound.bounds],
+        "contraction": (None if refused
+                        else [float(v) for v in bound.contraction]),
+        "source_constants": (None if refused
+                             else [float(v) for v in bound.c_estimates]),
         "window_extents": [float(v) for v in window_ext],
         "window_inside_inflated_box": window_inside,
-        "failures": list(report.failures),
+        "failures": list(report.failures) + ([diagnostic] if refused else []),
     }
-    passed = (report.passed and window_inside
+    passed = (not refused and report.passed and window_inside
               and bool(np.all(bound.contraction < 1.0)))
     tol = {"contraction": 1.0, "extents": "2 C_i (1 + k/m) / (1 - k e^(-tau m))",
            "window_inflation": 1.5}

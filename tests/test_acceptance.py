@@ -9,6 +9,8 @@ tolerances, and enforces the per-check time budget on both passes.
 import numpy as np
 import pytest
 
+from chaincontrol import verify
+from chaincontrol.errors import TauTooSmallError
 from chaincontrol.verify import acceptance_report
 
 BUDGETS = {1: 10.0, 2: 10.0, 3: 60.0, 4: 60.0, 5: 300.0,
@@ -120,3 +122,16 @@ def test_check_9_deterministic_reports(report):
     rec = _record(report, 9)
     assert rec["measured"]["identical"] is True
     assert rec["passed"]
+
+
+def test_check_6_fails_on_refused_bound(monkeypatch):
+    # a refused bound is a failed check with its record, not an exception
+    def refuse(*args, **kwargs):
+        raise TauTooSmallError("kappa e^(-tau mu) = 1.2 >= 1 at level 1")
+
+    monkeypatch.setattr(verify, "theoretical_bound", refuse)
+    rec = verify.check_expanding_containment(verify.DEFAULT_SEED)
+    assert rec["passed"] is False
+    m = rec["measured"]
+    assert m["bounds"] is None and m["source_constants"] is None
+    assert m["failures"][-1].startswith("no contraction at this tau")

@@ -43,6 +43,11 @@ def test_bch_closed_form_matches_dynkin_series(name):
         assert np.allclose(direct, series, atol=1e-12)
 
 
+def _projector(basis):
+    """Orthogonal projector onto the span of orthonormal columns."""
+    return basis @ basis.T
+
+
 PRESET_ALGEBRAS = ["heisenberg3", "filiform4", "filiform5"] + [
     f"abelian:{n}" for n in range(1, 9)]
 
@@ -136,8 +141,7 @@ def test_central_series_heisenberg():
     assert alg.nilpotency_class == 2
     assert alg.component_dims == [2, 1]
     # V1 = span(e1, e2), V2 = span(e3)
-    p1 = alg.projector(1)
-    p2 = alg.projector(2)
+    p1, p2 = (_projector(v) for v in alg.component_frames)
     assert np.allclose(p1, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
     assert np.allclose(p2, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
     assert np.allclose(p1 + p2, np.eye(3), atol=1e-12)
@@ -147,9 +151,8 @@ def test_central_series_filiform5():
     alg = NilpotentAlgebra.from_preset("filiform5")
     assert alg.nilpotency_class == 4
     assert alg.component_dims == [2, 1, 1, 1]
-    total = sum(alg.projector(i) for i in range(1, 5))
+    total = sum(_projector(v) for v in alg.component_frames)
     assert np.allclose(total, np.eye(5), atol=1e-12)
-    assert list(alg.level_of_slot) == [1, 1, 2, 3, 4]
 
 
 def test_graded_roundtrip_and_frame():
@@ -171,12 +174,13 @@ def test_ad_matrix_matches_bracket():
 
 def test_series_projectors_nest():
     alg = NilpotentAlgebra.from_preset("filiform5")
+    # series_bases[p - 1] spans U^p; the entry past the class is empty
     for p in range(1, alg.nilpotency_class + 1):
-        big = alg.series_projector(p)
-        small = alg.series_projector(p + 1)
+        big = _projector(alg.series_bases[p - 1])
+        small = _projector(alg.series_bases[p])
         # U^{p+1} sits inside U^p
         assert np.allclose(big @ small, small, atol=1e-12)
-    assert np.allclose(alg.series_projector(5), np.zeros((5, 5)))
+    assert np.allclose(_projector(alg.series_bases[4]), np.zeros((5, 5)))
 
 
 def test_rejects_nonantisymmetric():

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 from chaincontrol import cli
 from chaincontrol import config as cfg
@@ -247,7 +248,8 @@ def test_conjugate_identity_quotient(tmp_path):
     assert body["verdicts"] == {"unique_upstairs": True,
                                 "unique_downstairs": True,
                                 "inclusion": True}
-    down = cfg.load_config(out / "downstairs.yaml")
+    down = cfg.parse_config(yaml.safe_load(
+        (out / "downstairs.yaml").read_text()))
     up = cfg.preset_config("scalar-stable")
     assert np.array_equal(down.derivation, up.derivation)
     assert np.array_equal(down.control_vectors, up.control_vectors)
@@ -265,3 +267,59 @@ def test_seed_override_lands_in_report(tmp_path):
                  "--seed", "42", "--out", str(out)])
     assert code == 0
     assert read_report(out)["body"]["seed"] == 42
+
+
+def _preset_yaml(block, value, key=None):
+    """scalar-stable as YAML, with one block or one block entry replaced."""
+    raw = copy.deepcopy(cfg.PRESETS["scalar-stable"])
+    if key is None:
+        raw[block] = value
+    else:
+        raw[block][key] = value
+    return yaml.safe_dump(raw)
+
+
+SIMULATE = ["simulate", "--preset", "scalar-stable"]
+
+# argv ("{file}" stands for the written input) and the file text, if any
+BAD_INPUTS = {
+    "delta-flag": (["chainset", "--preset", "scalar-stable", "--delta", "abc"],
+                   None),
+    # 4e12 cells: refused before any grid is allocated
+    "delta-too-fine": (["chainset", "--preset", "scalar-stable", "--delta",
+                        "1e-12"], None),
+    "control-flag": (SIMULATE + ["--control", "abc"], None),
+    "start-flag": (SIMULATE + ["--start", "abc"], None),
+    "duration-nan": (SIMULATE + ["--duration", "nan"], None),
+    "duration-inf": (SIMULATE + ["--duration", "inf"], None),
+    "control-file-row": (SIMULATE + ["--control-file", "{file}"], "0.0,abc\n"),
+    "yaml-syntax": (["decompose", "--config", "{file}"], "schema: [1\n"),
+    "yaml-empty": (["decompose", "--config", "{file}"], ""),
+    "yaml-list-root": (["decompose", "--config", "{file}"], "- 1\n"),
+    "seed-not-int": (["decompose", "--config", "{file}"],
+                     _preset_yaml("seed", "abc")),
+    "tau-not-float": (["chainset", "--config", "{file}"],
+                      _preset_yaml("chain", "x", key="tau")),
+    "torus-not-mapping": (["chainset", "--config", "{file}"],
+                          _preset_yaml("torus", 3)),
+    "generators-not-list": (["decompose", "--config", "{file}"],
+                            _preset_yaml("torus", 3, key="generators")),
+    "formats-not-list": (["decompose", "--config", "{file}"],
+                         _preset_yaml("output", 3, key="formats")),
+    "delta-empty": (["chainset", "--config", "{file}"],
+                    _preset_yaml("chain", [], key="delta")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, case):
+    argv, text = BAD_INPUTS[case]
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err

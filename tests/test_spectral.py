@@ -9,14 +9,11 @@ from chaincontrol.errors import (
 )
 from chaincontrol.spectral import (
     SpectralSplit,
-    ad_chain_blocks,
     block_decompose,
     check_derivation,
     check_series_preservation,
-    check_subalgebra_closure,
     decay_constants,
     quotient_derivation,
-    validate_derivation_split,
 )
 
 
@@ -88,16 +85,16 @@ def test_spectral_split_random_consistency():
 
 
 def test_validate_derivation_split_filiform():
+    # stable, center and unstable subspaces of a derivation are subalgebras:
+    # brackets of basis columns stay inside their own span
     alg = NilpotentAlgebra.from_preset("filiform4")
     d = np.diag([-1.0, 1.0, 0.0, -1.0])
     assert check_derivation(alg, d) < 1e-14
-    validate_derivation_split(alg, SpectralSplit(d))
-
-
-def test_subalgebra_closure_rejects_open_span():
-    basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])  # span(e1, e2)
-    with pytest.raises(ValidationError):
-        check_subalgebra_closure(heis(), basis)
+    split = SpectralSplit(d)
+    for basis in (split.stable_basis, split.center_basis, split.unstable_basis):
+        proj = basis @ np.linalg.pinv(basis)
+        prods = np.einsum("ijk,ia,jb->abk", alg.structure, basis, basis)
+        assert np.max(np.abs(prods - prods @ proj.T), initial=0.0) < 1e-9
 
 
 def test_block_decompose_lower_triangular():
@@ -113,7 +110,7 @@ def test_block_decompose_lower_triangular():
     assert blocks.upper_residual() == 0.0
     assert np.allclose(blocks.block(1, 1), np.diag([-1.0, 1.0]), atol=1e-12)
     assert np.allclose(blocks.block(3, 1), [[1.0, 0.0]], atol=1e-12)
-    diag = blocks.diagonal_blocks()
+    diag = [blocks.block(i, i) for i in (1, 2, 3)]
     assert [b.shape for b in diag] == [(2, 2), (1, 1), (1, 1)]
 
 
@@ -122,30 +119,6 @@ def test_block_decompose_rejects_non_preserving():
     mat[0, 2] = 1.0
     with pytest.raises(SeriesNotPreservedError):
         block_decompose(heis(), mat)
-
-
-def test_ad_chain_blocks_filtration_shift():
-    alg = NilpotentAlgebra.from_preset("filiform5")
-    base = np.eye(5)
-    for idx, expected_level in ((0, 1), (2, 2), (3, 3)):
-        blocks, p = ad_chain_blocks(alg, base[idx])
-        assert p == expected_level
-        for i in range(1, 5):
-            for j in range(1, 5):
-                if i < p + j and blocks.block(i, j).size:
-                    assert np.max(np.abs(blocks.block(i, j))) < 1e-12
-    # level-one element really does move level 1 into level 2
-    blocks, _ = ad_chain_blocks(alg, base[0])
-    assert np.max(np.abs(blocks.block(2, 1))) > 0.5
-
-
-def test_ad_chain_blocks_mixed_levels_uses_lowest():
-    alg = NilpotentAlgebra.from_preset("filiform5")
-    x = np.array([0.0, 1.0, 1.0, 0.0, 0.0])  # levels 1 and 2 present
-    _, p = ad_chain_blocks(alg, x)
-    assert p == 1
-    _, p0 = ad_chain_blocks(alg, np.zeros(5))
-    assert p0 == 0
 
 
 def test_decay_constants_scalar():
