@@ -9,9 +9,9 @@ Every run writes report.json into the output directory.  The file holds a
 "body" (canonically ordered, reproducible for a fixed config and seed) and
 a separate "timings" key that stays outside the reproducibility contract.
 Exit codes: 0 all verdicts passed, 2 validation failure (ValidationError,
-TauTooSmallError) or an integrator whose error budget ran out or whose
-state overflowed (IntegratorBudgetError), each reported as one line on
-stderr, 3 a theorem check failed.
+TauTooSmallError, a bad or missing argument) or an integrator whose error
+budget ran out or whose state overflowed (IntegratorBudgetError), each
+reported as one line on stderr, 3 a theorem check failed.
 """
 
 import argparse
@@ -458,6 +458,10 @@ def _add_config_args(sp, chain=False):
         sp.add_argument("--delta", help="override chain.delta, comma separated")
 
 
+def _argument_error(message):
+    raise ValidationError(message)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chaincontrol",
@@ -495,13 +499,14 @@ def build_parser():
     sp.add_argument("--out", help="output directory (default out/verify)")
     sp.add_argument("--seed", type=int, help="battery seed")
     sp.set_defaults(func=cmd_verify)
+    for p in (parser, *sub.choices.values()):
+        p.error = _argument_error  # main() reports it as one line, exit 2
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return int(args.func(args))
     except (ValidationError, TauTooSmallError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

@@ -308,7 +308,23 @@ BAD_INPUTS = {
                          _preset_yaml("output", 3, key="formats")),
     "delta-empty": (["chainset", "--config", "{file}"],
                     _preset_yaml("chain", [], key="delta")),
+    # values argparse itself refuses, and a missing subcommand
+    "seed-flag": (["decompose", "--preset", "scalar-stable", "--seed", "abc"],
+                  None),
+    "eps-flag": (["chainset", "--preset", "scalar-stable", "--eps", "x"], None),
+    "tau-flag": (["chainset", "--preset", "scalar-stable", "--tau", "x"], None),
+    "duration-flag": (SIMULATE + ["--duration", "x"], None),
+    "verify-seed-flag": (["verify", "--seed", "abc"], None),
+    "no-subcommand": ([], None),
 }
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["chainset", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: chaincontrol" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from chaincontrol import config as cfg
+from chaincontrol import lcs
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
 from chaincontrol.errors import ValidationError
 from chaincontrol.group import RhoAction, SemidirectGroup, TorusGroup
@@ -128,6 +132,114 @@ def test_field_torus_control_drives_plane():
     # circle speed 1; plane feels the drift plus the action generator
     assert out[0] == pytest.approx(1.0)
     assert np.allclose(out[1:], -g[1:] + ROT @ g[1:], atol=1e-12)
+
+
+def _broadcast_field(system, u, g):
+    """Reference field: v broadcast to a copy, then w and xdot broadcast and
+    joined by one concatenate."""
+    u = np.asarray(u, dtype=float)
+    g = np.asarray(g, dtype=float)
+    _, x = system.group.split(g)
+    w = u @ system.torus_vectors
+    v = u @ system.z
+    alg = system.algebra
+    vel = np.broadcast_to(v, np.broadcast_shapes(v.shape, x.shape)).astype(float)
+    if alg.nilpotency_class >= 2:
+        b = alg.bracket(x, v)
+        vel = vel - b / 2
+        if alg.nilpotency_class >= 3:
+            vel = vel + (1.0 / 12.0) * alg.bracket(x, b)
+    xdot = x @ system.derivation.T + vel
+    if system.gen_stack.shape[0]:
+        xdot = xdot + np.einsum("...l,lab,...b->...a", w, system.gen_stack, x)
+    lead = np.broadcast_shapes(w.shape[:-1], xdot.shape[:-1])
+    return np.concatenate([
+        np.broadcast_to(w, lead + (system.group.h_dim,)),
+        np.broadcast_to(xdot, lead + (system.group.x_dim,)),
+    ], axis=-1)
+
+
+def _field_case_system(case):
+    """A preset's system, or a class 3/4 algebra with zero drift."""
+    if case in cfg.PRESETS:
+        return cfg.build_system(cfg.preset_config(case))
+    alg = NilpotentAlgebra(preset_structure(case))
+    n = alg.dim
+    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    return LinearControlSystem(group, np.zeros((n, n)), np.eye(n),
+                               ControlRange(-np.ones(n), np.ones(n)))
+
+
+@pytest.mark.parametrize("case", sorted(cfg.PRESETS) + ["filiform4",
+                                                          "filiform5"])
+def test_field_bit_identical_to_broadcast_assembly(case):
+    system = _field_case_system(case)
+    rng = np.random.default_rng(21)
+    m = system.range.m
+    u = rng.uniform(system.range.lower, system.range.upper, (7, m))
+    g = np.concatenate([rng.uniform(-np.pi, np.pi, (7, system.group.h_dim)),
+                        rng.uniform(-2.0, 2.0, (7, system.group.x_dim))],
+                       axis=1)
+    shapes = [(u[0], g), (u, g), (u, g[0]), (u[:, None, :], g[None, :3])]
+    for uu, gg in shapes:
+        out = system.field(uu, gg)
+        ref = _broadcast_field(system, uu, gg)
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)
+
+
+def _unshared_integrate(system, duration, g0, control):
+    """Step doubling from two independent RK4 step sequences, forward."""
+    group = system.group
+    y = group.normalize(g0)
+    t, times, points = 0.0, [0.0], [y]
+    err = np.zeros(y.shape[:-1])
+    peak = lcs._state_scale(y, t)
+    steps = 0
+    for length, u in control.pieces_over(0.0, duration):
+        n = max(1, math.ceil(length / system.step_limit))
+        h = length / n
+        for _ in range(n):
+            full = lcs._rk4_step(system, y, u, h)
+            mid = lcs._rk4_step(system, y, u, 0.5 * h)
+            half = lcs._rk4_step(system, mid, u, 0.5 * h)
+            err = err + group.distance(full, half) / 15.0
+            y = group.normalize(half)
+            t += h
+            peak = max(peak, lcs._state_scale(y, t))
+            steps += 1
+            times.append(t)
+            points.append(y)
+    budget = 1e-8 * abs(duration) * max(1.0, peak)
+    return np.array(times), np.array(points), {
+        "steps": steps, "error_estimate": float(np.max(err)),
+        "error_budget": budget}
+
+
+@pytest.mark.parametrize("case", ["rotation-plane", "heisenberg-expanding"])
+def test_integrate_shares_first_stage(case, monkeypatch):
+    system = cfg.build_system(cfg.preset_config(case))
+    rng = np.random.default_rng(4)
+    m = system.range.m
+    control = ControlFunction([0.0, 0.02, 0.05],
+                              rng.uniform(-1.0, 1.0, (2, 4, m)))
+    g0 = rng.uniform(-1.0, 1.0, (4, system.group.dim))
+    times, points, stats = _unshared_integrate(system, 0.05, g0, control)
+
+    calls = []
+    field = LinearControlSystem.field
+
+    def counted(self, u, g):
+        calls.append(1)
+        return field(self, u, g)
+
+    monkeypatch.setattr(LinearControlSystem, "field", counted)
+    out = integrate(system, 0.05, g0, control)
+    assert out.stats["steps"] > 0
+    assert len(calls) == 11 * out.stats["steps"]
+    assert out.stats == stats
+    assert np.array_equal(out.times, times)
+    assert np.array_equal(out.points, points)
 
 
 def test_scalar_exponential_endpoint():
