@@ -5,9 +5,11 @@ nilpotent coordinate) carries a uniform circular grid, each remaining
 nilpotent coordinate a uniform box grid.  Every cell center is run under
 each constant control of a finite family; endpoints sampled at durations
 inside [tau, 2*tau] that land within eps plus the cell slack of another
-center become directed edges.  Strongly connected components with at least
-one internal edge approximate chain control sets; the per-level bound
-formula turns empirical source suprema into boundedness diagnostics.
+center become directed edges.  The exact distance decides every edge; its
+kd-tree prefilter has a certified radius (`GridWindow.query_radii`).
+Strongly connected components with at least one internal edge approximate
+chain control sets; the per-level bound formula turns empirical source
+suprema into boundedness diagnostics.
 
 Cell runs come from the translation identity of a linear system,
 phi(t, g, u) = phi(t, e, u) * phi_t(g): the run from g is the run from the
@@ -191,39 +193,30 @@ class GridWindow:
                 cols.append(col)
         return np.stack(cols, axis=-1)
 
-    def embedding_factor(self, radius):
-        """Measured sup of embedded distance over true distance at the given
-        radius, over 16 random directions, padded by 5 percent;
-        lower-bounded by 1."""
-        group = self.group
-        rng = np.random.default_rng(4571)
-        stride = max(1, self.n_nodes // 128)
-        sample = self.points[::stride][:256]
-        h, x = group.split(sample)
-        worst = 1.0
-        for _ in range(16):
-            w_h = rng.standard_normal((len(sample), group.h_dim)) \
-                if group.h_dim else np.zeros((len(sample), 0))
-            w_x = rng.standard_normal((len(sample), group.x_dim))
-            nh = np.linalg.norm(w_h, axis=-1) if group.h_dim else \
-                np.zeros(len(sample))
-            nx = np.linalg.norm(w_x, axis=-1)
-            split_frac = rng.uniform(0.0, 1.0, len(sample))
-            if not group.h_dim:
-                split_frac[:] = 0.0
-            r_h = radius * split_frac
-            r_x = radius * (1.0 - split_frac)
-            w_h = np.where(nh[:, None] > 0, w_h / np.maximum(nh, 1e-30)[:, None], 0.0)
-            w_x = w_x / np.maximum(nx, 1e-30)[:, None]
-            h_b = h + r_h[:, None] * w_h
-            x_b = group.algebra.bch(x, group.action.apply(h, r_x[:, None] * w_x))
-            other = group.normalize(group.join(h_b, x_b))
-            true = group.distance(sample, other)
-            emb = np.linalg.norm(self.embed(sample) - self.embed(other), axis=-1)
-            good = true > 1e-12
-            if good.any():
-                worst = max(worst, float(np.max(emb[good] / true[good])))
-        return 1.05 * worst
+    def query_radii(self, landed, cut):
+        """Per-landing kd-tree radius that holds every center within group
+        distance `cut`, so the ball query drops no edge.
+
+        A center with d(a, b) = |h_z| + |x_z| <= cut is b = a z.  Angles
+        and masked coordinates (central, unreached, fixed by rho) move by
+        the entries of z, and chords are at most those.  The rest moves by
+        bch(x_a, y) - x_a, y = rho(h_a) x_z, whose BCH terms are bounded
+        with |y| <= rho |x_z| (rho = cond_2 of the action's eigenbasis >=
+        sup_h |rho(h)|), |[x_a, v]| <= A |v| (A = |ad(x_a)|_F) and
+        |[u, v]| <= kap |u| |v| (kap = |structure|_F).  So the embedded gap
+        is at most f(a) d(a, b), with nilpotency class k and
+        f = rho (1 + A/2 + [k>=3] (A^2/12 + kap A rho cut/12)
+                 + [k>=4] kap A^2 rho cut/24) >= 1,
+        padded by 1e-9 relative for rounding.
+        """
+        alg = self.group.algebra
+        k = alg.nilpotency_class
+        rho = float(np.linalg.cond(self.group.action.basis))
+        ky = float(np.linalg.norm(alg.structure)) * rho * cut  # kap rho cut
+        a = np.linalg.norm(alg.ad(self.group.split(landed)[1]), axis=(-2, -1))
+        f = 1.0 + a / 2.0 + (k >= 3) * a * (a + ky) / 12.0 \
+            + (k >= 4) * a * a * ky / 24.0
+        return rho * f * cut * (1.0 + 1e-9)
 
     def inflated_bounds(self, pad):
         """Box bounds enlarged by pad plus one cell on each free coordinate."""
@@ -478,15 +471,18 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     times_used = snap * h
 
     radius = eps + window.half_diameter
-    query_radius = radius * window.embedding_factor(radius)
+    cut = radius + 1e-12
     lo_inf, hi_inf = window.inflated_bounds(radius)
     tree = cKDTree(window.embed(window.points))
 
+    # per (u, t) block: a src * n_nodes + dst key per kept landing and one
+    # witness u * n_t + t; the first key of a pair has its smallest witness
     centers = window.points
-    truncated = np.zeros(window.n_nodes, dtype=bool)
-    blocks = []
+    n_nodes, n_t = window.n_nodes, snap.size
+    truncated = np.zeros(n_nodes, dtype=bool)
+    keys, block_witness = [], []
     n_u = len(control_family)
-    for part in _control_slices(n_u, window.n_nodes * (snap.size + 2)):
+    for part in _control_slices(n_u, n_nodes * (n_t + 2)):
         frames, trunc = _propagate_family(
             system, centers, control_family[part], h, flows, snap,
             lo_inf, hi_inf, window.free_columns)
@@ -497,8 +493,9 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
                 if rows.size == 0:
                     continue
                 landed = states[j, rows]
-                balls = tree.query_ball_point(window.embed(landed),
-                                              query_radius, return_sorted=True)
+                balls = tree.query_ball_point(
+                    window.embed(landed), window.query_radii(landed, cut),
+                    return_sorted=False)
                 counts = np.fromiter((len(b) for b in balls), dtype=np.int64,
                                      count=len(balls))
                 if counts.sum() == 0:
@@ -508,24 +505,17 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
                 flat_src = np.repeat(rows, counts)
                 d = system.group.distance(landed[np.repeat(
                     np.arange(rows.size), counts)], centers[flat_dst])
-                keep = d <= radius + 1e-12
+                keep = d <= cut
                 if keep.any():
-                    e = keep.sum()
-                    blocks.append(np.stack([
-                        flat_src[keep], flat_dst[keep],
-                        np.full(e, u_idx, dtype=np.int64),
-                        np.full(e, t_idx, dtype=np.int64)], axis=1))
+                    keys.append(flat_src[keep] * n_nodes + flat_dst[keep])
+                    block_witness.append(u_idx * n_t + t_idx)
 
-    if blocks:
-        all_edges = np.concatenate(blocks, axis=0)
-        order = np.lexsort((all_edges[:, 3], all_edges[:, 2],
-                            all_edges[:, 1], all_edges[:, 0]))
-        all_edges = all_edges[order]
-        first = np.ones(len(all_edges), dtype=bool)
-        first[1:] = np.any(all_edges[1:, :2] != all_edges[:-1, :2], axis=1)
-        all_edges = all_edges[first]
-        src, dst = all_edges[:, 0], all_edges[:, 1]
-        w_u, w_t = all_edges[:, 2], all_edges[:, 3]
+    if keys:
+        key, first = np.unique(np.concatenate(keys), return_index=True)
+        witness = np.repeat(np.asarray(block_witness, dtype=np.int64),
+                            [k.size for k in keys])[first]
+        src, dst = np.divmod(key, n_nodes)
+        w_u, w_t = np.divmod(witness, n_t)
     else:
         src = dst = w_u = w_t = np.zeros(0, dtype=np.int64)
 
@@ -910,15 +900,16 @@ def write_nodes_csv(path, graph, sets):
 
 def write_edges_csv(path, graph):
     """Edge table with the (u, T) witness of each edge."""
+    u_text = [[f"{v:.12g}" for v in u] for u in graph.control_family]
+    t_text = [f"{t:.12g}" for t in graph.time_samples]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         u_names = [f"u{j}" for j in range(graph.control_family.shape[1])]
         writer.writerow(["src", "dst"] + u_names + ["T"])
-        for a, b, ui, ti in zip(graph.src, graph.dst, graph.witness_u,
-                                graph.witness_t):
-            u = graph.control_family[ui]
-            writer.writerow([int(a), int(b)] + [f"{v:.12g}" for v in u]
-                            + [f"{graph.time_samples[ti]:.12g}"])
+        writer.writerows(
+            [a, b, *u_text[ui], t_text[ti]] for a, b, ui, ti in zip(
+                graph.src.tolist(), graph.dst.tolist(),
+                graph.witness_u.tolist(), graph.witness_t.tolist()))
 
 
 def sets_to_records(sets, bounds=None):

@@ -89,6 +89,8 @@ def _raw_config(args):
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
     chain = data.setdefault("chain", {})
+    if not isinstance(chain, dict):
+        raise ValidationError("chain must be a mapping")
     if getattr(args, "eps", None) is not None:
         chain["eps"] = args.eps
     if getattr(args, "tau", None) is not None:

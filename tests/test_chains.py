@@ -153,15 +153,59 @@ def test_central_fiber_nodes_torus():
     assert np.allclose(np.abs(x), 0.25)
 
 
-def test_embedding_factor_at_least_one():
-    alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    group = SemidirectGroup(TorusGroup(1), alg, RhoAction(alg, [ROT]))
-    window = GridWindow(group, [-1.0, -1.0], [1.0, 1.0], [0.5, 0.5],
-                        angle_cells=(8,))
-    assert window.embedding_factor(0.3) >= 1.0
-    # chord through the embedding underestimates arc length, so the factor
-    # must actually exceed 1 once angles are involved
-    assert window.embedding_factor(1.5) > 1.0
+def _skewed_rotation(n):
+    """S ROT S^-1 on the first plane with S = diag(1, 3), zero elsewhere: a
+    torus generator whose rho(h) stretches by up to 3."""
+    g = np.zeros((n, n))
+    g[:2, :2] = np.diag([1.0, 3.0]) @ ROT @ np.diag([1.0, 1.0 / 3.0])
+    return g
+
+
+def _radii_case(name):
+    if name == "conjugation-upstairs":
+        return cfg.build_system(cfg.preset_config(name)).group
+    if name.startswith("skewed-"):
+        alg = NilpotentAlgebra(preset_structure(name.removeprefix("skewed-")))
+        action = RhoAction(alg, [_skewed_rotation(alg.dim)])
+        return SemidirectGroup(TorusGroup(1), alg, action)
+    alg = NilpotentAlgebra(preset_structure(name))
+    return SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+
+
+@pytest.mark.parametrize("name", ["skewed-abelian:2", "skewed-heisenberg3",
+                                  "filiform4", "filiform5",
+                                  "conjugation-upstairs"])
+@pytest.mark.parametrize("cut", [0.3, 2.0])
+def test_query_radii_cover_group_balls(name, cut):
+    # every b = a z with |z| <= cut lies within the query radius of a in the
+    # embedding, for landings a far from the identity (|x_a| up to 10, where
+    # the class-3 and class-4 terms of the radius dominate)
+    group = _radii_case(name)
+    window = GridWindow(group, -1.0, 1.0, 0.5, angle_cells=(4,) * group.h_dim,
+                        masked_cells=(4,) * int(group.x_mask.sum()))
+    rng = np.random.default_rng(17)
+    n = 20_000
+    x_a = rng.standard_normal((n, group.x_dim))
+    x_a *= rng.uniform(0.0, 10.0, (n, 1)) / np.linalg.norm(x_a, axis=1,
+                                                          keepdims=True)
+    a = group.normalize(np.hstack([rng.uniform(-np.pi, np.pi,
+                                               (n, group.h_dim)), x_a]))
+    # z on the sphere |h_z| + |x_z| = s cut, s in (0, 1]
+    w = rng.standard_normal((n, group.dim))
+    h_z, x_z = group.split(w)
+    share = rng.uniform(0.0, 1.0, (n, 1)) if group.h_dim else np.zeros((n, 1))
+    size = cut * rng.uniform(0.0, 1.0, (n, 1)) ** 0.25
+    z = np.hstack([
+        share * size * h_z / np.maximum(np.linalg.norm(h_z, axis=1,
+                                                       keepdims=True), 1e-300),
+        (1.0 - share) * size * x_z / np.linalg.norm(x_z, axis=1,
+                                                    keepdims=True)])
+    b = group.multiply(a, z)
+    assert np.all(group.distance(a, b) <= cut * (1.0 + 1e-9))
+    radii = window.query_radii(a, cut)
+    assert np.all(radii >= cut)
+    gap = np.linalg.norm(window.embed(a) - window.embed(b), axis=1)
+    assert np.all(gap <= radii), float(np.max(gap / radii))
 
 
 # -- graph construction ------------------------------------------------------
@@ -514,8 +558,15 @@ def test_writers_roundtrip(tmp_path, stable_setup):
 
     edges_path = tmp_path / "edges.csv"
     write_edges_csv(edges_path, graph)
-    lines = edges_path.read_text().strip().splitlines()
-    assert len(lines) == graph.n_edges + 1
+    raw = edges_path.read_bytes()
+    assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n")
+    header, *rows = [line.split(",") for line in raw.decode().splitlines()]
+    assert header == ["src", "dst", "u0", "T"]
+    assert rows == [
+        [str(a), str(b), *(f"{v:.12g}" for v in graph.control_family[u]),
+         f"{graph.time_samples[t]:.12g}"]
+        for a, b, u, t in zip(graph.src, graph.dst, graph.witness_u,
+                              graph.witness_t)]
 
     sets_path = tmp_path / "sets.jsonl"
     write_sets_jsonl(sets_path, sets, bounds=lb)
@@ -624,41 +675,65 @@ def test_anchored_runs_match_oracle_on_random_systems(heisenberg, a, b, seed):
 
 def _oracle_edges(system, window, graph):
     """(src, dst) pairs from direct integration and brute-force distances,
-    plus the pairs with some landing within 1e-9 of the radius."""
-    edges, near = set(), set()
+    each with its first (u, t) landing, plus the pairs with some landing
+    within 1e-9 of the radius."""
+    edges, near = {}, set()
     centers = window.points
-    for u in graph.control_family:
+    for u_idx, u in enumerate(graph.control_family):
         frames, _ = _propagate(
             system, centers, u, graph.step, graph.n_steps,
             graph.snapshot_steps, graph.inflated_lower, graph.inflated_upper,
             window.free_columns)
-        for states, alive in frames:
+        for t_idx, (states, alive) in enumerate(frames):
             src = np.flatnonzero(alive)
             d = system.group.distance(states[src][:, None, :],
                                       centers[None, :, :])
             a, b = np.nonzero(d <= graph.radius + 1e-12)
-            edges.update(zip(src[a].tolist(), b.tolist()))
+            for pair in zip(src[a].tolist(), b.tolist()):
+                edges.setdefault(pair, (u_idx, t_idx))
             a, b = np.nonzero(np.abs(d - graph.radius) <= 1e-9)
             near.update(zip(src[a].tolist(), b.tolist()))
     return edges, near
 
 
+# small windows where direct integration of every cell is cheap:
+# (preset, box lower, box upper, cell sizes, angle cells, masked cells,
+# control stride)
+SMALL_WINDOWS = {
+    "rotation-plane-small": ("rotation-plane", -0.6, 0.6, [0.2, 0.2], (16,),
+                             (), 1),
+    # class 2: the query radius exceeds the exact cut by up to 45 percent
+    "heisenberg-expanding-small": ("heisenberg-expanding",
+                                   [-0.96, -0.48, -0.24], [0.96, 0.48, 0.24],
+                                   [0.32, 0.16, 0.032], (), (), 3),
+    # torus angle plus a masked circle
+    "conjugation-upstairs-small": ("conjugation-upstairs", -0.25, 0.25,
+                                   [0.25, 0.25], (8,), (8,), 1),
+}
+
+
 @pytest.mark.parametrize("name", ["scalar-stable", "scalar-unstable",
-                                  "rotation-plane-small"])
+                                  *SMALL_WINDOWS])
 def test_graph_edges_match_direct_integration(name):
-    c = cfg.preset_config(name.removesuffix("-small"))
+    preset, *box, stride = SMALL_WINDOWS.get(name, (name, 1))
+    c = cfg.preset_config(preset)
     system = cfg.build_system(c)
-    if name == "rotation-plane-small":
-        window = GridWindow(system.group, [-0.6, -0.6], [0.6, 0.6], c.delta,
-                            angle_cells=(16,))
-    else:
-        window = cfg.build_window(c, system)
+    window = GridWindow(system.group, *box) if box else \
+        cfg.build_window(c, system)
+    family = system.range.sample_family() if c.family is None else c.family
     graph = build_chain_graph(system, window, c.eps, c.tau,
-                              control_family=c.family, time_samples=c.times)
+                              control_family=family[::stride],
+                              time_samples=c.times)
     assert graph.n_edges > 0
     oracle, near = _oracle_edges(system, window, graph)
     # an edge may only flip where some landing sits on the radius
-    assert edge_pairs(graph) ^ oracle <= near
+    assert edge_pairs(graph) ^ set(oracle) <= near
+    # and every other edge keeps its first (u, t) landing as its witness
+    for a, b, w_u, w_t in zip(graph.src.tolist(), graph.dst.tolist(),
+                              graph.witness_u.tolist(),
+                              graph.witness_t.tolist()):
+        if (a, b) not in near:
+            assert oracle[a, b] == (w_u, w_t), (a, b)
 
 
 def test_audit_clean_on_expanding_graph():

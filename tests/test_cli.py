@@ -308,6 +308,13 @@ BAD_INPUTS = {
                          _preset_yaml("output", 3, key="formats")),
     "delta-empty": (["chainset", "--config", "{file}"],
                     _preset_yaml("chain", [], key="delta")),
+    # a flag override meets a chain block that is not a mapping
+    "chain-int-eps-flag": (["chainset", "--config", "{file}", "--eps", "0.1"],
+                           _preset_yaml("chain", 3)),
+    "chain-null-tau-flag": (["chainset", "--config", "{file}", "--tau", "1"],
+                            _preset_yaml("chain", None)),
+    "chain-list-delta-flag": (["chainset", "--config", "{file}", "--delta",
+                               "0.1"], _preset_yaml("chain", [1, 2])),
     # values argparse itself refuses, and a missing subcommand
     "seed-flag": (["decompose", "--preset", "scalar-stable", "--seed", "abc"],
                   None),
