@@ -2,10 +2,10 @@
 
 A system pairs the drift (a derivation flow on the nilpotent part) with
 control fields that are right-invariant extensions of fixed algebra
-directions.  The module provides field evaluation, fixed-step RK4 whose
-step doubling (the full and first half step share one stage) estimates
-the error, the structural identity residuals (cocycle, left translation),
-and the level-by-level closed-form solver for the nilpotent coordinates.
+directions.  The module provides field evaluation, RK4 whose step doubling
+(the full and first half step share one stage) estimates the error and
+sizes the next step, the structural identity residuals (cocycle, left
+translation), and the level-by-level closed-form solver.
 """
 
 import itertools
@@ -17,6 +17,9 @@ from scipy.linalg import expm
 from .errors import IntegratorBudgetError, ValidationError
 from .group import validate_linear_flow
 from .spectral import block_decompose
+
+BUDGET_RATE, FRACTION = 1e-8, 0.01  # integrate's error budget; per-step share
+SAFETY, SHRINK, GROW, MIN_STEP = 0.9, 0.2, 5.0, 1e-6  # its step controller
 
 
 class ControlRange:
@@ -226,23 +229,23 @@ def _state_scale(y, t):
     return scale
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow ends the run below
+@np.errstate(all="ignore")  # overflow ends the run; a zero estimate grows h
 def integrate(system, duration, g0, control, record=True):
-    """Fixed-step 4th order integration over [0, duration].
+    """Error-controlled RK4 over [0, duration], backward if duration < 0.
 
-    duration < 0 integrates backward (the control must cover [duration, 0]).
-    Each accepted step is the two-half-step result; the difference to the
-    full step, scaled by 1/15, accumulates into the error estimate.  The
-    estimate must stay below 1e-8 per unit time, relative to the state
-    scale max(1, sup |y| along the run), or IntegratorBudgetError is
-    raised; the budget is kept in stats["error_budget"].  A state that
-    overflows raises IntegratorBudgetError at the step where it happens.
+    A step at h and two at h/2 estimate its error by their distance / 15.
+    The two-half-step result is accepted when the largest row is at most
+    target = FRACTION * BUDGET_RATE * |h| * max(1, sup |y|), else retried
+    (stats["rejected"]); |h| then scales by min(GROW, max(SHRINK, SAFETY *
+    (target / estimate) ** (1/4))), from step_limit at each control piece.
+    The summed estimates must stay below stats["error_budget"], BUDGET_RATE
+    * |duration| * max(1, sup |y|), or IntegratorBudgetError is raised, as
+    it is for a non-finite trial and a step below MIN_STEP * step_limit.
     """
     group = system.group
     if abs(duration) < 1e-15:
-        return Trajectory([0.0], [group.normalize(g0)],
-                          {"steps": 0, "error_estimate": 0.0, "error_budget": 0.0})
-    if duration > 0:
+        pieces = []
+    elif duration > 0:
         pieces = control.pieces_over(0.0, duration)
         sign = 1.0
     else:
@@ -259,17 +262,34 @@ def integrate(system, duration, g0, control, record=True):
     points = [y]
     err = np.zeros(y.shape[:-1])
     peak = _state_scale(y, t)  # sup of |y| along the run
-    steps = 0
+    steps = rejected = 0
     for length, u in pieces:
-        n = max(1, math.ceil(length / system.step_limit))
-        h = sign * length / n
-        for _ in range(n):
+        end = t + sign * length
+        size = min(system.step_limit, length)
+        while t != end:
+            # land on the piece end; stretch a step rather than leave a sliver
+            t_next = end if abs(end - t) <= 1.01 * size else t + sign * size
+            h = t_next - t
             k1 = system.field(u, y)  # the full and first half step share it
             full = _rk4_step(system, y, u, h, k1)
             half = _rk4_step(system, _rk4_step(system, y, u, 0.5 * h, k1), u, 0.5 * h)
-            err = err + group.distance(full, half) / 15.0
+            estimate = group.distance(full, half) / 15.0
+            worst = np.max(estimate)
+            if not math.isfinite(worst):
+                _state_scale(np.stack((full, half)), t_next)
+                raise IntegratorBudgetError(
+                    f"integrator error estimate is not finite at t = {t_next:.6g}")
+            target = FRACTION * BUDGET_RATE * abs(h) * max(1.0, peak)
+            size = abs(h) * min(GROW, max(SHRINK, SAFETY * (target / worst) ** 0.25))
+            if worst > target:
+                rejected += 1
+                if size < MIN_STEP * system.step_limit:
+                    raise IntegratorBudgetError(
+                        f"integrator step {size:.3e} too small at t = {t:.6g}")
+                continue
+            err = err + estimate
             y = group.normalize(half)
-            t += h
+            t = t_next
             peak = max(peak, _state_scale(y, t))
             steps += 1
             if record:
@@ -279,13 +299,13 @@ def integrate(system, duration, g0, control, record=True):
         times.append(t)
         points.append(y)
     total = float(np.max(err))
-    budget = 1e-8 * abs(duration) * max(1.0, peak)
+    budget = BUDGET_RATE * abs(duration) * max(1.0, peak)
     if not total <= budget:  # also catches the NaN of an overflowing state
         raise IntegratorBudgetError(
             f"integrator error estimate {total:.3e} exceeds budget {budget:.3e}")
     return Trajectory(times, points,
-                      {"steps": steps, "error_estimate": total,
-                       "error_budget": budget})
+                      {"steps": steps, "rejected": rejected,
+                       "error_estimate": total, "error_budget": budget})
 
 
 def translation_identity_residual(system, t, h_point, g_point, control):

@@ -122,8 +122,47 @@ def test_simulate_growing_state_ends_without_traceback(tmp_path, capsys):
     # the state grows to 3.6e10, far past any absolute error budget
     code = main(["simulate", "--preset", "scalar-unstable", "--duration",
                  "25", "--start", "0.5", "--out", str(tmp_path / "s")])
-    assert code in (0, 2)
+    assert code == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_simulate_overflowing_state_ends_with_one_line(tmp_path, capsys):
+    # the error estimate overflows near t = 380 (|y| ~ 1e165), long before
+    # the state itself would at t ~ 710; the run must end there, not shrink h
+    code = main(["simulate", "--preset", "scalar-unstable", "--duration",
+                 "720", "--start", "0.5", "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+
+
+CROSS_CHECK_PRESETS = [name for name in sorted(cfg.PRESETS)
+                       if "torus_controls" not in cfg.PRESETS[name]["control"]]
+
+
+@pytest.mark.parametrize("preset", CROSS_CHECK_PRESETS)
+def test_simulate_cross_check_passes(tmp_path, preset):
+    config = cfg.preset_config(preset)
+    system = cfg.build_system(config)
+    control = ",".join(["0.5"] * system.range.m)
+    start = ",".join(f"{0.3 * (-1) ** j:g}" for j in range(system.group.dim))
+    code = main(["simulate", "--preset", preset, "--control", control,
+                 "--start", start, "--cross-check", "--out",
+                 str(tmp_path / "s")])
+    assert code == 0
+    rows = {row["name"]: row for row in read_report(tmp_path / "s")["body"]
+            ["residuals"]}
+    assert rows["closed_form_cross_check"]["passed"]
+
+
+def test_simulate_cross_check_refuses_compact_controls(tmp_path, capsys):
+    assert "torus_controls" in cfg.PRESETS["conjugation-upstairs"]["control"]
+    code = main(["simulate", "--preset", "conjugation-upstairs", "--control",
+                 "0.5,0.5", "--cross-check", "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "compact" in err
 
 
 @pytest.mark.parametrize("duration, start, codes", [

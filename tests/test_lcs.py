@@ -6,7 +6,7 @@ import pytest
 from chaincontrol import config as cfg
 from chaincontrol import lcs
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
-from chaincontrol.errors import ValidationError
+from chaincontrol.errors import IntegratorBudgetError, ValidationError
 from chaincontrol.group import RhoAction, SemidirectGroup, TorusGroup
 from chaincontrol.lcs import (
     ControlFunction,
@@ -188,32 +188,27 @@ def test_field_bit_identical_to_broadcast_assembly(case):
         assert np.array_equal(out, ref)
 
 
-def _unshared_integrate(system, duration, g0, control):
-    """Step doubling from two independent RK4 step sequences, forward."""
+def _unshared_integrate(system, duration, g0, control, times):
+    """Step doubling from two independent RK4 step sequences, forward,
+    replaying the given accepted time grid."""
     group = system.group
     y = group.normalize(g0)
-    t, times, points = 0.0, [0.0], [y]
+    points = [y]
     err = np.zeros(y.shape[:-1])
-    peak = lcs._state_scale(y, t)
-    steps = 0
-    for length, u in control.pieces_over(0.0, duration):
-        n = max(1, math.ceil(length / system.step_limit))
-        h = length / n
-        for _ in range(n):
-            full = lcs._rk4_step(system, y, u, h)
-            mid = lcs._rk4_step(system, y, u, 0.5 * h)
-            half = lcs._rk4_step(system, mid, u, 0.5 * h)
-            err = err + group.distance(full, half) / 15.0
-            y = group.normalize(half)
-            t += h
-            peak = max(peak, lcs._state_scale(y, t))
-            steps += 1
-            times.append(t)
-            points.append(y)
-    budget = 1e-8 * abs(duration) * max(1.0, peak)
-    return np.array(times), np.array(points), {
-        "steps": steps, "error_estimate": float(np.max(err)),
-        "error_budget": budget}
+    peak = lcs._state_scale(y, 0.0)
+    for t, h in zip(times[:-1], np.diff(times)):
+        u = control.value(t + 0.5 * h)
+        full = lcs._rk4_step(system, y, u, h)
+        mid = lcs._rk4_step(system, y, u, 0.5 * h)
+        half = lcs._rk4_step(system, mid, u, 0.5 * h)
+        err = err + group.distance(full, half) / 15.0
+        y = group.normalize(half)
+        peak = max(peak, lcs._state_scale(y, t + h))
+        points.append(y)
+    budget = lcs.BUDGET_RATE * abs(duration) * max(1.0, peak)
+    return np.array(points), {"steps": times.size - 1,
+                              "error_estimate": float(np.max(err)),
+                              "error_budget": budget}
 
 
 @pytest.mark.parametrize("case", ["rotation-plane", "heisenberg-expanding"])
@@ -224,7 +219,6 @@ def test_integrate_shares_first_stage(case, monkeypatch):
     control = ControlFunction([0.0, 0.02, 0.05],
                               rng.uniform(-1.0, 1.0, (2, 4, m)))
     g0 = rng.uniform(-1.0, 1.0, (4, system.group.dim))
-    times, points, stats = _unshared_integrate(system, 0.05, g0, control)
 
     calls = []
     field = LinearControlSystem.field
@@ -235,11 +229,58 @@ def test_integrate_shares_first_stage(case, monkeypatch):
 
     monkeypatch.setattr(LinearControlSystem, "field", counted)
     out = integrate(system, 0.05, g0, control)
+    monkeypatch.undo()
     assert out.stats["steps"] > 0
-    assert len(calls) == 11 * out.stats["steps"]
-    assert out.stats == stats
-    assert np.array_equal(out.times, times)
+    assert len(calls) == 11 * (out.stats["steps"] + out.stats["rejected"])
+    points, stats = _unshared_integrate(system, 0.05, g0, control, out.times)
+    assert out.stats == dict(stats, rejected=out.stats["rejected"])
     assert np.array_equal(out.points, points)
+
+
+def test_integrate_rejects_and_retries_steps():
+    # the decay shrinks the error, so h grows by GROW until a step overshoots
+    system = scalar_system(-10.0)
+    u = ControlFunction.constant([0.0], 0.0, 6.0)
+    out = integrate(system, 6.0, np.ones(1), u)
+    assert out.stats["rejected"] > 0
+    assert out.stats["error_estimate"] <= 0.01 * out.stats["error_budget"]
+    assert float(out.endpoint[0]) == pytest.approx(math.exp(-60.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("start, message", [
+    (1e308, "state is not finite"),           # the RK4 stages overflow
+    (1e200, "error estimate is not finite"),  # only |full - half|^2 does
+])
+def test_integrate_ends_on_a_non_finite_trial(start, message):
+    u = ControlFunction.constant([0.0], 0.0, 1.0)
+    with pytest.raises(IntegratorBudgetError, match=message):
+        integrate(scalar_system(1.0), 1.0, np.array([start]), u)
+
+
+def test_integrate_ends_when_the_step_collapses(monkeypatch):
+    # noise of fixed size in the field never meets a target that shrinks
+    # with h, so every trial is rejected until h passes the floor
+    rng = np.random.default_rng(0)
+    field = LinearControlSystem.field
+    monkeypatch.setattr(LinearControlSystem, "field", lambda self, u, g: (
+        field(self, u, g) + rng.normal(scale=1e-3, size=np.shape(g))))
+    u = ControlFunction.constant([0.5], 0.0, 1.0)
+    with pytest.raises(IntegratorBudgetError, match="too small"):
+        integrate(scalar_system(-1.0), 1.0, np.zeros(1), u)
+
+
+@pytest.mark.parametrize("preset", sorted(cfg.PRESETS))
+def test_integrate_spends_a_fraction_of_the_budget(preset):
+    system = cfg.build_system(cfg.preset_config(preset))
+    rng = np.random.default_rng(9)
+    m = system.range.m
+    control = ControlFunction([0.0, 0.7, 1.5, 2.0],
+                              rng.uniform(system.range.lower,
+                                          system.range.upper, (3, m)))
+    g0 = rng.uniform(-1.0, 1.0, system.group.dim)
+    out = integrate(system, 2.0, g0, control)
+    assert out.stats["steps"] == out.times.size - 1
+    assert out.stats["error_estimate"] <= 0.01 * out.stats["error_budget"]
 
 
 def test_scalar_exponential_endpoint():
@@ -339,6 +380,7 @@ def test_translation_identity_trivial_cases():
 
 def test_translation_identity_batched():
     system = rotation_plane_system()
+    group = system.group
     u = ControlFunction.constant([0.3, -0.4], 0.0, 1.0)
     rng = np.random.default_rng(4)
     h_pts = np.concatenate([rng.uniform(-np.pi, np.pi, (4, 1)),
@@ -347,9 +389,30 @@ def test_translation_identity_batched():
                             rng.standard_normal((4, 2))], axis=1)
     batch = translation_identity_residual(system, 1.0, h_pts, g_pts, u)
     assert batch.shape == (4,)
+
+    def accepted_error(h_pt, g_pt):
+        """The error the two runs behind a residual may accept: each aims
+        at FRACTION of its budget."""
+        starts = (group.multiply(h_pt, g_pt), h_pt)
+        return sum(lcs.FRACTION * integrate(system, 1.0, start, u, record=False)
+                   .stats["error_budget"] for start in starts)
+
+    # a batch steps as its worst row does, so batch and single runs agree
+    # to their error targets only; right multiplication by the drift image
+    # f of g stretches an endpoint error by at most 1 + |x_f|
+    batch_error = accepted_error(h_pts, g_pts)
     for i in range(4):
         single = translation_identity_residual(system, 1.0, h_pts[i], g_pts[i], u)
-        assert abs(batch[i] - single) < 1e-12
+        _, x_f = group.split(group.linear_flow(1.0, g_pts[i], system.derivation))
+        bound = (1.0 + np.linalg.norm(x_f)) * (
+            batch_error + accepted_error(h_pts[i], g_pts[i]))
+        assert abs(batch[i] - single) <= bound
+    # equal rows take the single run's steps
+    repeated = translation_identity_residual(
+        system, 1.0, np.repeat(h_pts[:1], 3, axis=0),
+        np.repeat(g_pts[:1], 3, axis=0), u)
+    single = translation_identity_residual(system, 1.0, h_pts[0], g_pts[0], u)
+    assert np.array_equal(repeated, np.full(3, single))
 
 
 def test_triangular_scalar_piecewise_hand_value():
