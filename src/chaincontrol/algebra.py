@@ -16,6 +16,7 @@ MAX_CLASS = 4
 MAX_DIM = 8
 
 _RANK_TOL = 1e-10
+STRUCTURE_ATOL = 1e-12  # antisymmetry and Jacobi residuals of a bracket tensor
 
 
 def bch_dynkin(bracket, x, y, max_class=MAX_CLASS):
@@ -145,7 +146,7 @@ class NilpotentAlgebra:
     structural map lower block triangular.
     """
 
-    def __init__(self, structure, atol=1e-12):
+    def __init__(self, structure):
         c = np.asarray(structure, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValidationError(f"structure tensor must be (n,n,n), got {c.shape}")
@@ -154,9 +155,9 @@ class NilpotentAlgebra:
             raise ValidationError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
 
         anti, jac = structure_residuals(c)
-        if anti > atol:
+        if anti > STRUCTURE_ATOL:
             raise ValidationError(f"bracket not antisymmetric, residual {anti:.3e}")
-        if jac > atol:
+        if jac > STRUCTURE_ATOL:
             raise ValidationError(f"Jacobi identity fails, residual {jac:.3e}")
 
         self.dim = n

@@ -42,6 +42,8 @@ NODE_LIMIT = 1_500_000
 # rows (controls x starts x kept snapshots) one anchored run may hold; larger
 # families are run in slices of controls so memory stays bounded
 ANCHOR_ROW_LIMIT = 1 << 21
+FIBER_TOL = 1e-9  # ties in the free-coordinate norm of central_fiber_nodes
+AUDIT_REFINE = 10  # audit_edges re-integrates at this many times finer a step
 
 
 def _cell_centers(lower, count, delta):
@@ -584,12 +586,12 @@ def level_extents(algebra, x, x_mask=None):
     return out
 
 
-def central_fiber_nodes(window, tol=1e-9):
+def central_fiber_nodes(window):
     """Nodes closest to x = 0 within every compact-coordinate combination.
 
     For each combination of angle-axis indices (torus and angular nilpotent
     alike) the cells minimizing the free-coordinate norm are kept, ties
-    within tol included.  With no compact axes this is just the cells
+    within FIBER_TOL included.  With no compact axes this is just the cells
     nearest the origin.
     """
     group = window.group
@@ -609,7 +611,7 @@ def central_fiber_nodes(window, tol=1e-9):
     n_keys = int(key.max()) + 1 if window.n_nodes else 0
     best = np.full(n_keys, np.inf)
     np.minimum.at(best, key, r)
-    return np.flatnonzero(r <= best[key] + tol)
+    return np.flatnonzero(r <= best[key] + FIBER_TOL)
 
 
 def extract_chain_sets(graph):
@@ -841,9 +843,10 @@ def verify_uniqueness_and_containment(sets, fiber_nodes, bounds=None):
 # -- audit -------------------------------------------------------------------
 
 
-def audit_edges(system, graph, fraction=0.01, seed=1234, refine=10):
-    """Re-integrate a random sample of edges with a 10x finer step and check
-    each lands within the acceptance radius of its target center.
+def audit_edges(system, graph, fraction=0.01, seed=1234):
+    """Re-integrate a random sample of edges with an AUDIT_REFINE times finer
+    step and check each lands within the acceptance radius of its target
+    center.
 
     Returns a dict with the sample size, failure count, and worst excess
     over the radius.  A sound graph audits with zero failures.
@@ -854,7 +857,7 @@ def audit_edges(system, graph, fraction=0.01, seed=1234, refine=10):
     k = max(1, int(math.ceil(fraction * graph.n_edges)))
     pick = np.sort(rng.choice(graph.n_edges, size=k, replace=False))
     window = graph.window
-    h_fine = graph.step / refine
+    h_fine = graph.step / AUDIT_REFINE
 
     failures = 0
     worst = -np.inf
@@ -864,7 +867,7 @@ def audit_edges(system, graph, fraction=0.01, seed=1234, refine=10):
         sel = pick[key == group_key]
         u_idx = int(group_key) // len(graph.snapshot_steps)
         t_idx = int(group_key) % len(graph.snapshot_steps)
-        n_fine = int(graph.snapshot_steps[t_idx]) * refine
+        n_fine = int(graph.snapshot_steps[t_idx]) * AUDIT_REFINE
         [(states, alive)], _ = _propagate(
             system, window.points[graph.src[sel]],
             graph.control_family[u_idx], h_fine, n_fine, [n_fine],

@@ -246,7 +246,7 @@ def cmd_simulate(args):
     else:
         g0 = np.zeros(group.dim)
 
-    traj = integrate(system, duration, g0, control, record=True)
+    traj = integrate(system, duration, g0, control)
     out = _out_dir(args, "simulate")
     names = [f"theta{j}" for j in range(group.h_dim)] + \
         [f"x{j}" for j in range(group.x_dim)]

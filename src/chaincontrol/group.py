@@ -17,6 +17,9 @@ from .errors import (
 from .spectral import check_derivation
 
 TWO_PI = 2.0 * np.pi
+ACTION_ATOL = 1e-8  # integrality of the action spectrum, joint diagonality
+FLOW_ATOL = 1e-8  # automorphism and intertwining residuals of the drift flow
+N_SAMPLES = 20  # random samples behind each identity residual
 
 
 def wrap_angle(values):
@@ -54,14 +57,14 @@ class RhoAction:
     evaluated for batches of h through phase multiplication.
     """
 
-    def __init__(self, algebra, generators, atol=1e-8):
+    def __init__(self, algebra, generators):
         self.algebra = algebra
         n = algebra.dim
         gens = [np.asarray(g, dtype=float) for g in generators]
         for g in gens:
             if g.shape != (n, n):
                 raise ValidationError("action generator has wrong shape")
-            check_derivation(algebra, g, atol=1e-10)
+            check_derivation(algebra, g)
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 comm = gens[i] @ gens[j] - gens[j] @ gens[i]
@@ -80,10 +83,10 @@ class RhoAction:
 
         for g in gens:
             eigs = np.linalg.eigvals(g)
-            if np.max(np.abs(eigs.real)) > atol:
+            if np.max(np.abs(eigs.real)) > ACTION_ATOL:
                 raise IncompatibleActionError(
                     "angular generator has spectrum off the imaginary axis")
-            if np.max(np.abs(eigs.imag - np.round(eigs.imag))) > atol:
+            if np.max(np.abs(eigs.imag - np.round(eigs.imag))) > ACTION_ATOL:
                 raise IncompatibleActionError(
                     "angular generator frequencies are not integers")
 
@@ -99,7 +102,7 @@ class RhoAction:
             residual = max(
                 float(np.max(np.abs(inv @ g @ vecs - np.diag(np.diag(inv @ g @ vecs)))))
                 for g in gens)
-            if residual < atol:
+            if residual < ACTION_ATOL:
                 basis = vecs
                 break
         if basis is None:
@@ -110,7 +113,7 @@ class RhoAction:
         freqs = np.stack([np.diag(self.basis_inv @ g @ basis) for g in gens])
         # snap to exact i*integers so rho is exactly 2pi periodic
         snapped = 1j * np.round(freqs.imag)
-        if np.max(np.abs(freqs - snapped)) > atol:
+        if np.max(np.abs(freqs - snapped)) > ACTION_ATOL:
             raise IncompatibleActionError("joint spectrum is not integral")
         self.freqs = snapped
 
@@ -230,7 +233,12 @@ class SemidirectGroup:
         if self.x_mask.any():
             x_rel = np.array(x_rel, copy=True)
             x_rel[..., self.x_mask] = wrap_angle(x_rel[..., self.x_mask])
-        return d_h + np.linalg.norm(x_rel, axis=-1)
+        norm = np.linalg.norm(x_rel, axis=-1)
+        # norm's squares overflow past about 1e154, where hypot's do not
+        finite = np.isfinite(norm)
+        if not finite.all():
+            norm = np.where(finite, norm, np.hypot.reduce(x_rel, axis=-1))
+        return d_h + norm
 
     def linear_flow(self, t, g, matrix):
         """(h, x) -> (h, e^{t matrix} x) for the drift derivation matrix."""
@@ -239,12 +247,12 @@ class SemidirectGroup:
         return self.normalize(self.join(h, x @ prop.T))
 
 
-def compatibility_residual(group, matrix, n_samples=20, seed=8):
+def compatibility_residual(group, matrix):
     """Sup over samples of |e^{tD} rho(h) - rho(h) e^{tD}|."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(8)
     d = np.asarray(matrix, dtype=float)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(N_SAMPLES):
         h = rng.uniform(-np.pi, np.pi, size=group.h_dim)
         t = rng.uniform(-2.0, 2.0)
         prop = expm(t * d)
@@ -254,12 +262,12 @@ def compatibility_residual(group, matrix, n_samples=20, seed=8):
     return worst
 
 
-def validate_linear_flow(group, matrix, n_samples=20, seed=8, atol=1e-8):
+def validate_linear_flow(group, matrix):
     """Drift flow must consist of group automorphisms.
 
     Checks phi_t(ab) = phi_t(a) phi_t(b) on random pairs together with the
     action compatibility e^{tD} rho(h) = rho(h) e^{tD}.  Raises beyond
-    atol.
+    FLOW_ATOL.
     """
     d = np.asarray(matrix, dtype=float)
     if d.shape != (group.x_dim, group.x_dim):
@@ -267,32 +275,31 @@ def validate_linear_flow(group, matrix, n_samples=20, seed=8, atol=1e-8):
     if group.x_mask.any() and np.max(np.abs(d[:, group.x_mask])) > 0:
         raise NotAutomorphismError(
             "drift must annihilate angular nilpotent directions")
-    check_derivation(group.algebra, d, atol=1e-10)
+    check_derivation(group.algebra, d)
 
-    worst_compat = compatibility_residual(group, d, n_samples=n_samples,
-                                          seed=seed)
-    if worst_compat > atol:
+    worst_compat = compatibility_residual(group, d)
+    if worst_compat > FLOW_ATOL:
         raise IncompatibleActionError(
             f"drift does not intertwine the action, residual {worst_compat:.3e}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(8)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(N_SAMPLES):
         a = _random_point(group, rng)
         b = _random_point(group, rng)
         t = rng.uniform(-1.5, 1.5)
         lhs = group.linear_flow(t, group.multiply(a, b), d)
         rhs = group.multiply(group.linear_flow(t, a, d), group.linear_flow(t, b, d))
         worst = max(worst, float(group.distance(lhs, rhs)))
-    if worst > atol:
+    if worst > FLOW_ATOL:
         raise NotAutomorphismError(
-            f"flow automorphism residual {worst:.3e} exceeds {atol:.1e}")
+            f"flow automorphism residual {worst:.3e} exceeds {FLOW_ATOL:.1e}")
     return max(worst, worst_compat)
 
 
-def _random_point(group, rng, x_scale=1.0):
+def _random_point(group, rng):
     h = rng.uniform(-np.pi, np.pi, size=group.h_dim)
-    x = x_scale * rng.standard_normal(group.x_dim)
+    x = rng.standard_normal(group.x_dim)
     return group.normalize(np.concatenate([h, x]))
 
 
@@ -336,10 +343,7 @@ class ConjugationMap:
                 raise ValidationError("action does not preserve the kernel")
 
         quot_alg, w = quotient_by_central(group.algebra, kernel)
-        d_hat, w2 = quotient_derivation(d, kernel)
-        if np.max(np.abs(w - w2)) > 1e-9:
-            # both come from the same canonical complement construction
-            raise ValidationError("inconsistent complement bases")
+        d_hat = quotient_derivation(d, w)
         gens_hat = [w.T @ g @ w for g in group.action.generators]
         quot_action = RhoAction(quot_alg, gens_hat)
         self.group = group
@@ -352,10 +356,10 @@ class ConjugationMap:
         h, x = self.group.split(np.asarray(g, dtype=float))
         return self.target.join(h, x @ self.w)
 
-    def homomorphism_residual(self, n_samples=20, seed=9):
-        rng = np.random.default_rng(seed)
+    def homomorphism_residual(self):
+        rng = np.random.default_rng(9)
         worst = 0.0
-        for _ in range(n_samples):
+        for _ in range(N_SAMPLES):
             a = _random_point(self.group, rng)
             b = _random_point(self.group, rng)
             lhs = self.apply(self.group.multiply(a, b))
@@ -363,10 +367,10 @@ class ConjugationMap:
             worst = max(worst, float(self.target.distance(lhs, rhs)))
         return worst
 
-    def flow_equivariance_residual(self, n_samples=20, seed=10):
-        rng = np.random.default_rng(seed)
+    def flow_equivariance_residual(self):
+        rng = np.random.default_rng(10)
         worst = 0.0
-        for _ in range(n_samples):
+        for _ in range(N_SAMPLES):
             g = _random_point(self.group, rng)
             t = rng.uniform(-2.0, 2.0)
             lhs = self.apply(self.group.linear_flow(t, g, self.matrix))

@@ -20,6 +20,7 @@ from .spectral import block_decompose
 
 BUDGET_RATE, FRACTION = 1e-8, 0.01  # integrate's error budget; per-step share
 SAFETY, SHRINK, GROW, MIN_STEP = 0.9, 0.2, 5.0, 1e-6  # its step controller
+RANGE_TOL = 1e-9  # slack of ControlRange.contains on each bound
 
 
 class ControlRange:
@@ -42,9 +43,10 @@ class ControlRange:
     def center(self):
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, u, tol=1e-9):
+    def contains(self, u):
         u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
+        return bool(np.all(u >= self.lower - RANGE_TOL)
+                    and np.all(u <= self.upper + RANGE_TOL))
 
     def sample_family(self):
         """Default control-value family: vertices, center, and the points
@@ -230,7 +232,7 @@ def _state_scale(y, t):
 
 
 @np.errstate(all="ignore")  # overflow ends the run; a zero estimate grows h
-def integrate(system, duration, g0, control, record=True):
+def integrate(system, duration, g0, control):
     """Error-controlled RK4 over [0, duration], backward if duration < 0.
 
     A step at h and two at h/2 estimate its error by their distance / 15.
@@ -292,12 +294,8 @@ def integrate(system, duration, g0, control, record=True):
             t = t_next
             peak = max(peak, _state_scale(y, t))
             steps += 1
-            if record:
-                times.append(t)
-                points.append(y)
-    if not record:
-        times.append(t)
-        points.append(y)
+            times.append(t)
+            points.append(y)
     total = float(np.max(err))
     budget = BUDGET_RATE * abs(duration) * max(1.0, peak)
     if not total <= budget:  # also catches the NaN of an overflowing state
@@ -315,18 +313,17 @@ def translation_identity_residual(system, t, h_point, g_point, control):
     right-multiplied by the drift flow of g.  Points may carry batch axes.
     """
     group = system.group
-    lhs = integrate(system, t, group.multiply(h_point, g_point), control,
-                    record=False).endpoint
-    moving = integrate(system, t, h_point, control, record=False).endpoint
+    lhs = integrate(system, t, group.multiply(h_point, g_point), control).endpoint
+    moving = integrate(system, t, h_point, control).endpoint
     rhs = group.multiply(moving, group.linear_flow(t, g_point, system.derivation))
     return group.distance(lhs, rhs)
 
 
 def cocycle_residual(system, t, s, g, control):
     """Distance between the full run and the restart after time s."""
-    full = integrate(system, t + s, g, control, record=False).endpoint
-    mid = integrate(system, s, g, control, record=False).endpoint
-    then = integrate(system, t, mid, control.shift(s), record=False).endpoint
+    full = integrate(system, t + s, g, control).endpoint
+    mid = integrate(system, s, g, control).endpoint
+    then = integrate(system, t, mid, control.shift(s)).endpoint
     return system.group.distance(full, then)
 
 
@@ -468,7 +465,7 @@ def triangular_solve(system, duration, g0, control):
 def cross_check_residual(system, duration, g0, control):
     """Max per-level relative gap between the closed solve and integration."""
     sol = triangular_solve(system, duration, g0, control)
-    end = integrate(system, duration, g0, control, record=False).endpoint
+    end = integrate(system, duration, g0, control).endpoint
     _, x_end = system.group.split(end)
     worst = 0.0
     for level, part in enumerate(sol.components, start=1):

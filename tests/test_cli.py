@@ -127,8 +127,8 @@ def test_simulate_growing_state_ends_without_traceback(tmp_path, capsys):
 
 
 def test_simulate_overflowing_state_ends_with_one_line(tmp_path, capsys):
-    # the error estimate overflows near t = 380 (|y| ~ 1e165), long before
-    # the state itself would at t ~ 710; the run must end there, not shrink h
+    # the state itself overflows near t = 709 (e^709 ~ 1e308); the run
+    # must end there with one line, not shrink h
     code = main(["simulate", "--preset", "scalar-unstable", "--duration",
                  "720", "--start", "0.5", "--out", str(tmp_path / "s")])
     assert code == 2

@@ -224,6 +224,19 @@ def test_action_apply_matches_matrix():
         assert np.allclose(out[i], group.action.matrix(h[i]) @ x[i], atol=1e-12)
 
 
+def test_distance_is_finite_past_square_overflow():
+    # |x|^2 overflows past about 1e154; such rows fall back to hypot, and
+    # the other rows keep their bits
+    alg = NilpotentAlgebra(preset_structure("abelian:2"))
+    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    a = np.array([[1e200, 0.0], [0.3, -0.4]])
+    b = np.array([[-1e200, 1e200], [0.0, 0.0]])
+    with np.errstate(over="ignore"):  # np.linalg.norm warns before the fallback
+        d = group.distance(a, b)
+    assert d[0] == pytest.approx(np.sqrt(5.0) * 1e200, rel=1e-15)
+    assert d[1] == np.linalg.norm(b[1] - a[1])
+
+
 def test_angular_mask_wraps_central_coordinate():
     alg = NilpotentAlgebra(preset_structure("abelian:3"))
     gen = np.zeros((3, 3))

@@ -6,6 +6,11 @@ its name, as a bare name or as an attribute.  The package `__init__` and
 docstrings do not count, and the pass repeats until nothing more drops out.
 `audit_edges` is the one declared exception: it is the slow, independent
 oracle of the graph, kept for audits and tests.
+
+A defaulted parameter counts as set when some call in src/ or tests/ to a
+definition of that name (a constructor by its class name) passes it, by
+keyword or by position.  One that nothing sets has one value in use and
+belongs in a module constant.
 """
 
 import ast
@@ -77,3 +82,45 @@ def unused_definitions(package_dir):
 def test_every_definition_is_reached_from_the_pipeline():
     unused = unused_definitions(Path(chaincontrol.__file__).parent)
     assert unused == [], "definitions nothing in src/ reaches: " + ", ".join(unused)
+
+
+def unset_parameters(package_dir, test_dir):
+    """'module.definition(parameter=default)' for each defaulted parameter no
+    call in the package or the tests passes."""
+    calls = {}  # called name -> [(positional count, keyword names)]
+    for path in [*Path(package_dir).glob("*.py"), *Path(test_dir).glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append((
+                    float("inf") if starred else len(node.args),
+                    {k.arg for k in node.keywords}))  # None stands for **kwargs
+    unset = []
+    for path in sorted(Path(package_dir).glob("*.py")):
+        for qual, name, node in _definitions(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                continue
+            if name == "__init__":
+                name = qual.split(".")[0]
+            args = node.args.posonlyargs + node.args.args
+            shift = 1 if "." in qual else 0  # a method's call omits self or cls
+            defaulted = [(arg, args.index(arg) - shift, default) for arg, default
+                         in zip(args[len(args) - len(node.args.defaults):],
+                                node.args.defaults)]
+            defaulted += [(arg, None, default) for arg, default
+                          in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                          if default is not None]
+            for arg, position, default in defaulted:
+                if not any(arg.arg in keywords or None in keywords
+                           or (position is not None and n_positional > position)
+                           for n_positional, keywords in calls.get(name, [])):
+                    unset.append(
+                        f"{path.stem}.{qual}({arg.arg}={ast.unparse(default)})")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    package = Path(chaincontrol.__file__).parent
+    unset = unset_parameters(package, Path(__file__).parent)
+    assert unset == [], "parameters no call sets: " + ", ".join(unset)

@@ -248,13 +248,22 @@ def test_integrate_rejects_and_retries_steps():
 
 
 @pytest.mark.parametrize("start, message", [
-    (1e308, "state is not finite"),           # the RK4 stages overflow
-    (1e200, "error estimate is not finite"),  # only |full - half|^2 does
+    (1e308, "state is not finite"),  # the RK4 stages overflow
 ])
 def test_integrate_ends_on_a_non_finite_trial(start, message):
     u = ControlFunction.constant([0.0], 0.0, 1.0)
     with pytest.raises(IntegratorBudgetError, match=message):
         integrate(scalar_system(1.0), 1.0, np.array([start]), u)
+
+
+def test_integrate_ends_when_the_estimate_overflows():
+    # the state stays finite, but the bch brackets [x_a, x_b] inside the
+    # distance of full and half step overflow
+    system = cfg.build_system(cfg.preset_config("heisenberg-expanding"))
+    u = ControlFunction.constant([0.0], 0.0, 1.0)
+    with pytest.raises(IntegratorBudgetError,
+                       match="error estimate is not finite at t = 0.000333"):
+        integrate(system, 1.0, np.array([1e160, 1e160, 0.0]), u)
 
 
 def test_integrate_ends_when_the_step_collapses(monkeypatch):
@@ -306,7 +315,7 @@ def test_zero_control_matches_drift_flow():
     for _ in range(5):
         g0 = np.concatenate([rng.uniform(-np.pi, np.pi, 1),
                              rng.standard_normal(2)])
-        end = integrate(system, 1.5, g0, u, record=False).endpoint
+        end = integrate(system, 1.5, g0, u).endpoint
         ref = system.group.linear_flow(1.5, g0, system.derivation)
         assert system.group.distance(end, ref) < 1e-8
 
@@ -339,8 +348,8 @@ def test_backward_integration_returns_home():
     system = rotation_plane_system()
     u = ControlFunction([0.0, 0.8, 1.5], [[0.4, -0.6], [-0.2, 0.9]])
     g0 = np.array([0.5, 1.0, -0.5])
-    forward = integrate(system, 1.5, g0, u, record=False).endpoint
-    back = integrate(system, -1.5, forward, u.shift(1.5), record=False).endpoint
+    forward = integrate(system, 1.5, g0, u).endpoint
+    back = integrate(system, -1.5, forward, u.shift(1.5)).endpoint
     assert system.group.distance(back, g0) < 1e-7
 
 
@@ -394,7 +403,7 @@ def test_translation_identity_batched():
         """The error the two runs behind a residual may accept: each aims
         at FRACTION of its budget."""
         starts = (group.multiply(h_pt, g_pt), h_pt)
-        return sum(lcs.FRACTION * integrate(system, 1.0, start, u, record=False)
+        return sum(lcs.FRACTION * integrate(system, 1.0, start, u)
                    .stats["error_budget"] for start in starts)
 
     # a batch steps as its worst row does, so batch and single runs agree
@@ -434,7 +443,7 @@ def test_triangular_abelian_classical_formula():
     u = ControlFunction([0.0, 0.6, 1.3], [[0.8], [-0.5]])
     x0 = np.array([0.3, -0.2])
     sol = triangular_solve(system, 1.3, x0, u)
-    end = integrate(system, 1.3, x0, u, record=False).endpoint
+    end = integrate(system, 1.3, x0, u).endpoint
     assert np.allclose(sol.combined, end, atol=1e-7)
 
 
@@ -483,13 +492,13 @@ def test_level_source_independence():
 def test_continuity_in_control():
     system = scalar_system(-1.0)
     base = ControlFunction.constant([0.2], 0.0, 2.0)
-    ref = integrate(system, 2.0, np.zeros(1), base, record=False).endpoint
+    ref = integrate(system, 2.0, np.zeros(1), base).endpoint
     deltas = [0.2, 0.1, 0.05, 0.025]
     gaps = []
     for delta in deltas:
         u = ControlFunction([0.0, 1.0, 1.0 + delta, 2.0],
                             [[0.2], [1.0], [0.2]])
-        end = integrate(system, 2.0, np.zeros(1), u, record=False).endpoint
+        end = integrate(system, 2.0, np.zeros(1), u).endpoint
         gaps.append(abs(float(end[0] - ref[0])))
     rate = gaps[0] / deltas[0]
     for delta, gap in zip(deltas, gaps):

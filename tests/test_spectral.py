@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from chaincontrol.algebra import NilpotentAlgebra
+from chaincontrol import config as cfg
+from chaincontrol import spectral
+from chaincontrol.algebra import NilpotentAlgebra, quotient_by_central
 from chaincontrol.errors import (
     NotDerivationError,
     SeriesNotPreservedError,
@@ -11,10 +14,14 @@ from chaincontrol.spectral import (
     SpectralSplit,
     block_decompose,
     check_derivation,
-    check_series_preservation,
     decay_constants,
     quotient_derivation,
 )
+
+
+JORDAN = np.array([[-1.0, 1.0], [0.0, -1.0]])
+OBLIQUE = np.array([[-1.0, 5.0], [0.0, 2.0]])
+SPIRAL = np.array([[-1.0, 10.0], [-10.0, -1.0]])
 
 
 def heis():
@@ -37,14 +44,7 @@ def test_general_heisenberg_derivation_shape():
         a, b, c, d, e, f = rng.standard_normal(6)
         mat = np.array([[a, b, 0.0], [c, d, 0.0], [e, f, a + d]])
         assert check_derivation(heis(), mat) < 1e-12
-        assert check_series_preservation(heis(), mat) < 1e-12
-
-
-def test_series_preservation_rejects_upward_map():
-    mat = np.zeros((3, 3))
-    mat[0, 2] = 1.0  # sends the center back to level one
-    with pytest.raises(SeriesNotPreservedError):
-        check_series_preservation(heis(), mat)
+        assert block_decompose(heis(), mat).upper_residual() < 1e-12
 
 
 def test_spectral_split_diagonal():
@@ -73,7 +73,7 @@ def test_spectral_split_random_consistency():
     rng = np.random.default_rng(23)
     for _ in range(20):
         d = rng.standard_normal((5, 5))
-        split = SpectralSplit(d, tol=1e-8)
+        split = SpectralSplit(d)
         total = split.pi_stable + split.pi_center + split.pi_unstable
         assert np.allclose(total, np.eye(5), atol=1e-8)
         # image of each projection is invariant and carries the right spectrum
@@ -116,7 +116,7 @@ def test_block_decompose_lower_triangular():
 
 def test_block_decompose_rejects_non_preserving():
     mat = np.zeros((3, 3))
-    mat[0, 2] = 1.0
+    mat[0, 2] = 1.0  # sends the center back to level one
     with pytest.raises(SeriesNotPreservedError):
         block_decompose(heis(), mat)
 
@@ -140,22 +140,50 @@ def test_decay_constants_mixed_normal():
 
 
 def test_decay_constants_spiral():
-    out = decay_constants(np.array([[-1.0, 10.0], [-10.0, -1.0]]))
+    out = decay_constants(SPIRAL)
     assert out["mu"] == pytest.approx(0.9)
     assert out["kappa"] == 1.0
 
 
 def test_decay_constants_jordan_overshoot():
-    out = decay_constants(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+    out = decay_constants(JORDAN)
     assert out["kappa"] > 1.0
     assert out["kappa"] == pytest.approx(1.05 * out["raw"])
     assert out["raw"] > 1.0
 
 
 def test_decay_constants_oblique_overshoot():
-    out = decay_constants(np.array([[-1.0, 5.0], [0.0, 2.0]]))
+    out = decay_constants(OBLIQUE)
     # the skewed unstable projection alone has norm sqrt(34)/3 > 1.9
     assert out["kappa"] > 1.9
+
+
+@pytest.mark.parametrize("d", [JORDAN, OBLIQUE, SPIRAL, np.diag([-2.0, 5.0])],
+                         ids=["jordan", "oblique", "spiral", "mixed"])
+def test_decay_constants_matches_direct_exponentials(d):
+    # raw is the sup over every COARSE_EVERY-th node of the grid; here each
+    # node's e^{t S} (e^{-t S} on the unstable side) is its own expm
+    out = decay_constants(d)
+    mu = out["mu"]
+    split = SpectralSplit(d)
+    n_steps = int(np.ceil(spectral.DECAY_HORIZON / mu / spectral.DECAY_STEP))
+    times = spectral.DECAY_STEP * np.arange(0, n_steps + 1, spectral.COARSE_EVERY)
+    raw = 0.0
+    for basis, rows, sign in ((split.stable_basis, split.stable_rows, 1.0),
+                              (split.unstable_basis, split.unstable_rows, -1.0)):
+        if basis.shape[1]:
+            s = sign * (basis.T @ d @ basis)
+            raw = max(raw, *(np.linalg.norm(expm(t * s) @ rows, 2) * np.exp(mu * t)
+                             for t in times))
+    kappa = 1.0 if raw <= 1.0 + 1e-12 else 1.05 * raw
+    assert out["raw"] == pytest.approx(raw, rel=1e-12)
+    assert out["kappa"] == pytest.approx(kappa, rel=1e-12)
+
+
+def test_decay_constants_normal_blocks_of_heisenberg_expanding():
+    system = cfg.build_system(cfg.preset_config("heisenberg-expanding"))
+    for level in (1, 2):
+        assert decay_constants(system.blocks.block(level, level))["kappa"] == 1.0
 
 
 def test_decay_constants_rejects_center_spectrum():
@@ -163,22 +191,29 @@ def test_decay_constants_rejects_center_spectrum():
         decay_constants(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+def complement(kernel):
+    """Orthonormal complement of a kernel, as ConjugationMap builds it."""
+    return quotient_by_central(NilpotentAlgebra.from_preset("abelian:3"), kernel)[1]
+
+
 def test_quotient_derivation_drops_kernel():
     d = np.diag([-1.0, -1.0, 0.0])
     kernel = np.array([[0.0], [0.0], [1.0]])
-    d_hat, w = quotient_derivation(d, kernel)
+    w = complement(kernel)
+    d_hat = quotient_derivation(d, w)
     assert d_hat.shape == (2, 2)
     assert np.allclose(np.sort(np.linalg.eigvals(d_hat).real), [-1.0, -1.0])
     assert np.allclose(w.T @ kernel, 0.0, atol=1e-12)
 
 
 def test_quotient_derivation_rejects_moving_kernel():
+    # the eigenvalue 1 of the moved kernel is lost, so the spectra differ
     d = np.diag([-1.0, -1.0, 1.0])
     with pytest.raises(ValidationError):
-        quotient_derivation(d, np.array([[0.0], [0.0], [1.0]]))
+        quotient_derivation(d, complement(np.array([[0.0], [0.0], [1.0]])))
 
 
 def test_quotient_derivation_rejects_leftover_center():
     d = np.diag([-1.0, 0.0, 0.0])
     with pytest.raises(ValidationError):
-        quotient_derivation(d, np.array([[0.0], [0.0], [1.0]]))
+        quotient_derivation(d, complement(np.array([[0.0], [0.0], [1.0]])))
