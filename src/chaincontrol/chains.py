@@ -16,11 +16,12 @@ phi(t, g, u) = phi(t, e, u) * phi_t(g): the run from g is the run from the
 identity (the anchor), right-multiplied by the drift flow of g.  One
 batched RK4 run over the first grid step gives the anchors of the whole
 control family (later anchors follow from the same identity), and each
-cell's state at step k is one group product with (h_g, e^{k h D} x_g).
-Truncation keeps its meaning: the window box is tested on every step, and
-a run freezes at the first step it leaves.  `_propagate`, which integrates
-every cell directly, is kept as the slow, independent oracle behind
-`audit_edges`.
+cell's state at step k is the group product with (h_g, e^{k h D} x_g), one
+affine map per control and step.  Truncation keeps its meaning: the window
+box is tested on every step, and a run freezes at the first step it leaves.
+`_propagate`, which integrates every cell directly, is kept as the slow,
+independent oracle behind `audit_edges`.  Exact distances take the action's
+phases once per landing and skip pairs that have a smaller (u, t) witness.
 """
 
 import csv
@@ -44,6 +45,7 @@ NODE_LIMIT = 1_500_000
 ANCHOR_ROW_LIMIT = 1 << 21
 FIBER_TOL = 1e-9  # ties in the free-coordinate norm of central_fiber_nodes
 AUDIT_REFINE = 10  # audit_edges re-integrates at this many times finer a step
+EDGE_CHUNK = 65_536  # rows write_edges_csv joins per write
 
 
 def _cell_centers(lower, count, delta):
@@ -363,6 +365,40 @@ def _propagate(system, starts, u_val, h, n_steps, steps,
     return [frames[int(s)] for s in steps], truncated
 
 
+def _translate(group, anchor, flow, starts, u_of):
+    """Rows anchor[u_of] * (h_g, flow x_g) of starts (h_g, x_g), u_of sorted.
+
+    With y = rho(h_a) flow x_g and nilpotency class k, bch(x_a, y) = x_a
+    + (I + ad(x_a)/2 + [k>=3] ad(x_a)^2/12) y - [k>=3] [y,[x_a,y]]/12
+    - [k>=4] [y,[x_a,[x_a,y]]]/24: one affine map per anchor, applied as
+    one matmul per control, plus the terms quadratic in y.
+    """
+    alg, m = group.algebra, group.h_dim
+    k = alg.nilpotency_class
+    h_a, x_a = group.split(anchor)
+    ad = alg.ad(x_a)
+    # rho(h_a) flow, one (n, n) per anchor: rho applied to flow's columns
+    rho_f = np.broadcast_to(np.swapaxes(
+        group.action.apply(h_a[:, None, :], flow.T), -1, -2), ad.shape)
+    lin = np.eye(group.x_dim) + ad / 2.0
+    if k >= 3:
+        lin += ad @ ad / 12.0
+    mats = np.zeros((len(anchor), group.dim, group.dim))
+    mats[:, :m, :m] = np.eye(m)
+    mats[:, m:, m:] = lin @ rho_f
+    bounds = np.searchsorted(u_of, np.arange(len(anchor) + 1)).tolist()
+    out = np.empty_like(starts)
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        out[lo:hi] = starts[lo:hi] @ mats[j].T + anchor[j]
+    if k >= 3:
+        x_row = x_a[u_of]
+        y = np.einsum("rij,rj->ri", rho_f[u_of], group.split(starts)[1])
+        b = alg.bracket(x_row, y)
+        out[:, m:] -= alg.bracket(y, b) / 12.0 + (k >= 4) * alg.bracket(
+            y, alg.bracket(x_row, b)) / 24.0
+    return group.normalize(out)
+
+
 def _propagate_family(system, starts, family, h, flows, steps,
                       box_lower, box_upper, free_columns):
     """`_propagate` for every control of a family at once, from anchors.
@@ -374,8 +410,8 @@ def _propagate_family(system, starts, family, h, flows, steps,
     lets its relative error act on anchors that an expanding drift drives
     far out, |a| ~ 22 on heisenberg-expanding, and put landings 1.4e-8 off
     direct integration.)  The state of start g at step k is then
-    a_k * (h_g, F_k x_g) with F_k = flows[k]; the box is tested on every
-    step and only rows still alive are multiplied.
+    a_k * (h_g, F_k x_g) with F_k = flows[k], an affine map (`_translate`);
+    the box is tested on every step and only rows still alive are moved.
 
     Same contract as `_propagate` (n_steps = len(flows) - 1), with a
     leading control axis on every array: frame states (U, N, dim) and
@@ -385,10 +421,6 @@ def _propagate_family(system, starts, family, h, flows, steps,
     family = np.atleast_2d(np.asarray(family, dtype=float))
     y0 = group.normalize(np.array(starts, dtype=float))
     n_u, n_rows = len(family), len(y0)
-
-    def drift(g, flow):
-        h_g, x_g = group.split(g)
-        return group.join(h_g, x_g @ flow.T)
 
     # a_1 for every control, then a_k = a_1 * Phi_h(a_{k-1}) in the loop
     n_sub = max(1, math.ceil(h / system.step_limit - 1e-9))
@@ -412,10 +444,11 @@ def _propagate_family(system, starts, family, h, flows, steps,
     want = {int(s) for s in steps}
     frames = {0: frame()} if 0 in want else {}
     for step in range(1, len(flows)):
-        anchor = group.multiply(first, drift(anchor, flows[1]))
+        h_k, x_k = group.split(anchor)
+        anchor = group.multiply(first, group.join(h_k, x_k @ flows[1].T))
         if rows.size:
-            advanced = group.multiply(anchor[u_of],
-                                      drift(y0, flows[step])[start_of])
+            advanced = _translate(group, anchor, flows[step], y0[start_of],
+                                  u_of)
             free = advanced[:, free_columns]
             out = np.any((free < box_lower) | (free > box_upper), axis=1)
             if out.any():
@@ -477,12 +510,14 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     lo_inf, hi_inf = window.inflated_bounds(radius)
     tree = cKDTree(window.embed(window.points))
 
-    # per (u, t) block: a src * n_nodes + dst key per kept landing and one
-    # witness u * n_t + t; the first key of a pair has its smallest witness
+    # kept: sorted src * n_nodes + dst keys with witnesses u * n_t + t, and
+    # a sentinel above every key.  Blocks run in (u, t) order, so a pair's
+    # first witness is its smallest, and a kept key needs no exact distance.
     centers = window.points
     n_nodes, n_t = window.n_nodes, snap.size
     truncated = np.zeros(n_nodes, dtype=bool)
-    keys, block_witness = [], []
+    kept = np.array([np.iinfo(np.int64).max])
+    witness = np.array([-1], dtype=np.int64)
     n_u = len(control_family)
     for part in _control_slices(n_u, n_nodes * (n_t + 2)):
         frames, trunc = _propagate_family(
@@ -498,28 +533,22 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
                 balls = tree.query_ball_point(
                     window.embed(landed), window.query_radii(landed, cut),
                     return_sorted=False)
-                counts = np.fromiter((len(b) for b in balls), dtype=np.int64,
-                                     count=len(balls))
-                if counts.sum() == 0:
+                owner = np.repeat(np.arange(rows.size), [len(b) for b in balls])
+                if owner.size == 0:
                     continue
                 flat_dst = np.concatenate(
                     [np.asarray(b, dtype=np.int64) for b in balls if len(b)])
-                flat_src = np.repeat(rows, counts)
-                d = system.group.distance(landed[np.repeat(
-                    np.arange(rows.size), counts)], centers[flat_dst])
-                keep = d <= cut
-                if keep.any():
-                    keys.append(flat_src[keep] * n_nodes + flat_dst[keep])
-                    block_witness.append(u_idx * n_t + t_idx)
+                key = rows[owner] * n_nodes + flat_dst
+                fresh = kept[np.searchsorted(kept, key)] != key
+                d = system.group.distance(landed, centers[flat_dst[fresh]],
+                                          owner[fresh])
+                key = np.sort(key[fresh][d <= cut])
+                at = np.searchsorted(kept, key)
+                kept = np.insert(kept, at, key)
+                witness = np.insert(witness, at, u_idx * n_t + t_idx)
 
-    if keys:
-        key, first = np.unique(np.concatenate(keys), return_index=True)
-        witness = np.repeat(np.asarray(block_witness, dtype=np.int64),
-                            [k.size for k in keys])[first]
-        src, dst = np.divmod(key, n_nodes)
-        w_u, w_t = np.divmod(witness, n_t)
-    else:
-        src = dst = w_u = w_t = np.zeros(0, dtype=np.int64)
+    src, dst = np.divmod(kept[:-1], n_nodes)
+    w_u, w_t = np.divmod(witness[:-1], n_t)
 
     return ChainGraph(
         window=window, eps=float(eps), tau=float(tau), radius=float(radius),
@@ -902,17 +931,22 @@ def write_nodes_csv(path, graph, sets):
 
 
 def write_edges_csv(path, graph):
-    """Edge table with the (u, T) witness of each edge."""
-    u_text = [[f"{v:.12g}" for v in u] for u in graph.control_family]
-    t_text = [f"{t:.12g}" for t in graph.time_samples]
+    """Edge table with the (u, T) witness of each edge: csv.writer's bytes
+    (no field needs quoting) from strings formatted once per node and per
+    witness, joined EDGE_CHUNK rows at a time."""
+    names = [str(i) for i in range(graph.n_nodes)]
+    heads = [s + "," for s in names]
+    tails = ["," + ",".join([*(f"{v:.12g}" for v in u), f"{t:.12g}"]) + "\r\n"
+             for u in graph.control_family for t in graph.time_samples]
+    witness = graph.witness_u * len(graph.time_samples) + graph.witness_t
+    u_names = [f"u{j}" for j in range(graph.control_family.shape[1])]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        u_names = [f"u{j}" for j in range(graph.control_family.shape[1])]
-        writer.writerow(["src", "dst"] + u_names + ["T"])
-        writer.writerows(
-            [a, b, *u_text[ui], t_text[ti]] for a, b, ui, ti in zip(
-                graph.src.tolist(), graph.dst.tolist(),
-                graph.witness_u.tolist(), graph.witness_t.tolist()))
+        fh.write(",".join(["src", "dst", *u_names, "T"]) + "\r\n")
+        for lo in range(0, graph.n_edges, EDGE_CHUNK):
+            chunk = slice(lo, lo + EDGE_CHUNK)
+            fh.write("".join([heads[a] + names[b] + tails[w] for a, b, w in zip(
+                graph.src[chunk].tolist(), graph.dst[chunk].tolist(),
+                witness[chunk].tolist())]))
 
 
 def sets_to_records(sets, bounds=None):

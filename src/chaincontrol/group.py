@@ -128,13 +128,16 @@ class RhoAction:
             raise IncompatibleActionError("action matrix came out non-real")
         return out.real
 
-    def apply(self, h, x):
-        """rho(h) x, batched: h (..., m), x (..., n), broadcasting leading axes."""
+    def apply(self, h, x, owner=None):
+        """rho(h) x, batched: h (..., m), x (..., n), broadcasting leading axes;
+        with an index array owner, rho(h[owner]) x from one phase per row of h."""
         if self.n_params == 0:
             return np.asarray(x, dtype=float)
         h = np.asarray(h, dtype=float)
         x = np.asarray(x, dtype=float)
         phases = np.exp(h @ self.freqs)
+        if owner is not None:
+            phases = phases[owner]
         coords = x @ self.basis_inv.T
         out = (coords * phases) @ self.basis.T
         return out.real
@@ -220,21 +223,24 @@ class SemidirectGroup:
         x = self.algebra.bch(x_a, self.action.apply(h_a, x_b))
         return self.normalize(self.join(h, x))
 
-    def distance(self, a, b):
+    def distance(self, a, b, owner=None):
         """Left-invariant distance d(a, b) = d_H part + |x part of a^{-1} b|.
 
         The nilpotent part of a^{-1} b is rho(-h_a) bch(-x_a, x_b); angular
-        nilpotent coordinates are wrapped before taking the norm.
+        nilpotent coordinates are wrapped before taking the norm.  With an
+        index array owner: d(a[owner], b), bit for bit, one phase per a row.
         """
         h_a, x_a = self.split(np.asarray(a, dtype=float))
         h_b, x_b = self.split(np.asarray(b, dtype=float))
-        d_h = self.torus.distance(h_a, h_b) if self.h_dim else 0.0
-        x_rel = self.action.apply(-h_a, self.algebra.bch(-x_a, x_b))
+        h_row, x_row = (h_a, x_a) if owner is None else (h_a[owner], x_a[owner])
+        d_h = self.torus.distance(h_row, h_b) if self.h_dim else 0.0
+        x_rel = self.action.apply(-h_a, self.algebra.bch(-x_row, x_b), owner)
         if self.x_mask.any():
             x_rel = np.array(x_rel, copy=True)
             x_rel[..., self.x_mask] = wrap_angle(x_rel[..., self.x_mask])
-        norm = np.linalg.norm(x_rel, axis=-1)
         # norm's squares overflow past about 1e154, where hypot's do not
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(x_rel, axis=-1)
         finite = np.isfinite(norm)
         if not finite.all():
             norm = np.where(finite, norm, np.hypot.reduce(x_rel, axis=-1))

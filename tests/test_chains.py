@@ -1,3 +1,6 @@
+import copy
+import csv
+import dataclasses
 import json
 import math
 
@@ -5,16 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from chaincontrol import config as cfg
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
 from chaincontrol.chains import (
+    EDGE_CHUNK,
     ChainControlSetApprox,
     GridWindow,
     _default_time_samples,
     _propagate,
     _propagate_family,
     _step_grid,
+    _translate,
     audit_edges,
     build_chain_graph,
     central_fiber_nodes,
@@ -206,6 +212,31 @@ def test_query_radii_cover_group_balls(name, cut):
     assert np.all(radii >= cut)
     gap = np.linalg.norm(window.embed(a) - window.embed(b), axis=1)
     assert np.all(gap <= radii), float(np.max(gap / radii))
+
+
+@pytest.mark.parametrize("name", ["skewed-abelian:2", "skewed-heisenberg3",
+                                  "filiform4", "filiform5",
+                                  "conjugation-upstairs"])
+def test_translate_matches_group_product(name):
+    # the affine map per anchor, plus the quadratic BCH terms of classes 3
+    # and 4, is the group product a * (h_g, F x_g) for any matrix F
+    group = _radii_case(name)
+    rng = np.random.default_rng(23)
+    n_u, n = 5, 400
+    anchor = group.normalize(np.hstack([
+        rng.uniform(-np.pi, np.pi, (n_u, group.h_dim)),
+        rng.uniform(-3.0, 3.0, (n_u, group.x_dim))]))
+    starts = group.normalize(np.hstack([
+        rng.uniform(-np.pi, np.pi, (n, group.h_dim)),
+        rng.standard_normal((n, group.x_dim))]))
+    flow = np.eye(group.x_dim) + 0.5 * rng.standard_normal((group.x_dim,) * 2)
+    u_of = np.sort(rng.integers(0, n_u, n))
+    got = _translate(group, anchor, flow, starts, u_of)
+    h_g, x_g = group.split(starts)
+    want = group.multiply(anchor[u_of], group.join(h_g, x_g @ flow.T))
+    scale = 1.0 + np.linalg.norm(group.split(want)[1], axis=1)
+    gap = group.distance(want, got)
+    assert np.all(gap <= 1e-12 * scale), float(np.max(gap / scale))
 
 
 # -- graph construction ------------------------------------------------------
@@ -567,6 +598,26 @@ def test_writers_roundtrip(tmp_path, stable_setup):
          f"{graph.time_samples[t]:.12g}"]
         for a, b, u, t in zip(graph.src, graph.dst, graph.witness_u,
                               graph.witness_t)]
+    # more rows than one chunk: the bytes csv.writer writes
+    rng = np.random.default_rng(3)
+    n_rows = EDGE_CHUNK + 1001
+    big = dataclasses.replace(
+        graph, src=rng.integers(0, graph.n_nodes, n_rows),
+        dst=rng.integers(0, graph.n_nodes, n_rows),
+        witness_u=rng.integers(0, len(graph.control_family), n_rows),
+        witness_t=rng.integers(0, len(graph.time_samples), n_rows))
+    write_edges_csv(edges_path, big)
+    ref_path = tmp_path / "edges_ref.csv"
+    with open(ref_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["src", "dst", "u0", "T"])
+        writer.writerows(
+            [a, b, *(f"{v:.12g}" for v in big.control_family[u]),
+             f"{big.time_samples[t]:.12g}"]
+            for a, b, u, t in zip(big.src.tolist(), big.dst.tolist(),
+                                  big.witness_u.tolist(),
+                                  big.witness_t.tolist()))
+    assert edges_path.read_bytes() == ref_path.read_bytes()
 
     sets_path = tmp_path / "sets.jsonl"
     write_sets_jsonl(sets_path, sets, bounds=lb)
@@ -696,9 +747,21 @@ def _oracle_edges(system, window, graph):
     return edges, near
 
 
+# class 3, for the quadratic BCH terms of the anchored runs: filiform4 with
+# the graded diagonal derivation diag(a, b, a + b, 2a + b), a = b = -1
+FILIFORM4_CONFIG = {
+    "schema": 1, "seed": 1, "algebra": {"preset": "filiform4"},
+    "derivation": np.diag([-1.0, -1.0, -2.0, -3.0]).tolist(),
+    "torus": {"dim": 0},
+    "control": {"z": [[1.0, 1.0, 0.0, 0.0]], "lower": [-1.0], "upper": [1.0]},
+    "chain": {"x_lower": [-0.8, -0.8, -0.4, -0.4],
+              "x_upper": [0.8, 0.8, 0.4, 0.4],
+              "delta": [0.32, 0.32, 0.2, 0.2], "eps": 0.1, "tau": 0.5},
+}
+
 # small windows where direct integration of every cell is cheap:
-# (preset, box lower, box upper, cell sizes, angle cells, masked cells,
-# control stride)
+# (preset or config, box lower, box upper, cell sizes, angle cells, masked
+# cells, control stride), or (config, control stride) for its own window
 SMALL_WINDOWS = {
     "rotation-plane-small": ("rotation-plane", -0.6, 0.6, [0.2, 0.2], (16,),
                              (), 1),
@@ -709,21 +772,27 @@ SMALL_WINDOWS = {
     # torus angle plus a masked circle
     "conjugation-upstairs-small": ("conjugation-upstairs", -0.25, 0.25,
                                    [0.25, 0.25], (8,), (8,), 1),
+    "filiform4-small": (FILIFORM4_CONFIG, 2),
 }
+
+
+def _small_graph(name):
+    preset, *box, stride = SMALL_WINDOWS.get(name, (name, 1))
+    c = cfg.parse_config(copy.deepcopy(preset)) if isinstance(preset, dict) \
+        else cfg.preset_config(preset)
+    system = cfg.build_system(c)
+    window = GridWindow(system.group, *box) if box else \
+        cfg.build_window(c, system)
+    family = system.range.sample_family() if c.family is None else c.family
+    return system, window, build_chain_graph(
+        system, window, c.eps, c.tau, control_family=family[::stride],
+        time_samples=c.times)
 
 
 @pytest.mark.parametrize("name", ["scalar-stable", "scalar-unstable",
                                   *SMALL_WINDOWS])
 def test_graph_edges_match_direct_integration(name):
-    preset, *box, stride = SMALL_WINDOWS.get(name, (name, 1))
-    c = cfg.preset_config(preset)
-    system = cfg.build_system(c)
-    window = GridWindow(system.group, *box) if box else \
-        cfg.build_window(c, system)
-    family = system.range.sample_family() if c.family is None else c.family
-    graph = build_chain_graph(system, window, c.eps, c.tau,
-                              control_family=family[::stride],
-                              time_samples=c.times)
+    system, window, graph = _small_graph(name)
     assert graph.n_edges > 0
     oracle, near = _oracle_edges(system, window, graph)
     # an edge may only flip where some landing sits on the radius
@@ -734,6 +803,42 @@ def test_graph_edges_match_direct_integration(name):
                               graph.witness_t.tolist()):
         if (a, b) not in near:
             assert oracle[a, b] == (w_u, w_t), (a, b)
+
+
+@pytest.mark.parametrize("name", ["heisenberg-expanding-small",
+                                  "conjugation-upstairs-small"])
+def test_graph_equals_unskipped_reference(name):
+    # the graph built without the witnessed-pair skip: every kd-tree
+    # candidate of every (u, t) landing gets the exact distance, and
+    # np.unique keeps each pair's first, smallest, witness
+    system, window, graph = _small_graph(name)
+    n, n_t = window.n_nodes, graph.snapshot_steps.size
+    flows = _step_grid(system, graph.tau)[2]
+    frames, _ = _propagate_family(
+        system, window.points, graph.control_family, graph.step, flows,
+        graph.snapshot_steps, graph.inflated_lower, graph.inflated_upper,
+        window.free_columns)
+    tree = cKDTree(window.embed(window.points))
+    cut = graph.radius + 1e-12
+    keys, witness = [], []
+    for u_idx in range(len(graph.control_family)):
+        for t_idx, (states, alive) in enumerate(frames):
+            rows = np.flatnonzero(alive[u_idx])
+            landed = states[u_idx, rows]
+            balls = tree.query_ball_point(window.embed(landed),
+                                          window.query_radii(landed, cut))
+            owner = np.repeat(np.arange(rows.size), [len(b) for b in balls])
+            dst = np.concatenate([np.asarray(b, dtype=np.int64)
+                                  for b in balls] + [np.zeros(0, np.int64)])
+            d = system.group.distance(landed[owner], window.points[dst])
+            keys.append((rows[owner] * n + dst)[d <= cut])
+            witness.append(np.full(keys[-1].size, u_idx * n_t + t_idx))
+    key, first = np.unique(np.concatenate(keys), return_index=True)
+    assert graph.n_edges > 0
+    assert np.array_equal(graph.src, key // n)
+    assert np.array_equal(graph.dst, key % n)
+    assert np.array_equal(graph.witness_u * n_t + graph.witness_t,
+                          np.concatenate(witness)[first])
 
 
 def test_audit_clean_on_expanding_graph():

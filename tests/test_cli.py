@@ -127,14 +127,15 @@ def test_simulate_growing_state_ends_without_traceback(tmp_path, capsys):
 
 
 def test_simulate_overflowing_state_ends_with_one_line(tmp_path, capsys):
-    # the state itself overflows near t = 709 (e^709 ~ 1e308); the run
-    # must end there with one line, not shrink h
+    # from 1e300 the state itself overflows before t = 19 (e^19 1e300 ~
+    # 1.8e308); the run must end there with one line, not shrink h
     code = main(["simulate", "--preset", "scalar-unstable", "--duration",
-                 "720", "--start", "0.5", "--out", str(tmp_path / "s")])
+                 "720", "--start", "1e300", "--out", str(tmp_path / "s")])
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
+    assert "state is not finite" in err
 
 
 CROSS_CHECK_PRESETS = [name for name in sorted(cfg.PRESETS)

@@ -123,6 +123,31 @@ def test_distance_left_invariance():
             assert abs(lhs - group.distance(a, b)) < 1e-10
 
 
+def masked_circle_group():
+    """T^1 rotating the plane of abelian R^3, whose third slot is a circle."""
+    alg = NilpotentAlgebra(preset_structure("abelian:3"))
+    gen = np.zeros((3, 3))
+    gen[:2, :2] = ROT
+    return SemidirectGroup(TorusGroup(1), alg, RhoAction(alg, [gen]),
+                           angular_x_mask=[False, False, True])
+
+
+@pytest.mark.parametrize("make", [rotation_plane_group,
+                                  rotation_heisenberg_group,
+                                  masked_circle_group])
+def test_distance_with_owner_equals_gathered_rows(make):
+    # one phase per row of a, gathered, gives the per-pair bits
+    group = make()
+    rng = np.random.default_rng(6)
+    a = group.normalize(np.concatenate([
+        rng.uniform(-np.pi, np.pi, size=(300, group.h_dim)),
+        3.0 * rng.standard_normal((300, group.x_dim))], axis=1))
+    owner = rng.integers(0, 300, size=5000)
+    b = group.normalize(a[owner] + rng.standard_normal((5000, group.dim)))
+    assert np.array_equal(group.distance(a, b, owner),
+                          group.distance(a[owner], b))
+
+
 def test_distance_identity_gives_norm():
     group = rotation_plane_group()
     e = group.identity()
@@ -224,26 +249,21 @@ def test_action_apply_matches_matrix():
         assert np.allclose(out[i], group.action.matrix(h[i]) @ x[i], atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_distance_is_finite_past_square_overflow():
-    # |x|^2 overflows past about 1e154; such rows fall back to hypot, and
-    # the other rows keep their bits
+    # |x|^2 overflows past about 1e154; such rows fall back to hypot, quietly,
+    # and the other rows keep their bits
     alg = NilpotentAlgebra(preset_structure("abelian:2"))
     group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
     a = np.array([[1e200, 0.0], [0.3, -0.4]])
     b = np.array([[-1e200, 1e200], [0.0, 0.0]])
-    with np.errstate(over="ignore"):  # np.linalg.norm warns before the fallback
-        d = group.distance(a, b)
+    d = group.distance(a, b)
     assert d[0] == pytest.approx(np.sqrt(5.0) * 1e200, rel=1e-15)
     assert d[1] == np.linalg.norm(b[1] - a[1])
 
 
 def test_angular_mask_wraps_central_coordinate():
-    alg = NilpotentAlgebra(preset_structure("abelian:3"))
-    gen = np.zeros((3, 3))
-    gen[:2, :2] = ROT
-    action = RhoAction(alg, [gen])
-    group = SemidirectGroup(TorusGroup(1), alg, action,
-                            angular_x_mask=[False, False, True])
+    group = masked_circle_group()
     a = np.array([0.0, 0.0, 0.0, np.pi])
     out = group.multiply(a, a)
     # the masked slot adds to 2*pi and wraps back to zero
