@@ -36,8 +36,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import TauTooSmallError, ValidationError
-from .lcs import _power_stack, _rk4_step
-from .spectral import decay_constants
+from .lcs import _rk4_step
+from .spectral import decay_constants, power_stack
 
 NODE_LIMIT = 1_500_000
 # rows (controls x starts x kept snapshots) one anchored run may hold; larger
@@ -247,38 +247,6 @@ class GridWindow:
         inside = np.abs(self.points) <= tol
         return np.flatnonzero(inside.all(axis=1))
 
-    @classmethod
-    def from_bounds(cls, group, level_bounds, x_delta, angle_cells=(),
-                    masked_cells=(), factor=1.5):
-        """Default window: per-level theoretical bounds inflated by factor.
-
-        Every free coordinate inherits the bound of its graded level; the
-        resulting box strictly contains the bound box because factor > 1
-        (cell counts round outward).
-        """
-        if factor <= 1.0 + 1e-9:
-            raise ValidationError("inflation factor must exceed 1")
-        alg = group.algebra
-        level_bounds = np.asarray(level_bounds, dtype=float)
-        if level_bounds.shape != (alg.nilpotency_class,) or np.any(level_bounds <= 0):
-            raise ValidationError("need one positive bound per level")
-        if not np.all(np.isfinite(level_bounds)):
-            raise ValidationError("default windows need finite bounds")
-        free = ~group.x_mask
-        # ambient coordinate -> graded level via the dominant frame row
-        graded_weight = np.abs(alg.frame)
-        coord_level = np.empty(alg.dim, dtype=int)
-        for j in range(alg.dim):
-            weights = [np.max(graded_weight[j, sl]) for sl in alg.level_slices]
-            coord_level[j] = int(np.argmax(weights))
-        bound = level_bounds[coord_level[free]]
-        x_delta = np.broadcast_to(np.asarray(x_delta, dtype=float),
-                                  bound.shape).astype(float)
-        half_cells = np.ceil(factor * bound / x_delta)
-        lower = -half_cells * x_delta
-        upper = half_cells * x_delta
-        return cls(group, lower, upper, x_delta, angle_cells, masked_cells)
-
 
 @dataclass
 class ChainGraph:
@@ -321,7 +289,8 @@ def _step_grid(system, tau):
     h_nominal = system.step_limit * 10.0
     n_steps = max(1, int(math.ceil(2.0 * tau / h_nominal)))
     h = 2.0 * tau / n_steps
-    return h, n_steps, _power_stack(expm(h * system.derivation), n_steps)
+    return h, n_steps, power_stack(expm(h * system.derivation),
+                                   np.eye(system.algebra.dim), n_steps)
 
 
 def _control_slices(n_controls, rows_per_control):

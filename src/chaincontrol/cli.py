@@ -250,13 +250,11 @@ def cmd_simulate(args):
     out = _out_dir(args, "simulate")
     names = [f"theta{j}" for j in range(group.h_dim)] + \
         [f"x{j}" for j in range(group.x_dim)]
-    csv_path = None
-    if "csv" in config.formats:
-        csv_path = out / "trajectory.csv"
-        with open(csv_path, "w") as fh:
-            fh.write(",".join(["t"] + names) + "\n")
-            for t, pt in zip(traj.times, traj.points):
-                fh.write(",".join(f"{v:.12g}" for v in [t, *pt]) + "\n")
+    csv_path = out / "trajectory.csv"
+    with open(csv_path, "w") as fh:
+        fh.write(",".join(["t"] + names) + "\n")
+        for t, pt in zip(traj.times, traj.points):
+            fh.write(",".join(f"{v:.12g}" for v in [t, *pt]) + "\n")
 
     residuals = [_residual_row("integrator_error_estimate",
                                traj.stats["error_estimate"],
@@ -281,8 +279,7 @@ def cmd_simulate(args):
     timings = {"total": time.perf_counter() - t0}
     path = _write_report(out, body, timings)
     print(f"endpoint after t={duration}: {body['endpoint']}")
-    if csv_path:
-        print(f"trajectory: {csv_path}")
+    print(f"trajectory: {csv_path}")
     print(f"report: {path}")
     return _exit_code(body)
 
@@ -326,22 +323,20 @@ def cmd_chainset(args):
     residuals = _structure_residuals(system) + residuals
 
     out = _out_dir(args, "chainset")
-    if "csv" in config.formats:
-        write_nodes_csv(out / "nodes.csv", graph, sets)
-        write_edges_csv(out / "edges.csv", graph)
-        box_axes = [a for a in range(window.n_axes)
-                    if window.axis_kind[a] != "angle"]
-        cols = box_axes[:2] if len(box_axes) >= 2 else []
-        if not cols and window.n_axes >= 2:
-            cols = [0, 1]
-        if cols:
-            plotdir = out / "plotdata"
-            plotdir.mkdir(exist_ok=True)
-            for i, s in enumerate(sets):
-                write_plot_slice(plotdir / f"set{i}.csv", graph, s,
-                                 columns=tuple(cols))
-    if "jsonl" in config.formats:
-        write_sets_jsonl(out / "sets.jsonl", sets, bounds=bound)
+    write_nodes_csv(out / "nodes.csv", graph, sets)
+    write_edges_csv(out / "edges.csv", graph)
+    box_axes = [a for a in range(window.n_axes)
+                if window.axis_kind[a] != "angle"]
+    cols = box_axes[:2] if len(box_axes) >= 2 else []
+    if not cols and window.n_axes >= 2:
+        cols = [0, 1]
+    if cols:
+        plotdir = out / "plotdata"
+        plotdir.mkdir(exist_ok=True)
+        for i, s in enumerate(sets):
+            write_plot_slice(plotdir / f"set{i}.csv", graph, s,
+                             columns=tuple(cols))
+    write_sets_jsonl(out / "sets.jsonl", sets, bounds=bound)
 
     body = {
         "command": "chainset",
@@ -387,7 +382,7 @@ def cmd_conjugate(args):
     out = _out_dir(args, "conjugate")
     cfg.dump_config(run.downstairs_raw, out / "downstairs.yaml")
 
-    if run.mapped is not None and "csv" in config.formats:
+    if run.mapped is not None:
         names = [f"theta{j}" for j in range(psi.target.h_dim)] + \
             [f"x{j}" for j in range(psi.target.x_dim)]
         with open(out / "mapped_nodes.csv", "w") as fh:

@@ -2,8 +2,9 @@
 
 A run is described by one YAML document (or the equivalent dict) with
 blocks for the algebra, the derivation, the compact part, the controls,
-the chain-graph window, and the outputs.  parse_config validates the
-shapes early so a bad file fails before any numerics start.
+the chain-graph window and the quotient.  parse_config validates the
+shapes early and refuses unknown keys, so a bad file fails before any
+numerics start.
 """
 
 import copy
@@ -15,12 +16,24 @@ from dataclasses import dataclass
 from .algebra import NilpotentAlgebra, preset_structure
 from .chains import GridWindow
 from .errors import ValidationError
-from .group import RhoAction, SemidirectGroup, TorusGroup
+from .group import RhoAction, SemidirectGroup
 from .lcs import ControlRange, LinearControlSystem
 
 SCHEMA_VERSION = 1
 
 ROT2 = [[0.0, -1.0], [1.0, 0.0]]
+
+# every key a run config accepts, per block ("" is the root)
+KEYS = {
+    "": ("schema", "name", "seed", "algebra", "derivation", "torus",
+         "control", "chain", "conjugation"),
+    "algebra": ("preset", "structure"),
+    "torus": ("dim", "speeds", "generators", "angular_coords"),
+    "control": ("z", "lower", "upper", "torus_controls", "family"),
+    "chain": ("eps", "tau", "delta", "x_lower", "x_upper", "angle_cells",
+              "masked_cells", "times", "require_interior"),
+    "conjugation": ("extra_kernel",),
+}
 
 
 @dataclass
@@ -48,10 +61,7 @@ class RunConfig:
     tau: float
     times: np.ndarray
     require_interior: bool
-    window_factor: float
-    level_bounds: np.ndarray
     extra_kernel: np.ndarray
-    formats: tuple
 
 
 def _require(cond, message):
@@ -71,10 +81,22 @@ def _ints(values):
     return tuple(int(k) for k in values)
 
 
-def _block(data, key):
-    """An optional sub-block: a mapping, empty when absent."""
-    block = data.get(key) or {}
-    _require(isinstance(block, dict), f"{key} must be a mapping")
+def _known(block, where):
+    """Refuse any key of a block (the root when where is "") not in KEYS."""
+    for key in block:
+        _require(key in KEYS[where],
+                 f"unknown key {where + '.' if where else ''}{key}; "
+                 f"accepted: {', '.join(KEYS[where])}")
+
+
+def _block(data, key, required=False):
+    """A sub-block of known keys; an optional one is empty when absent."""
+    block = data.get(key)
+    if not required:
+        block = block or {}
+    _require(isinstance(block, dict),
+             f"missing {key} block" if required else f"{key} must be a mapping")
+    _known(block, key)
     return block
 
 
@@ -93,12 +115,12 @@ def parse_config(data):
     _require(data.get("schema") == SCHEMA_VERSION,
              f"unsupported schema {data.get('schema')!r}, "
              f"expected {SCHEMA_VERSION}")
+    _known(data, "")
     name = str(data.get("name", "run"))
     seed = _convert(int, data.get("seed", 0), "seed")
     _require(0 <= seed < 2 ** 64, "seed must fit in 64 bits")
 
-    alg_block = data.get("algebra")
-    _require(isinstance(alg_block, dict), "missing algebra block")
+    alg_block = _block(data, "algebra", required=True)
     preset = alg_block.get("preset")
     structure = alg_block.get("structure")
     _require((preset is None) != (structure is None),
@@ -137,8 +159,7 @@ def parse_config(data):
     _require(all(0 <= i < n for i in angular),
              "angular_coords must index nilpotent coordinates")
 
-    control = data.get("control")
-    _require(isinstance(control, dict), "missing control block")
+    control = _block(data, "control", required=True)
     lower = np.atleast_1d(_matrix(control.get("lower"), "control.lower"))
     upper = np.atleast_1d(_matrix(control.get("upper"), "control.upper"))
     _require(lower.shape == upper.shape and lower.ndim == 1,
@@ -157,29 +178,20 @@ def parse_config(data):
     fam = control.get("family")
     family = None if fam is None else np.atleast_2d(_matrix(fam, "control.family"))
     if family is not None:
-        _require(family.shape[1] == m, "control.family entries must have "
-                                       f"dimension {m}")
+        _require(family.ndim == 2 and family.shape[1] == m,
+                 f"control.family must be a list of controls of dimension {m}")
 
-    chain = data.get("chain")
-    _require(isinstance(chain, dict), "missing chain block")
+    chain = _block(data, "chain", required=True)
     eps = _convert(float, chain.get("eps", 0.0), "chain.eps")
     tau = _convert(float, chain.get("tau", 0.0), "chain.tau")
     _require(0 < eps < np.inf and 0 < tau < np.inf,
              "chain.eps and chain.tau must be positive and finite")
     delta = np.atleast_1d(_matrix(chain.get("delta"), "chain.delta"))
-    xl = chain.get("x_lower")
-    xu = chain.get("x_upper")
-    lb = chain.get("level_bounds")
-    _require((xl is None) == (xu is None),
-             "chain.x_lower and chain.x_upper come together")
-    _require((xl is None) != (lb is None),
-             "chain window needs exactly one of explicit bounds / level_bounds")
-    x_lower = None if xl is None else np.atleast_1d(_matrix(xl, "chain.x_lower"))
-    x_upper = None if xu is None else np.atleast_1d(_matrix(xu, "chain.x_upper"))
-    level_bounds = None if lb is None else np.atleast_1d(
-        _matrix(lb, "chain.level_bounds"))
-    window_factor = _convert(float, chain.get("window_factor", 1.5),
-                             "chain.window_factor")
+    xl, xu = chain.get("x_lower"), chain.get("x_upper")
+    _require(xl is not None and xu is not None,
+             "chain window needs both chain.x_lower and chain.x_upper")
+    x_lower = np.atleast_1d(_matrix(xl, "chain.x_lower"))
+    x_upper = np.atleast_1d(_matrix(xu, "chain.x_upper"))
     angle_cells = _convert(_ints, chain.get("angle_cells", []),
                            "chain.angle_cells")
     _require(len(angle_cells) == torus_dim,
@@ -190,18 +202,13 @@ def parse_config(data):
              "chain.masked_cells must list one count per angular coordinate")
     t = chain.get("times")
     times = None if t is None else np.atleast_1d(_matrix(t, "chain.times"))
-    require_interior = bool(chain.get("require_interior", False))
+    require_interior = chain.get("require_interior", False)
+    _require(isinstance(require_interior, bool),
+             "chain.require_interior must be true or false")
 
     conj = _block(data, "conjugation")
     ek = conj.get("extra_kernel")
     extra_kernel = None if ek is None else _matrix(ek, "conjugation.extra_kernel")
-
-    output = _block(data, "output")
-    formats = _convert(tuple, output.get("formats", ("csv", "jsonl")),
-                       "output.formats")
-    formats = tuple(str(f) for f in formats)
-    for f in formats:
-        _require(f in ("csv", "jsonl"), f"unknown output format {f!r}")
 
     return RunConfig(
         name=name, seed=seed, structure=structure_arr,
@@ -212,9 +219,7 @@ def parse_config(data):
         x_lower=x_lower, x_upper=x_upper, delta=delta,
         angle_cells=angle_cells, masked_cells=masked_cells,
         eps=eps, tau=tau, times=times, require_interior=require_interior,
-        window_factor=window_factor,
-        level_bounds=level_bounds, extra_kernel=extra_kernel,
-        formats=formats)
+        extra_kernel=extra_kernel)
 
 
 def build_system(config):
@@ -225,13 +230,12 @@ def build_system(config):
     still fail here with a named residual.
     """
     algebra = NilpotentAlgebra(config.structure)
-    torus = TorusGroup(config.torus_dim)
     action = RhoAction(algebra, config.generators)
     mask = None
     if config.angular_coords:
         mask = np.zeros(algebra.dim, dtype=bool)
         mask[list(config.angular_coords)] = True
-    group = SemidirectGroup(torus, algebra, action, angular_x_mask=mask)
+    group = SemidirectGroup(algebra, action, angular_x_mask=mask)
     rng = ControlRange(config.lower, config.upper)
     return LinearControlSystem(group, config.derivation,
                                config.control_vectors, rng,
@@ -239,16 +243,10 @@ def build_system(config):
 
 
 def build_window(config, system):
-    """Instantiate the grid window, via explicit bounds or level bounds."""
-    if config.x_lower is not None:
-        return GridWindow(system.group, config.x_lower, config.x_upper,
-                          config.delta, angle_cells=config.angle_cells,
-                          masked_cells=config.masked_cells)
-    return GridWindow.from_bounds(system.group, config.level_bounds,
-                                  config.delta,
-                                  angle_cells=config.angle_cells,
-                                  masked_cells=config.masked_cells,
-                                  factor=config.window_factor)
+    """Instantiate the grid window the config's chain block gives."""
+    return GridWindow(system.group, config.x_lower, config.x_upper,
+                      config.delta, angle_cells=config.angle_cells,
+                      masked_cells=config.masked_cells)
 
 
 def downstairs_raw(config, psi):
@@ -274,19 +272,14 @@ def downstairs_raw(config, psi):
             "tau": config.tau,
             "delta": config.delta.tolist(),
             "angle_cells": list(config.angle_cells),
+            "x_lower": config.x_lower.tolist(),
+            "x_upper": config.x_upper.tolist(),
         },
-        "output": {"formats": list(config.formats)},
     }
     if config.torus_controls is not None:
         data["control"]["torus_controls"] = config.torus_controls.tolist()
     if config.family is not None:
         data["control"]["family"] = config.family.tolist()
-    if config.x_lower is not None:
-        data["chain"]["x_lower"] = config.x_lower.tolist()
-        data["chain"]["x_upper"] = config.x_upper.tolist()
-    else:
-        data["chain"]["level_bounds"] = config.level_bounds.tolist()
-        data["chain"]["window_factor"] = config.window_factor
     if config.times is not None:
         data["chain"]["times"] = config.times.tolist()
     return data
@@ -307,7 +300,6 @@ _SCALAR_COMMON = {
         "eps": 0.1, "tau": 1.0, "times": [1.35, 2.0],
         "require_interior": True,
     },
-    "output": {"formats": ["csv", "jsonl"]},
 }
 
 PRESETS = {}
@@ -342,7 +334,6 @@ _register("rotation-plane", {
         "delta": [0.2, 0.2], "angle_cells": [64],
         "eps": 0.05, "tau": 2.0, "times": [2.0, 3.0],
     },
-    "output": {"formats": ["csv", "jsonl"]},
 })
 
 # Fully expanding graded example.  The control grid is phased so the level
@@ -364,7 +355,6 @@ _register("heisenberg-expanding", {
         "eps": 0.15, "tau": 1.0,
         "require_interior": True,
     },
-    "output": {"formats": ["csv", "jsonl"]},
 })
 
 # Circle acting by rotation on a plane with a central circle factor; the
@@ -389,7 +379,6 @@ _register("conjugation-upstairs", {
         "delta": [0.25, 0.25], "angle_cells": [8], "masked_cells": [8],
         "eps": 0.15, "tau": 1.0,
     },
-    "output": {"formats": ["csv", "jsonl"]},
 })
 
 # Flat direction demo: zero eigenvalue along the first axis, contraction on
@@ -407,8 +396,7 @@ for _w in (2.0, 4.0, 8.0):
             "delta": [_w / 20.0, 0.15],
             "eps": 0.25, "tau": 1.0, "times": [1.35, 2.0],
         },
-        "output": {"formats": ["csv", "jsonl"]},
-    })
+        })
 
 
 def preset_config(name):

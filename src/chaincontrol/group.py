@@ -1,4 +1,4 @@
-"""Group models: tori, twisted actions, and semidirect products.
+"""Group models: twisted torus actions and semidirect products.
 
 The ambient group is T^m x_rho N where N is a simply connected nilpotent
 group in exponential coordinates, optionally with some central coordinates
@@ -25,27 +25,6 @@ N_SAMPLES = 20  # random samples behind each identity residual
 def wrap_angle(values):
     """Reduce angles into [-pi, pi)."""
     return np.mod(np.asarray(values, dtype=float) + np.pi, TWO_PI) - np.pi
-
-
-class TorusGroup:
-    """Flat torus T^m written additively.
-
-    A translation drift h -> h + t s with s != 0 moves the identity, so it
-    is not an automorphism flow; the torus part of every drift is trivial.
-    """
-
-    def __init__(self, dim):
-        if dim < 0:
-            raise ValidationError("torus dimension must be nonnegative")
-        self.dim = int(dim)
-
-    def add(self, a, b):
-        return wrap_angle(np.asarray(a, dtype=float) + b)
-
-    def distance(self, a, b):
-        """Bi-invariant distance: norm of the wrapped coordinate difference."""
-        diff = wrap_angle(np.asarray(b, dtype=float) - a)
-        return np.linalg.norm(diff, axis=-1)
 
 
 class RhoAction:
@@ -146,22 +125,21 @@ class RhoAction:
 class SemidirectGroup:
     """T^m x_rho N with points stored as arrays (..., m + n).
 
-    Coordinates: m torus angles, then n exponential coordinates of N.
-    angular_x_mask marks central coordinates of N that are themselves
-    wrapped into circle factors; those directions must be killed by the
-    bracket and by every action generator.
+    Coordinates: m torus angles, one per action generator, then n
+    exponential coordinates of N.  The torus is flat and written additively;
+    a translation drift h -> h + t s with s != 0 moves the identity, so it
+    is not an automorphism flow and the torus part of every drift is
+    trivial.  angular_x_mask marks central coordinates of N that are
+    themselves wrapped into circle factors; those directions must be killed
+    by the bracket and by every action generator.
     """
 
-    def __init__(self, torus, algebra, action, angular_x_mask=None):
+    def __init__(self, algebra, action, angular_x_mask=None):
         if action.algebra is not algebra:
             raise ValidationError("action is bound to a different algebra")
-        if action.n_params != torus.dim:
-            raise ValidationError(
-                "need exactly one action generator per torus coordinate")
-        self.torus = torus
         self.algebra = algebra
         self.action = action
-        m, n = torus.dim, algebra.dim
+        m, n = action.n_params, algebra.dim
         self.h_dim, self.x_dim = m, n
         self.dim = m + n
 
@@ -219,21 +197,22 @@ class SemidirectGroup:
     def multiply(self, a, b):
         h_a, x_a = self.split(a)
         h_b, x_b = self.split(b)
-        h = self.torus.add(h_a, h_b)
+        h = wrap_angle(h_a + h_b)
         x = self.algebra.bch(x_a, self.action.apply(h_a, x_b))
         return self.normalize(self.join(h, x))
 
     def distance(self, a, b, owner=None):
         """Left-invariant distance d(a, b) = d_H part + |x part of a^{-1} b|.
 
-        The nilpotent part of a^{-1} b is rho(-h_a) bch(-x_a, x_b); angular
+        d_H is the norm of the wrapped angle difference.  The nilpotent part of a^{-1} b is rho(-h_a) bch(-x_a, x_b); angular
         nilpotent coordinates are wrapped before taking the norm.  With an
         index array owner: d(a[owner], b), bit for bit, one phase per a row.
         """
         h_a, x_a = self.split(np.asarray(a, dtype=float))
         h_b, x_b = self.split(np.asarray(b, dtype=float))
         h_row, x_row = (h_a, x_a) if owner is None else (h_a[owner], x_a[owner])
-        d_h = self.torus.distance(h_row, h_b) if self.h_dim else 0.0
+        d_h = (np.linalg.norm(wrap_angle(h_b - h_row), axis=-1)
+               if self.h_dim else 0.0)
         x_rel = self.action.apply(-h_a, self.algebra.bch(-x_row, x_b), owner)
         if self.x_mask.any():
             x_rel = np.array(x_rel, copy=True)
@@ -356,7 +335,7 @@ class ConjugationMap:
         self.matrix = d
         self.matrix_hat = d_hat
         self.w = w
-        self.target = SemidirectGroup(group.torus, quot_alg, quot_action)
+        self.target = SemidirectGroup(quot_alg, quot_action)
 
     def apply(self, g):
         h, x = self.group.split(np.asarray(g, dtype=float))

@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 from .errors import IntegratorBudgetError, ValidationError
 from .group import validate_linear_flow
-from .spectral import block_decompose
+from .spectral import block_decompose, power_stack
 
 BUDGET_RATE, FRACTION = 1e-8, 0.01  # integrate's error budget; per-step share
 SAFETY, SHRINK, GROW, MIN_STEP = 0.9, 0.2, 5.0, 1e-6  # its step controller
@@ -146,7 +146,7 @@ class LinearControlSystem:
     control_vectors: (m, n) rows in the nilpotent algebra.
     torus_controls: optional (m, h_dim) rows of compact-part control speeds.
     The drift moves only the nilpotent part: a translation flow on the
-    torus is not by automorphisms, so TorusGroup carries none.
+    torus is not by automorphisms, so SemidirectGroup carries none.
     """
 
     def __init__(self, group, derivation, control_vectors, control_range,
@@ -362,16 +362,6 @@ def _cumulative_simpson(f, h):
     return out
 
 
-def _power_stack(mat, count):
-    """[I, M, M^2, ..., M^count] as one array."""
-    d = mat.shape[0]
-    out = np.empty((count + 1, d, d))
-    out[0] = np.eye(d)
-    for k in range(1, count + 1):
-        out[k] = out[k - 1] @ mat
-    return out
-
-
 class TriangularSolution:
     def __init__(self, components, combined):
         self.components = components
@@ -446,8 +436,8 @@ def triangular_solve(system, duration, g0, control):
                 raise ValidationError(
                     f"level {level} source depends on levels >= {level}")
 
-            decay = _power_stack(expm(-h * b), n)
-            grow = _power_stack(expm(h * b), n)
+            decay = power_stack(expm(-h * b), np.eye(d), n)
+            grow = power_stack(expm(h * b), np.eye(d), n)
             f = np.einsum("kab,kb->ka", decay, g_nodes) @ e_start.T
             integral = _cumulative_simpson(f, h) + i_start
             x_piece = np.einsum(

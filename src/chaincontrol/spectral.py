@@ -141,6 +141,24 @@ def block_decompose(algebra, matrix):
     return blocks
 
 
+def power_stack(mat, start, count):
+    """[start, M start, M^2 start, ..., M^count start] as one array.
+
+    With nodes 0..m-1 filled, one batched product by M^m fills m..2m-1, and
+    M^m becomes M^{2m}: about log2(count) matrix products in all.
+    """
+    stack = np.empty((count + 1, *start.shape))
+    stack[0] = start
+    power = mat
+    filled = 1
+    while filled <= count:
+        take = min(filled, count + 1 - filled)
+        np.matmul(power, stack[:take], out=stack[filled:filled + take])
+        power = power @ power
+        filled += take
+    return stack
+
+
 def decay_constants(matrix):
     """Certified exponential rate and overshoot for a hyperbolic matrix.
 
@@ -181,17 +199,9 @@ def decay_constants(matrix):
                               (split.unstable_basis, split.unstable_rows, -1.0)):
         if not basis.shape[1]:
             continue
-        # node k holds P^k C, P = e^{h S}: with nodes 0..m-1 filled, one
-        # batched product by P^m fills m..2m-1, then P^m becomes P^{2m}
-        stack = np.empty((n_steps + 1, *rows.shape))
-        stack[0] = rows
-        power = expm(DECAY_STEP * sign * (basis.T @ d @ basis))
-        filled = 1
-        while filled <= n_steps:
-            take = min(filled, n_steps + 1 - filled)
-            np.matmul(power, stack[:take], out=stack[filled:filled + take])
-            power = power @ power
-            filled += take
+        # node k holds P^k C, P = e^{h S}
+        stack = power_stack(expm(DECAY_STEP * sign * (basis.T @ d @ basis)),
+                            rows, n_steps)
         scaled = np.linalg.norm(stack, ord=2, axis=(1, 2)) * weights
         raw = max(raw, float(np.max(scaled[::COARSE_EVERY])))
         fine = max(fine, float(np.max(scaled)))

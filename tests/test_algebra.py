@@ -8,7 +8,7 @@ from chaincontrol.algebra import (
     quotient_by_central,
 )
 from chaincontrol.errors import NotNilpotentError, ValidationError
-from chaincontrol.group import RhoAction, SemidirectGroup, TorusGroup
+from chaincontrol.group import RhoAction, SemidirectGroup
 from chaincontrol.lcs import ControlRange, LinearControlSystem
 
 
@@ -230,7 +230,7 @@ def test_field_is_derivative_of_product(case):
     x, v = rng.standard_normal((2, 5, n))
     if case == "heisenberg3-hand":
         x, v = np.eye(3)[[1]], np.eye(3)[[0]]
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     system = LinearControlSystem(group, np.zeros((n, n)), np.eye(n),
                                  ControlRange(-np.ones(n), np.ones(n)))
     field = system.field(v, x)

@@ -40,7 +40,7 @@ from chaincontrol.errors import (
     TauTooSmallError,
     ValidationError,
 )
-from chaincontrol.group import RhoAction, SemidirectGroup, TorusGroup
+from chaincontrol.group import RhoAction, SemidirectGroup
 from chaincontrol.lcs import ControlRange, LinearControlSystem
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -48,7 +48,7 @@ ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 def scalar_system(rate):
     alg = NilpotentAlgebra(preset_structure("abelian:1"))
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     return LinearControlSystem(group, [[rate]], [[1.0]],
                                ControlRange([-1.0], [1.0]))
 
@@ -114,18 +114,6 @@ def test_grid_window_validation():
         GridWindow(group, [-1.0], [1.0], [0.1], angle_cells=(8,))
 
 
-def test_grid_window_from_bounds():
-    system = scalar_system(-1.0)
-    window = GridWindow.from_bounds(system.group, [1.0], [0.25])
-    # factor 1.5 on a unit bound, ceil to whole cells
-    assert window.x_lower[0] == pytest.approx(-1.5)
-    assert window.x_upper[0] == pytest.approx(1.5)
-    with pytest.raises(ValidationError):
-        GridWindow.from_bounds(system.group, [1.0], [0.25], factor=1.0)
-    with pytest.raises(ValidationError):
-        GridWindow.from_bounds(system.group, [np.inf], [0.25])
-
-
 def test_grid_window_boundary_layer():
     system = scalar_system(-1.0)
     window = scalar_window(system)
@@ -147,7 +135,7 @@ def test_identity_and_fiber_cells_scalar():
 
 def test_central_fiber_nodes_torus():
     alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    group = SemidirectGroup(TorusGroup(1), alg, RhoAction(alg, [ROT]))
+    group = SemidirectGroup(alg, RhoAction(alg, [ROT]))
     window = GridWindow(group, [-1.0, -1.0], [1.0, 1.0], [0.5, 0.5],
                         angle_cells=(8,))
     fiber = central_fiber_nodes(window)
@@ -173,9 +161,9 @@ def _radii_case(name):
     if name.startswith("skewed-"):
         alg = NilpotentAlgebra(preset_structure(name.removeprefix("skewed-")))
         action = RhoAction(alg, [_skewed_rotation(alg.dim)])
-        return SemidirectGroup(TorusGroup(1), alg, action)
+        return SemidirectGroup(alg, action)
     alg = NilpotentAlgebra(preset_structure(name))
-    return SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    return SemidirectGroup(alg, RhoAction(alg, []))
 
 
 @pytest.mark.parametrize("name", ["skewed-abelian:2", "skewed-heisenberg3",
@@ -390,7 +378,7 @@ def test_full_torus_fiber_single_set():
     # free spinning on the circle with a contracting line attached: the
     # unique chain control set covers every angle cell
     alg = NilpotentAlgebra(preset_structure("abelian:1"))
-    group = SemidirectGroup(TorusGroup(1), alg, RhoAction(alg, [np.zeros((1, 1))]))
+    group = SemidirectGroup(alg, RhoAction(alg, [np.zeros((1, 1))]))
     system = LinearControlSystem(group, [[-1.0]], [[0.0]],
                                  ControlRange([-1.0], [1.0]),
                                  torus_controls=[[1.0]])
@@ -406,7 +394,7 @@ def test_full_torus_fiber_single_set():
 
 def test_rotation_plane_small_window():
     alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    group = SemidirectGroup(TorusGroup(1), alg, RhoAction(alg, [ROT]))
+    group = SemidirectGroup(alg, RhoAction(alg, [ROT]))
     z = np.array([[0.0, 0.0], [1.0, 0.0]])
     system = LinearControlSystem(group, -np.eye(2), z,
                                  ControlRange([-1.0] * 2, [1.0] * 2),
@@ -467,7 +455,7 @@ def test_theoretical_bound_tau_monotone():
 
 def test_theoretical_bound_heisenberg_levels():
     alg = NilpotentAlgebra(preset_structure("heisenberg3"))
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     system = LinearControlSystem(group, np.diag([1.0, 2.0, 3.0]),
                                  [[1.0, 1.0, 0.0]],
                                  ControlRange([-1.0], [1.0]))
@@ -479,7 +467,7 @@ def test_theoretical_bound_heisenberg_levels():
 
 def test_theoretical_bound_tau_too_small():
     alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     system = LinearControlSystem(group, [[1.0, 4.0], [0.0, 1.2]],
                                  np.eye(2), ControlRange([-1.0] * 2, [1.0] * 2))
     with pytest.raises(TauTooSmallError):
@@ -491,7 +479,7 @@ def test_theoretical_bound_tau_too_small():
 
 def test_theoretical_bound_not_hyperbolic():
     alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     system = LinearControlSystem(group, np.diag([0.0, -1.0]),
                                  np.eye(2), ControlRange([-1.0] * 2, [1.0] * 2))
     with pytest.raises(NotHyperbolicError):
@@ -691,7 +679,7 @@ def test_anchored_runs_match_oracle_on_random_systems(heisenberg, a, b, seed):
     name, rates = (("heisenberg3", [a, b, a + b]) if heisenberg
                    else ("abelian:2", [a, b]))
     alg = NilpotentAlgebra(preset_structure(name))
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     n = alg.dim
     system = LinearControlSystem(group, np.diag(rates),
                                  rng.uniform(-1.0, 1.0, (1, n)),

@@ -294,6 +294,10 @@ def test_conjugate_identity_quotient(tmp_path):
     assert np.array_equal(down.derivation, up.derivation)
     assert np.array_equal(down.control_vectors, up.control_vectors)
     assert (out / "mapped_nodes.csv").exists()
+    # the written config is a run config in its own right
+    assert main(["chainset", "--config", str(out / "downstairs.yaml"),
+                 "--out", str(tmp_path / "down")]) == 0
+    assert read_report(tmp_path / "down")["body"]["n_sets"] == 1
     rows = {r["name"]: r for r in body["residuals"]}
     assert rows["set_inclusion"]["value"] == 0.0
     # no angle cells: the spacing is the largest delta alone
@@ -344,8 +348,20 @@ BAD_INPUTS = {
                           _preset_yaml("torus", 3)),
     "generators-not-list": (["decompose", "--config", "{file}"],
                             _preset_yaml("torus", 3, key="generators")),
-    "formats-not-list": (["decompose", "--config", "{file}"],
-                         _preset_yaml("output", 3, key="formats")),
+    # keys the config no longer has, a misspelt key, and values of a wrong
+    # kind that used to pass or crash late
+    "output-block": (["chainset", "--config", "{file}"],
+                     _preset_yaml("output", {"formats": ["csv", "jsonl"]})),
+    "level-bounds": (["chainset", "--config", "{file}"],
+                     _preset_yaml("chain", [1.0], key="level_bounds")),
+    "window-factor": (["chainset", "--config", "{file}"],
+                      _preset_yaml("chain", 1.5, key="window_factor")),
+    "misspelt-key": (["chainset", "--config", "{file}"],
+                     _preset_yaml("chain", True, key="requre_interior")),
+    "family-3-deep": (["chainset", "--config", "{file}"],
+                      _preset_yaml("control", [[[0.5]]], key="family")),
+    "interior-not-bool": (["chainset", "--config", "{file}"],
+                          _preset_yaml("chain", "no", key="require_interior")),
     "delta-empty": (["chainset", "--config", "{file}"],
                     _preset_yaml("chain", [], key="delta")),
     # a flag override meets a chain block that is not a mapping
@@ -364,6 +380,13 @@ BAD_INPUTS = {
     "verify-seed-flag": (["verify", "--seed", "abc"], None),
     "no-subcommand": ([], None),
 }
+
+# the config key each of these rows' one stderr line must name
+NAMED_KEYS = {"output-block": "output", "level-bounds": "chain.level_bounds",
+              "window-factor": "chain.window_factor",
+              "misspelt-key": "chain.requre_interior",
+              "family-3-deep": "control.family",
+              "interior-not-bool": "chain.require_interior"}
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["chainset", "--help"]])
@@ -386,3 +409,4 @@ def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, case):
     assert code == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
+    assert NAMED_KEYS.get(case, "") in err

@@ -34,8 +34,8 @@ def test_minimal_roundtrip(tmp_path):
     assert c.name == "minimal" and c.seed == 5
     assert c.structure.shape == (1, 1, 1)
     assert c.family is None and c.times is None
-    assert c.require_interior is False
-    assert c.formats == ("csv", "jsonl")
+    assert c.require_interior is False and c.extra_kernel is None
+    assert np.array_equal(c.x_lower, [-2.0]) and np.array_equal(c.x_upper, [2.0])
     path = tmp_path / "run.yaml"
     cfg.dump_config(minimal_raw(), path)
     back = load(path)
@@ -105,18 +105,27 @@ def test_torus_speeds_must_be_zero(tmp_path, capsys):
 
 
 def test_window_spec_exactly_one():
+    """Explicit bounds are the one way to give the window."""
+    for key, value in (("level_bounds", [1.0]), ("window_factor", 1.5)):
+        raw = minimal_raw()
+        raw["chain"][key] = value
+        with pytest.raises(ValidationError, match=f"unknown key chain.{key}"):
+            cfg.parse_config(raw)
     raw = minimal_raw()
-    raw["chain"]["level_bounds"] = [1.0]
-    with pytest.raises(ValidationError):
-        cfg.parse_config(raw)
     del raw["chain"]["x_lower"]
     del raw["chain"]["x_upper"]
-    del raw["chain"]["level_bounds"]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="x_lower and chain.x_upper"):
         cfg.parse_config(raw)
-    raw["chain"]["level_bounds"] = [1.0]
-    c = cfg.parse_config(raw)
-    assert c.x_lower is None and c.level_bounds is not None
+
+
+@pytest.mark.parametrize("block", sorted(cfg.KEYS))
+def test_unknown_key_refused_in_every_block(block):
+    raw = minimal_raw()
+    target = raw.setdefault(block, {}) if block else raw
+    target["bogus"] = 1
+    where = f"{block}.bogus" if block else "bogus"
+    with pytest.raises(ValidationError, match=f"unknown key {where};"):
+        cfg.parse_config(raw)
 
 
 def test_x_bounds_come_together():
@@ -140,13 +149,6 @@ def test_angle_and_masked_cell_counts():
         cfg.parse_config(raw)
     raw = minimal_raw()
     raw["chain"]["masked_cells"] = [8]
-    with pytest.raises(ValidationError):
-        cfg.parse_config(raw)
-
-
-def test_output_format_whitelist():
-    raw = minimal_raw()
-    raw["output"] = {"formats": ["xml"]}
     with pytest.raises(ValidationError):
         cfg.parse_config(raw)
 

@@ -11,7 +11,6 @@ from chaincontrol.group import (
     ConjugationMap,
     RhoAction,
     SemidirectGroup,
-    TorusGroup,
     compatibility_residual,
     validate_linear_flow,
     wrap_angle,
@@ -24,7 +23,7 @@ def rotation_plane_group():
     """T^1 acting on abelian R^2 by rotation."""
     alg = NilpotentAlgebra(preset_structure("abelian:2"))
     action = RhoAction(alg, [ROT])
-    return SemidirectGroup(TorusGroup(1), alg, action)
+    return SemidirectGroup(alg, action)
 
 
 def rotation_heisenberg_group():
@@ -33,7 +32,7 @@ def rotation_heisenberg_group():
     gen = np.zeros((3, 3))
     gen[:2, :2] = ROT
     action = RhoAction(alg, [gen])
-    return SemidirectGroup(TorusGroup(1), alg, action)
+    return SemidirectGroup(alg, action)
 
 
 def test_wrap_angle_values():
@@ -46,18 +45,23 @@ def test_wrap_angle_values():
 
 
 def test_torus_group_laws():
-    torus = TorusGroup(2)
-    a = np.array([3.0, -2.0])
-    b = np.array([1.5, 2.5])
-    assert torus.distance(a, a) == 0.0
+    """T^2 acting trivially on R: the torus part is the flat torus."""
+    alg = NilpotentAlgebra(preset_structure("abelian:1"))
+    group = SemidirectGroup(alg, RhoAction(alg, [np.zeros((1, 1))] * 2))
+    assert group.h_dim == 2 and group.x_dim == 1
+    a = np.array([3.0, -2.0, 0.0])
+    b = np.array([1.5, 2.5, 0.0])
+    assert group.distance(a, a) == 0.0
     # adding a full turn is a no-op
-    assert torus.distance(a, a + 2 * np.pi) == pytest.approx(0.0, abs=1e-12)
-    # bi-invariance of the distance under translation on either side
+    turn = a + [2 * np.pi, 2 * np.pi, 0.0]
+    assert group.distance(a, turn) == pytest.approx(0.0, abs=1e-12)
+    # the torus distance is invariant under translation, which commutes
     rng = np.random.default_rng(0)
     for _ in range(20):
-        c = rng.uniform(-np.pi, np.pi, size=2)
-        lhs = torus.distance(torus.add(c, a), torus.add(c, b))
-        assert lhs == pytest.approx(torus.distance(a, b), abs=1e-12)
+        c = np.append(rng.uniform(-np.pi, np.pi, size=2), 0.0)
+        lhs = group.distance(group.multiply(c, a), group.multiply(c, b))
+        assert lhs == pytest.approx(group.distance(a, b), abs=1e-12)
+        assert np.allclose(group.multiply(c, a), group.multiply(a, c))
 
 
 def test_rotation_product_frozen():
@@ -128,7 +132,7 @@ def masked_circle_group():
     alg = NilpotentAlgebra(preset_structure("abelian:3"))
     gen = np.zeros((3, 3))
     gen[:2, :2] = ROT
-    return SemidirectGroup(TorusGroup(1), alg, RhoAction(alg, [gen]),
+    return SemidirectGroup(alg, RhoAction(alg, [gen]),
                            angular_x_mask=[False, False, True])
 
 
@@ -159,7 +163,7 @@ def test_distance_identity_gives_norm():
 def test_linear_flow_diagonal_frozen():
     alg = NilpotentAlgebra(preset_structure("heisenberg3"))
     action = RhoAction(alg, [])
-    group = SemidirectGroup(TorusGroup(0), alg, action)
+    group = SemidirectGroup(alg, action)
     d = np.diag([1.0, 2.0, 3.0])
     g = np.array([1.0, 1.0, 1.0])
     out = group.linear_flow(1.0, g, d)
@@ -254,7 +258,7 @@ def test_distance_is_finite_past_square_overflow():
     # |x|^2 overflows past about 1e154; such rows fall back to hypot, quietly,
     # and the other rows keep their bits
     alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     a = np.array([[1e200, 0.0], [0.3, -0.4]])
     b = np.array([[-1e200, 1e200], [0.0, 0.0]])
     d = group.distance(a, b)
@@ -278,11 +282,11 @@ def test_angular_mask_rejects_noncentral():
     alg = NilpotentAlgebra(preset_structure("heisenberg3"))
     action = RhoAction(alg, [])
     with pytest.raises(ValidationError):
-        SemidirectGroup(TorusGroup(0), alg, action,
+        SemidirectGroup(alg, action,
                         angular_x_mask=[True, False, False])
     # the center of heisenberg is reached by brackets, so it cannot wrap either
     with pytest.raises(ValidationError):
-        SemidirectGroup(TorusGroup(0), alg, action,
+        SemidirectGroup(alg, action,
                         angular_x_mask=[False, False, True])
 
 
@@ -292,7 +296,7 @@ def test_conjugation_drops_masked_circle():
     gen = np.zeros((3, 3))
     gen[:2, :2] = ROT
     action = RhoAction(alg, [gen])
-    group = SemidirectGroup(TorusGroup(1), alg, action,
+    group = SemidirectGroup(alg, action,
                             angular_x_mask=[False, False, True])
     lam = -0.7
     d = np.diag([lam, lam, 0.0])
@@ -318,7 +322,7 @@ def test_conjugation_extra_central_kernel():
     # no compact factor: R^2 with D = diag(-1, 0); quotient kills e2
     alg = NilpotentAlgebra(preset_structure("abelian:2"))
     action = RhoAction(alg, [])
-    group = SemidirectGroup(TorusGroup(0), alg, action)
+    group = SemidirectGroup(alg, action)
     d = np.diag([-1.0, 0.0])
     psi = ConjugationMap(group, d, extra_kernel=np.array([[0.0], [1.0]]))
     assert psi.target.x_dim == 1

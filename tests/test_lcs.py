@@ -7,7 +7,7 @@ from chaincontrol import config as cfg
 from chaincontrol import lcs
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
 from chaincontrol.errors import IntegratorBudgetError, ValidationError
-from chaincontrol.group import RhoAction, SemidirectGroup, TorusGroup
+from chaincontrol.group import RhoAction, SemidirectGroup
 from chaincontrol.lcs import (
     ControlFunction,
     ControlRange,
@@ -26,14 +26,14 @@ ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 def scalar_system(rate):
     """One-dimensional xdot = rate*x + u with u in [-1, 1]."""
     alg = NilpotentAlgebra(preset_structure("abelian:1"))
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     return LinearControlSystem(group, [[rate]], [[1.0]],
                                ControlRange([-1.0], [1.0]))
 
 
 def heisenberg_system(diag=(1.0, 2.0, 3.0)):
     alg = NilpotentAlgebra(preset_structure("heisenberg3"))
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     z = np.array([[1.0, 1.0, 0.0]])
     return LinearControlSystem(group, np.diag(diag), z,
                                ControlRange([-1.0], [1.0]))
@@ -43,7 +43,7 @@ def rotation_plane_system():
     """Torus circle acting by rotation on the plane; one control spins the
     circle, the other pushes along the first plane axis."""
     alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    group = SemidirectGroup(TorusGroup(1), alg, RhoAction(alg, [ROT]))
+    group = SemidirectGroup(alg, RhoAction(alg, [ROT]))
     z = np.array([[0.0, 0.0], [1.0, 0.0]])
     yh = np.array([[1.0], [0.0]])
     return LinearControlSystem(group, -np.eye(2), z,
@@ -104,7 +104,7 @@ def test_field_zero_state_gives_control_vector():
 
 def test_field_abelian_is_affine():
     alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     system = LinearControlSystem(group, np.diag([2.0, -1.0]), [[1.0, 3.0]],
                                  ControlRange([-1.0], [1.0]))
     rng = np.random.default_rng(0)
@@ -118,7 +118,7 @@ def test_field_abelian_is_affine():
 def test_field_heisenberg_series_hand_value():
     # value of the invariant extension of e1 at x = e2: e1 plus half e3
     alg = NilpotentAlgebra(preset_structure("heisenberg3"))
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     system = LinearControlSystem(group, np.zeros((3, 3)), [[1.0, 0.0, 0.0]],
                                  ControlRange([-1.0], [1.0]))
     out = system.field([1.0], np.array([0.0, 1.0, 0.0]))
@@ -165,7 +165,7 @@ def _field_case_system(case):
         return cfg.build_system(cfg.preset_config(case))
     alg = NilpotentAlgebra(preset_structure(case))
     n = alg.dim
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     return LinearControlSystem(group, np.zeros((n, n)), np.eye(n),
                                ControlRange(-np.ones(n), np.ones(n)))
 
@@ -436,7 +436,7 @@ def test_triangular_scalar_piecewise_hand_value():
 
 def test_triangular_abelian_classical_formula():
     alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    group = SemidirectGroup(TorusGroup(0), alg, RhoAction(alg, []))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
     d = np.array([[0.5, 0.0], [1.0, -1.0]])
     system = LinearControlSystem(group, d, [[1.0, 0.5]],
                                  ControlRange([-1.0], [1.0]))

@@ -15,6 +15,7 @@ from chaincontrol.spectral import (
     block_decompose,
     check_derivation,
     decay_constants,
+    power_stack,
     quotient_derivation,
 )
 
@@ -217,3 +218,18 @@ def test_quotient_derivation_rejects_leftover_center():
     d = np.diag([-1.0, 0.0, 0.0])
     with pytest.raises(ValidationError):
         quotient_derivation(d, complement(np.array([[0.0], [0.0], [1.0]])))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 17, 600])
+def test_power_stack_matches_repeated_product(count):
+    """Doubling against one product per power, from a rectangular start."""
+    rng = np.random.default_rng(count)
+    mat = expm(0.01 * rng.standard_normal((3, 3)))
+    start = rng.standard_normal((3, 2))
+    stack = power_stack(mat, start, count)
+    assert stack.shape == (count + 1, 3, 2)
+    ref = start
+    for k in range(count + 1):
+        assert np.allclose(stack[k], ref, rtol=0.0,
+                           atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+        ref = mat @ ref
