@@ -22,6 +22,17 @@ box is tested on every step, and a run freezes at the first step it leaves.
 `_propagate`, which integrates every cell directly, is kept as the slow,
 independent oracle behind `audit_edges`.  Exact distances take the action's
 phases once per landing and skip pairs that have a smaller (u, t) witness.
+
+The graph is built from one slice of the circle shifts.  Let k be a
+right translation the drift flow fixes: a masked central circle, or a torus
+angle.  Then phi(t, g k, u) = phi(t, g, u) k, so every landing moves with
+its source.  Conjugation by k keeps the metric when k is central, and for a
+torus angle when rho(k) is orthogonal (skew generators), so d(a k, b k) =
+d(a, b).  Right translation by k leaves the box coordinates alone, so
+truncation is invariant too.  Whole-cell shifts of those axes
+(`GridWindow.symmetric_axes`) therefore map the graph onto itself: only the
+sources with index 0 on every symmetric axis are run, and their edges,
+witnesses and truncation flags are copied around every shift.
 """
 
 import csv
@@ -36,6 +47,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import TauTooSmallError, ValidationError
+from .group import ACTION_ATOL
 from .lcs import _rk4_step
 from .spectral import decay_constants, power_stack
 
@@ -60,6 +72,11 @@ class GridWindow:
     circular grids like torus angles; the rest get box grids with
     per-coordinate bounds and cell size delta.  Nodes are cell centers,
     enumerated in C order over the axis grid, which fixes determinism.
+
+    symmetric_axes are the angle axes whose whole-cell shifts map the cell
+    graph of any linear system on the group onto itself (see
+    build_chain_graph): every masked axis, and the torus axes when every
+    action generator is skew within ACTION_ATOL, so rho(h) is orthogonal.
     """
 
     def __init__(self, group, x_lower, x_upper, x_delta, angle_cells=(),
@@ -141,6 +158,11 @@ class GridWindow:
         self.axis_centers = axis_centers
         self.axis_delta = np.asarray(axis_delta, dtype=float)
         self.axis_kind = axis_kind
+        skew = all(np.max(np.abs(g + g.T)) <= ACTION_ATOL
+                   for g in group.action.generators)
+        self.symmetric_axes = tuple(
+            a for a in range(len(axis_kind))
+            if axis_kind[a] == "angle" and (a >= m or skew))
         self.shape = tuple(len(c) for c in axis_centers)
         self.n_axes = len(axis_centers)
         self.x_lower = x_lower
@@ -441,6 +463,13 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     the measured cell half-diameter (cell quantization slack).  Runs that
     leave the inflated window are truncated; the source node keeps a
     boundary flag and the run stops producing edges.
+
+    Only the slice of sources with index 0 on every symmetric axis is run.
+    Their shifts are right translations by elements the drift flow fixes,
+    which act by isometries and leave the box coordinates alone.  So the
+    slice's edges, smallest witnesses and truncation flags are copied to
+    every whole-cell shift of those axes.  With no symmetric axis the slice
+    is the whole window.
     """
     if eps <= 0 or tau <= 0:
         raise ValidationError("eps and tau must be positive")
@@ -479,20 +508,29 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     lo_inf, hi_inf = window.inflated_bounds(radius)
     tree = cKDTree(window.embed(window.points))
 
+    centers = window.points
+    n_nodes, n_t = window.n_nodes, snap.size
+    # cyc: each node's indices on the symmetric axes; a node is its slice
+    # source plus cyc @ stride in node numbers
+    sym = list(window.symmetric_axes)
+    sizes = np.array(window.shape, dtype=np.int64)[sym]
+    stride = np.array([math.prod(window.shape[a + 1:]) for a in sym],
+                      dtype=np.int64)
+    cyc = window.axis_indices()[:, sym]
+    sources = np.flatnonzero(~cyc.any(axis=1))
+
     # kept: sorted src * n_nodes + dst keys with witnesses u * n_t + t, and
     # a sentinel above every key.  Blocks run in (u, t) order, so a pair's
     # first witness is its smallest, and a kept key needs no exact distance.
-    centers = window.points
-    n_nodes, n_t = window.n_nodes, snap.size
     truncated = np.zeros(n_nodes, dtype=bool)
     kept = np.array([np.iinfo(np.int64).max])
     witness = np.array([-1], dtype=np.int64)
     n_u = len(control_family)
-    for part in _control_slices(n_u, n_nodes * (n_t + 2)):
+    for part in _control_slices(n_u, sources.size * (n_t + 2)):
         frames, trunc = _propagate_family(
-            system, centers, control_family[part], h, flows, snap,
+            system, centers[sources], control_family[part], h, flows, snap,
             lo_inf, hi_inf, window.free_columns)
-        truncated |= trunc.any(axis=0)
+        truncated[sources] |= trunc.any(axis=0)
         for j, u_idx in enumerate(range(n_u)[part]):
             for t_idx, (states, alive) in enumerate(frames):
                 rows = np.flatnonzero(alive[j])
@@ -507,7 +545,7 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
                     continue
                 flat_dst = np.concatenate(
                     [np.asarray(b, dtype=np.int64) for b in balls if len(b)])
-                key = rows[owner] * n_nodes + flat_dst
+                key = sources[rows[owner]] * n_nodes + flat_dst
                 fresh = kept[np.searchsorted(kept, key)] != key
                 d = system.group.distance(landed, centers[flat_dst[fresh]],
                                           owner[fresh])
@@ -516,8 +554,19 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
                 kept = np.insert(kept, at, key)
                 witness = np.insert(witness, at, u_idx * n_t + t_idx)
 
+    # every whole-cell shift of the symmetric axes moves sources and
+    # targets alike (a slice source is at index 0 on every such axis); a
+    # node's truncation flag is its slice source's
     src, dst = np.divmod(kept[:-1], n_nodes)
-    w_u, w_t = np.divmod(witness[:-1], n_t)
+    dst_at = cyc[dst]
+    shifts = np.array(list(np.ndindex(*sizes)), dtype=np.int64)
+    key = np.concatenate([
+        (src + shift @ stride) * n_nodes + dst
+        + ((dst_at + shift) % sizes - dst_at) @ stride for shift in shifts])
+    order = np.argsort(key)
+    src, dst = np.divmod(key[order], n_nodes)
+    w_u, w_t = np.divmod(np.tile(witness[:-1], len(shifts))[order], n_t)
+    truncated = truncated[np.arange(n_nodes) - cyc @ stride]
 
     return ChainGraph(
         window=window, eps=float(eps), tau=float(tau), radius=float(radius),

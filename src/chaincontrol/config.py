@@ -274,6 +274,7 @@ def downstairs_raw(config, psi):
             "angle_cells": list(config.angle_cells),
             "x_lower": config.x_lower.tolist(),
             "x_upper": config.x_upper.tolist(),
+            "require_interior": config.require_interior,
         },
     }
     if config.torus_controls is not None:

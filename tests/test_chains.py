@@ -166,6 +166,29 @@ def _radii_case(name):
     return SemidirectGroup(alg, RhoAction(alg, []))
 
 
+@pytest.mark.parametrize("name", sorted(cfg.PRESETS))
+def test_symmetric_axes_of_presets(name):
+    # axes: torus angles, then one per nilpotent coordinate.  Both circle
+    # presets have a skew torus angle (axis 0); conjugation-upstairs adds
+    # its masked central circle x2 (axis 3).  The rest have no circle.
+    c = cfg.preset_config(name)
+    window = cfg.build_window(c, cfg.build_system(c))
+    want = {"rotation-plane": (0,), "conjugation-upstairs": (0, 3)}
+    assert window.symmetric_axes == want.get(name, ())
+
+
+def test_symmetric_axes_skip_a_skewed_torus():
+    # rho(h) of a skewed generator is not orthogonal, so its torus axis
+    # stays out; the masked circle x2 stays in
+    alg = NilpotentAlgebra(preset_structure("abelian:3"))
+    group = SemidirectGroup(alg, RhoAction(alg, [_skewed_rotation(3)]),
+                            angular_x_mask=[False, False, True])
+    window = GridWindow(group, -1.0, 1.0, 0.5, angle_cells=(4,),
+                        masked_cells=(4,))
+    assert window.axis_kind[0] == "angle"
+    assert window.symmetric_axes == (3,)
+
+
 @pytest.mark.parametrize("name", ["skewed-abelian:2", "skewed-heisenberg3",
                                   "filiform4", "filiform5",
                                   "conjugation-upstairs"])
@@ -747,12 +770,19 @@ FILIFORM4_CONFIG = {
               "delta": [0.32, 0.32, 0.2, 0.2], "eps": 0.1, "tau": 0.5},
 }
 
+# rotation-plane with the torus generator skewed (S ROT S^-1, S = diag(1, 3)):
+# rho(h) stretches, so torus shifts do not map its graph onto itself
+SKEWED_ROTATION_CONFIG = copy.deepcopy(cfg.PRESETS["rotation-plane"])
+SKEWED_ROTATION_CONFIG["torus"]["generators"] = [_skewed_rotation(2).tolist()]
+
 # small windows where direct integration of every cell is cheap:
 # (preset or config, box lower, box upper, cell sizes, angle cells, masked
 # cells, control stride), or (config, control stride) for its own window
 SMALL_WINDOWS = {
     "rotation-plane-small": ("rotation-plane", -0.6, 0.6, [0.2, 0.2], (16,),
                              (), 1),
+    "skewed-rotation-small": (SKEWED_ROTATION_CONFIG, -0.6, 0.6, [0.2, 0.2],
+                              (16,), (), 1),
     # class 2: the query radius exceeds the exact cut by up to 45 percent
     "heisenberg-expanding-small": ("heisenberg-expanding",
                                    [-0.96, -0.48, -0.24], [0.96, 0.48, 0.24],
@@ -793,16 +823,14 @@ def test_graph_edges_match_direct_integration(name):
             assert oracle[a, b] == (w_u, w_t), (a, b)
 
 
-@pytest.mark.parametrize("name", ["heisenberg-expanding-small",
-                                  "conjugation-upstairs-small"])
-def test_graph_equals_unskipped_reference(name):
-    # the graph built without the witnessed-pair skip: every kd-tree
-    # candidate of every (u, t) landing gets the exact distance, and
-    # np.unique keeps each pair's first, smallest, witness
-    system, window, graph = _small_graph(name)
+def _unskipped_reference(system, window, graph):
+    """(keys src * n + dst, witnesses u * n_t + t, truncation flags) of the
+    graph run from every source, with no slice and no witnessed-pair skip:
+    every kd-tree candidate of every (u, t) landing gets the exact
+    distance, and np.unique keeps each pair's first, smallest, witness."""
     n, n_t = window.n_nodes, graph.snapshot_steps.size
     flows = _step_grid(system, graph.tau)[2]
-    frames, _ = _propagate_family(
+    frames, truncated = _propagate_family(
         system, window.points, graph.control_family, graph.step, flows,
         graph.snapshot_steps, graph.inflated_lower, graph.inflated_upper,
         window.free_columns)
@@ -822,11 +850,49 @@ def test_graph_equals_unskipped_reference(name):
             keys.append((rows[owner] * n + dst)[d <= cut])
             witness.append(np.full(keys[-1].size, u_idx * n_t + t_idx))
     key, first = np.unique(np.concatenate(keys), return_index=True)
+    return key, np.concatenate(witness)[first], truncated.any(axis=0)
+
+
+@pytest.mark.parametrize("name", ["heisenberg-expanding-small",
+                                  "conjugation-upstairs-small",
+                                  "rotation-plane-small",
+                                  "skewed-rotation-small"])
+def test_graph_equals_unskipped_reference(name):
+    # the slice, the skip and the replication around the circle shifts
+    # change no edge, witness or truncation flag
+    system, window, graph = _small_graph(name)
+    n, n_t = window.n_nodes, graph.snapshot_steps.size
+    key, witness, truncated = _unskipped_reference(system, window, graph)
     assert graph.n_edges > 0
     assert np.array_equal(graph.src, key // n)
     assert np.array_equal(graph.dst, key % n)
-    assert np.array_equal(graph.witness_u * n_t + graph.witness_t,
-                          np.concatenate(witness)[first])
+    assert np.array_equal(graph.witness_u * n_t + graph.witness_t, witness)
+    assert np.array_equal(graph.truncated, truncated)
+
+
+def test_skewed_torus_shifts_would_move_edges():
+    # replicating around the skewed torus axis anyway gets the graph wrong,
+    # so the reference test above can see a bad symmetry
+    system, window, graph = _small_graph("skewed-rotation-small")
+    assert window.symmetric_axes == ()
+    window.symmetric_axes = (0,)
+    forced = build_chain_graph(system, window, graph.eps, graph.tau,
+                               control_family=graph.control_family,
+                               time_samples=graph.time_samples)
+    assert edge_pairs(forced) != edge_pairs(graph)
+
+
+def test_audit_clean_on_replicated_graph():
+    # 63 of every 64 conjugation-upstairs edges are copies around the circle
+    # shifts; the audit re-integrates each sampled edge from its own source
+    c = cfg.preset_config("conjugation-upstairs")
+    system = cfg.build_system(c)
+    window = cfg.build_window(c, system)
+    graph = build_chain_graph(system, window, c.eps, c.tau)
+    assert graph.n_edges == 1_776_896
+    report = audit_edges(system, graph, fraction=2e-5, seed=7)
+    assert report["checked"] > 0
+    assert report["failures"] == 0
 
 
 def test_audit_clean_on_expanding_graph():

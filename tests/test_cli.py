@@ -297,7 +297,11 @@ def test_conjugate_identity_quotient(tmp_path):
     # the written config is a run config in its own right
     assert main(["chainset", "--config", str(out / "downstairs.yaml"),
                  "--out", str(tmp_path / "down")]) == 0
-    assert read_report(tmp_path / "down")["body"]["n_sets"] == 1
+    down_body = read_report(tmp_path / "down")["body"]
+    assert down_body["n_sets"] == 1
+    # the quotient run checks the interior verdict the preset asks for
+    assert down.require_interior is True
+    assert down_body["verdicts"]["interior"] is True
     rows = {r["name"]: r for r in body["residuals"]}
     assert rows["set_inclusion"]["value"] == 0.0
     # no angle cells: the spacing is the largest delta alone
