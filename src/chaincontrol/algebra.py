@@ -259,27 +259,18 @@ class NilpotentAlgebra:
         return np.einsum("ij,...j->...i", self.frame, xg)
 
 
-def quotient_by_central(algebra, kernel):
-    """Quotient algebra by a central subspace, with the coordinate map.
+def quotient_by_central(algebra, keep):
+    """Quotient algebra by the span of the coordinate axes keep leaves out.
 
-    kernel: (n, m) columns spanning a central subspace (all brackets with it
-    must vanish).  Returns (quotient NilpotentAlgebra, W) where the columns
-    of W are an orthonormal basis of the orthogonal complement; W.T maps
-    ambient coordinates to quotient coordinates.
+    keep: boolean mask over the coordinates.  The dropped axes must be
+    central (every bracket with them vanishes); the quotient map then keeps
+    the other coordinates, so its structure constants are the kept block.
     """
-    kernel = np.atleast_2d(np.asarray(kernel, dtype=float))
-    if kernel.shape[0] != algebra.dim:
-        raise ValidationError("kernel basis has wrong ambient dimension")
-    kb = _orthonormal_range(kernel)
-    central_residual = np.max(np.abs(
-        np.einsum("ijk,jl->ikl", algebra.structure, kb)))
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (algebra.dim,):
+        raise ValidationError("quotient mask has wrong ambient dimension")
+    central_residual = np.max(np.abs(algebra.structure[:, ~keep]), initial=0.0)
     if central_residual > 1e-10:
         raise ValidationError(
             f"kernel is not central, bracket residual {central_residual:.3e}")
-    w = _projector_basis(np.eye(algebra.dim) - kb @ kb.T)
-    if w.shape[1] != algebra.dim - kb.shape[1]:
-        raise ValidationError("complement extraction lost rank")
-    # c'[a,b,k] = <w_k, [w_a, w_b]>; dropping kernel components is the quotient map
-    amb = np.einsum("ijk,ia,jb->abk", algebra.structure, w, w)
-    c_new = np.einsum("abk,kc->abc", amb, w)
-    return NilpotentAlgebra(c_new), w
+    return NilpotentAlgebra(algebra.structure[np.ix_(keep, keep, keep)])

@@ -21,7 +21,7 @@ affine map per control and step.  Truncation keeps its meaning: the window
 box is tested on every step, and a run freezes at the first step it leaves.
 `_propagate`, which integrates every cell directly, is kept as the slow,
 independent oracle behind `audit_edges`.  Exact distances take the action's
-phases once per landing and skip pairs that have a smaller (u, t) witness.
+phases once per landing.
 
 The graph is built from one slice of the circle shifts.  Let k be a
 right translation the drift flow fixes: a masked central circle, or a torus
@@ -519,12 +519,11 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     cyc = window.axis_indices()[:, sym]
     sources = np.flatnonzero(~cyc.any(axis=1))
 
-    # kept: sorted src * n_nodes + dst keys with witnesses u * n_t + t, and
-    # a sentinel above every key.  Blocks run in (u, t) order, so a pair's
-    # first witness is its smallest, and a kept key needs no exact distance.
+    # hits: src * n_nodes + dst keys within the cut, per (u, t) block with
+    # witness u * n_t + t.  Blocks run in (u, t) order, so a pair's first
+    # hit carries its smallest witness.
     truncated = np.zeros(n_nodes, dtype=bool)
-    kept = np.array([np.iinfo(np.int64).max])
-    witness = np.array([-1], dtype=np.int64)
+    keys, witnesses = [], []
     n_u = len(control_family)
     for part in _control_slices(n_u, sources.size * (n_t + 2)):
         frames, trunc = _propagate_family(
@@ -545,19 +544,19 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
                     continue
                 flat_dst = np.concatenate(
                     [np.asarray(b, dtype=np.int64) for b in balls if len(b)])
-                key = sources[rows[owner]] * n_nodes + flat_dst
-                fresh = kept[np.searchsorted(kept, key)] != key
-                d = system.group.distance(landed, centers[flat_dst[fresh]],
-                                          owner[fresh])
-                key = np.sort(key[fresh][d <= cut])
-                at = np.searchsorted(kept, key)
-                kept = np.insert(kept, at, key)
-                witness = np.insert(witness, at, u_idx * n_t + t_idx)
+                d = system.group.distance(landed, centers[flat_dst], owner)
+                hit = d <= cut
+                keys.append(sources[rows[owner[hit]]] * n_nodes
+                            + flat_dst[hit])
+                witnesses.append(np.full(hit.sum(), u_idx * n_t + t_idx))
+    empty = [np.zeros(0, dtype=np.int64)]
+    kept, first = np.unique(np.concatenate(keys + empty), return_index=True)
+    witness = np.concatenate(witnesses + empty)[first]
 
     # every whole-cell shift of the symmetric axes moves sources and
     # targets alike (a slice source is at index 0 on every such axis); a
     # node's truncation flag is its slice source's
-    src, dst = np.divmod(kept[:-1], n_nodes)
+    src, dst = np.divmod(kept, n_nodes)
     dst_at = cyc[dst]
     shifts = np.array(list(np.ndindex(*sizes)), dtype=np.int64)
     key = np.concatenate([
@@ -565,7 +564,7 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
         + ((dst_at + shift) % sizes - dst_at) @ stride for shift in shifts])
     order = np.argsort(key)
     src, dst = np.divmod(key[order], n_nodes)
-    w_u, w_t = np.divmod(np.tile(witness[:-1], len(shifts))[order], n_t)
+    w_u, w_t = np.divmod(np.tile(witness, len(shifts))[order], n_t)
     truncated = truncated[np.arange(n_nodes) - cyc @ stride]
 
     return ChainGraph(
@@ -647,14 +646,10 @@ def central_fiber_nodes(window):
     r = np.linalg.norm(free, axis=1)
 
     idx = window.axis_indices()
-    angle_axes = [a for a in range(window.n_axes)
-                  if window.axis_kind[a] == "angle"]
-    if angle_axes:
-        key = np.zeros(window.n_nodes, dtype=np.int64)
-        for a in angle_axes:
+    key = np.zeros(window.n_nodes, dtype=np.int64)
+    for a in range(window.n_axes):
+        if window.axis_kind[a] == "angle":
             key = key * window.shape[a] + idx[:, a]
-    else:
-        key = np.zeros(window.n_nodes, dtype=np.int64)
     n_keys = int(key.max()) + 1 if window.n_nodes else 0
     best = np.full(n_keys, np.inf)
     np.minimum.at(best, key, r)
@@ -694,8 +689,7 @@ def extract_chain_sets(graph):
             nodes=comp,
             internal_edges=int(counts[i]),
             extents=extents,
-            contains_identity=bool(member[identity_nodes].any())
-            if identity_nodes.size else False,
+            contains_identity=bool(member[identity_nodes].any()),
             contains_central_fiber=bool(member[fiber].all())
             if fiber.size else False,
             boundary_touch=layer.any(axis=0)))
@@ -870,9 +864,7 @@ def verify_uniqueness_and_containment(sets, fiber_nodes, bounds=None):
             fiber_contained = True
             missing = 0
         if bounds is not None:
-            limit = bounds.bounds if isinstance(bounds, LevelBounds) \
-                else np.asarray(bounds, dtype=float)
-            bad = main.extents > limit
+            bad = main.extents > bounds.bounds
             extents_ok = not bad.any()
             if not extents_ok:
                 failures.append(
@@ -982,10 +974,8 @@ def sets_to_records(sets, bounds=None):
             "boundary_touch": s.boundary_touch.astype(int).tolist(),
         }
         if bounds is not None:
-            limit = bounds.bounds if isinstance(bounds, LevelBounds) \
-                else np.asarray(bounds, dtype=float)
-            rec["bounds"] = [float(v) for v in limit]
-            rec["within_bounds"] = bool(np.all(s.extents <= limit))
+            rec["bounds"] = [float(v) for v in bounds.bounds]
+            rec["within_bounds"] = bool(np.all(s.extents <= bounds.bounds))
         records.append(rec)
     return records
 

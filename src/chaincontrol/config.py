@@ -28,7 +28,7 @@ KEYS = {
     "": ("schema", "name", "seed", "algebra", "derivation", "torus",
          "control", "chain", "conjugation"),
     "algebra": ("preset", "structure"),
-    "torus": ("dim", "speeds", "generators", "angular_coords"),
+    "torus": ("dim", "generators", "angular_coords"),
     "control": ("z", "lower", "upper", "torus_controls", "family"),
     "chain": ("eps", "tau", "delta", "x_lower", "x_upper", "angle_cells",
               "masked_cells", "times", "require_interior"),
@@ -61,7 +61,7 @@ class RunConfig:
     tau: float
     times: np.ndarray
     require_interior: bool
-    extra_kernel: np.ndarray
+    extra_kernel: tuple
 
 
 def _require(cond, message):
@@ -139,13 +139,6 @@ def parse_config(data):
     torus = _block(data, "torus")
     torus_dim = _convert(int, torus.get("dim", 0), "torus.dim")
     _require(torus_dim >= 0, "torus.dim must be nonnegative")
-    # zero speeds are still accepted, so older files keep loading
-    speeds = _matrix(torus.get("speeds", [0.0] * torus_dim), "torus.speeds")
-    speeds = np.atleast_1d(speeds)
-    _require(speeds.shape == (torus_dim,),
-             "torus.speeds must list one speed per circle")
-    _require(not speeds.any(), "torus.speeds must be zero: a torus "
-             "translation drift is not an automorphism flow")
     generators = _convert(list, torus.get("generators", []),
                           "torus.generators")
     generators = [_matrix(g, f"torus.generators[{i}]")
@@ -207,8 +200,10 @@ def parse_config(data):
              "chain.require_interior must be true or false")
 
     conj = _block(data, "conjugation")
-    ek = conj.get("extra_kernel")
-    extra_kernel = None if ek is None else _matrix(ek, "conjugation.extra_kernel")
+    extra_kernel = _convert(_ints, conj.get("extra_kernel", []),
+                            "conjugation.extra_kernel")
+    _require(all(0 <= i < n for i in extra_kernel),
+             "conjugation.extra_kernel must index nilpotent coordinates")
 
     return RunConfig(
         name=name, seed=seed, structure=structure_arr,
@@ -249,9 +244,16 @@ def build_window(config, system):
                       masked_cells=config.masked_cells)
 
 
-def downstairs_raw(config, psi):
-    """Raw config dict for the quotient system psi maps onto."""
+def downstairs_raw(config, window, psi):
+    """Raw config dict for the quotient system psi maps onto.
+
+    The chain window is the upstairs one with the axes psi drops removed:
+    window holds the bounds and cell sizes broadcast to the upstairs box
+    axes, and of the nilpotent coordinates psi drops every masked circle
+    and every extra kernel axis.  Controls keep the surviving columns.
+    """
     target = psi.target
+    box = psi.keep[~psi.group.x_mask]
     data = {
         "schema": SCHEMA_VERSION,
         "name": config.name + "-quotient",
@@ -263,17 +265,17 @@ def downstairs_raw(config, psi):
             "generators": [g.tolist() for g in target.action.generators],
         },
         "control": {
-            "z": (config.control_vectors @ psi.w).tolist(),
+            "z": config.control_vectors[:, psi.keep].tolist(),
             "lower": config.lower.tolist(),
             "upper": config.upper.tolist(),
         },
         "chain": {
             "eps": config.eps,
             "tau": config.tau,
-            "delta": config.delta.tolist(),
+            "delta": window.x_delta[box].tolist(),
             "angle_cells": list(config.angle_cells),
-            "x_lower": config.x_lower.tolist(),
-            "x_upper": config.x_upper.tolist(),
+            "x_lower": window.x_lower[box].tolist(),
+            "x_upper": window.x_upper[box].tolist(),
             "require_interior": config.require_interior,
         },
     }

@@ -9,12 +9,13 @@ nilpotent coordinates) so that every operation batches over leading axes.
 import numpy as np
 from scipy.linalg import expm
 
+from .algebra import quotient_by_central
 from .errors import (
     IncompatibleActionError,
     NotAutomorphismError,
     ValidationError,
 )
-from .spectral import check_derivation
+from .spectral import check_derivation, quotient_derivation
 
 TWO_PI = 2.0 * np.pi
 ACTION_ATOL = 1e-8  # integrality of the action spectrum, joint diagonality
@@ -291,55 +292,41 @@ def _random_point(group, rng):
 class ConjugationMap:
     """Quotient homomorphism onto the hyperbolic part of the model.
 
-    Drops the declared flow-trivial central directions of N (all angular
-    nilpotent coordinates plus any extra central directions inside ker D)
-    and compresses algebra, action, and derivation to the orthogonal
-    complement.  The result is again a semidirect model, and psi intertwines
-    products and drift flows by construction; both are validated on samples.
+    Drops the declared flow-trivial central coordinate axes of N: every
+    angular nilpotent coordinate, plus the extra_kernel indices, which must
+    lie in ker D.  keep masks the coordinates that stay; algebra, action
+    and derivation become their kept blocks.  The result is again a
+    semidirect model, and psi intertwines products and drift flows by
+    construction; both are validated on samples.
     """
 
-    def __init__(self, group, matrix, extra_kernel=None):
-        from .algebra import quotient_by_central
-        from .spectral import quotient_derivation
-
+    def __init__(self, group, matrix, extra_kernel=()):
         d = np.asarray(matrix, dtype=float)
-        cols = [np.eye(group.x_dim)[:, group.x_mask]]
-        if extra_kernel is not None:
-            extra = np.atleast_2d(np.asarray(extra_kernel, dtype=float))
-            if extra.shape[0] != group.x_dim:
-                raise ValidationError("extra kernel has wrong ambient dimension")
-            cols.append(extra)
-        kernel = np.hstack(cols)
-        if kernel.shape[1] == 0:
-            # nothing to quotient: psi is the identity map
-            self.group = group
-            self.matrix = d
-            self.matrix_hat = d
-            self.w = np.eye(group.x_dim)
-            self.target = group
-            return
-        if np.max(np.abs(d @ kernel)) > 1e-10:
-            raise ValidationError("declared kernel is not inside ker D")
-        # generators must preserve the kernel for the quotient action to exist
-        proj = kernel @ np.linalg.pinv(kernel)
-        for g in group.action.generators:
-            image = g @ kernel
-            if np.max(np.abs(image - proj @ image)) > 1e-10:
-                raise ValidationError("action does not preserve the kernel")
-
-        quot_alg, w = quotient_by_central(group.algebra, kernel)
-        d_hat = quotient_derivation(d, w)
-        gens_hat = [w.T @ g @ w for g in group.action.generators]
-        quot_action = RhoAction(quot_alg, gens_hat)
+        keep = ~group.x_mask
+        keep[list(extra_kernel)] = False
         self.group = group
         self.matrix = d
-        self.matrix_hat = d_hat
-        self.w = w
-        self.target = SemidirectGroup(quot_alg, quot_action)
+        self.keep = keep
+        if keep.all():
+            # nothing to quotient: psi is the identity map
+            self.matrix_hat = d
+            self.target = group
+            return
+        if np.max(np.abs(d[:, ~keep])) > 1e-10:
+            raise ValidationError("declared kernel is not inside ker D")
+        # generators must preserve the kernel for the quotient action to exist
+        for g in group.action.generators:
+            if np.max(np.abs(g[np.ix_(keep, ~keep)])) > 1e-10:
+                raise ValidationError("action does not preserve the kernel")
+
+        quot_alg = quotient_by_central(group.algebra, keep)
+        self.matrix_hat = quotient_derivation(d, keep)
+        gens_hat = [g[np.ix_(keep, keep)] for g in group.action.generators]
+        self.target = SemidirectGroup(quot_alg, RhoAction(quot_alg, gens_hat))
 
     def apply(self, g):
         h, x = self.group.split(np.asarray(g, dtype=float))
-        return self.target.join(h, x @ self.w)
+        return self.target.join(h, x[..., self.keep])
 
     def homomorphism_residual(self):
         rng = np.random.default_rng(9)

@@ -213,16 +213,16 @@ def decay_constants(matrix):
     return {"mu": mu, "kappa": float(kappa), "raw": float(raw)}
 
 
-def quotient_derivation(matrix, w):
-    """Compress a derivation to the span of the orthonormal columns w.
+def quotient_derivation(matrix, keep):
+    """The block of a derivation on the coordinates the mask keep keeps.
 
-    w spans the complement of a kernel the matrix annihilates.  Returns
-    d_hat = w.T D w.  The compressed spectrum must exactly recover the
-    eigenvalues of D with nonzero real part (the kernel carries the rest),
-    which certifies that the quotient is hyperbolic.
+    The dropped axes span a kernel the matrix annihilates.  The block's
+    spectrum must exactly recover the eigenvalues of D with nonzero real
+    part (the kernel carries the rest), which certifies that the quotient
+    is hyperbolic.
     """
     d = np.asarray(matrix, dtype=float)
-    d_hat = w.T @ d @ w
+    d_hat = d[np.ix_(keep, keep)]
 
     quot_eigs = np.sort_complex(np.linalg.eigvals(d_hat))
     if quot_eigs.size and np.min(np.abs(quot_eigs.real)) <= 1e-9:

@@ -116,9 +116,9 @@ def quotient_run(config):
         "homomorphism": float(psi.homomorphism_residual()),
         "flow_equivariance": float(psi.flow_equivariance_residual()),
         "inclusion": np.inf, "mapped_fraction": 0.0}
-    down_raw = cfg.downstairs_raw(config, psi)
-    down_config = cfg.parse_config(down_raw)
     _, window, _, usets = chain_run(config, system)
+    down_raw = cfg.downstairs_raw(config, window, psi)
+    down_config = cfg.parse_config(down_raw)
     _, down_win, _, dsets = chain_run(down_config)
 
     spacing = float(np.max(config.delta))

@@ -244,26 +244,26 @@ def test_field_is_derivative_of_product(case):
 
 def test_quotient_heisenberg_by_center_is_abelian():
     alg = NilpotentAlgebra.from_preset("heisenberg3")
-    kernel = np.array([[0.0], [0.0], [1.0]])
-    quot, w = quotient_by_central(alg, kernel)
+    quot = quotient_by_central(alg, [True, True, False])
     assert quot.dim == 2
     assert quot.nilpotency_class == 1
     assert np.max(np.abs(quot.structure)) == 0.0
-    assert np.allclose(w.T @ w, np.eye(2), atol=1e-12)
-    assert np.allclose(w.T @ kernel, 0.0, atol=1e-12)
 
 
 def test_quotient_rejects_noncentral_kernel():
     alg = NilpotentAlgebra.from_preset("heisenberg3")
-    with pytest.raises(ValidationError):
-        quotient_by_central(alg, np.array([[1.0], [0.0], [0.0]]))
+    with pytest.raises(ValidationError, match="not central"):
+        quotient_by_central(alg, [False, True, True])
+    with pytest.raises(ValidationError, match="wrong ambient dimension"):
+        quotient_by_central(alg, [True, True])
 
 
 def test_quotient_filiform5_by_top_level():
     alg = NilpotentAlgebra.from_preset("filiform5")
-    kernel = np.zeros((5, 1))
-    kernel[4, 0] = 1.0
-    quot, _ = quotient_by_central(alg, kernel)
+    keep = np.arange(5) < 4
+    quot = quotient_by_central(alg, keep)
+    # the quotient map keeps coordinates, so brackets are the kept block
+    assert np.array_equal(quot.structure, alg.structure[:4, :4, :4])
     assert quot.dim == 4
     assert quot.nilpotency_class == 3
     assert quot.component_dims == [2, 1, 1]

@@ -16,6 +16,7 @@ from chaincontrol.chains import (
     EDGE_CHUNK,
     ChainControlSetApprox,
     GridWindow,
+    LevelBounds,
     _default_time_samples,
     _propagate,
     _propagate_family,
@@ -544,9 +545,18 @@ def _fake_set(nodes, extents, touch=False, identity=True):
         contains_central_fiber=identity, boundary_touch=bt)
 
 
+def _level_bounds(limit):
+    """LevelBounds with the given per-level limits; the rest is filler."""
+    ones = np.ones(len(limit))
+    return LevelBounds(bounds=np.asarray(limit, dtype=float), kappa=ones,
+                       mu=ones, contraction=0.5 * ones, c_estimates=ones,
+                       tau=1.0)
+
+
 def test_verify_report_passes():
     s = _fake_set([3, 4, 5], [0.5])
-    rep = verify_uniqueness_and_containment([s], [4], bounds=[1.0])
+    rep = verify_uniqueness_and_containment([s], [4],
+                                            bounds=_level_bounds([1.0]))
     assert rep.passed
     assert rep.unique and rep.fiber_contained and rep.extents_ok
     assert not rep.boundary_touched
@@ -556,7 +566,8 @@ def test_verify_report_passes():
 def test_verify_report_itemizes_failures():
     a = _fake_set([0, 1, 2], [2.0], touch=True)
     b = _fake_set([10], [0.1])
-    rep = verify_uniqueness_and_containment([a, b], [5], bounds=[1.0])
+    rep = verify_uniqueness_and_containment([a, b], [5],
+                                            bounds=_level_bounds([1.0]))
     assert not rep.passed
     assert rep.n_sets == 2
     assert not rep.unique
@@ -825,9 +836,9 @@ def test_graph_edges_match_direct_integration(name):
 
 def _unskipped_reference(system, window, graph):
     """(keys src * n + dst, witnesses u * n_t + t, truncation flags) of the
-    graph run from every source, with no slice and no witnessed-pair skip:
-    every kd-tree candidate of every (u, t) landing gets the exact
-    distance, and np.unique keeps each pair's first, smallest, witness."""
+    graph run from every source, with no slice of the circle shifts: every
+    kd-tree candidate of every (u, t) landing gets the exact distance, and
+    np.unique keeps each pair's first, smallest, witness."""
     n, n_t = window.n_nodes, graph.snapshot_steps.size
     flows = _step_grid(system, graph.tau)[2]
     frames, truncated = _propagate_family(
@@ -858,8 +869,8 @@ def _unskipped_reference(system, window, graph):
                                   "rotation-plane-small",
                                   "skewed-rotation-small"])
 def test_graph_equals_unskipped_reference(name):
-    # the slice, the skip and the replication around the circle shifts
-    # change no edge, witness or truncation flag
+    # the slice and the replication around the circle shifts change no
+    # edge, witness or truncation flag
     system, window, graph = _small_graph(name)
     n, n_t = window.n_nodes, graph.snapshot_steps.size
     key, witness, truncated = _unskipped_reference(system, window, graph)

@@ -309,6 +309,45 @@ def test_conjugate_identity_quotient(tmp_path):
     assert body["inclusion_tolerance"] == pytest.approx(0.15)
 
 
+# heisenberg3 with D = diag(1, -1, 0): the flat direction is the centre z,
+# which conjugate quotients away as a coordinate axis
+FLAT_Z = {
+    "schema": 1,
+    "name": "heisenberg-flat-z",
+    "algebra": {"preset": "heisenberg3"},
+    "derivation": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]],
+    "control": {"z": [[1.0, 1.0, 0.0]], "lower": [-1.0], "upper": [1.0]},
+    "chain": {"x_lower": [-1.0, -1.25, -0.5], "x_upper": [1.0, 1.25, 0.5],
+              "delta": [0.25, 0.25, 0.5], "eps": 0.2, "tau": 1.0},
+    "conjugation": {"extra_kernel": [2]},
+}
+
+
+def _flat_z_yaml(extra_kernel, derivation=None):
+    raw = copy.deepcopy(FLAT_Z)
+    raw["conjugation"]["extra_kernel"] = extra_kernel
+    if derivation is not None:
+        raw["derivation"] = derivation
+    return yaml.safe_dump(raw)
+
+
+def test_conjugate_drops_a_flat_central_axis(tmp_path):
+    path = tmp_path / "flat_z.yaml"
+    path.write_text(yaml.safe_dump(FLAT_Z))
+    out = tmp_path / "j"
+    code = main(["conjugate", "--config", str(path), "--out", str(out)])
+    assert code in (0, 3)
+    assert read_report(out)["body"]["quotient_dim"] == 2
+    # the downstairs window is the upstairs one without the z axis
+    down = yaml.safe_load((out / "downstairs.yaml").read_text())
+    for key in ("x_lower", "x_upper", "delta"):
+        assert down["chain"][key] == FLAT_Z["chain"][key][:2]
+    assert down["control"]["z"] == [[1.0, 1.0]]
+    assert "conjugation" not in down
+    assert main(["chainset", "--config", str(out / "downstairs.yaml"),
+                 "--out", str(tmp_path / "down")]) in (0, 3)
+
+
 def test_seed_override_lands_in_report(tmp_path):
     out = tmp_path / "d"
     code = main(["decompose", "--preset", "scalar-stable",
@@ -368,6 +407,17 @@ BAD_INPUTS = {
                           _preset_yaml("chain", "no", key="require_interior")),
     "delta-empty": (["chainset", "--config", "{file}"],
                     _preset_yaml("chain", [], key="delta")),
+    # a quotient kernel is a list of coordinate axes, central and in ker D
+    "kernel-matrix-form": (["conjugate", "--config", "{file}"],
+                           _flat_z_yaml([[0], [0], [1]])),
+    "kernel-index-outside": (["conjugate", "--config", "{file}"],
+                             _flat_z_yaml([3])),
+    "kernel-outside-ker-d": (["conjugate", "--config", "{file}"],
+                             _flat_z_yaml([0])),
+    "kernel-not-central": (["conjugate", "--config", "{file}"],
+                           _flat_z_yaml([0], derivation=[[0.0, 0.0, 0.0],
+                                                         [0.0, -1.0, 0.0],
+                                                         [0.0, 0.0, -1.0]])),
     # a flag override meets a chain block that is not a mapping
     "chain-int-eps-flag": (["chainset", "--config", "{file}", "--eps", "0.1"],
                            _preset_yaml("chain", 3)),
@@ -385,12 +435,17 @@ BAD_INPUTS = {
     "no-subcommand": ([], None),
 }
 
-# the config key each of these rows' one stderr line must name
+# the config key, or the failed condition, each of these rows' one
+# stderr line must name
 NAMED_KEYS = {"output-block": "output", "level-bounds": "chain.level_bounds",
               "window-factor": "chain.window_factor",
               "misspelt-key": "chain.requre_interior",
               "family-3-deep": "control.family",
-              "interior-not-bool": "chain.require_interior"}
+              "interior-not-bool": "chain.require_interior",
+              "kernel-matrix-form": "conjugation.extra_kernel",
+              "kernel-index-outside": "conjugation.extra_kernel",
+              "kernel-outside-ker-d": "not inside ker D",
+              "kernel-not-central": "not central"}
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["chainset", "--help"]])

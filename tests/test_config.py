@@ -34,7 +34,7 @@ def test_minimal_roundtrip(tmp_path):
     assert c.name == "minimal" and c.seed == 5
     assert c.structure.shape == (1, 1, 1)
     assert c.family is None and c.times is None
-    assert c.require_interior is False and c.extra_kernel is None
+    assert c.require_interior is False and c.extra_kernel == ()
     assert np.array_equal(c.x_lower, [-2.0]) and np.array_equal(c.x_upper, [2.0])
     path = tmp_path / "run.yaml"
     cfg.dump_config(minimal_raw(), path)
@@ -83,17 +83,17 @@ def test_shape_guards():
         cfg.parse_config(raw)
 
     raw = minimal_raw()
-    raw["torus"] = {"dim": 1, "speeds": [0.0], "generators": []}
+    raw["torus"] = {"dim": 1, "generators": []}
     with pytest.raises(ValidationError):
         cfg.parse_config(raw)
 
 
 def test_torus_speeds_must_be_zero(tmp_path, capsys):
+    # a torus translation drift is not an automorphism flow, so a config
+    # has no speeds: even zero speeds are refused as an unknown key
     raw = copy.deepcopy(cfg.PRESETS["rotation-plane"])
     raw["torus"]["speeds"] = [0.0]
-    assert cfg.parse_config(raw).torus_dim == 1
-    raw["torus"]["speeds"] = [1.0]
-    with pytest.raises(ValidationError, match="speeds must be zero"):
+    with pytest.raises(ValidationError, match="unknown key torus.speeds"):
         cfg.parse_config(raw)
     path = tmp_path / "drift.yaml"
     cfg.dump_config(raw, path)
@@ -101,7 +101,7 @@ def test_torus_speeds_must_be_zero(tmp_path, capsys):
                  str(tmp_path / "d")])
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "speeds must be zero" in err[0]
+    assert len(err) == 1 and "torus.speeds" in err[0]
 
 
 def test_window_spec_exactly_one():

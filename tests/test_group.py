@@ -306,16 +306,17 @@ def test_conjugation_drops_masked_circle():
                        [lam, lam], atol=1e-12)
     assert psi.homomorphism_residual() < 1e-9
     assert psi.flow_equivariance_residual() < 1e-8
+    assert psi.keep.tolist() == [True, True, False]
     mapped = psi.apply(np.array([0.3, 1.0, 2.0, 0.5]))
-    assert np.allclose(mapped, [0.3, 1.0, 2.0], atol=1e-12)
+    assert np.array_equal(mapped, [0.3, 1.0, 2.0])
 
 
 def test_conjugation_identity_when_no_kernel():
     group = rotation_plane_group()
     psi = ConjugationMap(group, -np.eye(2))
     g = np.array([0.4, 1.0, -2.0])
-    assert np.allclose(psi.apply(g), g)
-    assert psi.target is group
+    assert np.array_equal(psi.apply(g), g)
+    assert psi.target is group and psi.keep.all()
 
 
 def test_conjugation_extra_central_kernel():
@@ -324,8 +325,9 @@ def test_conjugation_extra_central_kernel():
     action = RhoAction(alg, [])
     group = SemidirectGroup(alg, action)
     d = np.diag([-1.0, 0.0])
-    psi = ConjugationMap(group, d, extra_kernel=np.array([[0.0], [1.0]]))
+    psi = ConjugationMap(group, d, extra_kernel=[1])
     assert psi.target.x_dim == 1
+    assert psi.keep.tolist() == [True, False]
     assert psi.matrix_hat[0, 0] == pytest.approx(-1.0)
     assert psi.homomorphism_residual() < 1e-9
     assert psi.flow_equivariance_residual() < 1e-8
@@ -333,5 +335,15 @@ def test_conjugation_extra_central_kernel():
 
 def test_conjugation_rejects_kernel_outside_ker_d():
     group = rotation_plane_group()
-    with pytest.raises(ValidationError):
-        ConjugationMap(group, -np.eye(2), extra_kernel=np.array([[1.0], [0.0]]))
+    with pytest.raises(ValidationError, match="not inside ker D"):
+        ConjugationMap(group, -np.eye(2), extra_kernel=[0])
+
+
+def test_conjugation_rejects_kernel_the_action_moves():
+    # the circle rotates the (e2, e3) plane, so it moves the dropped e3
+    alg = NilpotentAlgebra(preset_structure("abelian:3"))
+    gen = np.zeros((3, 3))
+    gen[1:, 1:] = ROT
+    group = SemidirectGroup(alg, RhoAction(alg, [gen]))
+    with pytest.raises(ValidationError, match="does not preserve the kernel"):
+        ConjugationMap(group, np.diag([-1.0, 0.0, 0.0]), extra_kernel=[2])
