@@ -38,7 +38,7 @@ witnesses and truncation flags are copied around every shift.
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -811,72 +811,6 @@ def estimate_source_constants(system, window, tau, control_family=None):
     else:
         c_norm = 1.0
     return sup + c_norm
-
-
-# -- verification reports --------------------------------------------------
-
-
-@dataclass
-class UniquenessReport:
-    """Outcome of the uniqueness and containment checks; failures are
-    itemized rather than raised."""
-
-    n_sets: int
-    unique: bool
-    fiber_contained: bool
-    missing_fiber_nodes: int
-    extents_ok: bool
-    boundary_touched: bool
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.failures
-
-
-def verify_uniqueness_and_containment(sets, fiber_nodes, bounds=None):
-    """Check: exactly one extracted set, all central-fiber nodes inside it,
-    per-level extents within the supplied bounds, no window-boundary touch."""
-    fiber_nodes = np.asarray(fiber_nodes, dtype=np.int64)
-    failures = []
-    n_sets = len(sets)
-    unique = n_sets == 1
-    if n_sets == 0:
-        failures.append("no chain control set extracted")
-    elif n_sets > 1:
-        failures.append(f"{n_sets} chain control sets extracted, expected 1")
-
-    fiber_contained = False
-    missing = int(fiber_nodes.size)
-    extents_ok = True
-    boundary_touched = False
-    if n_sets:
-        main = main_set(sets)
-        if fiber_nodes.size:
-            inside = np.isin(fiber_nodes, main.nodes)
-            missing = int((~inside).sum())
-            fiber_contained = missing == 0
-            if not fiber_contained:
-                failures.append(
-                    f"{missing} of {fiber_nodes.size} central-fiber nodes "
-                    f"outside the main set")
-        else:
-            fiber_contained = True
-            missing = 0
-        if bounds is not None:
-            bad = main.extents > bounds.bounds
-            extents_ok = not bad.any()
-            if not extents_ok:
-                failures.append(
-                    "per-level extents exceed the bound at levels "
-                    f"{[int(i) + 1 for i in np.flatnonzero(bad)]}")
-        boundary_touched = main.touches_boundary
-        if boundary_touched:
-            failures.append("extracted set touches the window boundary")
-    return UniquenessReport(
-        n_sets=n_sets, unique=unique, fiber_contained=fiber_contained,
-        missing_fiber_nodes=missing, extents_ok=extents_ok,
-        boundary_touched=boundary_touched, failures=failures)
 
 
 # -- audit -------------------------------------------------------------------

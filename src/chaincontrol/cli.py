@@ -8,10 +8,14 @@ hyperbolic part, and verify executes the whole acceptance battery.
 Every run writes report.json into the output directory.  The file holds a
 "body" (canonically ordered, reproducible for a fixed config and seed) and
 a separate "timings" key that stays outside the reproducibility contract.
+chainset and conjugate write the verdicts, residual rows and failures that
+verify.verdict_run and verify.quotient_run decide; a row whose value could
+not be measured reads null and fails.
 Exit codes: 0 all verdicts passed, 2 validation failure (ValidationError,
 TauTooSmallError, a bad or missing argument) or an integrator whose error
 budget ran out or whose state overflowed (IntegratorBudgetError), each
-reported as one line on stderr, 3 a theorem check failed.
+reported as one line on stderr, 3 a theorem check failed (a residual row
+failed or a verdict is False).
 """
 
 import argparse
@@ -45,8 +49,10 @@ from .spectral import SpectralSplit, check_derivation, decay_constants
 from .verify import (
     DEFAULT_SEED,
     acceptance_report,
+    all_passed,
     chain_run,
     quotient_run,
+    residual_row,
     verdict_run,
 )
 
@@ -115,21 +121,9 @@ def _write_report(out, body, timings):
     return path
 
 
-def _residual_row(name, value, tolerance):
-    return {"name": name, "value": float(value),
-            "tolerance": float(tolerance),
-            "passed": bool(value <= tolerance)}
-
-
 def _exit_code(body):
-    """0 when every residual and boolean verdict passed, else 3."""
-    for row in body.get("residuals", []):
-        if not row["passed"]:
-            return 3
-    for value in body.get("verdicts", {}).values():
-        if value is False:
-            return 3
-    return 0
+    """0 when every residual and verdict passed, else 3."""
+    return 0 if all_passed(body["residuals"], body["verdicts"]) else 3
 
 
 def _structure_residuals(system):
@@ -137,10 +131,10 @@ def _structure_residuals(system):
     anti, jac = structure_residuals(system.algebra.structure)
     leib = check_derivation(system.algebra, system.derivation)
     return [
-        _residual_row("bracket_antisymmetry", anti, 1e-12),
-        _residual_row("jacobi_identity", jac, 1e-12),
-        _residual_row("leibniz_rule", leib, 1e-10),
-        _residual_row("automorphism_flow", system.flow_residual, 1e-8),
+        residual_row("bracket_antisymmetry", anti, 1e-12),
+        residual_row("jacobi_identity", jac, 1e-12),
+        residual_row("leibniz_rule", leib, 1e-10),
+        residual_row("automorphism_flow", system.flow_residual, 1e-8),
     ]
 
 
@@ -256,12 +250,12 @@ def cmd_simulate(args):
         for t, pt in zip(traj.times, traj.points):
             fh.write(",".join(f"{v:.12g}" for v in [t, *pt]) + "\n")
 
-    residuals = [_residual_row("integrator_error_estimate",
-                               traj.stats["error_estimate"],
-                               traj.stats["error_budget"])]
+    residuals = [residual_row("integrator_error_estimate",
+                              traj.stats["error_estimate"],
+                              traj.stats["error_budget"])]
     if args.cross_check:
         gap = cross_check_residual(system, duration, g0, control)
-        residuals.append(_residual_row("closed_form_cross_check", gap, 1e-6))
+        residuals.append(residual_row("closed_form_cross_check", gap, 1e-6))
 
     body = {
         "command": "simulate",
@@ -287,40 +281,13 @@ def cmd_simulate(args):
 # -- chainset ----------------------------------------------------------------
 
 
-def _chain_verdict_rows(config, sets, bound, report):
-    """Verdicts plus the residual rows backing each of them."""
-    verdicts = {
-        "unique": report.unique,
-        "fiber_containment": report.fiber_contained,
-        "extents": report.extents_ok if bound is not None else "n/a",
-        "interior": ((not report.boundary_touched)
-                     if config.require_interior else "n/a"),
-    }
-    residuals = [
-        _residual_row("extra_chain_sets", max(len(sets) - 1, 0), 0),
-        _residual_row("missing_fiber_nodes", report.missing_fiber_nodes, 0),
-    ]
-    if len(sets) == 0:
-        residuals[0] = _residual_row("extra_chain_sets", 1, 0)
-    main = main_set(sets)
-    if bound is not None and sets:
-        for i, (ext, lim) in enumerate(zip(main.extents, bound.bounds), 1):
-            residuals.append(_residual_row(f"level_{i}_extent", ext, lim))
-    if config.require_interior and sets:
-        residuals.append(_residual_row("boundary_touches",
-                                       int(main.boundary_touch.sum()), 0))
-    return verdicts, residuals
-
-
 def cmd_chainset(args):
     t0 = time.perf_counter()
     config = cfg.parse_config(_raw_config(args))
     system, window, graph, sets = chain_run(config)
     t_graph = time.perf_counter() - t0
 
-    bound, diagnostic, report = verdict_run(config, system, window, sets)
-    verdicts, residuals = _chain_verdict_rows(config, sets, bound, report)
-    residuals = _structure_residuals(system) + residuals
+    run = verdict_run(config, system, window, sets)
 
     out = _out_dir(args, "chainset")
     write_nodes_csv(out / "nodes.csv", graph, sets)
@@ -336,7 +303,7 @@ def cmd_chainset(args):
         for i, s in enumerate(sets):
             write_plot_slice(plotdir / f"set{i}.csv", graph, s,
                              columns=tuple(cols))
-    write_sets_jsonl(out / "sets.jsonl", sets, bounds=bound)
+    write_sets_jsonl(out / "sets.jsonl", sets, bounds=run.bound)
 
     body = {
         "command": "chainset",
@@ -350,23 +317,23 @@ def cmd_chainset(args):
         "set_sizes": [s.size for s in sets],
         "extents": ([float(v) for v in main_set(sets).extents]
                     if sets else None),
-        "bounds": ([float(v) for v in bound.bounds]
-                   if bound is not None else None),
-        "hyperbolic": bound is not None,
-        "diagnostic": diagnostic,
-        "failures": list(report.failures),
-        "residuals": residuals,
-        "verdicts": verdicts,
+        "bounds": ([float(v) for v in run.bound.bounds]
+                   if run.bound is not None else None),
+        "hyperbolic": run.bound is not None,
+        "diagnostic": run.diagnostic,
+        "failures": run.failures,
+        "residuals": _structure_residuals(system) + run.residuals,
+        "verdicts": run.verdicts,
     }
     timings = {"graph_and_extract": t_graph,
                "total": time.perf_counter() - t0}
     path = _write_report(out, body, timings)
     print(f"nodes {body['nodes']}, edges {body['edges']}, "
           f"chain sets {body['n_sets']}")
-    for key, value in verdicts.items():
+    for key, value in run.verdicts.items():
         print(f"  {key}: {value}")
-    if diagnostic:
-        print(f"  note: {diagnostic}")
+    if run.diagnostic:
+        print(f"  note: {run.diagnostic}")
     print(f"report: {path}")
     return _exit_code(body)
 
@@ -378,7 +345,7 @@ def cmd_conjugate(args):
     t0 = time.perf_counter()
     config = cfg.parse_config(_raw_config(args))
     run = quotient_run(config)
-    psi, r = run.psi, run.residuals
+    psi = run.psi
     out = _out_dir(args, "conjugate")
     cfg.dump_config(run.downstairs_raw, out / "downstairs.yaml")
 
@@ -390,13 +357,6 @@ def cmd_conjugate(args):
             for row in run.mapped:
                 fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
-    residuals = [
-        _residual_row("eigenvalue_match", r["eigenvalue_match"], 1e-9),
-        _residual_row("homomorphism", r["homomorphism"], 1e-9),
-        _residual_row("flow_equivariance", r["flow_equivariance"], 1e-9),
-        _residual_row("set_inclusion", r["inclusion"],
-                      run.inclusion_tolerance),
-    ]
     body = {
         "command": "conjugate",
         "name": config.name,
@@ -406,12 +366,8 @@ def cmd_conjugate(args):
         "n_sets_upstairs": len(run.usets),
         "n_sets_downstairs": len(run.dsets),
         "inclusion_tolerance": run.inclusion_tolerance,
-        "residuals": residuals,
-        "verdicts": {
-            "unique_upstairs": len(run.usets) == 1,
-            "unique_downstairs": len(run.dsets) == 1,
-            "inclusion": residuals[3]["passed"],
-        },
+        "residuals": run.residuals,
+        "verdicts": run.verdicts,
     }
     timings = {"total": time.perf_counter() - t0}
     path = _write_report(out, body, timings)

@@ -28,7 +28,7 @@ KEYS = {
     "": ("schema", "name", "seed", "algebra", "derivation", "torus",
          "control", "chain", "conjugation"),
     "algebra": ("preset", "structure"),
-    "torus": ("dim", "generators", "angular_coords"),
+    "torus": ("generators", "angular_coords"),
     "control": ("z", "lower", "upper", "torus_controls", "family"),
     "chain": ("eps", "tau", "delta", "x_lower", "x_upper", "angle_cells",
               "masked_cells", "times", "require_interior"),
@@ -44,7 +44,6 @@ class RunConfig:
     seed: int
     structure: np.ndarray
     derivation: np.ndarray
-    torus_dim: int
     generators: list
     angular_coords: tuple
     control_vectors: np.ndarray
@@ -137,14 +136,11 @@ def parse_config(data):
              f"derivation must be {n} x {n}, got {derivation.shape}")
 
     torus = _block(data, "torus")
-    torus_dim = _convert(int, torus.get("dim", 0), "torus.dim")
-    _require(torus_dim >= 0, "torus.dim must be nonnegative")
     generators = _convert(list, torus.get("generators", []),
                           "torus.generators")
     generators = [_matrix(g, f"torus.generators[{i}]")
                   for i, g in enumerate(generators)]
-    _require(len(generators) == torus_dim,
-             "need one action generator per torus dimension")
+    circles = len(generators)
     for i, g in enumerate(generators):
         _require(g.shape == (n, n), f"torus.generators[{i}] must be {n} x {n}")
     angular = _convert(_ints, torus.get("angular_coords", []),
@@ -166,8 +162,8 @@ def parse_config(data):
     torus_controls = None if tc is None else _matrix(tc, "control.torus_controls")
     if torus_controls is not None:
         torus_controls = np.atleast_2d(torus_controls)
-        _require(torus_controls.shape == (m, torus_dim),
-                 f"control.torus_controls must be {m} x {torus_dim}")
+        _require(torus_controls.shape == (m, circles),
+                 f"control.torus_controls must be {m} x {circles}")
     fam = control.get("family")
     family = None if fam is None else np.atleast_2d(_matrix(fam, "control.family"))
     if family is not None:
@@ -187,7 +183,7 @@ def parse_config(data):
     x_upper = np.atleast_1d(_matrix(xu, "chain.x_upper"))
     angle_cells = _convert(_ints, chain.get("angle_cells", []),
                            "chain.angle_cells")
-    _require(len(angle_cells) == torus_dim,
+    _require(len(angle_cells) == circles,
              "chain.angle_cells must list one count per torus circle")
     masked_cells = _convert(_ints, chain.get("masked_cells", []),
                             "chain.masked_cells")
@@ -207,8 +203,7 @@ def parse_config(data):
 
     return RunConfig(
         name=name, seed=seed, structure=structure_arr,
-        derivation=derivation, torus_dim=torus_dim,
-        generators=generators, angular_coords=angular,
+        derivation=derivation, generators=generators, angular_coords=angular,
         control_vectors=z, torus_controls=torus_controls,
         lower=lower, upper=upper, family=family,
         x_lower=x_lower, x_upper=x_upper, delta=delta,
@@ -261,7 +256,6 @@ def downstairs_raw(config, window, psi):
         "algebra": {"structure": target.algebra.structure.tolist()},
         "derivation": psi.matrix_hat.tolist(),
         "torus": {
-            "dim": int(target.h_dim),
             "generators": [g.tolist() for g in target.action.generators],
         },
         "control": {
@@ -296,7 +290,6 @@ _SCALAR_COMMON = {
     "schema": SCHEMA_VERSION,
     "seed": 20260818,
     "algebra": {"preset": "abelian:1"},
-    "torus": {"dim": 0},
     "control": {"z": [[1.0]], "lower": [-1.0], "upper": [1.0]},
     "chain": {
         "x_lower": [-2.0], "x_upper": [2.0], "delta": [0.05],
@@ -330,7 +323,7 @@ _register("rotation-plane", {
     "seed": 20260818,
     "algebra": {"preset": "abelian:2"},
     "derivation": [[-1.0, 0.0], [0.0, -1.0]],
-    "torus": {"dim": 1, "generators": [ROT2]},
+    "torus": {"generators": [ROT2]},
     "control": {"z": [[1.0, 0.0]], "lower": [-1.0], "upper": [1.0]},
     "chain": {
         "x_lower": [-1.0, -1.0], "x_upper": [1.0, 1.0],
@@ -346,7 +339,6 @@ _register("heisenberg-expanding", {
     "seed": 20260818,
     "algebra": {"preset": "heisenberg3"},
     "derivation": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
-    "torus": {"dim": 0},
     "control": {
         "z": [[1.0, 1.0, 0.0]], "lower": [-1.0], "upper": [1.0],
         "family": [[s * (0.08 + 0.16 * k)]
@@ -368,7 +360,6 @@ _register("conjugation-upstairs", {
     "algebra": {"preset": "abelian:3"},
     "derivation": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]],
     "torus": {
-        "dim": 1,
         "generators": [[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],
         "angular_coords": [2],
     },
@@ -392,7 +383,6 @@ for _w in (2.0, 4.0, 8.0):
         "seed": 20260818,
         "algebra": {"preset": "abelian:2"},
         "derivation": [[0.0, 0.0], [0.0, -1.0]],
-        "torus": {"dim": 0},
         "control": {"z": [[1.0, 0.5]], "lower": [-1.0], "upper": [1.0]},
         "chain": {
             "x_lower": [-_w, -1.5], "x_upper": [_w, 1.5],

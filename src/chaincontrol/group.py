@@ -312,6 +312,11 @@ class ConjugationMap:
             self.matrix_hat = d
             self.target = group
             return
+        if not keep.any():
+            raise ValidationError(
+                "the quotient keeps no nilpotent coordinate; "
+                "conjugation.extra_kernel and the angular coordinates "
+                "drop all of them")
         if np.max(np.abs(d[:, ~keep])) > 1e-10:
             raise ValidationError("declared kernel is not inside ker D")
         # generators must preserve the kernel for the quotient action to exist

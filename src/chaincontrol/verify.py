@@ -6,6 +6,12 @@ the measured residuals, and the tolerances they were held to.  The battery
 is deterministic given the seed, so running it twice must reproduce the
 report body byte for byte; acceptance_report does exactly that and appends
 the comparison as a final record.
+
+The verdict policy of a run lives here too, once per run kind:
+verdict_run for chainset and quotient_run for conjugate return the
+verdicts, the residual rows behind them and, for chainset, one failure
+line per False verdict.  The command line writes these records, and
+checks 6 and 7 read the same ones.
 """
 
 import json
@@ -17,6 +23,7 @@ import numpy as np
 from . import config as cfg
 from .algebra import NilpotentAlgebra, bch_dynkin, structure_residuals
 from .chains import (
+    LevelBounds,
     build_chain_graph,
     central_fiber_nodes,
     estimate_source_constants,
@@ -24,7 +31,6 @@ from .chains import (
     level_extents,
     main_set,
     theoretical_bound,
-    verify_uniqueness_and_containment,
 )
 from .errors import NotHyperbolicError, TauTooSmallError
 from .group import ConjugationMap
@@ -39,6 +45,8 @@ from .spectral import GradedBlocks
 DEFAULT_SEED = 20260818
 
 REPORT_SCHEMA = 1
+
+QUOTIENT_ATOL = 1e-9  # spectrum, homomorphism and equivariance of psi
 
 
 def chain_run(config, system=None):
@@ -57,14 +65,44 @@ def _run_preset(name):
     return (c, *chain_run(c))
 
 
-def verdict_run(config, system, window, sets):
-    """Theoretical bound and uniqueness report of a chain run.
+def residual_row(name, value, tolerance):
+    """One measured value held to its tolerance.  A value that could not be
+    measured (None) reads null and fails."""
+    measured = value is not None
+    return {"name": name, "value": float(value) if measured else None,
+            "tolerance": float(tolerance),
+            "passed": measured and bool(value <= tolerance)}
 
-    Estimates the source constants, forms the per-level bound, and checks
-    the sets against it and the central fiber.  A refused bound (a flat
-    direction, or no contraction at this tau) comes back as None with a
-    diagnostic, and the report then checks no extents.  Returns (bound,
-    diagnostic, report).
+
+def all_passed(residuals, verdicts):
+    """Every row passed and no verdict is False ("n/a" is no verdict)."""
+    return (all(row["passed"] for row in residuals)
+            and all(v is not False for v in verdicts.values()))
+
+
+@dataclass
+class ChainVerdict:
+    """Verdicts of a chain run, the rows behind them, one failure line per
+    False verdict, and the bound they were held to (None with a diagnostic
+    when refused)."""
+
+    bound: LevelBounds
+    diagnostic: str
+    verdicts: dict
+    residuals: list
+    failures: list
+
+
+def verdict_run(config, system, window, sets):
+    """The chainset verdict policy for one chain run.
+
+    Estimates the source constants and forms the per-level bound; a refused
+    bound (a flat direction, or no contraction at this tau) comes back as
+    None with a diagnostic.  The verdicts are unique (exactly one set),
+    fiber_containment (every central-fiber node in the main set), extents
+    (the main set's per-level extents within the bound; "n/a" with no
+    bound) and interior (the main set off the window boundary; "n/a" unless
+    the config sets require_interior).
     """
     bound = diagnostic = None
     try:
@@ -75,66 +113,101 @@ def verdict_run(config, system, window, sets):
         diagnostic = f"unbounded direction detected: {exc}"
     except TauTooSmallError as exc:
         diagnostic = f"no contraction at this tau: {exc}"
-    report = verify_uniqueness_and_containment(
-        sets, central_fiber_nodes(window), bounds=bound)
-    return bound, diagnostic, report
+
+    main = main_set(sets)
+    fiber = central_fiber_nodes(window)
+    missing = int(fiber.size)
+    if main is not None:
+        missing -= int(np.isin(fiber, main.nodes).sum())
+    residuals = [residual_row("extra_chain_sets", abs(len(sets) - 1), 0),
+                 residual_row("missing_fiber_nodes", missing, 0)]
+    over = []
+    if main is not None and bound is not None:
+        over = np.flatnonzero(main.extents > bound.bounds)
+        for i, (ext, lim) in enumerate(zip(main.extents, bound.bounds), 1):
+            residuals.append(residual_row(f"level_{i}_extent", ext, lim))
+    touches = 0 if main is None else int(main.boundary_touch.sum())
+    if main is not None and config.require_interior:
+        residuals.append(residual_row("boundary_touches", touches, 0))
+    verdicts = {
+        "unique": len(sets) == 1,
+        "fiber_containment": main is not None and missing == 0,
+        "extents": "n/a" if bound is None else not len(over),
+        "interior": touches == 0 if config.require_interior else "n/a",
+    }
+    why = {
+        "unique": (f"{len(sets)} chain control sets extracted, expected 1"
+                   if sets else "no chain control set extracted"),
+        "fiber_containment": (f"{missing} of {fiber.size} central-fiber "
+                              f"nodes outside the main set"),
+        "extents": ("per-level extents exceed the bound at levels "
+                    f"{[int(i) + 1 for i in over]}"),
+        "interior": "extracted set touches the window boundary",
+    }
+    failures = [why[k] for k, v in verdicts.items() if v is False]
+    return ChainVerdict(bound, diagnostic, verdicts, residuals, failures)
 
 
 @dataclass
 class QuotientRun:
-    """Upstairs and downstairs runs of one config compared through psi."""
+    """Upstairs and downstairs runs of one config compared through psi,
+    with the conjugate rows and verdicts."""
 
     psi: ConjugationMap
     downstairs_raw: dict
-    residuals: dict
     usets: list
     dsets: list
     mapped: np.ndarray
+    mapped_fraction: float
     inclusion_tolerance: float
+    residuals: list
+    verdicts: dict
 
 
 def quotient_run(config):
     """Conjugate a run onto its hyperbolic part and compare the sets.
 
     The downstairs system is built from its own raw config, so that config
-    is exactly what ran.  The residuals are the eigenvalue match of the
-    compressed drift, the homomorphism and flow-equivariance residuals of
-    psi, and the worst distance (with the fraction within tolerance) from
-    the mapped main upstairs set to the main downstairs set.  The
-    tolerance is eps plus one cell spacing: the largest delta, or one
-    angle cell if that is wider.
+    is exactly what ran.  The rows, each null when it cannot be measured:
+    the compressed drift's spectrum against the nonzero-real-part one, the
+    homomorphism and flow-equivariance residuals of psi (all three held to
+    QUOTIENT_ATOL), and the worst distance from the mapped main upstairs set
+    to the main downstairs set, held to eps plus the widest downstairs cell.
     """
     system = cfg.build_system(config)
     psi = ConjugationMap(system.group, system.derivation,
                          extra_kernel=config.extra_kernel)
     full = np.linalg.eigvals(system.derivation)
-    nonzero = np.sort_complex(full[np.abs(full.real) > 1e-9])
+    nonzero = np.sort_complex(full[np.abs(full.real) > QUOTIENT_ATOL])
     hat = np.sort_complex(np.linalg.eigvals(psi.matrix_hat))
-    residuals = {
-        "eigenvalue_match": (float(np.max(np.abs(nonzero - hat)))
-                             if nonzero.size or hat.size else 0.0),
-        "homomorphism": float(psi.homomorphism_residual()),
-        "flow_equivariance": float(psi.flow_equivariance_residual()),
-        "inclusion": np.inf, "mapped_fraction": 0.0}
+    eigen_gap = None
+    if nonzero.shape == hat.shape:
+        eigen_gap = np.max(np.abs(nonzero - hat), initial=0.0)
+    residuals = [
+        residual_row(name, value, QUOTIENT_ATOL) for name, value in (
+            ("eigenvalue_match", eigen_gap),
+            ("homomorphism", psi.homomorphism_residual()),
+            ("flow_equivariance", psi.flow_equivariance_residual()))]
     _, window, _, usets = chain_run(config, system)
     down_raw = cfg.downstairs_raw(config, window, psi)
-    down_config = cfg.parse_config(down_raw)
-    _, down_win, _, dsets = chain_run(down_config)
+    _, down_win, _, dsets = chain_run(cfg.parse_config(down_raw))
 
-    spacing = float(np.max(config.delta))
-    if config.angle_cells:
-        spacing = max(spacing, 2.0 * np.pi / min(config.angle_cells))
-    tol_incl = config.eps + spacing
-    mapped = None
+    tol_incl = config.eps + float(np.max(down_win.axis_delta))
+    mapped = inclusion = None
+    fraction = 0.0
     if usets and dsets:
         mapped = psi.apply(window.points[main_set(usets).nodes])
         dpts = down_win.points[main_set(dsets).nodes]
         dist = psi.target.distance(mapped[:, None, :], dpts[None, :, :])
         nearest = dist.min(axis=1)
-        residuals["inclusion"] = float(nearest.max())
-        residuals["mapped_fraction"] = float(np.mean(nearest <= tol_incl))
-    return QuotientRun(psi, down_raw, residuals, usets, dsets, mapped,
-                       tol_incl)
+        inclusion = nearest.max()
+        fraction = float(np.mean(nearest <= tol_incl))
+    residuals.append(residual_row("set_inclusion", inclusion, tol_incl))
+    verdicts = {"unique_upstairs": len(usets) == 1,
+                "unique_downstairs": len(dsets) == 1,
+                "inclusion": residuals[-1]["passed"]}
+    return QuotientRun(psi, down_raw, usets, dsets, mapped, fraction,
+                       tol_incl, residuals, verdicts)
 
 
 def check_bracket_laws(seed):
@@ -347,7 +420,8 @@ def check_expanding_containment(seed):
     failures.
     """
     c, system, window, graph, sets = _run_preset("heisenberg-expanding")
-    bound, diagnostic, report = verdict_run(c, system, window, sets)
+    run = verdict_run(c, system, window, sets)
+    bound = run.bound
     refused = bound is None
 
     corners = np.array([[sx, sy, sz]
@@ -370,9 +444,9 @@ def check_expanding_containment(seed):
                              else [float(v) for v in bound.c_estimates]),
         "window_extents": [float(v) for v in window_ext],
         "window_inside_inflated_box": window_inside,
-        "failures": list(report.failures) + ([diagnostic] if refused else []),
+        "failures": run.failures + ([run.diagnostic] if refused else []),
     }
-    passed = (not refused and report.passed and window_inside
+    passed = (not refused and not run.failures and window_inside
               and bool(np.all(bound.contraction < 1.0)))
     tol = {"contraction": 1.0, "extents": "2 C_i (1 + k/m) / (1 - k e^(-tau m))",
            "window_inflation": 1.5}
@@ -389,16 +463,16 @@ def check_quotient_conjugation(seed):
     one within eps plus one cell spacing.
     """
     run = quotient_run(cfg.preset_config("conjugation-upstairs"))
-    r = run.residuals
-    tol = {"eigenvalue_match": 1e-9, "homomorphism": 1e-9,
-           "flow_equivariance": 1e-9, "inclusion": run.inclusion_tolerance,
-           "mapped_fraction": 1.0}
-    measured = dict(r, n_sets_upstairs=len(run.usets),
+    rows = {row["name"]: row for row in run.residuals}
+    rows["inclusion"] = rows.pop("set_inclusion")
+    tol = {name: row["tolerance"] for name, row in rows.items()}
+    tol["mapped_fraction"] = 1.0
+    measured = {name: row["value"] for name, row in rows.items()}
+    measured.update(mapped_fraction=run.mapped_fraction,
+                    n_sets_upstairs=len(run.usets),
                     n_sets_downstairs=len(run.dsets),
                     quotient_dim=int(run.psi.target.x_dim))
-    passed = (r["eigenvalue_match"] < 1e-9 and r["homomorphism"] < 1e-9
-              and r["flow_equivariance"] < 1e-9 and len(run.usets) == 1
-              and len(run.dsets) == 1 and r["mapped_fraction"] == 1.0)
+    passed = all_passed(run.residuals, run.verdicts)
     return {"passed": bool(passed), "tolerances": tol, "measured": measured}
 
 

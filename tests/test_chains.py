@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from chaincontrol import config as cfg
+from chaincontrol import verify
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
 from chaincontrol.chains import (
     EDGE_CHUNK,
@@ -30,7 +32,6 @@ from chaincontrol.chains import (
     level_extents,
     strongly_connected_components,
     theoretical_bound,
-    verify_uniqueness_and_containment,
     write_edges_csv,
     write_nodes_csv,
     write_plot_slice,
@@ -553,34 +554,72 @@ def _level_bounds(limit):
                        tau=1.0)
 
 
-def test_verify_report_passes():
+def _verdicts(monkeypatch, sets, fiber, bound, require_interior):
+    """verdict_run's policy on fake sets, with the central fiber and the
+    bound given (None refuses it as a flat direction)."""
+    def bound_or_refuse(*args):
+        if bound is None:
+            raise NotHyperbolicError("flat direction")
+        return bound
+
+    monkeypatch.setattr(verify, "central_fiber_nodes",
+                        lambda window: np.asarray(fiber, dtype=np.int64))
+    monkeypatch.setattr(verify, "estimate_source_constants",
+                        lambda *args, **kwargs: None)
+    monkeypatch.setattr(verify, "theoretical_bound", bound_or_refuse)
+    config = SimpleNamespace(tau=1.0, family=None,
+                             require_interior=require_interior)
+    return verify.verdict_run(config, None, None, sets)
+
+
+def test_verify_report_passes(monkeypatch):
     s = _fake_set([3, 4, 5], [0.5])
-    rep = verify_uniqueness_and_containment([s], [4],
-                                            bounds=_level_bounds([1.0]))
-    assert rep.passed
-    assert rep.unique and rep.fiber_contained and rep.extents_ok
-    assert not rep.boundary_touched
-    assert rep.failures == []
+    for interior in (False, True):
+        rec = _verdicts(monkeypatch, [s], [4], _level_bounds([1.0]), interior)
+        assert rec.failures == [] and rec.diagnostic is None
+        assert rec.verdicts == {"unique": True, "fiber_containment": True,
+                                "extents": True,
+                                "interior": True if interior else "n/a"}
+        assert all(row["passed"] for row in rec.residuals)
+        names = [row["name"] for row in rec.residuals]
+        assert names == ["extra_chain_sets", "missing_fiber_nodes",
+                         "level_1_extent"] + ["boundary_touches"] * interior
 
 
-def test_verify_report_itemizes_failures():
+def test_verify_report_itemizes_failures(monkeypatch):
     a = _fake_set([0, 1, 2], [2.0], touch=True)
     b = _fake_set([10], [0.1])
-    rep = verify_uniqueness_and_containment([a, b], [5],
-                                            bounds=_level_bounds([1.0]))
-    assert not rep.passed
-    assert rep.n_sets == 2
-    assert not rep.unique
-    assert rep.missing_fiber_nodes == 1
-    assert not rep.extents_ok
-    assert rep.boundary_touched
-    assert len(rep.failures) == 4
+    touch = "extracted set touches the window boundary"
+    for interior in (False, True):
+        rec = _verdicts(monkeypatch, [a, b], [5], _level_bounds([1.0]),
+                        interior)
+        assert rec.failures == [
+            "2 chain control sets extracted, expected 1",
+            "1 of 1 central-fiber nodes outside the main set",
+            "per-level extents exceed the bound at levels [1]",
+        ] + [touch] * interior
+        # the boundary touch is a verdict, and a failure, only on request
+        assert rec.verdicts["interior"] == (False if interior else "n/a")
+        rows = {row["name"]: row for row in rec.residuals}
+        assert rows["extra_chain_sets"]["value"] == 1
+        assert rows["missing_fiber_nodes"]["value"] == 1
+        assert rows["level_1_extent"]["passed"] is False
+        assert ("boundary_touches" in rows) is interior
 
 
-def test_verify_report_no_sets():
-    rep = verify_uniqueness_and_containment([], [0], bounds=None)
-    assert not rep.passed
-    assert rep.n_sets == 0 and not rep.unique
+def test_verify_report_no_sets(monkeypatch):
+    for interior in (False, True):
+        rec = _verdicts(monkeypatch, [], [0], None, interior)
+        assert rec.bound is None
+        assert rec.diagnostic.startswith("unbounded direction detected")
+        assert rec.verdicts["unique"] is False
+        assert rec.verdicts["fiber_containment"] is False
+        assert rec.verdicts["extents"] == "n/a"
+        # one failure per False verdict; "n/a" adds none
+        assert rec.failures == [
+            "no chain control set extracted",
+            "1 of 1 central-fiber nodes outside the main set"]
+        assert [row["value"] for row in rec.residuals] == [1, 1]
 
 
 # -- audit -------------------------------------------------------------------
@@ -774,7 +813,6 @@ def _oracle_edges(system, window, graph):
 FILIFORM4_CONFIG = {
     "schema": 1, "seed": 1, "algebra": {"preset": "filiform4"},
     "derivation": np.diag([-1.0, -1.0, -2.0, -3.0]).tolist(),
-    "torus": {"dim": 0},
     "control": {"z": [[1.0, 1.0, 0.0, 0.0]], "lower": [-1.0], "upper": [1.0]},
     "chain": {"x_lower": [-0.8, -0.8, -0.4, -0.4],
               "x_upper": [0.8, 0.8, 0.4, 0.4],

@@ -254,6 +254,19 @@ def test_chainset_interior_requirement_fails_with_exit_3(tmp_path):
     assert body["verdicts"]["interior"] is False
     rows = {r["name"]: r for r in body["residuals"]}
     assert rows["boundary_touches"]["passed"] is False
+    assert body["failures"] == ["extracted set touches the window boundary"]
+
+
+@pytest.mark.parametrize("preset", ["scalar-stable", "rotation-plane",
+                                    "halfstable-w2"])
+def test_chainset_failures_match_false_verdicts(tmp_path, preset):
+    # one failure line per False verdict; an "n/a" verdict adds none
+    out = tmp_path / "c"
+    code = main(["chainset", "--preset", preset, "--out", str(out)])
+    body = read_report(out)["body"]
+    false = [k for k, v in body["verdicts"].items() if v is False]
+    assert len(body["failures"]) == len(false)
+    assert (body["failures"] == []) == (code == 0)
 
 
 def test_chainset_delta_override(tmp_path):
@@ -344,8 +357,48 @@ def test_conjugate_drops_a_flat_central_axis(tmp_path):
         assert down["chain"][key] == FLAT_Z["chain"][key][:2]
     assert down["control"]["z"] == [[1.0, 1.0]]
     assert "conjugation" not in down
+    # eps plus the widest downstairs cell; the dropped z cells are 0.5
+    assert read_report(out)["body"]["inclusion_tolerance"] == 0.2 + 0.25
     assert main(["chainset", "--config", str(out / "downstairs.yaml"),
                  "--out", str(tmp_path / "down")]) in (0, 3)
+
+
+# runs conjugate used to end with a traceback on: a drift whose flat
+# direction psi keeps (the spectra differ in length), and a window holding
+# no chain set (nothing to compare)
+UNMEASURABLE = {
+    "spectra-differ": ({
+        "schema": 1, "name": "flat-kept",
+        "algebra": {"preset": "abelian:3"},
+        "derivation": np.diag([0.0, -1.0, -2.0]).tolist(),
+        "control": {"z": [[1.0, 0.5, 0.5]], "lower": [-1.0], "upper": [1.0]},
+        "chain": {"x_lower": [-1.0] * 3, "x_upper": [1.0] * 3,
+                  "delta": [0.5] * 3, "eps": 0.25, "tau": 1.0},
+    }, "eigenvalue_match"),
+    "no-set": ({
+        "schema": 1, "name": "no-set",
+        "algebra": {"preset": "abelian:1"},
+        "derivation": [[1.0]],
+        "control": {"z": [[1.0]], "lower": [-1.0], "upper": [1.0]},
+        "chain": {"x_lower": [1.5], "x_upper": [2.5], "delta": [0.25],
+                  "eps": 0.1, "tau": 1.0},
+    }, "set_inclusion"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNMEASURABLE))
+def test_conjugate_unmeasurable_row_reads_null(tmp_path, capsys, case):
+    raw, row = UNMEASURABLE[case]
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "j"
+    code = main(["conjugate", "--config", str(path), "--out", str(out)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out / "report.json") as fh:
+        body = json.load(fh, parse_constant=pytest.fail)["body"]
+    rows = {r["name"]: r for r in body["residuals"]}
+    assert rows[row]["value"] is None and rows[row]["passed"] is False
 
 
 def test_seed_override_lands_in_report(tmp_path):
@@ -362,7 +415,7 @@ def _preset_yaml(block, value, key=None):
     if key is None:
         raw[block] = value
     else:
-        raw[block][key] = value
+        raw.setdefault(block, {})[key] = value
     return yaml.safe_dump(raw)
 
 
@@ -418,6 +471,24 @@ BAD_INPUTS = {
                            _flat_z_yaml([0], derivation=[[0.0, 0.0, 0.0],
                                                          [0.0, -1.0, 0.0],
                                                          [0.0, 0.0, -1.0]])),
+    # a quotient with no nilpotent coordinate left
+    "kernel-drops-everything": (["conjugate", "--config", "{file}"],
+                                yaml.safe_dump({
+                                    "schema": 1,
+                                    "algebra": {"preset": "abelian:2"},
+                                    "derivation": [[0.0, 0.0], [0.0, 0.0]],
+                                    "control": {"z": [[1.0, 0.0]],
+                                                "lower": [-1.0],
+                                                "upper": [1.0]},
+                                    "chain": {"x_lower": [-1.0, -1.0],
+                                              "x_upper": [1.0, 1.0],
+                                              "delta": [0.5, 0.5],
+                                              "eps": 0.2, "tau": 1.0},
+                                    "conjugation": {"extra_kernel": [0, 1]},
+                                })),
+    # the circle count comes from torus.generators
+    "torus-dim": (["chainset", "--config", "{file}"],
+                  _preset_yaml("torus", 0, key="dim")),
     # a flag override meets a chain block that is not a mapping
     "chain-int-eps-flag": (["chainset", "--config", "{file}", "--eps", "0.1"],
                            _preset_yaml("chain", 3)),
@@ -445,7 +516,9 @@ NAMED_KEYS = {"output-block": "output", "level-bounds": "chain.level_bounds",
               "kernel-matrix-form": "conjugation.extra_kernel",
               "kernel-index-outside": "conjugation.extra_kernel",
               "kernel-outside-ker-d": "not inside ker D",
-              "kernel-not-central": "not central"}
+              "kernel-not-central": "not central",
+              "kernel-drops-everything": "conjugation.extra_kernel",
+              "torus-dim": "torus.dim"}
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["chainset", "--help"]])

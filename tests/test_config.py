@@ -83,8 +83,21 @@ def test_shape_guards():
         cfg.parse_config(raw)
 
     raw = minimal_raw()
-    raw["torus"] = {"dim": 1, "generators": []}
-    with pytest.raises(ValidationError):
+    raw["torus"] = {"generators": [[[0.0, 1.0]]]}
+    with pytest.raises(ValidationError, match="1 x 1"):
+        cfg.parse_config(raw)
+
+
+def test_circle_count_comes_from_the_generators():
+    raw = copy.deepcopy(cfg.PRESETS["rotation-plane"])
+    assert len(cfg.parse_config(raw).generators) == 1
+    raw["chain"]["angle_cells"] = [64, 64]
+    with pytest.raises(ValidationError, match="one count per torus circle"):
+        cfg.parse_config(raw)
+    # the count is derived, so a file that still states it is refused
+    raw = minimal_raw()
+    raw["torus"] = {"dim": 0}
+    with pytest.raises(ValidationError, match="unknown key torus.dim"):
         cfg.parse_config(raw)
 
 
