@@ -55,129 +55,88 @@ NODE_LIMIT = 1_500_000
 # rows (controls x starts x kept snapshots) one anchored run may hold; larger
 # families are run in slices of controls so memory stays bounded
 ANCHOR_ROW_LIMIT = 1 << 21
-FIBER_TOL = 1e-9  # ties in the free-coordinate norm of central_fiber_nodes
+FIBER_TOL = 1e-9  # ties in the box-coordinate norm of central_fiber_nodes
 AUDIT_REFINE = 10  # audit_edges re-integrates at this many times finer a step
 EDGE_CHUNK = 65_536  # rows write_edges_csv joins per write
-
-
-def _cell_centers(lower, count, delta):
-    return lower + (np.arange(count) + 0.5) * delta
 
 
 class GridWindow:
     """Uniform cell grid over a compact window of a semidirect group.
 
-    Axes are ordered: torus angles first, then nilpotent coordinates in
-    ambient order.  Angular nilpotent coordinates (the group's x_mask) get
-    circular grids like torus angles; the rest get box grids with
-    per-coordinate bounds and cell size delta.  Nodes are cell centers,
-    enumerated in C order over the axis grid, which fixes determinism.
+    One axis per group coordinate, in the group's order: torus angles, then
+    nilpotent coordinates.  box = ~group.angular_mask is the only record of
+    which axes are circles.  A circle (a torus angle or an angular nilpotent
+    coordinate) spans [-pi, pi) in 2 pi / k cells, with one count k per
+    circle in angle_cells, in coordinate order; a box coordinate spans its
+    bounds in cells of size delta.  lower, upper, delta and shape hold one
+    entry per coordinate.  Nodes are cell centers, enumerated in C order over
+    the axes, which fixes determinism.
 
-    symmetric_axes are the angle axes whose whole-cell shifts map the cell
+    symmetric_axes are the circle axes whose whole-cell shifts map the cell
     graph of any linear system on the group onto itself (see
-    build_chain_graph): every masked axis, and the torus axes when every
-    action generator is skew within ACTION_ATOL, so rho(h) is orthogonal.
+    build_chain_graph): every angular nilpotent axis, and the torus axes
+    when every action generator is skew within ACTION_ATOL, so rho(h) is
+    orthogonal.
     """
 
-    def __init__(self, group, x_lower, x_upper, x_delta, angle_cells=(),
-                 masked_cells=()):
+    def __init__(self, group, box_lower, box_upper, box_delta,
+                 angle_cells=()):
         self.group = group
-        m, n = group.h_dim, group.x_dim
-        mask = group.x_mask
-        n_masked = int(mask.sum())
-
-        angle_cells = [int(k) for k in np.atleast_1d(np.asarray(angle_cells))] \
-            if np.size(angle_cells) else []
-        masked_cells = [int(k) for k in np.atleast_1d(np.asarray(masked_cells))] \
-            if np.size(masked_cells) else []
-        if len(angle_cells) != m:
-            raise ValidationError(f"need one angle cell count per torus "
-                                  f"coordinate, got {len(angle_cells)} for {m}")
-        if len(masked_cells) != n_masked:
-            raise ValidationError("need one cell count per angular nilpotent "
-                                  "coordinate")
-        if any(k < 1 for k in angle_cells + masked_cells):
+        self.box = box = ~group.angular_mask
+        n_box = int(box.sum())
+        cells = [int(k) for k in np.ravel(angle_cells)]
+        if len(cells) != group.dim - n_box:
+            raise ValidationError(
+                f"need one cell count per circle coordinate, got "
+                f"{len(cells)} for {group.dim - n_box}")
+        if any(k < 1 for k in cells):
             raise ValidationError("angle grids need at least one cell")
-
-        free = ~mask
         try:
-            x_lower = np.broadcast_to(np.asarray(x_lower, dtype=float),
-                                      (int(free.sum()),)).astype(float)
-            x_upper = np.broadcast_to(np.asarray(x_upper, dtype=float),
-                                      (int(free.sum()),)).astype(float)
-            x_delta = np.broadcast_to(np.asarray(x_delta, dtype=float),
-                                      (int(free.sum()),)).astype(float)
+            lo, hi, d = (np.broadcast_to(np.asarray(v, dtype=float), (n_box,))
+                         for v in (box_lower, box_upper, box_delta))
         except ValueError:
             raise ValidationError(
                 f"window bounds and cell sizes need one entry, or one per "
-                f"box coordinate ({int(free.sum())})")
-        if np.any(x_delta <= 0.0):
+                f"box coordinate ({n_box})")
+        if np.any(d <= 0.0):
             raise ValidationError("cell sizes must be positive")
-        if np.any(x_upper <= x_lower):
+        if np.any(hi <= lo):
             raise ValidationError("window bounds must have positive extent")
-        counts = (x_upper - x_lower) / x_delta
+        counts = (hi - lo) / d
         snapped = np.rint(counts)
         if np.any(np.abs(counts - snapped) > 1e-6) or np.any(snapped < 1):
             raise ValidationError(
                 "window extent must be a whole number of cells per coordinate")
         # refused before any per-axis grid is allocated
-        n_nodes = float(np.prod(snapped)) * math.prod(angle_cells + masked_cells)
+        n_nodes = float(np.prod(snapped)) * math.prod(cells)
         if n_nodes > NODE_LIMIT:
             raise ValidationError(f"window has {n_nodes:.0f} cells, over the "
                                   f"{NODE_LIMIT} limit")
         self.n_nodes = int(n_nodes)
 
-        # per-axis grids in enumeration order: torus, then x in ambient order
-        axis_centers = []
-        axis_delta = []
-        axis_kind = []
-        for j in range(m):
-            k = angle_cells[j]
-            d = 2.0 * np.pi / k
-            axis_centers.append(_cell_centers(-np.pi, k, d))
-            axis_delta.append(d)
-            axis_kind.append("angle")
-        free_pos = 0
-        masked_pos = 0
-        for j in range(n):
-            if mask[j]:
-                k = masked_cells[masked_pos]
-                masked_pos += 1
-                d = 2.0 * np.pi / k
-                axis_centers.append(_cell_centers(-np.pi, k, d))
-                axis_delta.append(d)
-                axis_kind.append("angle")
-            else:
-                k = int(snapped[free_pos])
-                lo = x_lower[free_pos]
-                d = x_delta[free_pos]
-                axis_centers.append(_cell_centers(lo, k, d))
-                axis_delta.append(d)
-                axis_kind.append("box")
-                free_pos += 1
-        self.axis_centers = axis_centers
-        self.axis_delta = np.asarray(axis_delta, dtype=float)
-        self.axis_kind = axis_kind
+        shape = np.empty(group.dim, dtype=np.int64)
+        shape[box], shape[~box] = snapped, cells
+        self.shape = tuple(int(k) for k in shape)
+        self.lower = np.full(group.dim, -np.pi)
+        self.upper = np.full(group.dim, np.pi)
+        self.delta = 2.0 * np.pi / shape
+        self.lower[box], self.upper[box], self.delta[box] = lo, hi, d
         skew = all(np.max(np.abs(g + g.T)) <= ACTION_ATOL
                    for g in group.action.generators)
         self.symmetric_axes = tuple(
-            a for a in range(len(axis_kind))
-            if axis_kind[a] == "angle" and (a >= m or skew))
-        self.shape = tuple(len(c) for c in axis_centers)
-        self.n_axes = len(axis_centers)
-        self.x_lower = x_lower
-        self.x_upper = x_upper
-        self.x_delta = x_delta
-        self.free_columns = group.h_dim + np.flatnonzero(free)
+            a for a in range(group.dim)
+            if not box[a] and (a >= group.h_dim or skew))
 
-        grids = np.meshgrid(*axis_centers, indexing="ij")
+        grids = np.meshgrid(*(
+            self.lower[a] + (np.arange(k) + 0.5) * self.delta[a]
+            for a, k in enumerate(self.shape)), indexing="ij")
         self.points = np.stack([g.reshape(-1) for g in grids], axis=1)
         self.half_diameter = self._measure_half_diameter()
 
     # -- geometry ------------------------------------------------------------
 
     def axis_indices(self, nodes=None):
-        """Per-axis grid indices, shape (len(nodes), n_axes)."""
+        """Per-axis grid indices, shape (len(nodes), group.dim)."""
         if nodes is None:
             nodes = np.arange(self.n_nodes)
         idx = np.unravel_index(np.asarray(nodes, dtype=np.int64), self.shape)
@@ -194,8 +153,9 @@ class GridWindow:
         sample = self.points[::stride]
         if len(sample) > 512:
             sample = sample[:512]
-        offsets = 0.5 * self.axis_delta
-        corners = np.array(list(np.ndindex(*(2,) * self.n_axes)), dtype=float)
+        offsets = 0.5 * self.delta
+        corners = np.array(list(np.ndindex(*(2,) * len(self.shape))),
+                           dtype=float)
         corners = (2.0 * corners - 1.0) * offsets
         shifted = sample[:, None, :] + corners[None, :, :]
         base = np.broadcast_to(sample[:, None, :], shifted.shape)
@@ -206,17 +166,14 @@ class GridWindow:
     def embed(self, states):
         """Isometry-friendly coordinates for radius queries.
 
-        Angles map to unit-circle pairs (chord length bounds arc length
+        Circles map to unit-circle pairs (chord length bounds arc length
         from below), box coordinates stay as they are.
         """
         states = np.asarray(states, dtype=float)
         cols = []
-        for a in range(self.n_axes):
+        for a, box in enumerate(self.box):
             col = states[..., a]
-            if self.axis_kind[a] == "angle":
-                cols.extend([np.cos(col), np.sin(col)])
-            else:
-                cols.append(col)
+            cols.extend([col] if box else [np.cos(col), np.sin(col)])
         return np.stack(cols, axis=-1)
 
     def query_radii(self, landed, cut):
@@ -245,27 +202,20 @@ class GridWindow:
         return rho * f * cut * (1.0 + 1e-9)
 
     def inflated_bounds(self, pad):
-        """Box bounds enlarged by pad plus one cell on each free coordinate."""
-        margin = pad + self.x_delta
-        return self.x_lower - margin, self.x_upper + margin
+        """Box bounds enlarged by pad plus one cell on each box coordinate."""
+        margin = pad + self.delta[self.box]
+        return self.lower[self.box] - margin, self.upper[self.box] + margin
 
     def boundary_layer(self, nodes=None):
-        """(len(nodes), n_free, 2) flags: node sits in the first or last cell
+        """(len(nodes), n_box, 2) flags: node sits in the first or last cell
         layer of each box coordinate."""
-        idx = self.axis_indices(nodes)
-        flags = []
-        for a in range(self.n_axes):
-            if self.axis_kind[a] != "box":
-                continue
-            k = self.shape[a]
-            flags.append(np.stack([idx[:, a] == 0, idx[:, a] == k - 1], axis=-1))
-        if not flags:
-            return np.zeros((idx.shape[0], 0, 2), dtype=bool)
-        return np.stack(flags, axis=1)
+        idx = self.axis_indices(nodes)[:, self.box]
+        last = np.array(self.shape)[self.box] - 1
+        return np.stack([idx == 0, idx == last], axis=-1)
 
     def identity_cells(self):
         """Nodes whose cell contains the group identity (ties included)."""
-        tol = 0.5 * self.axis_delta + 1e-9
+        tol = 0.5 * self.delta + 1e-9
         inside = np.abs(self.points) <= tol
         return np.flatnonzero(inside.all(axis=1))
 
@@ -323,13 +273,13 @@ def _control_slices(n_controls, rows_per_control):
 
 
 def _propagate(system, starts, u_val, h, n_steps, steps,
-               box_lower, box_upper, free_columns):
+               box_lower, box_upper, box):
     """Fixed-step batched integration with window truncation.
 
-    Rows whose free coordinates leave [box_lower, box_upper] freeze at
-    their last inside state and stop being alive.  Returns the frames, one
-    (states, alive mask) pair per entry of steps (step 0 is the start), and
-    the truncation mask.
+    Rows whose box coordinates (the columns the mask box selects) leave
+    [box_lower, box_upper] freeze at their last inside state and stop being
+    alive.  Returns the frames, one (states, alive mask) pair per entry of
+    steps (step 0 is the start), and the truncation mask.
 
     Integrates every row directly; the graph builds its runs from anchors
     (`_propagate_family`), and this path is kept as their oracle.
@@ -344,8 +294,8 @@ def _propagate(system, starts, u_val, h, n_steps, steps,
     frames = {0: (y.copy(), alive.copy())} if 0 in want else {}
     for step in range(1, n_steps + 1):
         advanced = group.normalize(_rk4_step(system, y, u, h))
-        free = advanced[:, free_columns]
-        out = np.any((free < box_lower) | (free > box_upper), axis=1)
+        coords = advanced[:, box]
+        out = np.any((coords < box_lower) | (coords > box_upper), axis=1)
         leave = alive & out
         truncated |= leave
         moved = alive & ~out
@@ -391,7 +341,7 @@ def _translate(group, anchor, flow, starts, u_of):
 
 
 def _propagate_family(system, starts, family, h, flows, steps,
-                      box_lower, box_upper, free_columns):
+                      box_lower, box_upper, box):
     """`_propagate` for every control of a family at once, from anchors.
 
     The anchor a_k = phi(k h, e, u) of each control comes from the
@@ -440,8 +390,8 @@ def _propagate_family(system, starts, family, h, flows, steps,
         if rows.size:
             advanced = _translate(group, anchor, flows[step], y0[start_of],
                                   u_of)
-            free = advanced[:, free_columns]
-            out = np.any((free < box_lower) | (free > box_upper), axis=1)
+            coords = advanced[:, box]
+            out = np.any((coords < box_lower) | (coords > box_upper), axis=1)
             if out.any():
                 states[rows[out]] = current[out]
                 alive[rows[out]] = False
@@ -528,7 +478,7 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     for part in _control_slices(n_u, sources.size * (n_t + 2)):
         frames, trunc = _propagate_family(
             system, centers[sources], control_family[part], h, flows, snap,
-            lo_inf, hi_inf, window.free_columns)
+            lo_inf, hi_inf, window.box)
         truncated[sources] |= trunc.any(axis=0)
         for j, u_idx in enumerate(range(n_u)[part]):
             for t_idx, (states, alive) in enumerate(frames):
@@ -575,25 +525,6 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
         truncated=truncated, inflated_lower=lo_inf, inflated_upper=hi_inf)
 
 
-def strongly_connected_components(graph):
-    """Partition of the nodes into strongly connected components.
-
-    Runs in linear time via the compiled sparse graph routine; components
-    are relabeled by their smallest node index so the output order never
-    depends on library internals.
-    """
-    n = graph.n_nodes
-    data = np.ones(graph.n_edges, dtype=np.int8)
-    adj = csr_matrix((data, (graph.src, graph.dst)), shape=(n, n))
-    _, labels = connected_components(adj, directed=True, connection="strong")
-    order = np.argsort(labels, kind="stable")
-    boundaries = np.flatnonzero(np.diff(labels[order])) + 1
-    groups = np.split(order, boundaries)
-    groups = [np.sort(g) for g in groups]
-    groups.sort(key=lambda g: int(g[0]))
-    return groups
-
-
 @dataclass
 class ChainControlSetApprox:
     """One extracted chain control set candidate."""
@@ -603,7 +534,7 @@ class ChainControlSetApprox:
     extents: np.ndarray
     contains_identity: bool
     contains_central_fiber: bool
-    boundary_touch: np.ndarray  # (n_free, 2) low/high per box coordinate
+    boundary_touch: np.ndarray  # (n_box, 2) low/high per box coordinate
 
     @property
     def touches_boundary(self):
@@ -635,21 +566,16 @@ def level_extents(algebra, x, x_mask=None):
 def central_fiber_nodes(window):
     """Nodes closest to x = 0 within every compact-coordinate combination.
 
-    For each combination of angle-axis indices (torus and angular nilpotent
-    alike) the cells minimizing the free-coordinate norm are kept, ties
-    within FIBER_TOL included.  With no compact axes this is just the cells
+    For each combination of circle-axis indices (torus and angular nilpotent
+    alike) the cells minimizing the box-coordinate norm are kept, ties
+    within FIBER_TOL included.  With no circle axes this is just the cells
     nearest the origin.
     """
-    group = window.group
-    x = window.points[:, group.h_dim:]
-    free = x[:, ~group.x_mask] if x.shape[1] else np.zeros((window.n_nodes, 0))
-    r = np.linalg.norm(free, axis=1)
-
+    r = np.linalg.norm(window.points[:, window.box], axis=1)
     idx = window.axis_indices()
     key = np.zeros(window.n_nodes, dtype=np.int64)
-    for a in range(window.n_axes):
-        if window.axis_kind[a] == "angle":
-            key = key * window.shape[a] + idx[:, a]
+    for a in np.flatnonzero(~window.box):
+        key = key * window.shape[a] + idx[:, a]
     n_keys = int(key.max()) + 1 if window.n_nodes else 0
     best = np.full(n_keys, np.inf)
     np.minimum.at(best, key, r)
@@ -665,21 +591,26 @@ def extract_chain_sets(graph):
     """
     if graph.n_edges == 0:
         return []
-    components = strongly_connected_components(graph)
     n = graph.n_nodes
-    label = np.empty(n, dtype=np.int64)
-    for i, comp in enumerate(components):
-        label[comp] = i
+    adj = csr_matrix((np.ones(graph.n_edges, dtype=np.int8),
+                      (graph.src, graph.dst)), shape=(n, n))
+    _, label = connected_components(adj, directed=True, connection="strong")
     internal = label[graph.src] == label[graph.dst]
-    counts = np.bincount(label[graph.src][internal], minlength=len(components))
+    counts = np.bincount(label[graph.src][internal])
+    # each component's members in node order, from one stable sort; sets
+    # are ordered by their smallest node, never by library internals
+    sizes = np.bincount(label)
+    members = np.argsort(label, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    kept = np.flatnonzero(counts)
+    kept = kept[np.argsort(members[starts[kept]])]
 
     group = graph.window.group
     fiber = central_fiber_nodes(graph.window)
     identity_nodes = graph.window.identity_cells()
     sets = []
-    for i, comp in enumerate(components):
-        if counts[i] == 0:
-            continue
+    for c in kept:
+        comp = members[starts[c]:starts[c] + sizes[c]]
         x = graph.window.points[comp][:, group.h_dim:]
         extents = level_extents(group.algebra, x, group.x_mask)
         member = np.zeros(n, dtype=bool)
@@ -687,7 +618,7 @@ def extract_chain_sets(graph):
         layer = graph.window.boundary_layer(comp)
         sets.append(ChainControlSetApprox(
             nodes=comp,
-            internal_edges=int(counts[i]),
+            internal_edges=int(counts[c]),
             extents=extents,
             contains_identity=bool(member[identity_nodes].any()),
             contains_central_fiber=bool(member[fiber].all())
@@ -777,24 +708,21 @@ def estimate_source_constants(system, window, tau, control_family=None):
     h, n_steps, flows = _step_grid(system, tau)
     steps = range(0, n_steps + 1, 5)
     sup = np.zeros(alg.nilpotency_class)
-    mask = group.x_mask
+    box = window.box
     for part in _control_slices(len(control_family), len(starts) * len(steps)):
         family = control_family[part]
         frames, _ = _propagate_family(
-            system, starts, family, h, flows, steps, window.x_lower,
-            window.x_upper, window.free_columns)
+            system, starts, family, h, flows, steps, window.lower[box],
+            window.upper[box], box)
         for states, alive in frames:
             if not alive.any():
                 continue
             u_idx, rows = np.nonzero(alive)
             pts = states[u_idx, rows]
-            x = pts[:, group.h_dim:]
-            xdot = group.split(system.field(family[u_idx], pts))[1]
-            if mask.any():
-                x = np.array(x, copy=True)
-                xdot = np.array(xdot, copy=True)
-                x[:, mask] = 0.0
-                xdot[:, mask] = 0.0
+            # circle coordinates carry no level extent
+            x = np.where(box, pts, 0.0)[:, group.h_dim:]
+            xdot = np.where(box, system.field(family[u_idx], pts),
+                            0.0)[:, group.h_dim:]
             graded_x = x @ alg.frame
             graded_v = xdot @ alg.frame
             for i, sl in enumerate(alg.level_slices):
@@ -844,7 +772,7 @@ def audit_edges(system, graph, fraction=0.01, seed=1234):
         [(states, alive)], _ = _propagate(
             system, window.points[graph.src[sel]],
             graph.control_family[u_idx], h_fine, n_fine, [n_fine],
-            graph.inflated_lower, graph.inflated_upper, window.free_columns)
+            graph.inflated_lower, graph.inflated_upper, window.box)
         d = system.group.distance(states, window.points[graph.dst[sel]])
         excess = d - graph.radius
         bad = ~alive | (excess > 1e-6)

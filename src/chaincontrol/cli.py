@@ -292,17 +292,13 @@ def cmd_chainset(args):
     out = _out_dir(args, "chainset")
     write_nodes_csv(out / "nodes.csv", graph, sets)
     write_edges_csv(out / "edges.csv", graph)
-    box_axes = [a for a in range(window.n_axes)
-                if window.axis_kind[a] != "angle"]
-    cols = box_axes[:2] if len(box_axes) >= 2 else []
-    if not cols and window.n_axes >= 2:
-        cols = [0, 1]
-    if cols:
+    if window.group.dim >= 2:
+        box_axes = np.flatnonzero(window.box).tolist()
+        cols = tuple(box_axes[:2]) if len(box_axes) >= 2 else (0, 1)
         plotdir = out / "plotdata"
         plotdir.mkdir(exist_ok=True)
         for i, s in enumerate(sets):
-            write_plot_slice(plotdir / f"set{i}.csv", graph, s,
-                             columns=tuple(cols))
+            write_plot_slice(plotdir / f"set{i}.csv", graph, s, columns=cols)
     write_sets_jsonl(out / "sets.jsonl", sets, bounds=run.bound)
 
     body = {

@@ -31,7 +31,7 @@ KEYS = {
     "torus": ("generators", "angular_coords"),
     "control": ("z", "lower", "upper", "torus_controls", "family"),
     "chain": ("eps", "tau", "delta", "x_lower", "x_upper", "angle_cells",
-              "masked_cells", "times", "require_interior"),
+              "times", "require_interior"),
     "conjugation": ("extra_kernel",),
 }
 
@@ -55,7 +55,6 @@ class RunConfig:
     x_upper: np.ndarray
     delta: np.ndarray
     angle_cells: tuple
-    masked_cells: tuple
     eps: float
     tau: float
     times: np.ndarray
@@ -147,6 +146,9 @@ def parse_config(data):
                        "torus.angular_coords")
     _require(all(0 <= i < n for i in angular),
              "angular_coords must index nilpotent coordinates")
+    # cell counts follow ascending coordinate order
+    _require(all(a < b for a, b in zip(angular, angular[1:])),
+             "torus.angular_coords must be strictly increasing")
 
     control = _block(data, "control", required=True)
     lower = np.atleast_1d(_matrix(control.get("lower"), "control.lower"))
@@ -183,12 +185,9 @@ def parse_config(data):
     x_upper = np.atleast_1d(_matrix(xu, "chain.x_upper"))
     angle_cells = _convert(_ints, chain.get("angle_cells", []),
                            "chain.angle_cells")
-    _require(len(angle_cells) == circles,
-             "chain.angle_cells must list one count per torus circle")
-    masked_cells = _convert(_ints, chain.get("masked_cells", []),
-                            "chain.masked_cells")
-    _require(len(masked_cells) == len(angular),
-             "chain.masked_cells must list one count per angular coordinate")
+    _require(len(angle_cells) == circles + len(angular),
+             "chain.angle_cells must list one count per circle: each torus "
+             "circle, then each angular coordinate")
     t = chain.get("times")
     times = None if t is None else np.atleast_1d(_matrix(t, "chain.times"))
     require_interior = chain.get("require_interior", False)
@@ -207,7 +206,7 @@ def parse_config(data):
         control_vectors=z, torus_controls=torus_controls,
         lower=lower, upper=upper, family=family,
         x_lower=x_lower, x_upper=x_upper, delta=delta,
-        angle_cells=angle_cells, masked_cells=masked_cells,
+        angle_cells=angle_cells,
         eps=eps, tau=tau, times=times, require_interior=require_interior,
         extra_kernel=extra_kernel)
 
@@ -235,20 +234,20 @@ def build_system(config):
 def build_window(config, system):
     """Instantiate the grid window the config's chain block gives."""
     return GridWindow(system.group, config.x_lower, config.x_upper,
-                      config.delta, angle_cells=config.angle_cells,
-                      masked_cells=config.masked_cells)
+                      config.delta, angle_cells=config.angle_cells)
 
 
 def downstairs_raw(config, window, psi):
     """Raw config dict for the quotient system psi maps onto.
 
-    The chain window is the upstairs one with the axes psi drops removed:
-    window holds the bounds and cell sizes broadcast to the upstairs box
-    axes, and of the nilpotent coordinates psi drops every masked circle
-    and every extra kernel axis.  Controls keep the surviving columns.
+    The chain window is the upstairs one without the axes psi drops (every
+    angular coordinate and every extra kernel axis): the bounds and cell
+    sizes of the kept coordinates and the torus cell counts are read from
+    window.  Controls keep the surviving columns.
     """
     target = psi.target
-    box = psi.keep[~psi.group.x_mask]
+    m = psi.group.h_dim
+    kept = m + np.flatnonzero(psi.keep)
     data = {
         "schema": SCHEMA_VERSION,
         "name": config.name + "-quotient",
@@ -266,10 +265,10 @@ def downstairs_raw(config, window, psi):
         "chain": {
             "eps": config.eps,
             "tau": config.tau,
-            "delta": window.x_delta[box].tolist(),
-            "angle_cells": list(config.angle_cells),
-            "x_lower": window.x_lower[box].tolist(),
-            "x_upper": window.x_upper[box].tolist(),
+            "delta": window.delta[kept].tolist(),
+            "angle_cells": list(window.shape[:m]),
+            "x_lower": window.lower[kept].tolist(),
+            "x_upper": window.upper[kept].tolist(),
             "require_interior": config.require_interior,
         },
     }
@@ -370,7 +369,7 @@ _register("conjugation-upstairs", {
     },
     "chain": {
         "x_lower": [-0.75, -0.75], "x_upper": [0.75, 0.75],
-        "delta": [0.25, 0.25], "angle_cells": [8], "masked_cells": [8],
+        "delta": [0.25, 0.25], "angle_cells": [8, 8],
         "eps": 0.15, "tau": 1.0,
     },
 })

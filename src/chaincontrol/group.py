@@ -15,7 +15,7 @@ from .errors import (
     NotAutomorphismError,
     ValidationError,
 )
-from .spectral import check_derivation, quotient_derivation
+from .spectral import check_derivation
 
 TWO_PI = 2.0 * np.pi
 ACTION_ATOL = 1e-8  # integrality of the action spectrum, joint diagonality
@@ -297,7 +297,9 @@ class ConjugationMap:
     lie in ker D.  keep masks the coordinates that stay; algebra, action
     and derivation become their kept blocks.  The result is again a
     semidirect model, and psi intertwines products and drift flows by
-    construction; both are validated on samples.
+    construction; both are validated on samples.  Whether the kept block
+    is hyperbolic is not checked here: the eigenvalue_match row of
+    verify.quotient_run decides it.
     """
 
     def __init__(self, group, matrix, extra_kernel=()):
@@ -325,7 +327,7 @@ class ConjugationMap:
                 raise ValidationError("action does not preserve the kernel")
 
         quot_alg = quotient_by_central(group.algebra, keep)
-        self.matrix_hat = quotient_derivation(d, keep)
+        self.matrix_hat = d[np.ix_(keep, keep)]
         gens_hat = [g[np.ix_(keep, keep)] for g in group.action.generators]
         self.target = SemidirectGroup(quot_alg, RhoAction(quot_alg, gens_hat))
 

@@ -212,25 +212,3 @@ def decay_constants(matrix):
             f"decay certificate failed on refinement: {fine:.6f} > {kappa:.6f}")
     return {"mu": mu, "kappa": float(kappa), "raw": float(raw)}
 
-
-def quotient_derivation(matrix, keep):
-    """The block of a derivation on the coordinates the mask keep keeps.
-
-    The dropped axes span a kernel the matrix annihilates.  The block's
-    spectrum must exactly recover the eigenvalues of D with nonzero real
-    part (the kernel carries the rest), which certifies that the quotient
-    is hyperbolic.
-    """
-    d = np.asarray(matrix, dtype=float)
-    d_hat = d[np.ix_(keep, keep)]
-
-    quot_eigs = np.sort_complex(np.linalg.eigvals(d_hat))
-    if quot_eigs.size and np.min(np.abs(quot_eigs.real)) <= 1e-9:
-        raise ValidationError("compressed matrix still has center spectrum")
-    ambient = np.linalg.eigvals(d)
-    nonzero = np.sort_complex(ambient[np.abs(ambient.real) > 1e-9])
-    if nonzero.shape != quot_eigs.shape or (
-            quot_eigs.size and np.max(np.abs(nonzero - quot_eigs)) > 1e-9):
-        raise ValidationError(
-            "compressed spectrum does not match the off-axis eigenvalues")
-    return d_hat

@@ -192,7 +192,7 @@ def quotient_run(config):
     down_raw = cfg.downstairs_raw(config, window, psi)
     _, down_win, _, dsets = chain_run(cfg.parse_config(down_raw))
 
-    tol_incl = config.eps + float(np.max(down_win.axis_delta))
+    tol_incl = config.eps + float(np.max(down_win.delta))
     mapped = inclusion = None
     fraction = 0.0
     if usets and dsets:

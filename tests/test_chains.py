@@ -30,7 +30,6 @@ from chaincontrol.chains import (
     estimate_source_constants,
     extract_chain_sets,
     level_extents,
-    strongly_connected_components,
     theoretical_bound,
     write_edges_csv,
     write_nodes_csv,
@@ -185,9 +184,8 @@ def test_symmetric_axes_skip_a_skewed_torus():
     alg = NilpotentAlgebra(preset_structure("abelian:3"))
     group = SemidirectGroup(alg, RhoAction(alg, [_skewed_rotation(3)]),
                             angular_x_mask=[False, False, True])
-    window = GridWindow(group, -1.0, 1.0, 0.5, angle_cells=(4,),
-                        masked_cells=(4,))
-    assert window.axis_kind[0] == "angle"
+    window = GridWindow(group, -1.0, 1.0, 0.5, angle_cells=(4, 4))
+    assert window.box.tolist() == [False, True, True, False]
     assert window.symmetric_axes == (3,)
 
 
@@ -200,8 +198,8 @@ def test_query_radii_cover_group_balls(name, cut):
     # embedding, for landings a far from the identity (|x_a| up to 10, where
     # the class-3 and class-4 terms of the radius dominate)
     group = _radii_case(name)
-    window = GridWindow(group, -1.0, 1.0, 0.5, angle_cells=(4,) * group.h_dim,
-                        masked_cells=(4,) * int(group.x_mask.sum()))
+    window = GridWindow(group, -1.0, 1.0, 0.5,
+                        angle_cells=(4,) * int(group.angular_mask.sum()))
     rng = np.random.default_rng(17)
     n = 20_000
     x_a = rng.standard_normal((n, group.x_dim))
@@ -361,13 +359,22 @@ def test_scalar_unstable_reference_set(unstable_setup):
 
 
 def test_scc_partition(stable_setup):
+    # hand-made edges on the scalar window: the cycles 70 -> 2 -> 70 and
+    # 6 -> 5 -> 6, a self-loop at 40, and a bridge 10 -> 11 with no cycle
     _, _, graph = stable_setup
-    comps = strongly_connected_components(graph)
-    all_nodes = np.concatenate(comps)
-    assert len(all_nodes) == graph.n_nodes
-    assert len(np.unique(all_nodes)) == graph.n_nodes
-    # relabeled by smallest member, so starts are strictly increasing
-    starts = [int(c[0]) for c in comps]
+    src, dst = np.array([[70, 2], [2, 70], [6, 5], [5, 6], [5, 5], [40, 40],
+                         [10, 11], [11, 40]]).T
+    sets = extract_chain_sets(dataclasses.replace(graph, src=src, dst=dst))
+    assert [s.nodes.tolist() for s in sets] == [[2, 70], [5, 6], [40]]
+    assert [s.internal_edges for s in sets] == [2, 3, 1]
+    # on a real graph too: each set sorted, the sets disjoint and ordered
+    # by their smallest node
+    sets = extract_chain_sets(graph)
+    for s in sets:
+        assert np.all(np.diff(s.nodes) > 0)
+    nodes = np.concatenate([s.nodes for s in sets])
+    assert len(np.unique(nodes)) == len(nodes)
+    starts = [int(s.nodes[0]) for s in sets]
     assert starts == sorted(starts)
 
 
@@ -724,12 +731,12 @@ def test_anchored_runs_match_direct_integration(name):
     starts = window.points[::ORACLE_STRIDE.get(name, 1)]
 
     frames, truncated = _propagate_family(
-        system, starts, family, h, flows, steps, lo, hi, window.free_columns)
+        system, starts, family, h, flows, steps, lo, hi, window.box)
     assert truncated.shape == (len(family), len(starts))
     assert len(frames) == len(steps)
     for j, u in enumerate(family):
         ref_frames, ref_trunc = _propagate(
-            system, starts, u, h, n_steps, steps, lo, hi, window.free_columns)
+            system, starts, u, h, n_steps, steps, lo, hi, window.box)
         assert np.array_equal(truncated[j], ref_trunc)
         for (states, alive), (ref_states, ref_alive) in zip(frames,
                                                             ref_frames):
@@ -760,21 +767,21 @@ def test_anchored_runs_match_oracle_on_random_systems(heisenberg, a, b, seed):
     family = rng.uniform(-1.0, 1.0, (3, 1))
     lo, hi = -rng.uniform(0.3, 1.5, n), rng.uniform(0.3, 1.5, n)
     starts = rng.uniform(lo, hi, (6, n))
-    cols = np.arange(n)
+    box = np.ones(n, dtype=bool)
     h, n_steps, flows = _step_grid(system, 0.25)
     steps = range(n_steps + 1)
 
     frames, truncated = _propagate_family(system, starts, family, h, flows,
-                                          steps, lo, hi, cols)
+                                          steps, lo, hi, box)
     for j, u in enumerate(family):
         ref_frames, ref_trunc = _propagate(system, starts, u, h, n_steps,
-                                           steps, lo, hi, cols)
+                                           steps, lo, hi, box)
         # rows whose oracle run meets the box within 1e-8 may truncate
         # one step apart
         inner = _propagate(system, starts, u, h, n_steps, [], lo + 1e-8,
-                           hi - 1e-8, cols)[1]
+                           hi - 1e-8, box)[1]
         outer = _propagate(system, starts, u, h, n_steps, [], lo - 1e-8,
-                           hi + 1e-8, cols)[1]
+                           hi + 1e-8, box)[1]
         sure = inner == outer
         assert np.array_equal(truncated[j][sure], ref_trunc[sure])
         for (states, alive), (ref_states, ref_alive) in zip(frames,
@@ -795,7 +802,7 @@ def _oracle_edges(system, window, graph):
         frames, _ = _propagate(
             system, centers, u, graph.step, graph.n_steps,
             graph.snapshot_steps, graph.inflated_lower, graph.inflated_upper,
-            window.free_columns)
+            window.box)
         for t_idx, (states, alive) in enumerate(frames):
             src = np.flatnonzero(alive)
             d = system.group.distance(states[src][:, None, :],
@@ -825,20 +832,20 @@ SKEWED_ROTATION_CONFIG = copy.deepcopy(cfg.PRESETS["rotation-plane"])
 SKEWED_ROTATION_CONFIG["torus"]["generators"] = [_skewed_rotation(2).tolist()]
 
 # small windows where direct integration of every cell is cheap:
-# (preset or config, box lower, box upper, cell sizes, angle cells, masked
-# cells, control stride), or (config, control stride) for its own window
+# (preset or config, box lower, box upper, cell sizes, circle cells, control
+# stride), or (config, control stride) for its own window
 SMALL_WINDOWS = {
     "rotation-plane-small": ("rotation-plane", -0.6, 0.6, [0.2, 0.2], (16,),
-                             (), 1),
+                             1),
     "skewed-rotation-small": (SKEWED_ROTATION_CONFIG, -0.6, 0.6, [0.2, 0.2],
-                              (16,), (), 1),
+                              (16,), 1),
     # class 2: the query radius exceeds the exact cut by up to 45 percent
     "heisenberg-expanding-small": ("heisenberg-expanding",
                                    [-0.96, -0.48, -0.24], [0.96, 0.48, 0.24],
-                                   [0.32, 0.16, 0.032], (), (), 3),
+                                   [0.32, 0.16, 0.032], (), 3),
     # torus angle plus a masked circle
     "conjugation-upstairs-small": ("conjugation-upstairs", -0.25, 0.25,
-                                   [0.25, 0.25], (8,), (8,), 1),
+                                   [0.25, 0.25], (8, 8), 1),
     "filiform4-small": (FILIFORM4_CONFIG, 2),
 }
 
@@ -882,7 +889,7 @@ def _unskipped_reference(system, window, graph):
     frames, truncated = _propagate_family(
         system, window.points, graph.control_family, graph.step, flows,
         graph.snapshot_steps, graph.inflated_lower, graph.inflated_upper,
-        window.free_columns)
+        window.box)
     tree = cKDTree(window.embed(window.points))
     cut = graph.radius + 1e-12
     keys, witness = [], []

@@ -365,8 +365,19 @@ def test_conjugate_drops_a_flat_central_axis(tmp_path):
 
 # runs conjugate used to end with a traceback on: a drift whose flat
 # direction psi keeps (the spectra differ in length), and a window holding
-# no chain set (nothing to compare)
+# no chain set (nothing to compare); and one it refused with exit 2: psi
+# drops a circle but keeps a flat direction
 UNMEASURABLE = {
+    "center-left-after-drop": ({
+        "schema": 1, "name": "flat-kept-circle-dropped",
+        "algebra": {"preset": "abelian:3"},
+        "derivation": np.diag([0.0, -1.0, 0.0]).tolist(),
+        "torus": {"angular_coords": [2]},
+        "control": {"z": [[1.0, 0.5, 0.0]], "lower": [-1.0], "upper": [1.0]},
+        "chain": {"x_lower": [-1.0] * 2, "x_upper": [1.0] * 2,
+                  "delta": [0.5] * 2, "angle_cells": [4], "eps": 0.25,
+                  "tau": 1.0},
+    }, "eigenvalue_match"),
     "spectra-differ": ({
         "schema": 1, "name": "flat-kept",
         "algebra": {"preset": "abelian:3"},
@@ -417,6 +428,17 @@ def _preset_yaml(block, value, key=None):
     else:
         raw.setdefault(block, {})[key] = value
     return yaml.safe_dump(raw)
+
+
+def _angular_yaml(angular_coords, angle_cells):
+    """abelian:3 with the given angular coordinates and cell counts."""
+    return yaml.safe_dump({
+        "schema": 1, "algebra": {"preset": "abelian:3"},
+        "derivation": np.diag([-1.0, 0.0, 0.0]).tolist(),
+        "torus": {"angular_coords": angular_coords},
+        "control": {"z": [[1.0, 0.0, 0.0]], "lower": [-1.0], "upper": [1.0]},
+        "chain": {"x_lower": [-1.0], "x_upper": [1.0], "delta": [0.5],
+                  "angle_cells": angle_cells, "eps": 0.25, "tau": 1.0}})
 
 
 SIMULATE = ["simulate", "--preset", "scalar-stable"]
@@ -489,6 +511,12 @@ BAD_INPUTS = {
     # the circle count comes from torus.generators
     "torus-dim": (["chainset", "--config", "{file}"],
                   _preset_yaml("torus", 0, key="dim")),
+    # cell counts follow ascending coordinate order, so the angular
+    # coordinates must be listed that way, each once
+    "angular-coords-unordered": (["chainset", "--config", "{file}"],
+                                 _angular_yaml([2, 1], [4, 8])),
+    "angular-coords-repeated": (["chainset", "--config", "{file}"],
+                                _angular_yaml([2, 2], [4, 8])),
     # a flag override meets a chain block that is not a mapping
     "chain-int-eps-flag": (["chainset", "--config", "{file}", "--eps", "0.1"],
                            _preset_yaml("chain", 3)),
@@ -518,7 +546,9 @@ NAMED_KEYS = {"output-block": "output", "level-bounds": "chain.level_bounds",
               "kernel-outside-ker-d": "not inside ker D",
               "kernel-not-central": "not central",
               "kernel-drops-everything": "conjugation.extra_kernel",
-              "torus-dim": "torus.dim"}
+              "torus-dim": "torus.dim",
+              "angular-coords-unordered": "torus.angular_coords",
+              "angular-coords-repeated": "torus.angular_coords"}
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["chainset", "--help"]])

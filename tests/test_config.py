@@ -92,7 +92,7 @@ def test_circle_count_comes_from_the_generators():
     raw = copy.deepcopy(cfg.PRESETS["rotation-plane"])
     assert len(cfg.parse_config(raw).generators) == 1
     raw["chain"]["angle_cells"] = [64, 64]
-    with pytest.raises(ValidationError, match="one count per torus circle"):
+    with pytest.raises(ValidationError, match="one count per circle"):
         cfg.parse_config(raw)
     # the count is derived, so a file that still states it is refused
     raw = minimal_raw()
@@ -160,9 +160,14 @@ def test_angle_and_masked_cell_counts():
     raw["chain"]["angle_cells"] = [8]
     with pytest.raises(ValidationError):
         cfg.parse_config(raw)
-    raw = minimal_raw()
+    # angle_cells counts the masked circles too, after the torus circles
+    raw = copy.deepcopy(cfg.PRESETS["conjugation-upstairs"])
+    raw["chain"]["angle_cells"] = [8]
+    with pytest.raises(ValidationError, match="one count per circle"):
+        cfg.parse_config(raw)
+    raw["chain"]["angle_cells"] = [8, 8]
     raw["chain"]["masked_cells"] = [8]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="unknown key chain.masked_cells"):
         cfg.parse_config(raw)
 
 
@@ -207,7 +212,7 @@ def test_conjugation_preset_masks_central_circle():
     c = cfg.preset_config("conjugation-upstairs")
     system = cfg.build_system(c)
     assert system.group.x_mask.tolist() == [False, False, True]
-    assert c.masked_cells == (8,)
+    assert c.angle_cells == (8, 8)
     assert c.torus_controls.shape == (2, 1)
 
 

@@ -311,6 +311,17 @@ def test_conjugation_drops_masked_circle():
     assert np.array_equal(mapped, [0.3, 1.0, 2.0])
 
 
+def test_conjugation_takes_the_kept_drift_block():
+    # the masked circle x2 is dropped; the drift keeps its (x0, x1) block,
+    # off-diagonal entry included
+    alg = NilpotentAlgebra(preset_structure("abelian:3"))
+    group = SemidirectGroup(alg, RhoAction(alg, []),
+                            angular_x_mask=[False, False, True])
+    d = np.array([[-1.0, 0.5, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+    psi = ConjugationMap(group, d)
+    assert np.array_equal(psi.matrix_hat, d[:2, :2])
+
+
 def test_conjugation_identity_when_no_kernel():
     group = rotation_plane_group()
     psi = ConjugationMap(group, -np.eye(2))
@@ -337,6 +348,11 @@ def test_conjugation_rejects_kernel_outside_ker_d():
     group = rotation_plane_group()
     with pytest.raises(ValidationError, match="not inside ker D"):
         ConjugationMap(group, -np.eye(2), extra_kernel=[0])
+    # an expanding kernel axis: D e2 = e2
+    alg = NilpotentAlgebra(preset_structure("abelian:3"))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
+    with pytest.raises(ValidationError, match="not inside ker D"):
+        ConjugationMap(group, np.diag([-1.0, -1.0, 1.0]), extra_kernel=[2])
 
 
 def test_conjugation_rejects_kernel_the_action_moves():

@@ -16,7 +16,6 @@ from chaincontrol.spectral import (
     check_derivation,
     decay_constants,
     power_stack,
-    quotient_derivation,
 )
 
 
@@ -190,29 +189,6 @@ def test_decay_constants_normal_blocks_of_heisenberg_expanding():
 def test_decay_constants_rejects_center_spectrum():
     with pytest.raises(ValidationError):
         decay_constants(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-KEEP_XY = np.array([True, True, False])
-
-
-def test_quotient_derivation_drops_kernel():
-    d = np.array([[-1.0, 0.5, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
-    d_hat = quotient_derivation(d, KEEP_XY)
-    assert np.array_equal(d_hat, d[:2, :2])
-    assert np.allclose(np.sort(np.linalg.eigvals(d_hat).real), [-1.0, -1.0])
-
-
-def test_quotient_derivation_rejects_moving_kernel():
-    # the eigenvalue 1 of the moved kernel is lost, so the spectra differ
-    d = np.diag([-1.0, -1.0, 1.0])
-    with pytest.raises(ValidationError):
-        quotient_derivation(d, KEEP_XY)
-
-
-def test_quotient_derivation_rejects_leftover_center():
-    d = np.diag([-1.0, 0.0, 0.0])
-    with pytest.raises(ValidationError):
-        quotient_derivation(d, KEEP_XY)
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 17, 600])
