@@ -348,7 +348,10 @@ def test_conjugation_rejects_kernel_outside_ker_d():
     group = rotation_plane_group()
     with pytest.raises(ValidationError, match="not inside ker D"):
         ConjugationMap(group, -np.eye(2), extra_kernel=[0])
-    # an expanding kernel axis: D e2 = e2
+
+
+def test_conjugation_rejects_an_expanding_kernel_axis():
+    # D e2 = e2: dropping axis 2 would lose the eigenvalue 1
     alg = NilpotentAlgebra(preset_structure("abelian:3"))
     group = SemidirectGroup(alg, RhoAction(alg, []))
     with pytest.raises(ValidationError, match="not inside ker D"):
