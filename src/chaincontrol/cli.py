@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import config as cfg
-from .algebra import structure_residuals
+from .algebra import STRUCTURE_ATOL, structure_residuals
 from .chains import (
     main_set,
     write_edges_csv,
@@ -44,8 +44,14 @@ from .errors import (
     TauTooSmallError,
     ValidationError,
 )
+from .group import FLOW_ATOL
 from .lcs import ControlFunction, cross_check_residual, integrate
-from .spectral import SpectralSplit, check_derivation, decay_constants
+from .spectral import (
+    DERIVATION_ATOL,
+    SpectralSplit,
+    check_derivation,
+    decay_constants,
+)
 from .verify import (
     DEFAULT_SEED,
     acceptance_report,
@@ -127,14 +133,14 @@ def _exit_code(body):
 
 
 def _structure_residuals(system):
-    """Rows for the structural identities every run silently relies on."""
+    """Rows for the structural identities, at build_system's limits."""
     anti, jac = structure_residuals(system.algebra.structure)
     leib = check_derivation(system.algebra, system.derivation)
     return [
-        residual_row("bracket_antisymmetry", anti, 1e-12),
-        residual_row("jacobi_identity", jac, 1e-12),
-        residual_row("leibniz_rule", leib, 1e-10),
-        residual_row("automorphism_flow", system.flow_residual, 1e-8),
+        residual_row("bracket_antisymmetry", anti, STRUCTURE_ATOL),
+        residual_row("jacobi_identity", jac, STRUCTURE_ATOL),
+        residual_row("leibniz_rule", leib, DERIVATION_ATOL),
+        residual_row("automorphism_flow", system.flow_residual, FLOW_ATOL),
     ]
 
 
@@ -242,11 +248,9 @@ def cmd_simulate(args):
 
     traj = integrate(system, duration, g0, control)
     out = _out_dir(args, "simulate")
-    names = [f"theta{j}" for j in range(group.h_dim)] + \
-        [f"x{j}" for j in range(group.x_dim)]
     csv_path = out / "trajectory.csv"
     with open(csv_path, "w") as fh:
-        fh.write(",".join(["t"] + names) + "\n")
+        fh.write(",".join(["t"] + group.coordinate_names()) + "\n")
         for t, pt in zip(traj.times, traj.points):
             fh.write(",".join(f"{v:.12g}" for v in [t, *pt]) + "\n")
 
@@ -346,10 +350,8 @@ def cmd_conjugate(args):
     cfg.dump_config(run.downstairs_raw, out / "downstairs.yaml")
 
     if run.mapped is not None:
-        names = [f"theta{j}" for j in range(psi.target.h_dim)] + \
-            [f"x{j}" for j in range(psi.target.x_dim)]
         with open(out / "mapped_nodes.csv", "w") as fh:
-            fh.write(",".join(names) + "\n")
+            fh.write(",".join(psi.target.coordinate_names()) + "\n")
             for row in run.mapped:
                 fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
 

@@ -171,6 +171,11 @@ class SemidirectGroup:
 
     # -- point plumbing ----------------------------------------------------
 
+    def coordinate_names(self):
+        """Column names of a point: theta0.. for the torus, x0.. for N."""
+        return [f"theta{j}" for j in range(self.h_dim)] + \
+            [f"x{j}" for j in range(self.x_dim)]
+
     def identity(self):
         return np.zeros(self.dim)
 

@@ -452,8 +452,19 @@ def test_level_extents_heisenberg():
     s1, s2 = alg.level_slices
     assert ext[0] == pytest.approx(np.max(np.linalg.norm(graded[:, s1], axis=1)))
     assert ext[1] == pytest.approx(np.max(np.linalg.norm(graded[:, s2], axis=1)))
-    masked = level_extents(alg, x, x_mask=np.array([False, False, True]))
-    assert masked[0] == pytest.approx(ext[0])
+
+
+def test_set_extents_skip_the_circle_coordinates():
+    # conjugation-upstairs wraps x2 into a circle: a set's extents come from
+    # its box coordinates x0 and x1 alone, though its cells spread along x2
+    _, window, graph = _small_graph("conjugation-upstairs-small")
+    assert window.box.tolist() == [False, True, True, False]
+    sets = extract_chain_sets(graph)
+    assert sets
+    for s in sets:
+        pts = window.points[s.nodes]
+        assert s.extents[0] == np.max(np.linalg.norm(pts[:, 1:3], axis=1))
+        assert np.max(np.abs(pts[:, 3])) > s.extents[0]
 
 
 def test_level_extents_empty():
@@ -640,6 +651,34 @@ def test_audit_edges_clean(stable_setup):
     assert report["worst_excess"] <= 1e-6
 
 
+def test_audit_counts_corrupted_and_truncated_edges(stable_setup):
+    system, window, graph = stable_setup
+    # the edges of one witness, all audited in one fine re-run; every third
+    # has its target moved to the far end of the window, over 2 from the
+    # true target and so past twice the radius from its landing
+    one = (graph.witness_u == graph.witness_u[0]) \
+        & (graph.witness_t == graph.witness_t[0])
+    sub = dataclasses.replace(graph, src=graph.src[one], dst=graph.dst[one],
+                              witness_u=graph.witness_u[one],
+                              witness_t=graph.witness_t[one])
+    bad = np.arange(sub.n_edges) % 3 == 0
+    far = np.where(window.points[sub.dst, 0] > 0.0, 0, graph.n_nodes - 1)
+    corrupted = dataclasses.replace(sub, dst=np.where(bad, far, sub.dst))
+    report = audit_edges(system, corrupted, fraction=1.0, seed=5)
+    assert report["checked"] == sub.n_edges
+    assert report["failures"] == int(bad.sum())
+    assert report["worst_excess"] > 1.0
+    # a box no run reaches truncates every fine re-run at its first step:
+    # each sampled edge fails, and no excess is left to measure
+    beyond = graph.inflated_upper + 1.0
+    shut = dataclasses.replace(sub, inflated_lower=beyond,
+                               inflated_upper=beyond)
+    report = audit_edges(system, shut, fraction=1.0, seed=5)
+    assert report["checked"] == sub.n_edges
+    assert report["failures"] == sub.n_edges
+    assert report["worst_excess"] == -np.inf
+
+
 # -- writers -----------------------------------------------------------------
 
 
@@ -723,27 +762,23 @@ def test_anchored_runs_match_direct_integration(name):
     family = (system.range.sample_family() if c.family is None
               else c.family)
     times = _default_time_samples(c.tau) if c.times is None else c.times
-    h, n_steps, flows = _step_grid(system, c.tau)
+    h, n_steps = _step_grid(system, c.tau)
     # the graph's snapshot steps plus four records spread over the run
     steps = np.union1d(_snapshot_steps(times, c.tau, h, n_steps),
                        range(0, n_steps + 1, n_steps // 4))
     lo, hi = window.inflated_bounds(c.eps + window.half_diameter)
     starts = window.points[::ORACLE_STRIDE.get(name, 1)]
 
-    frames, truncated = _propagate_family(
-        system, starts, family, h, flows, steps, lo, hi, window.box)
+    args = (system, starts, family, h, n_steps, steps, lo, hi, window.box)
+    frames, truncated = _propagate_family(*args)
+    ref_frames, ref_trunc = _propagate(*args)
     assert truncated.shape == (len(family), len(starts))
-    assert len(frames) == len(steps)
-    for j, u in enumerate(family):
-        ref_frames, ref_trunc = _propagate(
-            system, starts, u, h, n_steps, steps, lo, hi, window.box)
-        assert np.array_equal(truncated[j], ref_trunc)
-        for (states, alive), (ref_states, ref_alive) in zip(frames,
-                                                            ref_frames):
-            assert np.array_equal(alive[j], ref_alive)
-            gap = system.group.distance(states[j][ref_alive],
-                                        ref_states[ref_alive])
-            assert np.all(gap <= 1e-8), float(np.max(gap))
+    assert np.array_equal(truncated, ref_trunc)
+    assert len(frames) == len(ref_frames) == len(steps)
+    for (rows, states), (ref_rows, ref_states) in zip(frames, ref_frames):
+        assert np.array_equal(rows, ref_rows)
+        gap = system.group.distance(states, ref_states)
+        assert np.all(gap <= 1e-8), float(np.max(gap, initial=0.0))
 
 
 # no shrink phase: most of an example comes from the rng seed, which
@@ -768,48 +803,51 @@ def test_anchored_runs_match_oracle_on_random_systems(heisenberg, a, b, seed):
     lo, hi = -rng.uniform(0.3, 1.5, n), rng.uniform(0.3, 1.5, n)
     starts = rng.uniform(lo, hi, (6, n))
     box = np.ones(n, dtype=bool)
-    h, n_steps, flows = _step_grid(system, 0.25)
+    h, n_steps = _step_grid(system, 0.25)
     steps = range(n_steps + 1)
 
-    frames, truncated = _propagate_family(system, starts, family, h, flows,
+    frames, truncated = _propagate_family(system, starts, family, h, n_steps,
                                           steps, lo, hi, box)
-    for j, u in enumerate(family):
-        ref_frames, ref_trunc = _propagate(system, starts, u, h, n_steps,
-                                           steps, lo, hi, box)
-        # rows whose oracle run meets the box within 1e-8 may truncate
-        # one step apart
-        inner = _propagate(system, starts, u, h, n_steps, [], lo + 1e-8,
-                           hi - 1e-8, box)[1]
-        outer = _propagate(system, starts, u, h, n_steps, [], lo - 1e-8,
-                           hi + 1e-8, box)[1]
-        sure = inner == outer
-        assert np.array_equal(truncated[j][sure], ref_trunc[sure])
-        for (states, alive), (ref_states, ref_alive) in zip(frames,
-                                                            ref_frames):
-            assert np.array_equal(alive[j][sure], ref_alive[sure])
-            both = alive[j] & ref_alive
-            gap = group.distance(states[j][both], ref_states[both])
-            assert np.all(gap <= 1e-8), float(np.max(gap))
+    ref_frames, ref_trunc = _propagate(system, starts, family, h, n_steps,
+                                       steps, lo, hi, box)
+    # rows whose oracle run meets the box within 1e-8 may truncate one step
+    # apart
+    inner = _propagate(system, starts, family, h, n_steps, [], lo + 1e-8,
+                       hi - 1e-8, box)[1]
+    outer = _propagate(system, starts, family, h, n_steps, [], lo - 1e-8,
+                       hi + 1e-8, box)[1]
+    sure = inner == outer
+    assert np.array_equal(truncated[sure], ref_trunc[sure])
+    sure = sure.ravel()
+    for (rows, states), (ref_rows, ref_states) in zip(frames, ref_frames):
+        assert np.array_equal(rows[sure[rows]], ref_rows[sure[ref_rows]])
+        _, mine, ref = np.intersect1d(rows, ref_rows, return_indices=True)
+        gap = group.distance(states[mine], ref_states[ref])
+        assert np.all(gap <= 1e-8), float(np.max(gap, initial=0.0))
 
 
 def _oracle_edges(system, window, graph):
     """(src, dst) pairs from direct integration and brute-force distances,
-    each with its first (u, t) landing, plus the pairs with some landing
+    each with its smallest (u, t) landing, plus the pairs with some landing
     within 1e-9 of the radius."""
     edges, near = {}, set()
     centers = window.points
-    for u_idx, u in enumerate(graph.control_family):
-        frames, _ = _propagate(
-            system, centers, u, graph.step, graph.n_steps,
-            graph.snapshot_steps, graph.inflated_lower, graph.inflated_upper,
-            window.box)
-        for t_idx, (states, alive) in enumerate(frames):
-            src = np.flatnonzero(alive)
-            d = system.group.distance(states[src][:, None, :],
+    frames, _ = _propagate(
+        system, centers, graph.control_family, graph.step, graph.n_steps,
+        graph.snapshot_steps, graph.inflated_lower, graph.inflated_upper,
+        window.box)
+    for t_idx, (rows, states) in enumerate(frames):
+        u_of, src_of = np.divmod(rows, window.n_nodes)
+        # one control at a time keeps the all-pairs distances small
+        for u_idx in np.unique(u_of).tolist():
+            sel = u_of == u_idx
+            src = src_of[sel]
+            d = system.group.distance(states[sel][:, None, :],
                                       centers[None, :, :])
             a, b = np.nonzero(d <= graph.radius + 1e-12)
             for pair in zip(src[a].tolist(), b.tolist()):
-                edges.setdefault(pair, (u_idx, t_idx))
+                edges[pair] = min(edges.get(pair, (u_idx, t_idx)),
+                                  (u_idx, t_idx))
             a, b = np.nonzero(np.abs(d - graph.radius) <= 1e-9)
             near.update(zip(src[a].tolist(), b.tolist()))
     return edges, near
@@ -883,30 +921,29 @@ def _unskipped_reference(system, window, graph):
     """(keys src * n + dst, witnesses u * n_t + t, truncation flags) of the
     graph run from every source, with no slice of the circle shifts: every
     kd-tree candidate of every (u, t) landing gets the exact distance, and
-    np.unique keeps each pair's first, smallest, witness."""
+    each pair keeps its smallest witness."""
     n, n_t = window.n_nodes, graph.snapshot_steps.size
-    flows = _step_grid(system, graph.tau)[2]
     frames, truncated = _propagate_family(
-        system, window.points, graph.control_family, graph.step, flows,
-        graph.snapshot_steps, graph.inflated_lower, graph.inflated_upper,
-        window.box)
+        system, window.points, graph.control_family, graph.step,
+        graph.n_steps, graph.snapshot_steps, graph.inflated_lower,
+        graph.inflated_upper, window.box)
     tree = cKDTree(window.embed(window.points))
     cut = graph.radius + 1e-12
     keys, witness = [], []
-    for u_idx in range(len(graph.control_family)):
-        for t_idx, (states, alive) in enumerate(frames):
-            rows = np.flatnonzero(alive[u_idx])
-            landed = states[u_idx, rows]
-            balls = tree.query_ball_point(window.embed(landed),
-                                          window.query_radii(landed, cut))
-            owner = np.repeat(np.arange(rows.size), [len(b) for b in balls])
-            dst = np.concatenate([np.asarray(b, dtype=np.int64)
-                                  for b in balls] + [np.zeros(0, np.int64)])
-            d = system.group.distance(landed[owner], window.points[dst])
-            keys.append((rows[owner] * n + dst)[d <= cut])
-            witness.append(np.full(keys[-1].size, u_idx * n_t + t_idx))
-    key, first = np.unique(np.concatenate(keys), return_index=True)
-    return key, np.concatenate(witness)[first], truncated.any(axis=0)
+    for t_idx, (rows, landed) in enumerate(frames):
+        balls = tree.query_ball_point(window.embed(landed),
+                                      window.query_radii(landed, cut))
+        owner = np.repeat(np.arange(rows.size), [len(b) for b in balls])
+        dst = np.concatenate([np.asarray(b, dtype=np.int64)
+                              for b in balls] + [np.zeros(0, np.int64)])
+        hit = system.group.distance(landed[owner], window.points[dst]) <= cut
+        u_of, src = np.divmod(rows[owner[hit]], n)
+        keys.append(src * n + dst[hit])
+        witness.append(u_of * n_t + t_idx)
+    key, pair = np.unique(np.concatenate(keys), return_inverse=True)
+    smallest = np.full(key.size, np.iinfo(np.int64).max)
+    np.minimum.at(smallest, pair, np.concatenate(witness))
+    return key, smallest, truncated.any(axis=0)
 
 
 @pytest.mark.parametrize("name", ["heisenberg-expanding-small",
@@ -924,6 +961,18 @@ def test_graph_equals_unskipped_reference(name):
     assert np.array_equal(graph.dst, key % n)
     assert np.array_equal(graph.witness_u * n_t + graph.witness_t, witness)
     assert np.array_equal(graph.truncated, truncated)
+
+
+def test_pair_blocks_change_no_edge(monkeypatch):
+    # the exact distances run in blocks of PAIR_LIMIT candidate pairs; tiny
+    # blocks cut through every landing's candidates and change nothing
+    system, window, graph = _small_graph("heisenberg-expanding-small")
+    monkeypatch.setattr("chaincontrol.chains.PAIR_LIMIT", 97)
+    blocked = build_chain_graph(system, window, graph.eps, graph.tau,
+                                control_family=graph.control_family,
+                                time_samples=graph.time_samples)
+    for name in ("src", "dst", "witness_u", "witness_t", "truncated"):
+        assert np.array_equal(getattr(blocked, name), getattr(graph, name))
 
 
 def test_skewed_torus_shifts_would_move_edges():
