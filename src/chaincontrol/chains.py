@@ -357,6 +357,13 @@ def _propagate_family(system, starts, family, h, n_steps, steps,
     a_k * (h_g, F_k x_g) with the drift flow F_k = (e^{hD})^k, an affine map
     (`_translate`); the box is tested on every step and only rows still
     alive are moved.
+
+    With s0 = min(steps) > 0 the rows are first sieved at s0: one
+    `_translate` call gives each row's state there, and the rows outside the
+    box are truncated unmoved.  The sieve is exact: that is the state the
+    loop reaches at s0, so a dropped row is in no frame, and a kept row,
+    which may have left and come back, is still tested on every step.
+    Steps that include 0 (`estimate_source_constants`) have no sieve.
     """
     group = system.group
     family = np.atleast_2d(np.asarray(family, dtype=float))
@@ -365,27 +372,40 @@ def _propagate_family(system, starts, family, h, n_steps, steps,
     flows = power_stack(expm(h * system.derivation),
                         np.eye(system.algebra.dim), n_steps)
 
-    # a_1 for every control, then a_k = a_1 * Phi_h(a_{k-1}) in the loop
+    # a_1 for every control, then a_k = a_1 * Phi_h(a_{k-1})
     n_sub = max(1, math.ceil(h / system.step_limit - 1e-9))
     first = np.zeros((n_u, group.dim))
     for _ in range(n_sub):
         first = group.normalize(_rk4_step(system, first, family, h / n_sub))
-    anchor = group.identity()
+    anchors = [group.identity()]
+    for _ in range(n_steps):
+        h_k, x_k = group.split(anchors[-1])
+        anchors.append(group.multiply(
+            first, group.join(h_k, x_k @ flows[1].T)))
+
+    def outside(states):
+        coords = states[:, box]
+        return np.any((coords < box_lower) | (coords > box_upper), axis=1)
 
     rows = np.arange(n_u * n_rows)
-    states = np.tile(y0, (n_u, 1))
     truncated = np.zeros(n_u * n_rows, dtype=bool)
+    s0 = int(min(steps, default=0))
+    if s0 > 0:
+        u_of, start_of = np.divmod(rows, n_rows)
+        out = outside(_translate(group, anchors[s0], flows[s0], y0[start_of],
+                                 u_of))
+        truncated[out] = True
+        rows = rows[~out]
+    # the kept rows' starts; (0, dim) when the sieve keeps none
+    states = y0[rows % n_rows]
     want = {int(s) for s in steps}
     frames = {0: (rows, states)} if 0 in want else {}
     for step in range(1, n_steps + 1):
-        h_k, x_k = group.split(anchor)
-        anchor = group.multiply(first, group.join(h_k, x_k @ flows[1].T))
         if rows.size:
             u_of, start_of = np.divmod(rows, n_rows)
-            states = _translate(group, anchor, flows[step], y0[start_of],
-                                u_of)
-            coords = states[:, box]
-            out = np.any((coords < box_lower) | (coords > box_upper), axis=1)
+            states = _translate(group, anchors[step], flows[step],
+                                y0[start_of], u_of)
+            out = outside(states)
             if out.any():
                 truncated[rows[out]] = True
                 rows, states = rows[~out], states[~out]
@@ -741,8 +761,8 @@ def audit_edges(system, graph, fraction=0.01, seed=1234):
 
     Returns a dict with the sample size, failure count, and worst excess
     over the radius.  A re-run that leaves the window fails its edge and has
-    no excess (the worst is -inf when no re-run stays inside).  A sound
-    graph audits with zero failures.
+    no excess; the worst is None, JSON's null, when no re-run stays inside.
+    A sound graph audits with zero failures.
     """
     if graph.n_edges == 0:
         return {"checked": 0, "failures": 0, "worst_excess": 0.0}
@@ -770,7 +790,7 @@ def audit_edges(system, graph, fraction=0.01, seed=1234):
         failures += sel.size - rows.size + int(np.sum(excess > 1e-6))
         worst = max(worst, float(np.max(excess, initial=-np.inf)))
     return {"checked": int(k), "failures": int(failures),
-            "worst_excess": worst}
+            "worst_excess": worst if worst > -np.inf else None}
 
 
 # -- structured output -------------------------------------------------------

@@ -247,19 +247,20 @@ def cmd_simulate(args):
         g0 = np.zeros(group.dim)
 
     traj = integrate(system, duration, g0, control)
+    residuals = [residual_row("integrator_error_estimate",
+                              traj.stats["error_estimate"],
+                              traj.stats["error_budget"])]
+    # refused (compact-part controls) before any file is written
+    if args.cross_check:
+        gap = cross_check_residual(system, duration, g0, control)
+        residuals.append(residual_row("closed_form_cross_check", gap, 1e-6))
+
     out = _out_dir(args, "simulate")
     csv_path = out / "trajectory.csv"
     with open(csv_path, "w") as fh:
         fh.write(",".join(["t"] + group.coordinate_names()) + "\n")
         for t, pt in zip(traj.times, traj.points):
             fh.write(",".join(f"{v:.12g}" for v in [t, *pt]) + "\n")
-
-    residuals = [residual_row("integrator_error_estimate",
-                              traj.stats["error_estimate"],
-                              traj.stats["error_budget"])]
-    if args.cross_check:
-        gap = cross_check_residual(system, duration, g0, control)
-        residuals.append(residual_row("closed_form_cross_check", gap, 1e-6))
 
     body = {
         "command": "simulate",

@@ -676,7 +676,9 @@ def test_audit_counts_corrupted_and_truncated_edges(stable_setup):
     report = audit_edges(system, shut, fraction=1.0, seed=5)
     assert report["checked"] == sub.n_edges
     assert report["failures"] == sub.n_edges
-    assert report["worst_excess"] == -np.inf
+    assert report["worst_excess"] is None
+    # the row stays JSON-safe: reports are dumped with allow_nan=False
+    assert json.loads(json.dumps(report, allow_nan=False)) == report
 
 
 # -- writers -----------------------------------------------------------------
@@ -764,21 +766,27 @@ def test_anchored_runs_match_direct_integration(name):
     times = _default_time_samples(c.tau) if c.times is None else c.times
     h, n_steps = _step_grid(system, c.tau)
     # the graph's snapshot steps plus four records spread over the run
-    steps = np.union1d(_snapshot_steps(times, c.tau, h, n_steps),
-                       range(0, n_steps + 1, n_steps // 4))
+    snap = _snapshot_steps(times, c.tau, h, n_steps)
+    steps = np.union1d(snap, range(0, n_steps + 1, n_steps // 4))
     lo, hi = window.inflated_bounds(c.eps + window.half_diameter)
     starts = window.points[::ORACLE_STRIDE.get(name, 1)]
 
-    args = (system, starts, family, h, n_steps, steps, lo, hi, window.box)
-    frames, truncated = _propagate_family(*args)
-    ref_frames, ref_trunc = _propagate(*args)
-    assert truncated.shape == (len(family), len(starts))
-    assert np.array_equal(truncated, ref_trunc)
-    assert len(frames) == len(ref_frames) == len(steps)
-    for (rows, states), (ref_rows, ref_states) in zip(frames, ref_frames):
-        assert np.array_equal(rows, ref_rows)
-        gap = system.group.distance(states, ref_states)
-        assert np.all(gap <= 1e-8), float(np.max(gap, initial=0.0))
+    ref_frames, ref_trunc = _propagate(system, starts, family, h, n_steps,
+                                       steps, lo, hi, window.box)
+    ref = dict(zip(steps.tolist(), ref_frames))
+    # with step 0 every row is run; the snapshot steps alone, as the graph
+    # asks for them, are sieved at the first
+    for wanted in (steps, snap):
+        frames, truncated = _propagate_family(
+            system, starts, family, h, n_steps, wanted, lo, hi, window.box)
+        assert truncated.shape == (len(family), len(starts))
+        assert np.array_equal(truncated, ref_trunc)
+        assert len(frames) == len(wanted)
+        for step, (rows, states) in zip(wanted.tolist(), frames):
+            ref_rows, ref_states = ref[step]
+            assert np.array_equal(rows, ref_rows)
+            gap = system.group.distance(states, ref_states)
+            assert np.all(gap <= 1e-8), float(np.max(gap, initial=0.0))
 
 
 # no shrink phase: most of an example comes from the rng seed, which
@@ -786,8 +794,10 @@ def test_anchored_runs_match_direct_integration(name):
 @settings(derandomize=True, max_examples=25, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(heisenberg=st.booleans(), a=st.floats(-1.5, 1.5),
-       b=st.floats(-1.5, 1.5), seed=st.integers(0, 2 ** 32 - 1))
-def test_anchored_runs_match_oracle_on_random_systems(heisenberg, a, b, seed):
+       b=st.floats(-1.5, 1.5), seed=st.integers(0, 2 ** 32 - 1),
+       first=st.floats(0.0, 1.0))
+def test_anchored_runs_match_oracle_on_random_systems(heisenberg, a, b, seed,
+                                                      first):
     # diagonal derivations: diag(a, b, a + b) on heisenberg3, where the
     # Leibniz rule forces the sum, and diag(a, b) on the plane
     rng = np.random.default_rng(seed)
@@ -824,6 +834,47 @@ def test_anchored_runs_match_oracle_on_random_systems(heisenberg, a, b, seed):
         _, mine, ref = np.intersect1d(rows, ref_rows, return_indices=True)
         gap = group.distance(states[mine], ref_states[ref])
         assert np.all(gap <= 1e-8), float(np.max(gap, initial=0.0))
+    # steps from a drawn s0 > 0 are sieved at s0, and the sieve is exact:
+    # the same truncation, rows and states as the unsieved run
+    s0 = max(1, math.ceil(first * n_steps))
+    sieved, sieved_trunc = _propagate_family(
+        system, starts, family, h, n_steps, range(s0, n_steps + 1), lo, hi,
+        box)
+    assert np.array_equal(sieved_trunc, truncated)
+    for (rows, states), (ref_rows, ref_states) in zip(sieved, frames[s0:]):
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(states, ref_states)
+
+
+def _rotation_runs(starts, steps):
+    """Runs of planar starts under the drift rotation (cos t, sin t) with
+    zero control, 100 steps per turn, in the box [-1.2, 1.2] x [-0.5, 1.2]."""
+    alg = NilpotentAlgebra(preset_structure("abelian:2"))
+    system = LinearControlSystem(SemidirectGroup(alg, RhoAction(alg, [])),
+                                 ROT, [[1.0, 0.0]], ControlRange([-1.0], [1.0]))
+    args = (system, np.array(starts), [[0.0]], 2.0 * np.pi / 100, 100, steps,
+            np.array([-1.2, -0.5]), np.array([1.2, 1.2]), np.ones(2, bool))
+    return _propagate_family(*args), _propagate(*args)
+
+
+def test_sieve_keeps_truncating_rows_that_left_before_s0():
+    # (1, 0) dips to y = -1 at step 75 and is back home, inside the box, at
+    # s0 = 100; (0.2, 0) never leaves
+    (frames, truncated), (ref_frames, ref_trunc) = _rotation_runs(
+        [[1.0, 0.0], [0.2, 0.0]], [100])
+    assert truncated.tolist() == ref_trunc.tolist() == [[True, False]]
+    (rows, states), = frames
+    assert rows.tolist() == ref_frames[0][0].tolist() == [1]
+    assert np.allclose(states, [[0.2, 0.0]], atol=1e-12)
+
+
+def test_sieve_with_every_row_out_at_s0():
+    # both starts are below y = -0.5 at s0 = 75, and back inside at step 100
+    (frames, truncated), (ref_frames, ref_trunc) = _rotation_runs(
+        [[1.0, 0.0], [0.8, 0.0]], [75, 100])
+    assert truncated.all() and ref_trunc.all()
+    for rows, states in frames + ref_frames:
+        assert rows.size == 0 and states.shape == (0, 2)
 
 
 def _oracle_edges(system, window, graph):

@@ -160,10 +160,12 @@ def test_simulate_cross_check_passes(tmp_path, preset):
 def test_simulate_cross_check_refuses_compact_controls(tmp_path, capsys):
     assert "torus_controls" in cfg.PRESETS["conjugation-upstairs"]["control"]
     code = main(["simulate", "--preset", "conjugation-upstairs", "--control",
-                 "0.5,0.5", "--cross-check", "--out", str(tmp_path / "s")])
+                 "0.5,0.5", "--cross-check", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "compact" in err
+    # refused before any file is written: no stray trajectory.csv
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("duration, start, codes", [
