@@ -35,7 +35,9 @@ d(a, b).  Right translation by k leaves the box coordinates alone, so
 truncation is invariant too.  Whole-cell shifts of those axes
 (`GridWindow.symmetric_axes`) therefore map the graph onto itself: only the
 sources with index 0 on every symmetric axis are run, and their edges,
-witnesses and truncation flags are copied around every shift.
+witnesses and truncation flags are copied around every shift.  One sort by
+src * n_nodes + dst then leaves the edges as the graph keeps them: CSR rows
+of int32 targets, with one witness code u * n_T + t per edge.
 """
 
 import csv
@@ -155,10 +157,7 @@ class GridWindow:
         product, so the half-diameter is measured, not assumed, and padded
         by 2 percent.
         """
-        stride = max(1, self.n_nodes // 256)
-        sample = self.points[::stride]
-        if len(sample) > 512:
-            sample = sample[:512]
+        sample = self.points[::max(1, self.n_nodes // 256)]  # <= 511 rows
         offsets = 0.5 * self.delta
         corners = np.array(list(np.ndindex(*(2,) * len(self.shape))),
                            dtype=float)
@@ -229,7 +228,9 @@ class GridWindow:
 @dataclass
 class ChainGraph:
     """Directed cell graph; an edge means one sampled (u, T) run lands one
-    cell within the acceptance radius of another."""
+    cell within the acceptance radius of another.  Source a's edges are
+    indptr[a]:indptr[a + 1], with targets dst (int32) and witness codes
+    u * len(snapshot_steps) + t of their smallest sampled (u, t)."""
 
     window: GridWindow
     eps: float
@@ -240,10 +241,9 @@ class ChainGraph:
     snapshot_steps: np.ndarray
     step: float
     n_steps: int
-    src: np.ndarray
+    indptr: np.ndarray
     dst: np.ndarray
-    witness_u: np.ndarray
-    witness_t: np.ndarray
+    witness: np.ndarray
     truncated: np.ndarray
     inflated_lower: np.ndarray
     inflated_upper: np.ndarray
@@ -254,7 +254,7 @@ class ChainGraph:
 
     @property
     def n_edges(self):
-        return int(self.src.size)
+        return int(self.dst.size)
 
 
 def _default_time_samples(tau):
@@ -529,16 +529,19 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
         (src + shift @ stride) * n_nodes + dst
         + ((dst_at + shift) % sizes - dst_at) @ stride for shift in shifts])
     order = np.argsort(key)
-    src, dst = np.divmod(key[order], n_nodes)
-    del key  # one edge-sized array less at the build's peak
-    w_u, w_t = np.divmod(np.tile(witness, len(shifts))[order], n_t)
+    key = key[order]
+    witness = np.tile(witness, len(shifts))[order].astype(
+        np.min_scalar_type(len(control_family) * n_t - 1))
+    # sorted keys are CSR rows: row a starts at the first key >= a * n_nodes
+    indptr = np.searchsorted(key, np.arange(n_nodes + 1) * n_nodes)
+    dst = (key % n_nodes).astype(np.int32)
     truncated = truncated[np.arange(n_nodes) - cyc @ stride]
 
     return ChainGraph(
         window=window, eps=float(eps), tau=float(tau), radius=float(radius),
         control_family=control_family, time_samples=times_used,
         snapshot_steps=snap, step=h, n_steps=n_steps,
-        src=src, dst=dst, witness_u=w_u, witness_t=w_t,
+        indptr=indptr, dst=dst, witness=witness,
         truncated=truncated, inflated_lower=lo_inf, inflated_upper=hi_inf)
 
 
@@ -602,11 +605,11 @@ def extract_chain_sets(graph):
     if graph.n_edges == 0:
         return []
     n = graph.n_nodes
-    adj = csr_matrix((np.ones(graph.n_edges, dtype=np.int8),
-                      (graph.src, graph.dst)), shape=(n, n))
+    adj = csr_matrix((np.ones(graph.n_edges, dtype=np.int8), graph.dst,
+                      graph.indptr), shape=(n, n))
     _, label = connected_components(adj, directed=True, connection="strong")
-    internal = label[graph.src] == label[graph.dst]
-    counts = np.bincount(label[graph.src][internal])
+    src_label = np.repeat(label, np.diff(graph.indptr))
+    counts = np.bincount(src_label[src_label == label[graph.dst]])
     # each component's members in node order, from one stable sort; sets
     # are ordered by their smallest node, never by library internals
     sizes = np.bincount(label)
@@ -740,14 +743,11 @@ def estimate_source_constants(system, window, tau, control_family=None):
                 sup[i] = max(sup[i], float(np.max(np.linalg.norm(src, axis=-1),
                                                   initial=0.0)))
 
-    if group.h_dim:
-        stride = max(1, window.n_nodes // 128)
-        h_sample = window.points[::stride][:256, :group.h_dim]
-        c_norm = max(float(np.linalg.norm(system.group.action.matrix(hh), 2))
-                     for hh in h_sample)
-        c_norm = max(c_norm, 1.0)
-    else:
-        c_norm = 1.0
+    c_norm = 1.0
+    if group.h_dim:  # |rho(h)|_2 over at most 255 strided cells
+        for hh in window.points[::max(1, window.n_nodes // 128), :group.h_dim]:
+            norm = np.linalg.norm(group.action.matrix(hh), 2)
+            c_norm = max(c_norm, float(norm))
     return sup + c_norm
 
 
@@ -774,14 +774,14 @@ def audit_edges(system, graph, fraction=0.01, seed=1234):
 
     failures = 0
     worst = -np.inf
-    key = graph.witness_u[pick].astype(np.int64) * len(graph.snapshot_steps) \
-        + graph.witness_t[pick].astype(np.int64)
-    for group_key in np.unique(key):
-        sel = pick[key == group_key]
-        u_idx, t_idx = divmod(int(group_key), len(graph.snapshot_steps))
+    witness = graph.witness[pick]
+    for code in np.unique(witness):
+        sel = pick[witness == code]
+        src = np.searchsorted(graph.indptr, sel, side="right") - 1
+        u_idx, t_idx = divmod(int(code), len(graph.snapshot_steps))
         n_fine = int(graph.snapshot_steps[t_idx]) * AUDIT_REFINE
         [(rows, states)], _ = _propagate(
-            system, window.points[graph.src[sel]],
+            system, window.points[src],
             graph.control_family[u_idx], h_fine, n_fine, [n_fine],
             graph.inflated_lower, graph.inflated_upper, window.box)
         # a fine re-run that leaves the window fails its edge
@@ -819,15 +819,15 @@ def write_edges_csv(path, graph):
     heads = [s + "," for s in names]
     tails = ["," + ",".join([*(f"{v:.12g}" for v in u), f"{t:.12g}"]) + "\r\n"
              for u in graph.control_family for t in graph.time_samples]
-    witness = graph.witness_u * len(graph.time_samples) + graph.witness_t
+    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
     u_names = [f"u{j}" for j in range(graph.control_family.shape[1])]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["src", "dst", *u_names, "T"]) + "\r\n")
         for lo in range(0, graph.n_edges, EDGE_CHUNK):
             chunk = slice(lo, lo + EDGE_CHUNK)
             fh.write("".join([heads[a] + names[b] + tails[w] for a, b, w in zip(
-                graph.src[chunk].tolist(), graph.dst[chunk].tolist(),
-                witness[chunk].tolist())]))
+                src[chunk].tolist(), graph.dst[chunk].tolist(),
+                graph.witness[chunk].tolist())]))
 
 
 def sets_to_records(sets, bounds=None):

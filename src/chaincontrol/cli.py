@@ -19,7 +19,6 @@ failed or a verdict is False).
 """
 
 import argparse
-import copy
 import json
 import math
 import sys
@@ -82,10 +81,7 @@ def _raw_config(args):
     if (preset is None) == (path is None):
         raise ValidationError("pass exactly one of --preset / --config")
     if preset is not None:
-        if preset not in cfg.PRESETS:
-            known = ", ".join(sorted(cfg.PRESETS))
-            raise ValidationError(f"unknown preset {preset!r}; known: {known}")
-        data = copy.deepcopy(cfg.PRESETS[preset])
+        data = cfg.preset_raw(preset)
     else:
         try:
             with open(path) as fh:
@@ -387,13 +383,12 @@ def cmd_verify(args):
     report = acceptance_report(seed)
     out = _out_dir(args, "verify")
     path = _write_report(out, report["body"], report["timings"])
-    all_passed = True
-    for rec in report["body"]["checks"]:
+    checks = report["body"]["checks"]
+    for rec in checks:
         status = "PASS" if rec["passed"] else "FAIL"
         print(f"check {rec['id']} {rec['name']}: {status}")
-        all_passed = all_passed and rec["passed"]
     print(f"report: {path}")
-    return 0 if all_passed else 3
+    return 0 if all(rec["passed"] for rec in checks) else 3
 
 
 # -- parser ------------------------------------------------------------------

@@ -391,12 +391,17 @@ for _w in (2.0, 4.0, 8.0):
         })
 
 
-def preset_config(name):
-    """Parsed RunConfig for a bundled preset."""
+def preset_raw(name):
+    """A fresh copy of a bundled preset's raw config dict."""
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ValidationError(f"unknown preset {name!r}; known: {known}")
-    return parse_config(copy.deepcopy(PRESETS[name]))
+    return copy.deepcopy(PRESETS[name])
+
+
+def preset_config(name):
+    """Parsed RunConfig for a bundled preset."""
+    return parse_config(preset_raw(name))
 
 
 def dump_config(config_dict, path):

@@ -58,8 +58,25 @@ def scalar_window(system, half=2.0, delta=0.05):
     return GridWindow(system.group, [-half], [half], [delta])
 
 
+def edge_columns(graph):
+    """(src, dst, u, t) per edge: the CSR rows expanded, each witness code
+    split into its control and snapshot indices."""
+    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+    u, t = np.divmod(graph.witness.astype(np.int64),
+                     len(graph.snapshot_steps))
+    return src, graph.dst, u, t
+
+
+def with_edges(graph, src, dst, witness):
+    """graph with other edges, given in order of their sources: indptr is
+    rebuilt from those."""
+    indptr = np.searchsorted(src, np.arange(graph.n_nodes + 1))
+    return dataclasses.replace(graph, indptr=indptr, dst=dst, witness=witness)
+
+
 def edge_pairs(graph):
-    return set(zip(graph.src.tolist(), graph.dst.tolist()))
+    src, dst, _, _ = edge_columns(graph)
+    return set(zip(src.tolist(), dst.tolist()))
 
 
 # Sampled durations used by the scalar reference runs.  The lower sample
@@ -257,11 +274,24 @@ def test_graph_shape_and_witnesses(stable_setup):
     _, window, graph = stable_setup
     assert graph.n_nodes == 80
     assert graph.n_edges > 0
-    assert graph.src.shape == graph.dst.shape
-    assert np.all(graph.witness_u >= 0)
-    assert np.all(graph.witness_u < len(graph.control_family))
-    assert np.all(graph.witness_t >= 0)
-    assert np.all(graph.witness_t < len(graph.snapshot_steps))
+    src, dst, u, t = edge_columns(graph)
+    assert src.shape == dst.shape
+    assert np.all(u >= 0)
+    assert np.all(u < len(graph.control_family))
+    assert np.all(t >= 0)
+    assert np.all(t < len(graph.snapshot_steps))
+    # the edge record: CSR row pointers, int32 targets, one unsigned
+    # witness code per edge, at most 8 bytes per edge in all
+    assert graph.indptr.shape == (graph.n_nodes + 1,)
+    assert graph.indptr[0] == 0
+    assert np.all(np.diff(graph.indptr) >= 0)
+    assert graph.indptr[-1] == graph.n_edges
+    assert graph.dst.dtype == np.int32
+    assert graph.witness.dtype.kind == "u"
+    assert np.all(graph.witness < len(graph.control_family)
+                  * len(graph.snapshot_steps))
+    assert (graph.indptr.nbytes + graph.dst.nbytes + graph.witness.nbytes
+            <= 8 * graph.n_edges)
     # snapped durations stay inside [tau, 2 tau]
     assert np.all(graph.time_samples >= graph.tau - 1e-9)
     assert np.all(graph.time_samples <= 2 * graph.tau + 1e-9)
@@ -293,10 +323,8 @@ def test_graph_determinism(stable_setup):
     system, window, graph = stable_setup
     again = build_chain_graph(system, window, eps=0.1, tau=1.0,
                               time_samples=SCALAR_TIMES)
-    assert np.array_equal(graph.src, again.src)
-    assert np.array_equal(graph.dst, again.dst)
-    assert np.array_equal(graph.witness_u, again.witness_u)
-    assert np.array_equal(graph.witness_t, again.witness_t)
+    for ours, theirs in zip(edge_columns(graph), edge_columns(again)):
+        assert np.array_equal(ours, theirs)
 
 
 def test_edge_monotone_in_controls_and_times():
@@ -362,9 +390,9 @@ def test_scc_partition(stable_setup):
     # hand-made edges on the scalar window: the cycles 70 -> 2 -> 70 and
     # 6 -> 5 -> 6, a self-loop at 40, and a bridge 10 -> 11 with no cycle
     _, _, graph = stable_setup
-    src, dst = np.array([[70, 2], [2, 70], [6, 5], [5, 6], [5, 5], [40, 40],
-                         [10, 11], [11, 40]]).T
-    sets = extract_chain_sets(dataclasses.replace(graph, src=src, dst=dst))
+    src, dst = np.array(sorted([[70, 2], [2, 70], [6, 5], [5, 6], [5, 5],
+                                [40, 40], [10, 11], [11, 40]])).T
+    sets = extract_chain_sets(with_edges(graph, src, dst, np.zeros_like(dst)))
     assert [s.nodes.tolist() for s in sets] == [[2, 70], [5, 6], [40]]
     assert [s.internal_edges for s in sets] == [2, 3, 1]
     # on a real graph too: each set sorted, the sets disjoint and ordered
@@ -656,11 +684,9 @@ def test_audit_counts_corrupted_and_truncated_edges(stable_setup):
     # the edges of one witness, all audited in one fine re-run; every third
     # has its target moved to the far end of the window, over 2 from the
     # true target and so past twice the radius from its landing
-    one = (graph.witness_u == graph.witness_u[0]) \
-        & (graph.witness_t == graph.witness_t[0])
-    sub = dataclasses.replace(graph, src=graph.src[one], dst=graph.dst[one],
-                              witness_u=graph.witness_u[one],
-                              witness_t=graph.witness_t[one])
+    src, dst, u, t = edge_columns(graph)
+    one = (u == u[0]) & (t == t[0])
+    sub = with_edges(graph, src[one], dst[one], graph.witness[one])
     bad = np.arange(sub.n_edges) % 3 == 0
     far = np.where(window.points[sub.dst, 0] > 0.0, 0, graph.n_nodes - 1)
     corrupted = dataclasses.replace(sub, dst=np.where(bad, far, sub.dst))
@@ -705,16 +731,15 @@ def test_writers_roundtrip(tmp_path, stable_setup):
     assert rows == [
         [str(a), str(b), *(f"{v:.12g}" for v in graph.control_family[u]),
          f"{graph.time_samples[t]:.12g}"]
-        for a, b, u, t in zip(graph.src, graph.dst, graph.witness_u,
-                              graph.witness_t)]
+        for a, b, u, t in zip(*edge_columns(graph))]
     # more rows than one chunk: the bytes csv.writer writes
     rng = np.random.default_rng(3)
     n_rows = EDGE_CHUNK + 1001
-    big = dataclasses.replace(
-        graph, src=rng.integers(0, graph.n_nodes, n_rows),
-        dst=rng.integers(0, graph.n_nodes, n_rows),
-        witness_u=rng.integers(0, len(graph.control_family), n_rows),
-        witness_t=rng.integers(0, len(graph.time_samples), n_rows))
+    big = with_edges(
+        graph, np.sort(rng.integers(0, graph.n_nodes, n_rows)),
+        rng.integers(0, graph.n_nodes, n_rows).astype(np.int32),
+        rng.integers(0, len(graph.control_family) * len(graph.time_samples),
+                     n_rows).astype(graph.witness.dtype))
     write_edges_csv(edges_path, big)
     ref_path = tmp_path / "edges_ref.csv"
     with open(ref_path, "w", newline="") as fh:
@@ -723,9 +748,7 @@ def test_writers_roundtrip(tmp_path, stable_setup):
         writer.writerows(
             [a, b, *(f"{v:.12g}" for v in big.control_family[u]),
              f"{big.time_samples[t]:.12g}"]
-            for a, b, u, t in zip(big.src.tolist(), big.dst.tolist(),
-                                  big.witness_u.tolist(),
-                                  big.witness_t.tolist()))
+            for a, b, u, t in zip(*(c.tolist() for c in edge_columns(big))))
     assert edges_path.read_bytes() == ref_path.read_bytes()
 
     sets_path = tmp_path / "sets.jsonl"
@@ -961,9 +984,7 @@ def test_graph_edges_match_direct_integration(name):
     # an edge may only flip where some landing sits on the radius
     assert edge_pairs(graph) ^ set(oracle) <= near
     # and every other edge keeps its first (u, t) landing as its witness
-    for a, b, w_u, w_t in zip(graph.src.tolist(), graph.dst.tolist(),
-                              graph.witness_u.tolist(),
-                              graph.witness_t.tolist()):
+    for a, b, w_u, w_t in zip(*(c.tolist() for c in edge_columns(graph))):
         if (a, b) not in near:
             assert oracle[a, b] == (w_u, w_t), (a, b)
 
@@ -1005,12 +1026,13 @@ def test_graph_equals_unskipped_reference(name):
     # the slice and the replication around the circle shifts change no
     # edge, witness or truncation flag
     system, window, graph = _small_graph(name)
-    n, n_t = window.n_nodes, graph.snapshot_steps.size
+    n = window.n_nodes
     key, witness, truncated = _unskipped_reference(system, window, graph)
     assert graph.n_edges > 0
-    assert np.array_equal(graph.src, key // n)
-    assert np.array_equal(graph.dst, key % n)
-    assert np.array_equal(graph.witness_u * n_t + graph.witness_t, witness)
+    src, dst, _, _ = edge_columns(graph)
+    assert np.array_equal(src, key // n)
+    assert np.array_equal(dst, key % n)
+    assert np.array_equal(graph.witness, witness)
     assert np.array_equal(graph.truncated, truncated)
 
 
@@ -1022,7 +1044,7 @@ def test_pair_blocks_change_no_edge(monkeypatch):
     blocked = build_chain_graph(system, window, graph.eps, graph.tau,
                                 control_family=graph.control_family,
                                 time_samples=graph.time_samples)
-    for name in ("src", "dst", "witness_u", "witness_t", "truncated"):
+    for name in ("indptr", "dst", "witness", "truncated"):
         assert np.array_equal(getattr(blocked, name), getattr(graph, name))
 
 

@@ -82,8 +82,15 @@ def test_exactly_one_config_source(tmp_path, capsys):
     assert main(["decompose", "--out", str(tmp_path)]) == 2
     assert main(["decompose", "--preset", "scalar-stable",
                  "--config", "x.yaml", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
     assert main(["decompose", "--preset", "nope",
                  "--out", str(tmp_path)]) == 2
+    # one stderr line naming the preset and every bundled one, sorted
+    assert capsys.readouterr().err == (
+        "validation failure: unknown preset 'nope'; known: "
+        "conjugation-upstairs, halfstable-w2, halfstable-w4, halfstable-w8, "
+        "heisenberg-expanding, rotation-plane, scalar-stable, "
+        "scalar-unstable\n")
     assert main(["decompose", "--config", str(tmp_path / "missing.yaml"),
                  "--out", str(tmp_path)]) == 2
 
