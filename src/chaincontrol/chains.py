@@ -65,7 +65,7 @@ ANCHOR_ROW_LIMIT = 1 << 21
 PAIR_LIMIT = 1 << 16
 FIBER_TOL = 1e-9  # ties in the box-coordinate norm of central_fiber_nodes
 AUDIT_REFINE = 10  # audit_edges re-integrates at this many times finer a step
-EDGE_CHUNK = 65_536  # rows write_edges_csv joins per write
+EDGE_CHUNK = 65_536  # rows write_edges_csv gathers per write
 
 
 class GridWindow:
@@ -651,6 +651,16 @@ def main_set(sets):
 
 
 @dataclass
+class DecayCertificate:
+    """Per-level decay constants of the graded diagonal blocks at one tau."""
+
+    kappa: np.ndarray
+    mu: np.ndarray
+    contraction: np.ndarray  # kappa_i e^{-tau mu_i}, < 1 on every level
+    tau: float
+
+
+@dataclass
 class LevelBounds:
     """Per-level boundedness diagnostic from the decay certificate."""
 
@@ -662,26 +672,21 @@ class LevelBounds:
     tau: float
 
 
-def theoretical_bound(system, tau, c_estimates):
-    """Per-level bound B_i = 2 C_i (1 + kappa_i/mu_i) / (1 - kappa_i e^{-tau mu_i}).
+def decay_certificate(system, tau):
+    """The per-level kappa_i, mu_i and contraction kappa_i e^{-tau mu_i}.
 
-    Each graded diagonal block must be hyperbolic and tau large enough that
-    kappa_i e^{-tau mu_i} < 1.  The C_i are empirical source suprema (see
-    estimate_source_constants), so the result is a diagnostic, not a
-    certificate.
+    Each graded diagonal block must be hyperbolic (NotHyperbolicError) and
+    tau large enough that every contraction is below 1 (TauTooSmallError).
+    The refusal reads only the drift and tau, so a run asks for it before
+    it estimates any source constant.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")
-    alg = system.algebra
-    c_estimates = np.asarray(c_estimates, dtype=float)
-    if c_estimates.shape != (alg.nilpotency_class,) or np.any(c_estimates < 0):
-        raise ValidationError("need one nonnegative source constant per level")
-
-    kappa = np.empty(alg.nilpotency_class)
-    mu = np.empty(alg.nilpotency_class)
-    for i in range(1, alg.nilpotency_class + 1):
-        block = system.blocks.block(i, i)
-        dec = decay_constants(block)
+    levels = system.algebra.nilpotency_class
+    kappa = np.empty(levels)
+    mu = np.empty(levels)
+    for i in range(1, levels + 1):
+        dec = decay_constants(system.blocks.block(i, i))
         kappa[i - 1] = dec["kappa"]
         mu[i - 1] = dec["mu"]
     contraction = kappa * np.exp(-tau * mu)
@@ -690,11 +695,28 @@ def theoretical_bound(system, tau, c_estimates):
         raise TauTooSmallError(
             f"kappa e^(-tau mu) = {contraction[bad - 1]:.6f} >= 1 at level "
             f"{bad}; increase tau")
+    return DecayCertificate(kappa=kappa, mu=mu, contraction=contraction,
+                            tau=float(tau))
+
+
+def theoretical_bound(certificate, c_estimates):
+    """Per-level bound B_i = 2 C_i (1 + kappa_i/mu_i) / (1 - kappa_i e^{-tau mu_i}).
+
+    The certificate (decay_certificate) carries the refusal: a flat
+    direction or too short a tau is refused there, before any C_i is
+    estimated.  The C_i are empirical source suprema (see
+    estimate_source_constants), so the result is a diagnostic, not a
+    certificate.
+    """
+    c_estimates = np.asarray(c_estimates, dtype=float)
+    if c_estimates.shape != certificate.kappa.shape or np.any(c_estimates < 0):
+        raise ValidationError("need one nonnegative source constant per level")
+    kappa, mu = certificate.kappa, certificate.mu
     d_i = c_estimates * (1.0 + kappa / mu)
-    bounds = 2.0 * d_i / (1.0 - contraction)
+    bounds = 2.0 * d_i / (1.0 - certificate.contraction)
     return LevelBounds(bounds=bounds, kappa=kappa, mu=mu,
-                       contraction=contraction, c_estimates=c_estimates,
-                       tau=float(tau))
+                       contraction=certificate.contraction,
+                       c_estimates=c_estimates, tau=certificate.tau)
 
 
 def estimate_source_constants(system, window, tau, control_family=None):
@@ -813,21 +835,31 @@ def write_nodes_csv(path, graph, sets):
 
 def write_edges_csv(path, graph):
     """Edge table with the (u, T) witness of each edge: csv.writer's bytes
-    (no field needs quoting) from strings formatted once per node and per
-    witness, joined EDGE_CHUNK rows at a time."""
-    names = [str(i) for i in range(graph.n_nodes)]
-    heads = [s + "," for s in names]
+    (no field needs quoting).  Every row is three pieces, the source name
+    and its comma, the target name, and the witness tail; each piece is
+    formatted once into one byte pool, and EDGE_CHUNK rows at a time are
+    gathered from it by byte index."""
+    names = [f"{i}," for i in range(graph.n_nodes)]
     tails = ["," + ",".join([*(f"{v:.12g}" for v in u), f"{t:.12g}"]) + "\r\n"
              for u in graph.control_family for t in graph.time_samples]
+    pieces = names + tails
+    pool = np.frombuffer("".join(pieces).encode(), dtype=np.uint8)
+    size = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+    start = np.cumsum(size) - size
     src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
     u_names = [f"u{j}" for j in range(graph.control_family.shape[1])]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["src", "dst", *u_names, "T"]) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(["src", "dst", *u_names, "T"]) + "\r\n").encode())
         for lo in range(0, graph.n_edges, EDGE_CHUNK):
             chunk = slice(lo, lo + EDGE_CHUNK)
-            fh.write("".join([heads[a] + names[b] + tails[w] for a, b, w in zip(
-                src[chunk].tolist(), graph.dst[chunk].tolist(),
-                graph.witness[chunk].tolist())]))
+            a, b = src[chunk], graph.dst[chunk]
+            w = graph.n_nodes + graph.witness[chunk].astype(np.int64)
+            # a target is its source piece without the comma
+            first = np.stack([start[a], start[b], start[w]], axis=1).ravel()
+            count = np.stack([size[a], size[b] - 1, size[w]], axis=1).ravel()
+            at = np.cumsum(count) - count
+            fh.write(pool[np.repeat(first - at, count)
+                          + np.arange(count.sum())])
 
 
 def sets_to_records(sets, bounds=None):

@@ -26,6 +26,7 @@ from .chains import (
     LevelBounds,
     build_chain_graph,
     central_fiber_nodes,
+    decay_certificate,
     estimate_source_constants,
     extract_chain_sets,
     level_extents,
@@ -96,23 +97,26 @@ class ChainVerdict:
 def verdict_run(config, system, window, sets):
     """The chainset verdict policy for one chain run.
 
-    Estimates the source constants and forms the per-level bound; a refused
-    bound (a flat direction, or no contraction at this tau) comes back as
-    None with a diagnostic.  The verdicts are unique (exactly one set),
-    fiber_containment (every central-fiber node in the main set), extents
-    (the main set's per-level extents within the bound; "n/a" with no
-    bound) and interior (the main set off the window boundary; "n/a" unless
-    the config sets require_interior).
+    The decay certificate comes first: a refused bound (a flat direction,
+    or no contraction at this tau) comes back as None with a diagnostic,
+    and no source constant is estimated for it.  Otherwise the source
+    constants are estimated and form the per-level bound.  The verdicts
+    are unique (exactly one set), fiber_containment (every central-fiber
+    node in the main set), extents (the main set's per-level extents within
+    the bound; "n/a" with no bound) and interior (the main set off the
+    window boundary; "n/a" unless the config sets require_interior).
     """
     bound = diagnostic = None
     try:
-        consts = estimate_source_constants(system, window, config.tau,
-                                           control_family=config.family)
-        bound = theoretical_bound(system, config.tau, consts)
+        certificate = decay_certificate(system, config.tau)
     except NotHyperbolicError as exc:
         diagnostic = f"unbounded direction detected: {exc}"
     except TauTooSmallError as exc:
         diagnostic = f"no contraction at this tau: {exc}"
+    else:
+        consts = estimate_source_constants(system, window, config.tau,
+                                           control_family=config.family)
+        bound = theoretical_bound(certificate, consts)
 
     main = main_set(sets)
     fiber = central_fiber_nodes(window)
@@ -497,7 +501,7 @@ def check_flat_direction_growth(seed):
             ok = ok and bool(bt[0, 0]) and bool(bt[0, 1])
             ok = ok and not bool(bt[1].any())
         try:
-            theoretical_bound(system, c.tau, [1.0])
+            decay_certificate(system, c.tau)
             raised = False
             message = ""
         except NotHyperbolicError as exc:

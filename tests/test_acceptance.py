@@ -129,7 +129,7 @@ def test_check_6_fails_on_refused_bound(monkeypatch):
     def refuse(*args, **kwargs):
         raise TauTooSmallError("kappa e^(-tau mu) = 1.2 >= 1 at level 1")
 
-    monkeypatch.setattr(verify, "theoretical_bound", refuse)
+    monkeypatch.setattr(verify, "decay_certificate", refuse)
     rec = verify.check_expanding_containment(verify.DEFAULT_SEED)
     assert rec["passed"] is False
     m = rec["measured"]

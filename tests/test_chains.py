@@ -27,6 +27,7 @@ from chaincontrol.chains import (
     audit_edges,
     build_chain_graph,
     central_fiber_nodes,
+    decay_certificate,
     estimate_source_constants,
     extract_chain_sets,
     level_extents,
@@ -507,7 +508,7 @@ def test_level_extents_empty():
 
 def test_theoretical_bound_scalar_frozen():
     system = scalar_system(-1.0)
-    lb = theoretical_bound(system, 1.0, [1.0])
+    lb = theoretical_bound(decay_certificate(system, 1.0), [1.0])
     assert lb.kappa[0] == pytest.approx(1.0)
     assert lb.mu[0] == pytest.approx(0.9)
     assert lb.contraction[0] == pytest.approx(np.exp(-0.9))
@@ -518,7 +519,8 @@ def test_theoretical_bound_scalar_frozen():
 def test_theoretical_bound_tau_monotone():
     system = scalar_system(-1.0)
     taus = [0.5, 1.0, 2.0, 4.0, 8.0]
-    vals = [theoretical_bound(system, t, [1.0]).bounds[0] for t in taus]
+    vals = [theoretical_bound(decay_certificate(system, t), [1.0]).bounds[0]
+            for t in taus]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # large tau limit: 2 C (1 + kappa/mu)
     assert vals[-1] == pytest.approx(2 * (1 + 1 / 0.9), rel=1e-3)
@@ -530,7 +532,7 @@ def test_theoretical_bound_heisenberg_levels():
     system = LinearControlSystem(group, np.diag([1.0, 2.0, 3.0]),
                                  [[1.0, 1.0, 0.0]],
                                  ControlRange([-1.0], [1.0]))
-    lb = theoretical_bound(system, 1.0, [1.0, 1.0])
+    lb = theoretical_bound(decay_certificate(system, 1.0), [1.0, 1.0])
     assert lb.bounds.shape == (2,)
     assert np.all(lb.contraction < 1.0)
     assert np.all(lb.bounds > 0.0)
@@ -542,9 +544,9 @@ def test_theoretical_bound_tau_too_small():
     system = LinearControlSystem(group, [[1.0, 4.0], [0.0, 1.2]],
                                  np.eye(2), ControlRange([-1.0] * 2, [1.0] * 2))
     with pytest.raises(TauTooSmallError):
-        theoretical_bound(system, 0.01, [1.0])
+        decay_certificate(system, 0.01)
     # a long enough dwell restores the contraction
-    lb = theoretical_bound(system, 10.0, [1.0])
+    lb = theoretical_bound(decay_certificate(system, 10.0), [1.0])
     assert lb.contraction[0] < 1.0
 
 
@@ -554,17 +556,18 @@ def test_theoretical_bound_not_hyperbolic():
     system = LinearControlSystem(group, np.diag([0.0, -1.0]),
                                  np.eye(2), ControlRange([-1.0] * 2, [1.0] * 2))
     with pytest.raises(NotHyperbolicError):
-        theoretical_bound(system, 1.0, [1.0])
+        decay_certificate(system, 1.0)
 
 
 def test_theoretical_bound_validation():
     system = scalar_system(-1.0)
     with pytest.raises(ValidationError):
-        theoretical_bound(system, -1.0, [1.0])
+        decay_certificate(system, -1.0)
+    certificate = decay_certificate(system, 1.0)
     with pytest.raises(ValidationError):
-        theoretical_bound(system, 1.0, [1.0, 2.0])
+        theoretical_bound(certificate, [1.0, 2.0])
     with pytest.raises(ValidationError):
-        theoretical_bound(system, 1.0, [-1.0])
+        theoretical_bound(certificate, [-1.0])
 
 
 def test_estimate_source_constants_scalar(stable_setup):
@@ -574,7 +577,7 @@ def test_estimate_source_constants_scalar(stable_setup):
     # source term is exactly u, sup |u| = 1 over the family, plus the
     # trivial jump factor 1
     assert c[0] == pytest.approx(2.0, abs=1e-6)
-    lb = theoretical_bound(system, 1.0, c)
+    lb = theoretical_bound(decay_certificate(system, 1.0), c)
     assert lb.bounds[0] == pytest.approx(14.2299, abs=1e-3)
 
 
@@ -603,16 +606,16 @@ def _level_bounds(limit):
 def _verdicts(monkeypatch, sets, fiber, bound, require_interior):
     """verdict_run's policy on fake sets, with the central fiber and the
     bound given (None refuses it as a flat direction)."""
-    def bound_or_refuse(*args):
+    def certify_or_refuse(*args):
         if bound is None:
             raise NotHyperbolicError("flat direction")
-        return bound
 
     monkeypatch.setattr(verify, "central_fiber_nodes",
                         lambda window: np.asarray(fiber, dtype=np.int64))
+    monkeypatch.setattr(verify, "decay_certificate", certify_or_refuse)
     monkeypatch.setattr(verify, "estimate_source_constants",
                         lambda *args, **kwargs: None)
-    monkeypatch.setattr(verify, "theoretical_bound", bound_or_refuse)
+    monkeypatch.setattr(verify, "theoretical_bound", lambda *args: bound)
     config = SimpleNamespace(tau=1.0, family=None,
                              require_interior=require_interior)
     return verify.verdict_run(config, None, None, sets)
@@ -668,6 +671,40 @@ def test_verify_report_no_sets(monkeypatch):
         assert [row["value"] for row in rec.residuals] == [1, 1]
 
 
+def _refused_run(monkeypatch, raw):
+    """verdict_run on raw's system and window with no sets, with the source
+    constants estimate replaced by one that fails the test if it runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("source constants estimated for a refused bound")
+
+    monkeypatch.setattr(verify, "estimate_source_constants", never)
+    config = cfg.parse_config(raw)
+    system = cfg.build_system(config)
+    return verify.verdict_run(config, system,
+                              cfg.build_window(config, system), [])
+
+
+def test_verdict_run_refuses_a_flat_direction_before_the_constants(
+        monkeypatch):
+    rec = _refused_run(monkeypatch, cfg.preset_raw("halfstable-w2"))
+    assert rec.bound is None and rec.verdicts["extents"] == "n/a"
+    assert rec.diagnostic == (
+        "unbounded direction detected: matrix has spectrum on the imaginary "
+        "axis, no decay rate exists")
+
+
+def test_verdict_run_refuses_a_short_tau_before_the_constants(monkeypatch):
+    # a contracting but non-normal drift overshoots at this short a dwell
+    raw = cfg.preset_raw("halfstable-w2")
+    raw["derivation"] = [[-1.0, 4.0], [0.0, -1.2]]
+    raw["chain"].update(tau=0.01, times=[0.01, 0.02])
+    rec = _refused_run(monkeypatch, raw)
+    assert rec.bound is None and rec.verdicts["extents"] == "n/a"
+    assert rec.diagnostic.startswith("no contraction at this tau: kappa "
+                                     "e^(-tau mu) = ")
+    assert rec.diagnostic.endswith(" >= 1 at level 1; increase tau")
+
+
 # -- audit -------------------------------------------------------------------
 
 
@@ -710,10 +747,81 @@ def test_audit_counts_corrupted_and_truncated_edges(stable_setup):
 # -- writers -----------------------------------------------------------------
 
 
+def edge_graph(n_nodes, src, dst, witness, family, times):
+    """What write_edges_csv reads of a graph, for the given edges in order
+    of their sources over n_nodes nodes."""
+    src = np.asarray(src, dtype=np.int64)
+    return SimpleNamespace(
+        n_nodes=n_nodes, n_edges=src.size,
+        indptr=np.searchsorted(src, np.arange(n_nodes + 1)),
+        dst=np.asarray(dst, dtype=np.int32),
+        witness=np.asarray(witness, dtype=np.uint8),
+        control_family=np.asarray(family, dtype=float),
+        time_samples=np.asarray(times, dtype=float),
+        snapshot_steps=np.arange(len(times)))
+
+
+def assert_csv_writer_bytes(tmp_path, graph):
+    """write_edges_csv writes the bytes csv.writer writes for the rows."""
+    path, ref = tmp_path / "edges.csv", tmp_path / "edges_ref.csv"
+    write_edges_csv(path, graph)
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        n_u = graph.control_family.shape[1]
+        writer.writerow(["src", "dst", *(f"u{j}" for j in range(n_u)), "T"])
+        writer.writerows(
+            [a, b, *(f"{v:.12g}" for v in graph.control_family[u]),
+             f"{graph.time_samples[t]:.12g}"]
+            for a, b, u, t in zip(*(c.tolist() for c in edge_columns(graph))))
+    assert path.read_bytes() == ref.read_bytes()
+    return path.read_bytes()
+
+
+def test_edges_csv_without_edges_is_its_header(tmp_path):
+    graph = edge_graph(5, [], [], [], [[-1.0], [1.0]], [1.0, 2.0])
+    assert assert_csv_writer_bytes(tmp_path, graph) == b"src,dst,u0,T\r\n"
+
+
+def test_edges_csv_skips_empty_source_rows(tmp_path):
+    # sources 1, 2, 4-6 and 8-11 have no edges, the last source among them
+    graph = edge_graph(12, [0, 3, 3, 7], [11, 0, 3, 7], [0, 1, 3, 2],
+                       [[-1.0], [1.0]], [1.0, 2.0])
+    raw = assert_csv_writer_bytes(tmp_path, graph)
+    assert raw.splitlines()[1:] == [b"0,11,-1,1", b"3,0,-1,2", b"3,3,1,2",
+                                    b"7,7,1,1"]
+
+
+def test_edges_csv_across_name_length_boundaries(tmp_path):
+    # names of one to four digits, as sources and as targets
+    names = [8, 9, 10, 11, 98, 99, 100, 101, 998, 999, 1000, 1001]
+    src, dst = np.meshgrid(names, names, indexing="ij")
+    graph = edge_graph(1002, src.ravel(), dst.ravel(), np.arange(src.size) % 4,
+                       [[-1.0], [1.0]], [1.0, 2.0])
+    raw = assert_csv_writer_bytes(tmp_path, graph)
+    assert raw.count(b"\r\n") == src.size + 1
+    assert b"\r\n999,1000,1,1\r\n" in raw
+
+
+def test_edges_csv_with_a_two_dimensional_family(tmp_path):
+    # .12g tails of different lengths: negative, exponent-form and
+    # repeating values
+    family = [[-1e-13, 1 / 3], [1.0, -2.5e-7], [0.0, 123456789.123],
+              [-1.0, 1e22]]
+    times = [1 / 3, 2.0, 1e-5]
+    rng = np.random.default_rng(11)
+    n = 500
+    graph = edge_graph(40, np.sort(rng.integers(0, 40, n)),
+                       rng.integers(0, 40, n), rng.integers(0, 12, n),
+                       family, times)
+    raw = assert_csv_writer_bytes(tmp_path, graph)
+    assert raw.startswith(b"src,dst,u0,u1,T\r\n")
+    assert b",-1e-13,0.333333333333," in raw and b",1e+22," in raw
+
+
 def test_writers_roundtrip(tmp_path, stable_setup):
     system, window, graph = stable_setup
     sets = extract_chain_sets(graph)
-    lb = theoretical_bound(system, 1.0,
+    lb = theoretical_bound(decay_certificate(system, 1.0),
                            estimate_source_constants(system, window, 1.0))
 
     nodes_path = tmp_path / "nodes.csv"
@@ -740,16 +848,7 @@ def test_writers_roundtrip(tmp_path, stable_setup):
         rng.integers(0, graph.n_nodes, n_rows).astype(np.int32),
         rng.integers(0, len(graph.control_family) * len(graph.time_samples),
                      n_rows).astype(graph.witness.dtype))
-    write_edges_csv(edges_path, big)
-    ref_path = tmp_path / "edges_ref.csv"
-    with open(ref_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "u0", "T"])
-        writer.writerows(
-            [a, b, *(f"{v:.12g}" for v in big.control_family[u]),
-             f"{big.time_samples[t]:.12g}"]
-            for a, b, u, t in zip(*(c.tolist() for c in edge_columns(big))))
-    assert edges_path.read_bytes() == ref_path.read_bytes()
+    assert_csv_writer_bytes(tmp_path, big)
 
     sets_path = tmp_path / "sets.jsonl"
     write_sets_jsonl(sets_path, sets, bounds=lb)
