@@ -6,7 +6,8 @@ nilpotent coordinate a uniform box grid.  Every cell center is run under
 each constant control of a finite family; endpoints sampled at durations
 inside [tau, 2*tau] that land within eps plus the cell slack of another
 center become directed edges.  The exact distance decides every edge; its
-kd-tree prefilter has a certified radius (`GridWindow.query_radii`).
+kd-tree prefilter, periodic on the circle axes, has a certified radius
+(`GridWindow.query_radii`).
 Strongly connected components with at least one internal edge approximate
 chain control sets; the per-level bound formula turns empirical source
 suprema into boundedness diagnostics.
@@ -35,9 +36,11 @@ d(a, b).  Right translation by k leaves the box coordinates alone, so
 truncation is invariant too.  Whole-cell shifts of those axes
 (`GridWindow.symmetric_axes`) therefore map the graph onto itself: only the
 sources with index 0 on every symmetric axis are run, and their edges,
-witnesses and truncation flags are copied around every shift.  One sort by
-src * n_nodes + dst then leaves the edges as the graph keeps them: CSR rows
-of int32 targets, with one witness code u * n_T + t per edge.
+witnesses and truncation flags are copied around every shift.  Each hit is
+one int64 code (src * n_nodes + dst) * n_w + w, with witness w = u * n_T + t
+of n_w = n_U * n_T; a shift adds one offset per code, and one sort then
+leaves the edges as the graph keeps them: CSR rows of int32 targets, with
+one witness code per edge.
 """
 
 import csv
@@ -168,31 +171,20 @@ class GridWindow:
                                    self.group.normalize(shifted))
         return 1.02 * float(np.max(dist))
 
-    def embed(self, states):
-        """Isometry-friendly coordinates for radius queries.
-
-        Circles map to unit-circle pairs (chord length bounds arc length
-        from below), box coordinates stay as they are.
-        """
-        states = np.asarray(states, dtype=float)
-        cols = []
-        for a, box in enumerate(self.box):
-            col = states[..., a]
-            cols.extend([col] if box else [np.cos(col), np.sin(col)])
-        return np.stack(cols, axis=-1)
-
     def query_radii(self, landed, cut):
         """Per-landing kd-tree radius that holds every center within group
         distance `cut`, so the ball query drops no edge.
 
         A center with d(a, b) = |h_z| + |x_z| <= cut is b = a z.  Angles
         and masked coordinates (central, unreached, fixed by rho) move by
-        the entries of z, and chords are at most those.  The rest moves by
-        bch(x_a, y) - x_a, y = rho(h_a) x_z, whose BCH terms are bounded
-        with |y| <= rho |x_z| (rho = cond_2 of the action's eigenbasis >=
-        sup_h |rho(h)|), |[x_a, v]| <= A |v| (A = |ad(x_a)|_F) and
-        |[u, v]| <= kap |u| |v| (kap = |structure|_F).  So the embedded gap
-        is at most f(a) d(a, b), with nilpotency class k and
+        the entries of z, and their gaps wrapped around the circle are at
+        most those.  The rest moves by bch(x_a, y) - x_a, y = rho(h_a) x_z,
+        whose BCH terms are bounded with |y| <= rho |x_z| (rho = cond_2 of
+        the action's eigenbasis >= sup_h |rho(h)|), |[x_a, v]| <= A |v|
+        (A = |ad(x_a)|_F) and |[u, v]| <= kap |u| |v| (kap =
+        |structure|_F).  So the gap, the norm of the per-axis differences
+        with the circle axes wrapped, is at most f(a) d(a, b), with
+        nilpotency class k and
         f = rho (1 + A/2 + [k>=3] (A^2/12 + kap A rho cut/12)
                  + [k>=4] kap A^2 rho cut/24) >= 1,
         padded by 1e-9 relative for rounding.
@@ -445,10 +437,6 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
         raise ValidationError("no controls to sample")
     if control_family.shape[1] != system.range.m:
         raise ValidationError("control family has the wrong dimension")
-    for u in control_family:
-        if not system.range.contains(u):
-            raise ValidationError(f"control sample {u} outside the range")
-
     if time_samples is None:
         time_samples = _default_time_samples(tau)
     time_samples = np.sort(np.unique(np.asarray(time_samples, dtype=float)))
@@ -463,13 +451,26 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     snap = np.unique(snap)
     times_used = snap * h
 
+    n_nodes, n_t = window.n_nodes, snap.size
+    n_w = len(control_family) * n_t
+    # an edge is one int64 code (src * n_nodes + dst) * n_w + witness
+    if n_nodes ** 2 * n_w > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"{n_nodes} cells and {n_w} (control, time) samples overflow the "
+            f"int64 edge code")
+    for u in control_family:
+        if not system.range.contains(u):
+            raise ValidationError(f"control sample {u} outside the range")
+
     radius = eps + window.half_diameter
     cut = radius + 1e-12
     lo_inf, hi_inf = window.inflated_bounds(radius)
-    tree = cKDTree(window.embed(window.points))
+    # circle axes shifted into [0, 2 pi) and periodic; a boxsize of 0 leaves
+    # a box axis flat
+    offset = np.where(window.box, 0.0, np.pi)
+    tree = cKDTree(window.points + offset, boxsize=2.0 * offset)
 
     centers = window.points
-    n_nodes, n_t = window.n_nodes, snap.size
     # cyc: each node's indices on the symmetric axes; a node is its slice
     # source plus cyc @ stride in node numbers
     sym = list(window.symmetric_axes)
@@ -479,11 +480,11 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     cyc = window.axis_indices()[:, sym]
     sources = np.flatnonzero(~cyc.any(axis=1))
 
-    # hits: src * n_nodes + dst keys within the cut, each with the witness
-    # u * n_t + t of its landing; one query per step over every control of
-    # a slice, its exact distances PAIR_LIMIT pairs at a time
+    # hits: the codes of the pairs within the cut, one per landing; one
+    # query per step over every control of a slice, its exact distances
+    # PAIR_LIMIT pairs at a time
     truncated = np.zeros(n_nodes, dtype=bool)
-    keys, witnesses = [], []
+    codes = [np.zeros(0, dtype=np.int64)]
     for part in _control_slices(len(control_family), sources.size * (n_t + 2)):
         frames, trunc = _propagate_family(
             system, centers[sources], control_family[part], h, n_steps, snap,
@@ -491,7 +492,7 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
         truncated[sources] |= trunc.any(axis=0)
         for t_idx, (rows, landed) in enumerate(frames):
             balls = tree.query_ball_point(
-                window.embed(landed), window.query_radii(landed, cut),
+                landed + offset, window.query_radii(landed, cut),
                 return_sorted=False)
             owner = np.repeat(np.arange(rows.size), [len(b) for b in balls])
             if owner.size == 0:
@@ -504,37 +505,31 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
             hit = np.concatenate([system.group.distance(
                 landed, centers[flat_dst[b]], owner[b]) for b in blocks]) <= cut
             u_of, start_of = np.divmod(rows[owner[hit]], sources.size)
-            keys.append(sources[start_of] * n_nodes + flat_dst[hit])
-            witnesses.append((part.start + u_of) * n_t + t_idx)
-    # each pair keeps its smallest witness: the first of its key's run once
-    # sorted by key, then witness
-    empty = [np.zeros(0, dtype=np.int64)]
-    key = np.concatenate(keys + empty)
-    witness = np.concatenate(witnesses + empty)
-    order = np.lexsort((witness, key))
-    key, witness = key[order], witness[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    kept, witness = key[first], witness[first]
+            codes.append((sources[start_of] * n_nodes + flat_dst[hit]) * n_w
+                         + (part.start + u_of) * n_t + t_idx)
+    # each pair keeps its smallest witness: the first code of its run
+    code = np.sort(np.concatenate(codes))
+    code = code[np.diff(code // n_w, prepend=-1) != 0]
     # freed before the replication, which sets the build's peak memory
-    del frames, keys, witnesses, key, order, first
+    del frames, codes
 
     # every whole-cell shift of the symmetric axes moves sources and
-    # targets alike (a slice source is at index 0 on every such axis); a
-    # node's truncation flag is its slice source's
-    src, dst = np.divmod(kept, n_nodes)
-    dst_at = cyc[dst]
+    # targets alike (a slice source is at index 0 on every such axis), so
+    # it adds one offset to a code; a node's truncation flag is its slice
+    # source's
+    dst_at = cyc[code // n_w % n_nodes]
     shifts = np.array(list(np.ndindex(*sizes)), dtype=np.int64)
-    key = np.concatenate([
-        (src + shift @ stride) * n_nodes + dst
-        + ((dst_at + shift) % sizes - dst_at) @ stride for shift in shifts])
-    order = np.argsort(key)
-    key = key[order]
-    witness = np.tile(witness, len(shifts))[order].astype(
-        np.min_scalar_type(len(control_family) * n_t - 1))
-    # sorted keys are CSR rows: row a starts at the first key >= a * n_nodes
-    indptr = np.searchsorted(key, np.arange(n_nodes + 1) * n_nodes)
-    dst = (key % n_nodes).astype(np.int32)
+    code = np.concatenate([code + (
+        shift @ stride * n_nodes
+        + ((dst_at + shift) % sizes - dst_at) @ stride) * n_w
+        for shift in shifts])
+    code.sort()
+    # sorted codes are CSR rows: row a starts at the first code of src a
+    indptr = np.searchsorted(code, np.arange(n_nodes + 1) * (n_nodes * n_w))
+    witness = (code % n_w).astype(np.min_scalar_type(n_w - 1))
+    code //= n_w
+    code %= n_nodes
+    dst = code.astype(np.int32)
     truncated = truncated[np.arange(n_nodes) - cyc @ stride]
 
     return ChainGraph(

@@ -110,7 +110,10 @@ def _raw_config(args):
 
 def _out_dir(args, command):
     out = Path(args.out) if args.out else Path("out") / command
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no write permission
+        raise ValidationError(f"cannot use --out {out}: {exc.strerror}")
     return out
 
 

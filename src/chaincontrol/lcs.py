@@ -233,27 +233,21 @@ def _state_scale(y, t):
 
 @np.errstate(all="ignore")  # overflow ends the run; a zero estimate grows h
 def integrate(system, duration, g0, control):
-    """Error-controlled RK4 over [0, duration], backward if duration < 0.
+    """Error-controlled RK4 over [0, duration], duration > 0.
 
     A step at h and two at h/2 estimate its error by their distance / 15.
     The two-half-step result is accepted when the largest row is at most
-    target = FRACTION * BUDGET_RATE * |h| * max(1, sup |y|), else retried
-    (stats["rejected"]); |h| then scales by min(GROW, max(SHRINK, SAFETY *
+    target = FRACTION * BUDGET_RATE * h * max(1, sup |y|), else retried
+    (stats["rejected"]); h then scales by min(GROW, max(SHRINK, SAFETY *
     (target / estimate) ** (1/4))), from step_limit at each control piece.
     The summed estimates must stay below stats["error_budget"], BUDGET_RATE
-    * |duration| * max(1, sup |y|), or IntegratorBudgetError is raised, as
+    * duration * max(1, sup |y|), or IntegratorBudgetError is raised, as
     it is for a non-finite trial and a step below MIN_STEP * step_limit.
     """
     group = system.group
-    if abs(duration) < 1e-15:
-        pieces = []
-    elif duration > 0:
-        pieces = control.pieces_over(0.0, duration)
-        sign = 1.0
-    else:
-        pieces = list(reversed(control.pieces_over(duration, 0.0)))
-        sign = -1.0
-
+    if not duration > 0:
+        raise ValidationError(f"duration must be positive, got {duration}")
+    pieces = control.pieces_over(0.0, duration)
     for _, value in pieces:
         if not system.range.contains(value):
             raise ValidationError("control function leaves the admissible range")
@@ -266,11 +260,11 @@ def integrate(system, duration, g0, control):
     peak = _state_scale(y, t)  # sup of |y| along the run
     steps = rejected = 0
     for length, u in pieces:
-        end = t + sign * length
+        end = t + length
         size = min(system.step_limit, length)
         while t != end:
             # land on the piece end; stretch a step rather than leave a sliver
-            t_next = end if abs(end - t) <= 1.01 * size else t + sign * size
+            t_next = end if end - t <= 1.01 * size else t + size
             h = t_next - t
             k1 = system.field(u, y)  # the full and first half step share it
             full = _rk4_step(system, y, u, h, k1)
@@ -281,8 +275,8 @@ def integrate(system, duration, g0, control):
                 _state_scale(np.stack((full, half)), t_next)
                 raise IntegratorBudgetError(
                     f"integrator error estimate is not finite at t = {t_next:.6g}")
-            target = FRACTION * BUDGET_RATE * abs(h) * max(1.0, peak)
-            size = abs(h) * min(GROW, max(SHRINK, SAFETY * (target / worst) ** 0.25))
+            target = FRACTION * BUDGET_RATE * h * max(1.0, peak)
+            size = h * min(GROW, max(SHRINK, SAFETY * (target / worst) ** 0.25))
             if worst > target:
                 rejected += 1
                 if size < MIN_STEP * system.step_limit:
@@ -297,7 +291,7 @@ def integrate(system, duration, g0, control):
             times.append(t)
             points.append(y)
     total = float(np.max(err))
-    budget = BUDGET_RATE * abs(duration) * max(1.0, peak)
+    budget = BUDGET_RATE * duration * max(1.0, peak)
     if not total <= budget:  # also catches the NaN of an overflowing state
         raise IntegratorBudgetError(
             f"integrator error estimate {total:.3e} exceeds budget {budget:.3e}")

@@ -75,6 +75,15 @@ def with_edges(graph, src, dst, witness):
     return dataclasses.replace(graph, indptr=indptr, dst=dst, witness=witness)
 
 
+def wrapped_gap(window, a, b):
+    """Norm of the per-axis differences a - b, the circle axes wrapped into
+    [-pi, pi): the metric of the graph's periodic kd-tree."""
+    d = a - b
+    circle = ~window.box
+    d[:, circle] = (d[:, circle] + np.pi) % (2.0 * np.pi) - np.pi
+    return np.linalg.norm(d, axis=1)
+
+
 def edge_pairs(graph):
     src, dst, _, _ = edge_columns(graph)
     return set(zip(src.tolist(), dst.tolist()))
@@ -212,9 +221,9 @@ def test_symmetric_axes_skip_a_skewed_torus():
                                   "conjugation-upstairs"])
 @pytest.mark.parametrize("cut", [0.3, 2.0])
 def test_query_radii_cover_group_balls(name, cut):
-    # every b = a z with |z| <= cut lies within the query radius of a in the
-    # embedding, for landings a far from the identity (|x_a| up to 10, where
-    # the class-3 and class-4 terms of the radius dominate)
+    # every b = a z with |z| <= cut lies within the query radius of a, the
+    # circle axes wrapped, for landings a far from the identity (|x_a| up to
+    # 10, where the class-3 and class-4 terms of the radius dominate)
     group = _radii_case(name)
     window = GridWindow(group, -1.0, 1.0, 0.5,
                         angle_cells=(4,) * int(group.angular_mask.sum()))
@@ -239,7 +248,7 @@ def test_query_radii_cover_group_balls(name, cut):
     assert np.all(group.distance(a, b) <= cut * (1.0 + 1e-9))
     radii = window.query_radii(a, cut)
     assert np.all(radii >= cut)
-    gap = np.linalg.norm(window.embed(a) - window.embed(b), axis=1)
+    gap = wrapped_gap(window, a, b)
     assert np.all(gap <= radii), float(np.max(gap / radii))
 
 
@@ -1098,11 +1107,12 @@ def _unskipped_reference(system, window, graph):
         system, window.points, graph.control_family, graph.step,
         graph.n_steps, graph.snapshot_steps, graph.inflated_lower,
         graph.inflated_upper, window.box)
-    tree = cKDTree(window.embed(window.points))
+    offset = np.where(window.box, 0.0, np.pi)
+    tree = cKDTree(window.points + offset, boxsize=2.0 * offset)
     cut = graph.radius + 1e-12
     keys, witness = [], []
     for t_idx, (rows, landed) in enumerate(frames):
-        balls = tree.query_ball_point(window.embed(landed),
+        balls = tree.query_ball_point(landed + offset,
                                       window.query_radii(landed, cut))
         owner = np.repeat(np.arange(rows.size), [len(b) for b in balls])
         dst = np.concatenate([np.asarray(b, dtype=np.int64)
@@ -1124,7 +1134,10 @@ def _unskipped_reference(system, window, graph):
 def test_graph_equals_unskipped_reference(name):
     # the slice and the replication around the circle shifts change no
     # edge, witness or truncation flag
-    system, window, graph = _small_graph(name)
+    _assert_equals_unskipped_reference(*_small_graph(name))
+
+
+def _assert_equals_unskipped_reference(system, window, graph):
     n = window.n_nodes
     key, witness, truncated = _unskipped_reference(system, window, graph)
     assert graph.n_edges > 0
@@ -1133,6 +1146,69 @@ def test_graph_equals_unskipped_reference(name):
     assert np.array_equal(dst, key % n)
     assert np.array_equal(graph.witness, witness)
     assert np.array_equal(graph.truncated, truncated)
+
+
+def test_wide_witnesses_around_two_symmetric_circles():
+    # 81 controls x 4 snapshots: 324 witness codes need uint16, and each
+    # copy around both circle axes keeps its edge's smallest one
+    c = cfg.preset_config("conjugation-upstairs")
+    system = cfg.build_system(c)
+    window = GridWindow(system.group, -0.125, 0.125, [0.25, 0.25], (8, 8))
+    assert window.symmetric_axes == (0, 3)
+    grid = np.linspace(-1.0, 1.0, 9)
+    family = np.stack(np.meshgrid(grid, grid, indexing="ij"),
+                      axis=-1).reshape(-1, 2)
+    graph = build_chain_graph(system, window, c.eps, c.tau,
+                              control_family=family)
+    assert graph.witness.dtype == np.uint16
+    assert graph.witness.max() > 255
+    _assert_equals_unskipped_reference(system, window, graph)
+
+
+def test_edge_code_overflow_is_refused_before_the_controls_are_checked():
+    # 1.5M cells squared times 4.4M witnesses is past int64; the refusal
+    # comes before the per-control range check of 1.1M controls (all out of
+    # range here)
+    system = scalar_system(-1.0)
+    window = scalar_window(system, half=0.75, delta=1e-6)
+    assert window.n_nodes == 1_500_000
+    family = np.full((1_100_000, 1), 2.0)
+    with pytest.raises(ValidationError, match="int64"):
+        build_chain_graph(system, window, eps=0.1, tau=1.0,
+                          control_family=family)
+
+
+def test_kdtree_wraps_the_circle_axes_only(monkeypatch):
+    # x0 is a circle and x1 a box axis over the same [-pi, pi) in 8 cells: a
+    # query just below +pi reaches the first cell across the circle's seam,
+    # never across the box
+    alg = NilpotentAlgebra(preset_structure("abelian:2"))
+    group = SemidirectGroup(alg, RhoAction(alg, []),
+                            angular_x_mask=[True, False])
+    system = LinearControlSystem(group, np.diag([0.0, -1.0]), [[1.0, 0.0]],
+                                 ControlRange([-1.0], [1.0]))
+    window = GridWindow(group, -np.pi, np.pi, 2.0 * np.pi / 8, (8,))
+    trees = []
+
+    def keep(*args, **kwargs):
+        trees.append(cKDTree(*args, **kwargs))
+        return trees[-1]
+
+    monkeypatch.setattr("chaincontrol.chains.cKDTree", keep)
+    graph = build_chain_graph(system, window, eps=0.1, tau=1.0)
+    assert graph.n_edges > 0
+    [tree] = trees
+    d = window.delta[0]
+    near = np.pi - d / 4.0
+    for axis in (0, 1):
+        landing = np.zeros(2)
+        landing[axis] = near
+        # the tree holds the circle axis shifted by pi into [0, 2 pi)
+        found = tree.query_ball_point(landing + np.where(window.box, 0.0,
+                                                         np.pi), d)
+        at = window.axis_indices(found)[:, axis]
+        assert 7 in at
+        assert (0 in at) == (axis == 0)
 
 
 def test_pair_blocks_change_no_edge(monkeypatch):

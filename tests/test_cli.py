@@ -568,6 +568,20 @@ def test_help_exits_0(capsys, argv):
     assert "usage: chaincontrol" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_out_blocked_by_a_file_exits_2_with_one_line(tmp_path, capsys, sub):
+    # an existing file as --out, or as its parent: one line, no traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    code = main(["decompose", "--preset", "scalar-stable",
+                 "--out", str(blocker / sub)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "--out" in err
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, case):
     argv, text = BAD_INPUTS[case]

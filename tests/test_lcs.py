@@ -344,13 +344,12 @@ def test_integrate_rejects_control_outside_range():
         integrate(system, 1.0, np.zeros(1), u)
 
 
-def test_backward_integration_returns_home():
+@pytest.mark.parametrize("duration", [0.0, -1.5, np.nan])
+def test_integrate_refuses_a_duration_that_is_not_positive(duration):
     system = rotation_plane_system()
     u = ControlFunction([0.0, 0.8, 1.5], [[0.4, -0.6], [-0.2, 0.9]])
-    g0 = np.array([0.5, 1.0, -0.5])
-    forward = integrate(system, 1.5, g0, u).endpoint
-    back = integrate(system, -1.5, forward, u.shift(1.5)).endpoint
-    assert system.group.distance(back, g0) < 1e-7
+    with pytest.raises(ValidationError, match="duration must be positive"):
+        integrate(system, duration, np.array([0.5, 1.0, -0.5]), u)
 
 
 def test_cocycle_residual_small():
