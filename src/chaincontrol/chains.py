@@ -15,11 +15,13 @@ suprema into boundedness diagnostics.
 Cell runs come from the translation identity of a linear system,
 phi(t, g, u) = phi(t, e, u) * phi_t(g): the run from g is the run from the
 identity (the anchor), right-multiplied by the drift flow of g.  One
-batched RK4 run over the first grid step gives the anchors of the whole
-control family (later anchors follow from the same identity), and each
-cell's state at step k is the group product with (h_g, e^{k h D} x_g), one
-affine map per control and step.  Truncation keeps its meaning: the window
-box is tested on every step, and a run ends at the first step it leaves.
+batched RK4 run over the first grid step gives the first anchor of every
+control, and the same identity gives the rest by doubling, in about log2 of
+the step count batched products.  Each cell's state at step k is the group
+product with (h_g, e^{k h D} x_g), one affine map per control and step,
+and the cells move in blocks of steps, one call per block, with no Python
+loop per step.  Truncation keeps its meaning: the window box is tested on
+every step, and a run ends at the first step it leaves.
 Each snapshot holds only the runs still alive, as flat row indices
 u * n_starts + start in increasing order with their states.
 `_propagate`, which integrates every cell directly, is the slow,
@@ -63,6 +65,8 @@ NODE_LIMIT = 1_500_000
 # rows (controls x starts x kept snapshots) one anchored run may hold; larger
 # families are run in slices of controls so memory stays bounded
 ANCHOR_ROW_LIMIT = 1 << 21
+# row-steps (rows x steps) one block of the anchored runs moves at once
+STEP_BLOCK = 1 << 16
 # candidate pairs one exact-distance call takes; it holds about 200 bytes
 # per pair, and one step's landings can have a million candidates
 PAIR_LIMIT = 1 << 16
@@ -301,38 +305,51 @@ def _propagate(system, starts, family, h, n_steps, steps,
     return [frames[int(s)] for s in steps], truncated.reshape(n_u, n_rows)
 
 
-def _translate(group, anchor, flow, starts, u_of):
-    """Rows anchor[u_of] * (h_g, flow x_g) of starts (h_g, x_g), u_of sorted.
+def _rows_times(mats, u_of, v):
+    """mats[:, u_of[r]] @ v[r] for every row r: (B, n_u, p, q) matrices, (R,)
+    controls and (R, q) vectors give (B, R, p).  Multiply-adds one column of
+    v at a time, in a fixed order, so a row's bits do not depend on the rows
+    or steps that share the call."""
+    out = v[:, 0, None] * mats[..., 0][:, u_of]
+    for j in range(1, v.shape[1]):
+        out += v[:, j, None] * mats[..., j][:, u_of]
+    return out
 
-    With y = rho(h_a) flow x_g and nilpotency class k, bch(x_a, y) = x_a
-    + (I + ad(x_a)/2 + [k>=3] ad(x_a)^2/12) y - [k>=3] [y,[x_a,y]]/12
-    - [k>=4] [y,[x_a,[x_a,y]]]/24: one affine map per anchor, applied as
-    one matmul per control, plus the terms quadratic in y.
+
+def _translate(group, anchor, flow, starts, u_of):
+    """States anchor[b, u_of[r]] * (h_g, flow[b] x_g) of starts (h_g, x_g).
+
+    B steps at once: anchors (B, n_u, dim), flows (B, n, n) and starts
+    (R, dim) give (B, R, dim).  With y = rho(h_a) flow x_g and nilpotency
+    class k, bch(x_a, y) = x_a + (I + ad(x_a)/2 + [k>=3] ad(x_a)^2/12) y
+    - [k>=3] [y,[x_a,y]]/12 - [k>=4] [y,[x_a,[x_a,y]]]/24: one affine map
+    per anchor, plus the terms quadratic in y through `bracket`.  The
+    affine map is a fixed-order sequence of multiply-adds (`_rows_times`),
+    never a matmul over rows, so a row's bits are the same in any block of
+    rows and steps.
     """
-    alg, m = group.algebra, group.h_dim
+    alg = group.algebra
     k = alg.nilpotency_class
     h_a, x_a = group.split(anchor)
+    h_g, x_g = group.split(starts)
     ad = alg.ad(x_a)
     # rho(h_a) flow, one (n, n) per anchor: rho applied to flow's columns
-    rho_f = np.broadcast_to(np.swapaxes(
-        group.action.apply(h_a[:, None, :], flow.T), -1, -2), ad.shape)
+    rho_f = np.broadcast_to(np.swapaxes(group.action.apply(
+        h_a[..., None, :], np.swapaxes(flow, -1, -2)[:, None]), -1, -2),
+        ad.shape)
     lin = np.eye(group.x_dim) + ad / 2.0
     if k >= 3:
         lin += ad @ ad / 12.0
-    mats = np.zeros((len(anchor), group.dim, group.dim))
-    mats[:, :m, :m] = np.eye(m)
-    mats[:, m:, m:] = lin @ rho_f
-    bounds = np.searchsorted(u_of, np.arange(len(anchor) + 1)).tolist()
-    out = np.empty_like(starts)
-    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        out[lo:hi] = starts[lo:hi] @ mats[j].T + anchor[j]
+    x = _rows_times(lin @ rho_f, u_of, x_g)
+    x += x_a[:, u_of]
     if k >= 3:
-        x_row = x_a[u_of]
-        y = np.einsum("rij,rj->ri", rho_f[u_of], group.split(starts)[1])
+        x_row = x_a[:, u_of]
+        y = _rows_times(rho_f, u_of, x_g)
         b = alg.bracket(x_row, y)
-        out[:, m:] -= alg.bracket(y, b) / 12.0 + (k >= 4) * alg.bracket(
-            y, alg.bracket(x_row, b)) / 24.0
-    return group.normalize(out)
+        x -= alg.bracket(y, b) / 12.0
+        if k >= 4:
+            x -= alg.bracket(y, alg.bracket(x_row, b)) / 24.0
+    return group.normalize(np.concatenate([h_a[:, u_of] + h_g, x], axis=-1))
 
 
 def _propagate_family(system, starts, family, h, n_steps, steps,
@@ -340,21 +357,29 @@ def _propagate_family(system, starts, family, h, n_steps, steps,
     """`_propagate`, from anchors: same signature, same result.
 
     The anchor a_k = phi(k h, e, u) of each control comes from the
-    translation identity itself: one batched RK4 run over the first grid
-    step, at the step limit `integrate` uses, gives a_1, and then
-    a_{k+1} = a_1 * Phi_h(a_k).  (Running RK4 over the whole grid instead
-    lets its relative error act on anchors that an expanding drift drives
-    far out, |a| ~ 22 on heisenberg-expanding, and put landings 1.4e-8 off
-    direct integration.)  The state of start g at step k is then
+    translation identity itself.  One batched RK4 run over the first grid
+    step, at the step limit `integrate` uses, gives a_1; the exact identity
+    a_{m+j} = a_m * Phi_{mh}(a_j) then fills the table a_0..a_n by doubling,
+    a_{m+1}..a_{2m} in one batched product per m = 1, 2, 4, ..., as
+    `power_stack` fills its powers.  (Running RK4 over the whole grid
+    instead lets its relative error act on anchors that an expanding drift
+    drives far out, |a| ~ 22 on heisenberg-expanding, and put landings
+    1.4e-8 off direct integration.)  The state of start g at step k is then
     a_k * (h_g, F_k x_g) with the drift flow F_k = (e^{hD})^k, an affine map
-    (`_translate`); the box is tested on every step and only rows still
-    alive are moved.
+    (`_translate`).
 
-    With s0 = min(steps) > 0 the rows are first sieved at s0: one
-    `_translate` call gives each row's state there, and the rows outside the
-    box are truncated unmoved.  The sieve is exact: that is the state the
-    loop reaches at s0, so a dropped row is in no frame, and a kept row,
-    which may have left and come back, is still tested on every step.
+    The runs move in blocks of steps, each at most STEP_BLOCK row-steps (one
+    step at least): one `_translate` call gives every live row's state on
+    every step of the block.  The box is tested on every step, and a
+    cumulative OR of the exits over the block's steps ends each row at its
+    first exit, so a row that leaves and comes back within a block is in no
+    later frame.  Only rows still alive enter the next block.
+
+    With s0 = min(steps) > 0 the rows are first sieved at s0: a block of
+    that one step gives each row's state there, and the rows outside the
+    box are truncated unmoved.  The sieve is exact: a row's state has the
+    same bits in any block, so a dropped row is in no frame, and a kept
+    row, which may have left and come back, is still tested on every step.
     Steps that include 0 (`estimate_source_constants`) have no sieve.
     """
     group = system.group
@@ -364,46 +389,55 @@ def _propagate_family(system, starts, family, h, n_steps, steps,
     flows = power_stack(expm(h * system.derivation),
                         np.eye(system.algebra.dim), n_steps)
 
-    # a_1 for every control, then a_k = a_1 * Phi_h(a_{k-1})
     n_sub = max(1, math.ceil(h / system.step_limit - 1e-9))
     first = np.zeros((n_u, group.dim))
     for _ in range(n_sub):
         first = group.normalize(_rk4_step(system, first, family, h / n_sub))
-    anchors = [group.identity()]
-    for _ in range(n_steps):
-        h_k, x_k = group.split(anchors[-1])
-        anchors.append(group.multiply(
-            first, group.join(h_k, x_k @ flows[1].T)))
+    anchors = np.zeros((n_steps + 1, n_u, group.dim))
+    anchors[1] = first
+    filled = 1  # a_0..a_filled are in the table
+    while filled < n_steps:
+        take = min(filled, n_steps - filled)
+        h_j, x_j = group.split(anchors[1:take + 1])
+        anchors[filled + 1:filled + take + 1] = group.multiply(
+            anchors[filled], group.join(h_j, x_j @ flows[filled].T))
+        filled += take
 
-    def outside(states):
-        coords = states[:, box]
-        return np.any((coords < box_lower) | (coords > box_upper), axis=1)
+    def block(rows, lo, hi):
+        """States of rows on steps lo..hi-1, (hi - lo, rows, dim), and their
+        (hi - lo, rows) masks of the steps outside the box."""
+        u_of, start_of = np.divmod(rows, n_rows)
+        states = _translate(group, anchors[lo:hi], flows[lo:hi],
+                            y0[start_of], u_of)
+        coords = states[..., box]
+        return states, np.any((coords < box_lower) | (coords > box_upper),
+                              axis=-1)
 
     rows = np.arange(n_u * n_rows)
     truncated = np.zeros(n_u * n_rows, dtype=bool)
-    s0 = int(min(steps, default=0))
-    if s0 > 0:
-        u_of, start_of = np.divmod(rows, n_rows)
-        out = outside(_translate(group, anchors[s0], flows[s0], y0[start_of],
-                                 u_of))
-        truncated[out] = True
+    want = sorted({int(s) for s in steps})
+    if want and want[0] > 0:
+        _, (out,) = block(rows, want[0], want[0] + 1)
+        truncated[rows[out]] = True
         rows = rows[~out]
-    # the kept rows' starts; (0, dim) when the sieve keeps none
-    states = y0[rows % n_rows]
-    want = {int(s) for s in steps}
-    frames = {0: (rows, states)} if 0 in want else {}
-    for step in range(1, n_steps + 1):
-        if rows.size:
-            u_of, start_of = np.divmod(rows, n_rows)
-            states = _translate(group, anchors[step], flows[step],
-                                y0[start_of], u_of)
-            out = outside(states)
-            if out.any():
-                truncated[rows[out]] = True
-                rows, states = rows[~out], states[~out]
-        if step in want:
-            frames[step] = (rows, states)
-    return [frames[int(s)] for s in steps], truncated.reshape(n_u, n_rows)
+    frames = {0: (rows, y0[rows % n_rows])} if 0 in want else {}
+    step = 1
+    while step <= n_steps and rows.size:
+        stop = min(n_steps + 1, step + max(1, STEP_BLOCK // rows.size))
+        states, out = block(rows, step, stop)
+        # gone[i]: the rows that have left by step + i
+        gone = np.logical_or.accumulate(out, axis=0)
+        for s in want:
+            if step <= s < stop:
+                alive = ~gone[s - step]
+                frames[s] = (rows[alive], states[s - step][alive])
+        truncated[rows[gone[-1]]] = True
+        rows = rows[~gone[-1]]
+        step = stop
+    # steps after the last row left hold no run
+    dead = (rows, np.zeros((0, group.dim)))
+    return ([frames.get(int(s), dead) for s in steps],
+            truncated.reshape(n_u, n_rows))
 
 
 def build_chain_graph(system, window, eps, tau, control_family=None,

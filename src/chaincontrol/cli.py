@@ -291,9 +291,12 @@ def cmd_chainset(args):
     system, window, graph, sets = chain_run(config)
     t_graph = time.perf_counter() - t0
 
+    t1 = time.perf_counter()
     run = verdict_run(config, system, window, sets)
+    t_bound = time.perf_counter() - t1
 
     out = _out_dir(args, "chainset")
+    t1 = time.perf_counter()
     write_nodes_csv(out / "nodes.csv", graph, sets)
     write_edges_csv(out / "edges.csv", graph)
     if window.group.dim >= 2:
@@ -304,6 +307,7 @@ def cmd_chainset(args):
         for i, s in enumerate(sets):
             write_plot_slice(plotdir / f"set{i}.csv", graph, s, columns=cols)
     write_sets_jsonl(out / "sets.jsonl", sets, bounds=run.bound)
+    t_write = time.perf_counter() - t1
 
     body = {
         "command": "chainset",
@@ -325,8 +329,8 @@ def cmd_chainset(args):
         "residuals": _structure_residuals(system) + run.residuals,
         "verdicts": run.verdicts,
     }
-    timings = {"graph_and_extract": t_graph,
-               "total": time.perf_counter() - t0}
+    timings = {"graph_and_extract": t_graph, "bound": t_bound,
+               "write": t_write, "total": time.perf_counter() - t0}
     path = _write_report(out, body, timings)
     print(f"nodes {body['nodes']}, edges {body['edges']}, "
           f"chain sets {body['n_sets']}")

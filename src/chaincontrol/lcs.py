@@ -374,16 +374,13 @@ def triangular_solve(system, duration, g0, control):
     if np.any(system.torus_vectors != 0.0):
         raise ValidationError(
             "closed-form solve needs controls without compact-part components")
-    if duration < 0:
-        raise ValidationError("closed-form solve runs forward in time only")
+    if not duration > 0:
+        raise ValidationError(f"duration must be positive, got {duration}")
     alg = system.algebra
     group = system.group
     _, x0 = group.split(np.asarray(g0, dtype=float))
     if x0.ndim != 1:
         raise ValidationError("closed-form solve takes a single start point")
-    if duration == 0:
-        comps = [alg.component(x0, i + 1) for i in range(alg.nilpotency_class)]
-        return TriangularSolution(comps, x0.copy())
 
     pieces = control.pieces_over(0.0, duration)
     for _, value in pieces:

@@ -19,7 +19,9 @@ from .errors import (
 )
 
 DERIVATION_ATOL = 1e-10  # Leibniz residual a derivation may carry
-GRADED_ATOL = 1e-12  # upper graded blocks of a series-preserving map
+GRADED_ATOL = 1e-12  # upper graded blocks of a series-preserving map; the
+# commutator [D, D^T] of a normal block in decay_constants, relative to the
+# square of its smallest |Re lambda|
 CENTER_TOL = 1e-8  # |Re lambda| at or below this counts as center spectrum
 # decay_constants: share of the spectral gap, grid step, horizon in units
 # of 1 / mu, and the stride of the coarse nodes behind raw
@@ -166,11 +168,18 @@ def decay_constants(matrix):
     refined time grid |e^{tD} P_stable| <= kappa e^{-mu t} and
     |e^{-tD} P_unstable| <= kappa e^{-mu t} for t >= 0.
 
-    mu is RATE_SCALE times the smallest |Re lambda|.  One grid of step
-    DECAY_STEP runs out to DECAY_HORIZON / mu.  kappa starts from raw, the
-    sup over every COARSE_EVERY-th node (node 0 holds the projection
-    norms), is set to 1 when raw stays below 1, inflated by 5 percent
-    otherwise, and then rechecked on every node.
+    mu is RATE_SCALE times the smallest |Re lambda|, and a rate too small
+    for a grid of at most 5M steps is refused.  A normal matrix (one whose
+    commutator with its transpose is within GRADED_ATOL times the square
+    of the smallest |Re lambda|, a test that does not depend on the
+    matrix's scale) needs no grid: its spectral projections are
+    orthogonal, and e^{tD} contracts the stable one (e^{-tD} the unstable
+    one) at least at the smallest |Re lambda| >= mu, so kappa = 1 and raw,
+    the norm at t = 0, is 1.  Otherwise one grid of step DECAY_STEP runs
+    out to DECAY_HORIZON / mu.  kappa starts from
+    raw, the sup over every COARSE_EVERY-th node (node 0 holds the
+    projection norms), is set to 1 when raw stays below 1, inflated by 5
+    percent otherwise, and then rechecked on every node.
     """
     d = np.asarray(matrix, dtype=float)
     eigs = np.linalg.eigvals(d)
@@ -180,14 +189,17 @@ def decay_constants(matrix):
     if np.min(real_parts) <= CENTER_TOL:
         raise NotHyperbolicError(
             "matrix has spectrum on the imaginary axis, no decay rate exists")
-    mu = RATE_SCALE * float(np.min(real_parts))
+    gap = float(np.min(real_parts))
+    mu = RATE_SCALE * gap
+    n_steps = int(np.ceil(DECAY_HORIZON / mu / DECAY_STEP))
+    if n_steps > 5_000_000:
+        raise ValidationError("rate too small to certify on a time grid")
+    if np.max(np.abs(d @ d.T - d.T @ d)) <= GRADED_ATOL * gap * gap:
+        return {"mu": mu, "kappa": 1.0, "raw": 1.0}
 
     split = SpectralSplit(d)
     if split.dims[1] != 0:
         raise DefectiveClusteringError("center subspace must be empty here")
-    n_steps = int(np.ceil(DECAY_HORIZON / mu / DECAY_STEP))
-    if n_steps > 5_000_000:
-        raise ValidationError("rate too small to certify on a time grid")
     weights = np.exp(mu * DECAY_STEP * np.arange(n_steps + 1))
 
     # propagate inside each invariant subspace: e^{tD} pi = Q e^{tS} C with

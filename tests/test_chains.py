@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -257,24 +257,35 @@ def test_query_radii_cover_group_balls(name, cut):
                                   "conjugation-upstairs"])
 def test_translate_matches_group_product(name):
     # the affine map per anchor, plus the quadratic BCH terms of classes 3
-    # and 4, is the group product a * (h_g, F x_g) for any matrix F
+    # and 4, is the group product a_b * (h_g, F_b x_g) for any matrices F_b,
+    # on every step b of a block, with distinct anchors and flows per step
     group = _radii_case(name)
     rng = np.random.default_rng(23)
-    n_u, n = 5, 400
-    anchor = group.normalize(np.hstack([
-        rng.uniform(-np.pi, np.pi, (n_u, group.h_dim)),
-        rng.uniform(-3.0, 3.0, (n_u, group.x_dim))]))
+    n_b, n_u, n = 3, 5, 400
+    anchor = group.normalize(np.concatenate([
+        rng.uniform(-np.pi, np.pi, (n_b, n_u, group.h_dim)),
+        rng.uniform(-3.0, 3.0, (n_b, n_u, group.x_dim))], axis=-1))
     starts = group.normalize(np.hstack([
         rng.uniform(-np.pi, np.pi, (n, group.h_dim)),
         rng.standard_normal((n, group.x_dim))]))
-    flow = np.eye(group.x_dim) + 0.5 * rng.standard_normal((group.x_dim,) * 2)
-    u_of = np.sort(rng.integers(0, n_u, n))
+    flow = np.eye(group.x_dim) + 0.5 * rng.standard_normal(
+        (n_b, group.x_dim, group.x_dim))
+    u_of = rng.integers(0, n_u, n)
     got = _translate(group, anchor, flow, starts, u_of)
+    assert got.shape == (n_b, n, group.dim)
     h_g, x_g = group.split(starts)
-    want = group.multiply(anchor[u_of], group.join(h_g, x_g @ flow.T))
-    scale = 1.0 + np.linalg.norm(group.split(want)[1], axis=1)
-    gap = group.distance(want, got)
-    assert np.all(gap <= 1e-12 * scale), float(np.max(gap / scale))
+    for b in range(n_b):
+        want = group.multiply(anchor[b, u_of],
+                              group.join(h_g, x_g @ flow[b].T))
+        scale = 1.0 + np.linalg.norm(group.split(want)[1], axis=1)
+        gap = group.distance(want, got[b])
+        assert np.all(gap <= 1e-12 * scale), float(np.max(gap / scale))
+    # a row's bits are the same alone, in a block of one step, as among
+    # other rows and steps: the affine map runs no matmul over rows
+    for r in (0, 7, n - 1):
+        alone = _translate(group, anchor[1:2], flow[1:2], starts[r:r + 1],
+                           u_of[r:r + 1])
+        assert np.array_equal(alone[0, 0], got[1, r])
 
 
 # -- graph construction ------------------------------------------------------
@@ -924,26 +935,41 @@ def test_anchored_runs_match_direct_integration(name):
 # shrinking cannot simplify, and on a failure it ran for minutes
 @settings(derandomize=True, max_examples=25, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(heisenberg=st.booleans(), a=st.floats(-1.5, 1.5),
-       b=st.floats(-1.5, 1.5), seed=st.integers(0, 2 ** 32 - 1),
-       first=st.floats(0.0, 1.0))
-def test_anchored_runs_match_oracle_on_random_systems(heisenberg, a, b, seed,
+@given(structure=st.sampled_from(["abelian:2", "heisenberg3",
+                                  "heisenberg3-coupled", "heisenberg3-torus"]),
+       a=st.floats(-1.5, 1.5), b=st.floats(-1.5, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1), first=st.floats(0.0, 1.0))
+# a row whose bits depended on the rows sharing its matmul failed the exact
+# sieve comparison here
+@example(structure="heisenberg3", a=1.05, b=0.6879290560339135, seed=686816,
+         first=0.6232138864495674)
+def test_anchored_runs_match_oracle_on_random_systems(structure, a, b, seed,
                                                       first):
-    # diagonal derivations: diag(a, b, a + b) on heisenberg3, where the
-    # Leibniz rule forces the sum, and diag(a, b) on the plane
+    # diag(a, b) on the plane; on heisenberg3 the Leibniz rule forces the
+    # centre's rate a + b, under diagonal rates, coupled ones (plane block
+    # [[a, c], [d, b]] and a centre row (e, f)), or a rotation-scaling
+    # [[a, -b], [b, a]] that commutes with a torus angle turning the plane
     rng = np.random.default_rng(seed)
-    name, rates = (("heisenberg3", [a, b, a + b]) if heisenberg
-                   else ("abelian:2", [a, b]))
-    alg = NilpotentAlgebra(preset_structure(name))
-    group = SemidirectGroup(alg, RhoAction(alg, []))
+    alg = NilpotentAlgebra(preset_structure(structure.split("-")[0]))
     n = alg.dim
-    system = LinearControlSystem(group, np.diag(rates),
-                                 rng.uniform(-1.0, 1.0, (1, n)),
-                                 ControlRange([-1.0], [1.0]))
+    z = rng.uniform(-1.0, 1.0, (1, n))
     family = rng.uniform(-1.0, 1.0, (3, 1))
     lo, hi = -rng.uniform(0.3, 1.5, n), rng.uniform(0.3, 1.5, n)
     starts = rng.uniform(lo, hi, (6, n))
-    box = np.ones(n, dtype=bool)
+    generators, torus_controls = [], None
+    drift = np.diag([a, b, a + b] if n == 3 else [a, b])
+    if structure == "heisenberg3-coupled":
+        drift[[0, 1, 2, 2], [1, 0, 0, 1]] = rng.uniform(-1.0, 1.0, 4)
+    if structure == "heisenberg3-torus":
+        generators = [np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                                [0.0, 0.0, 0.0]])]
+        drift = np.array([[a, -b, 0.0], [b, a, 0.0], [0.0, 0.0, 2.0 * a]])
+        torus_controls = rng.uniform(-1.0, 1.0, (1, 1))
+        starts = np.hstack([rng.uniform(-np.pi, np.pi, (6, 1)), starts])
+    group = SemidirectGroup(alg, RhoAction(alg, generators))
+    system = LinearControlSystem(group, drift, z, ControlRange([-1.0], [1.0]),
+                                 torus_controls=torus_controls)
+    box = ~group.angular_mask
     h, n_steps = _step_grid(system, 0.25)
     steps = range(n_steps + 1)
 
@@ -1006,6 +1032,43 @@ def test_sieve_with_every_row_out_at_s0():
     assert truncated.all() and ref_trunc.all()
     for rows, states in frames + ref_frames:
         assert rows.size == 0 and states.shape == (0, 2)
+
+
+def test_block_ends_a_row_at_its_first_exit():
+    # with step 0 requested there is no sieve, and all 100 steps of both rows
+    # fit one block: (1, 0) leaves below y = -0.5 at step 59 and is home
+    # again at step 100, (0.2, 0) never leaves
+    (frames, truncated), (ref_frames, ref_trunc) = _rotation_runs(
+        [[1.0, 0.0], [0.2, 0.0]], [0, 50, 58, 59, 100])
+    assert truncated.tolist() == ref_trunc.tolist() == [[True, False]]
+    alive = [[0, 1], [0, 1], [0, 1], [1], [1]]
+    assert [rows.tolist() for rows, _ in frames] == alive
+    assert [rows.tolist() for rows, _ in ref_frames] == alive
+    assert np.allclose(frames[-1][1], [[0.2, 0.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["heisenberg-expanding-small",
+                                  "conjugation-upstairs-small",
+                                  "filiform4-small"])
+def test_step_blocks_change_no_frame(monkeypatch, name):
+    # the runs move in blocks of STEP_BLOCK row-steps; blocks of a few
+    # row-steps (one step each while more rows are alive) and of an odd
+    # size give the same frames and truncation, bit for bit, with and
+    # without the sieve
+    system, window, graph = _small_graph(name)
+    args = (system, window.points[::3], graph.control_family, graph.step,
+            graph.n_steps)
+    box = (graph.inflated_lower, graph.inflated_upper, window.box)
+    wanted = (graph.snapshot_steps, range(0, graph.n_steps + 1, 5))
+    default = [_propagate_family(*args, steps, *box) for steps in wanted]
+    for block in (5, 997):
+        monkeypatch.setattr("chaincontrol.chains.STEP_BLOCK", block)
+        for (frames, truncated), steps in zip(default, wanted):
+            got, got_truncated = _propagate_family(*args, steps, *box)
+            assert np.array_equal(got_truncated, truncated)
+            for (rows, states), (ref_rows, ref_states) in zip(got, frames):
+                assert np.array_equal(rows, ref_rows)
+                assert np.array_equal(states, ref_states)
 
 
 def _oracle_edges(system, window, graph):

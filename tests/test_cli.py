@@ -300,6 +300,23 @@ def test_chainset_report_bodies_are_reproducible(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+def test_chainset_timings_name_each_stage(tmp_path):
+    # the stage timers sit beside the body, which keeps its keys
+    out = tmp_path / "t"
+    assert main(["chainset", "--preset", "scalar-stable",
+                 "--out", str(out)]) == 0
+    report = read_report(out)
+    timings = report["timings"]
+    assert set(timings) == {"graph_and_extract", "bound", "write", "total"}
+    assert all(v >= 0.0 for v in timings.values())
+    stages = timings["graph_and_extract"] + timings["bound"] + timings["write"]
+    assert stages <= timings["total"]
+    assert set(report["body"]) == {
+        "command", "name", "seed", "eps", "tau", "nodes", "edges", "n_sets",
+        "set_sizes", "extents", "bounds", "hyperbolic", "diagnostic",
+        "failures", "residuals", "verdicts"}
+
+
 def test_conjugate_identity_quotient(tmp_path):
     out = tmp_path / "j"
     code = main(["conjugate", "--preset", "scalar-stable", "--out", str(out)])

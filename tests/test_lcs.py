@@ -465,6 +465,14 @@ def test_triangular_zero_control_zero_start():
         assert np.all(part == 0.0)
 
 
+@pytest.mark.parametrize("duration", [0.0, -1.5, np.nan])
+def test_triangular_refuses_a_duration_that_is_not_positive(duration):
+    system = heisenberg_system()
+    u = ControlFunction.constant([0.5], 0.0, 1.0)
+    with pytest.raises(ValidationError, match="duration must be positive"):
+        triangular_solve(system, duration, np.array([0.5, 1.0, -0.5]), u)
+
+
 def test_triangular_rejects_torus_controls():
     system = rotation_plane_system()
     u = ControlFunction.constant([0.2, 0.2], 0.0, 1.0)

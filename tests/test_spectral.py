@@ -186,6 +186,73 @@ def test_decay_constants_normal_blocks_of_heisenberg_expanding():
         assert decay_constants(system.blocks.block(level, level))["kappa"] == 1.0
 
 
+def _grid_counter(monkeypatch):
+    """A list that gains one entry per time grid decay_constants builds."""
+    grids = []
+
+    def counted(*args):
+        grids.append(args)
+        return power_stack(*args)
+
+    monkeypatch.setattr(spectral, "power_stack", counted)
+    return grids
+
+
+def test_decay_constants_closed_form_matches_the_grid(monkeypatch):
+    # every hyperbolic diagonal block of the presets is normal: the closed
+    # form builds no grid and gives the grid's kappa and mu
+    blocks = []
+    for name in sorted(cfg.PRESETS):
+        system = cfg.build_system(cfg.preset_config(name))
+        for level in range(1, system.algebra.nilpotency_class + 1):
+            block = system.blocks.block(level, level)
+            if np.min(np.abs(np.linalg.eigvals(block).real)) > spectral.CENTER_TOL:
+                blocks.append(block)
+    assert len(blocks) >= 4
+    grids = _grid_counter(monkeypatch)
+    closed = [decay_constants(b) for b in blocks]
+    assert grids == []
+    # with no block taken for normal, every one goes through the grid
+    monkeypatch.setattr(spectral, "GRADED_ATOL", -1.0)
+    for block, out in zip(blocks, closed):
+        grid = decay_constants(block)
+        assert out["kappa"] == grid["kappa"] == 1.0
+        assert out["mu"] == grid["mu"]
+        assert out["raw"] == pytest.approx(grid["raw"], rel=1e-12)
+    assert len(grids) >= len(blocks)
+
+
+@pytest.mark.parametrize("d", [JORDAN, OBLIQUE], ids=["jordan", "oblique"])
+def test_decay_constants_non_normal_blocks_use_the_grid(monkeypatch, d):
+    grids = _grid_counter(monkeypatch)
+    assert decay_constants(d)["kappa"] > 1.0
+    assert len(grids) >= 1
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 1e3])
+def test_decay_constants_normal_test_is_relative_to_the_spectrum(
+        monkeypatch, scale):
+    # the commutator [D, D^T] scales with |D|^2, and so does the tolerance:
+    # the same shape takes the same path at every scale
+    grids = _grid_counter(monkeypatch)
+    near = decay_constants(scale * np.array([[1.0, 1e-13], [0.0, -1.0]]))
+    assert near["kappa"] == 1.0 and grids == []
+    assert decay_constants(
+        scale * np.array([[1.0, 1e-11], [0.0, -1.0]]))["kappa"] == 1.0
+    assert len(grids) >= 1
+
+
+@pytest.mark.parametrize("d", [[[1e-6, 4e-7], [0.0, -1e-6]],
+                               [[1e-6, 0.0], [0.0, -1e-6]]],
+                         ids=["oblique", "normal"])
+def test_decay_constants_refuses_a_small_rate_before_the_closed_form(d):
+    # |Re lambda| = 1e-6 is past CENTER_TOL but needs more grid steps than
+    # the cap; the oblique block's commutator, 8e-13, is below GRADED_ATOL
+    # itself, yet its stable projection has norm 1.02, not 1
+    with pytest.raises(ValidationError, match="rate too small"):
+        decay_constants(np.array(d))
+
+
 def test_decay_constants_rejects_center_spectrum():
     with pytest.raises(ValidationError):
         decay_constants(np.array([[0.0, 1.0], [-1.0, 0.0]]))
