@@ -36,13 +36,14 @@ its source.  Conjugation by k keeps the metric when k is central, and for a
 torus angle when rho(k) is orthogonal (skew generators), so d(a k, b k) =
 d(a, b).  Right translation by k leaves the box coordinates alone, so
 truncation is invariant too.  Whole-cell shifts of those axes
-(`GridWindow.symmetric_axes`) therefore map the graph onto itself: only the
-sources with index 0 on every symmetric axis are run, and their edges,
-witnesses and truncation flags are copied around every shift.  Each hit is
-one int64 code (src * n_nodes + dst) * n_w + w, with witness w = u * n_T + t
-of n_w = n_U * n_T; a shift adds one offset per code, and one sort then
-leaves the edges as the graph keeps them: CSR rows of int32 targets, with
-one witness code per edge.
+(`GridWindow.symmetric_axes`), the group A, therefore map the graph onto
+itself: only the sources with index 0 on every symmetric axis, the slice,
+are run, and only their rows are kept.  Each hit is one int64 code (src *
+n_nodes + dst) * n_w + w, with witness w = u * n_T + t of n_w = n_U * n_T;
+one sort leaves CSR rows of int32 targets with one witness code per edge.
+The graph is their lift around every shift, which no stage stores:
+`extract_chain_sets` reads its strong components off the slice as a
+voltage graph, and the writer and the audit lift whole rows on demand.
 """
 
 import csv
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial import cKDTree
 
 from .errors import TauTooSmallError, ValidationError
@@ -72,7 +73,7 @@ STEP_BLOCK = 1 << 16
 PAIR_LIMIT = 1 << 16
 FIBER_TOL = 1e-9  # ties in the box-coordinate norm of central_fiber_nodes
 AUDIT_REFINE = 10  # audit_edges re-integrates at this many times finer a step
-EDGE_CHUNK = 65_536  # rows write_edges_csv gathers per write
+EDGE_CHUNK = 65_536  # lifted edges write_edges_csv formats per write
 
 
 class GridWindow:
@@ -157,6 +158,26 @@ class GridWindow:
         idx = np.unravel_index(np.asarray(nodes, dtype=np.int64), self.shape)
         return np.stack(idx, axis=-1)
 
+    @property
+    def n_shifts(self):
+        """|A|: the whole-cell shifts of the symmetric axes."""
+        return math.prod(self.shape[a] for a in self.symmetric_axes)
+
+    def circle_shifts(self):
+        """(sizes, stride): each symmetric axis's cell count, and its stride
+        in node numbers."""
+        sym, shape = list(self.symmetric_axes), np.array(self.shape)
+        return shape[sym], (np.cumprod(shape[::-1])[::-1] // shape)[sym]
+
+    def shift_split(self, nodes):
+        """(base, cyc) of nodes: cyc holds each node's indices on the
+        symmetric axes, and base = node - cyc @ stride is its slice node,
+        at index 0 on every symmetric axis."""
+        sizes, stride = self.circle_shifts()
+        nodes = np.asarray(nodes, dtype=np.int64)
+        cyc = nodes[:, None] // stride % sizes
+        return nodes - (cyc * stride).sum(axis=1), cyc
+
     def _measure_half_diameter(self):
         """Max distance from sampled cell centers to their cell corners.
 
@@ -224,9 +245,15 @@ class GridWindow:
 @dataclass
 class ChainGraph:
     """Directed cell graph; an edge means one sampled (u, T) run lands one
-    cell within the acceptance radius of another.  Source a's edges are
-    indptr[a]:indptr[a + 1], with targets dst (int32) and witness codes
-    u * len(snapshot_steps) + t of their smallest sampled (u, t)."""
+    cell within the acceptance radius of another.
+
+    Only the slice rows are kept: source a's edges are indptr[a]:indptr[a +
+    1], empty unless a is in the slice, with targets dst (int32 node
+    numbers, so an edge's shift is its target's) and witness codes u *
+    len(snapshot_steps) + t of their smallest sampled (u, t).  The graph is
+    their lift (`lift`): n_edges = dst.size * window.n_shifts.  truncated
+    holds one flag per node.
+    """
 
     window: GridWindow
     eps: float
@@ -250,7 +277,31 @@ class ChainGraph:
 
     @property
     def n_edges(self):
-        return int(self.dst.size)
+        return int(self.dst.size) * self.window.n_shifts
+
+    def lifted_indptr(self):
+        """CSR row pointers of the lift: its rows are its bases' rows."""
+        base, _ = self.window.shift_split(np.arange(self.n_nodes))
+        return np.append(0, np.cumsum(np.diff(self.indptr)[base]))
+
+    def lift(self, nodes):
+        """(src, dst, witness) of the lifted rows of nodes (increasing), in
+        CSR order: node base + c has base's row, every target moved by c."""
+        base, cyc = self.window.shift_split(nodes)
+        first, count = self.indptr[base], np.diff(self.indptr)[base]
+        edge = np.repeat(first - np.cumsum(count) + count, count) \
+            + np.arange(count.sum())
+        src = np.repeat(nodes, count)
+        # int32 arithmetic: node numbers fit, and it halves the traffic
+        dst = self.dst[edge]
+        sizes, stride = self.window.circle_shifts()
+        for size, step, shift in zip(sizes.tolist(), stride.tolist(),
+                                     cyc.T.astype(np.int32)):
+            at = dst // step % size
+            dst = dst + ((at + np.repeat(shift, count)) % size - at) * step
+        # each row is a few sorted runs, which a merge sort takes fastest
+        order = np.argsort(src * self.n_nodes + dst, kind="stable")
+        return src[order], dst[order], self.witness[edge[order]]
 
 
 def _default_time_samples(tau):
@@ -450,12 +501,13 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     leave the inflated window are truncated; the source node keeps a
     boundary flag and the run stops producing edges.
 
-    Only the slice of sources with index 0 on every symmetric axis is run.
-    Their shifts are right translations by elements the drift flow fixes,
-    which act by isometries and leave the box coordinates alone.  So the
-    slice's edges, smallest witnesses and truncation flags are copied to
-    every whole-cell shift of those axes.  With no symmetric axis the slice
-    is the whole window.
+    Only the slice of sources with index 0 on every symmetric axis is run,
+    and only their rows are kept.  Their shifts are right translations by
+    elements the drift flow fixes, which act by isometries and leave the box
+    coordinates alone.  So every whole-cell shift of those axes carries the
+    slice's edges, smallest witnesses and truncation flags to its shifted
+    sources (`ChainGraph.lift`).  With no symmetric axis the slice is the
+    whole window.
     """
     if eps <= 0 or tau <= 0:
         raise ValidationError("eps and tau must be positive")
@@ -505,14 +557,8 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     tree = cKDTree(window.points + offset, boxsize=2.0 * offset)
 
     centers = window.points
-    # cyc: each node's indices on the symmetric axes; a node is its slice
-    # source plus cyc @ stride in node numbers
-    sym = list(window.symmetric_axes)
-    sizes = np.array(window.shape, dtype=np.int64)[sym]
-    stride = np.array([math.prod(window.shape[a + 1:]) for a in sym],
-                      dtype=np.int64)
-    cyc = window.axis_indices()[:, sym]
-    sources = np.flatnonzero(~cyc.any(axis=1))
+    base, _ = window.shift_split(np.arange(n_nodes))
+    sources = np.flatnonzero(base == np.arange(n_nodes))
 
     # hits: the codes of the pairs within the cut, one per landing; one
     # query per step over every control of a slice, its exact distances
@@ -541,30 +587,18 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
             u_of, start_of = np.divmod(rows[owner[hit]], sources.size)
             codes.append((sources[start_of] * n_nodes + flat_dst[hit]) * n_w
                          + (part.start + u_of) * n_t + t_idx)
-    # each pair keeps its smallest witness: the first code of its run
+    # each pair keeps its smallest witness: the first code of its run; the
+    # sorted codes are CSR rows, and row a starts at the first code of src a
     code = np.sort(np.concatenate(codes))
-    code = code[np.diff(code // n_w, prepend=-1) != 0]
-    # freed before the replication, which sets the build's peak memory
     del frames, codes
-
-    # every whole-cell shift of the symmetric axes moves sources and
-    # targets alike (a slice source is at index 0 on every such axis), so
-    # it adds one offset to a code; a node's truncation flag is its slice
-    # source's
-    dst_at = cyc[code // n_w % n_nodes]
-    shifts = np.array(list(np.ndindex(*sizes)), dtype=np.int64)
-    code = np.concatenate([code + (
-        shift @ stride * n_nodes
-        + ((dst_at + shift) % sizes - dst_at) @ stride) * n_w
-        for shift in shifts])
-    code.sort()
-    # sorted codes are CSR rows: row a starts at the first code of src a
+    code = code[np.diff(code // n_w, prepend=-1) != 0]
     indptr = np.searchsorted(code, np.arange(n_nodes + 1) * (n_nodes * n_w))
     witness = (code % n_w).astype(np.min_scalar_type(n_w - 1))
     code //= n_w
     code %= n_nodes
     dst = code.astype(np.int32)
-    truncated = truncated[np.arange(n_nodes) - cyc @ stride]
+    # a node's truncation flag is its slice source's
+    truncated = truncated[base]
 
     return ChainGraph(
         window=window, eps=float(eps), tau=float(tau), radius=float(radius),
@@ -630,20 +664,77 @@ def extract_chain_sets(graph):
     The internal-edge requirement is the discrete stand-in for carrying a
     full trajectory; self-loops count.  Sets come back ordered by their
     smallest node index with per-level extents and containment flags.
+
+    With each edge s -> d read as s -> base(d) carrying the voltage cyc(d)
+    in A, the slice is a voltage graph and the lift its derived graph
+    (Gross, "Voltage graphs", Discrete Math. 9, 1974).  In a strong
+    component C of the slice, potentials p along a BFS tree give each edge
+    a defect p(s) + cyc(d) - p(base(d)); the defects generate C's net
+    voltage group H_C.  Node base + c of the lift lies in the component of
+    the coset c - p(base) + H_C, with e_C |H_C| internal edges.
     """
     if graph.n_edges == 0:
         return []
-    n = graph.n_nodes
-    adj = csr_matrix((np.ones(graph.n_edges, dtype=np.int8), graph.dst,
-                      graph.indptr), shape=(n, n))
+    window, n, n_a = graph.window, graph.n_nodes, graph.window.n_shifts
+    sizes, _ = window.circle_shifts()
+    # A numbered in C order over sizes: element a has indices elements[a]
+    place = np.cumprod(sizes[::-1])[::-1] // sizes
+    elements = np.arange(n_a)[:, None] // place % sizes
+    base, cyc = window.shift_split(np.arange(n))
+    src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    tgt = base[graph.dst]
+    adj = csr_matrix((np.ones(tgt.size, dtype=np.int8), tgt, graph.indptr),
+                     shape=(n, n))
     _, label = connected_components(adj, directed=True, connection="strong")
-    src_label = np.repeat(label, np.diff(graph.indptr))
-    counts = np.bincount(src_label[src_label == label[graph.dst]])
+    inner = label[src] == label[tgt]
+    src, tgt, volt = src[inner], tgt[inner], cyc[graph.dst[inner]]
+
+    # a BFS forest: node n roots every component at its first node, and
+    # only edges within a component are followed; then the potentials, the
+    # voltage sums from the root along the tree, by pointer doubling
+    _, roots = np.unique(label, return_index=True)
+    forest = csr_matrix((np.ones(src.size + roots.size), (
+        np.append(src, np.full(roots.size, n)), np.append(tgt, roots))),
+        shape=(n + 1, n + 1))
+    pred = breadth_first_order(forest, n)[1].astype(np.int64)
+    pred[n] = n
+    # any edge pred(v) -> v is a tree edge for v
+    on_tree = src == pred[tgt]
+    pot = np.zeros((n + 1, sizes.size), dtype=np.int64)
+    pot[tgt[on_tree]] = volt[on_tree]
+    while np.any(pred != n):
+        pot = (pot + pot[pred]) % sizes
+        pred = pred[pred]
+    defect = (pot[src] + volt - pot[tgt]) % sizes @ place
+
+    # coset[r][a]: the smallest element of a + H, one row per component with
+    # a nonzero defect; row 0 is H = {0}
+    coset, row_of = [np.arange(n_a)], np.zeros(n, dtype=np.int64)
+    gens = np.unique((label[src] * n_a + defect)[defect != 0])
+    comps, first = np.unique(gens // n_a, return_index=True)
+    for c, comp_gens in zip(comps, np.split(gens % n_a, first[1:])):
+        low = coset[0]
+        for g in comp_gens:
+            if low[g]:  # g is not in H yet
+                # the minimum over a + k g, k < 2, 4, 8, ... up to the cycle
+                step = (elements + elements[g]) % sizes @ place
+                for _ in range(n_a.bit_length()):
+                    low = np.minimum(low, low[step])
+                    step = step[step]
+        row_of[c] = len(coset)
+        coset.append(low)
+    coset = np.stack(coset)
+    e_c = (np.bincount(label[src], minlength=n)
+           * np.count_nonzero(coset == 0, axis=1)[row_of])
+    label = label[base]
+    keys, label = np.unique(label * n_a + coset[
+        row_of[label], (cyc - pot[base]) % sizes @ place], return_inverse=True)
+    counts = e_c[keys // n_a]
     # each component's members in node order, from one stable sort; sets
     # are ordered by their smallest node, never by library internals
-    sizes = np.bincount(label)
+    size = np.bincount(label)
     members = np.argsort(label, kind="stable")
-    starts = np.cumsum(sizes) - sizes
+    starts = np.cumsum(size) - size
     kept = np.flatnonzero(counts)
     kept = kept[np.argsort(members[starts[kept]])]
 
@@ -652,7 +743,7 @@ def extract_chain_sets(graph):
     identity_nodes = graph.window.identity_cells()
     sets = []
     for c in kept:
-        comp = members[starts[c]:starts[c] + sizes[c]]
+        comp = members[starts[c]:starts[c] + size[c]]
         # circle coordinates carry no level extent
         x = np.where(graph.window.box, graph.window.points[comp],
                      0.0)[:, group.h_dim:]
@@ -808,7 +899,8 @@ def estimate_source_constants(system, window, tau, control_family=None):
 def audit_edges(system, graph, fraction=0.01, seed=1234):
     """Re-integrate a random sample of edges with an AUDIT_REFINE times finer
     step and check each lands within the acceptance radius of its target
-    center.
+    center.  The sample is drawn over every lifted edge, so a shifted copy
+    is re-run from its own source.
 
     Returns a dict with the sample size, failure count, and worst excess
     over the radius.  A re-run that leaves the window fails its edge and has
@@ -823,22 +915,28 @@ def audit_edges(system, graph, fraction=0.01, seed=1234):
     window = graph.window
     h_fine = graph.step / AUDIT_REFINE
 
+    # the picked edges, from the lifted rows of their sources only
+    indptr = graph.lifted_indptr()
+    nodes, row = np.unique(np.searchsorted(indptr, pick, side="right") - 1,
+                           return_inverse=True)
+    deg = np.diff(indptr)[nodes]
+    at = pick + (np.cumsum(deg) - deg - indptr[nodes])[row]
+    src, dst, witness = (col[at] for col in graph.lift(nodes))
+
     failures = 0
     worst = -np.inf
-    witness = graph.witness[pick]
     for code in np.unique(witness):
-        sel = pick[witness == code]
-        src = np.searchsorted(graph.indptr, sel, side="right") - 1
+        sel = witness == code
         u_idx, t_idx = divmod(int(code), len(graph.snapshot_steps))
         n_fine = int(graph.snapshot_steps[t_idx]) * AUDIT_REFINE
         [(rows, states)], _ = _propagate(
-            system, window.points[src],
+            system, window.points[src[sel]],
             graph.control_family[u_idx], h_fine, n_fine, [n_fine],
             graph.inflated_lower, graph.inflated_upper, window.box)
         # a fine re-run that leaves the window fails its edge
-        d = system.group.distance(states, window.points[graph.dst[sel[rows]]])
+        d = system.group.distance(states, window.points[dst[sel][rows]])
         excess = d - graph.radius
-        failures += sel.size - rows.size + int(np.sum(excess > 1e-6))
+        failures += int(sel.sum()) - rows.size + int(np.sum(excess > 1e-6))
         worst = max(worst, float(np.max(excess, initial=-np.inf)))
     return {"checked": int(k), "failures": int(failures),
             "worst_excess": worst if worst > -np.inf else None}
@@ -848,47 +946,60 @@ def audit_edges(system, graph, fraction=0.01, seed=1234):
 
 
 def write_nodes_csv(path, graph, sets):
-    """Node table: index, coordinates, component id (-1 if in no set)."""
+    """Node table: index, coordinates, component id (-1 if in no set).
+
+    csv.writer's bytes (no field needs quoting), built per column: each
+    axis's cell centers and each (set_id, truncated) tail are formatted
+    once, and the rows are joined from per-column arrays of strings."""
     window = graph.window
     member = np.full(window.n_nodes, -1, dtype=np.int64)
     for i, s in enumerate(sets):
         member[s.nodes] = i
+    rows = np.arange(window.n_nodes).astype(str).astype(object)
+    for column in window.points.T:
+        values, at = np.unique(column, return_inverse=True)
+        rows += np.array([f",{v:.12g}" for v in values], dtype=object)[at]
+    rows += np.array([f",{i},{t}\r\n" for i in range(-1, len(sets))
+                      for t in (0, 1)], dtype=object)[
+        2 * (member + 1) + graph.truncated]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node"] + window.group.coordinate_names()
-                        + ["set_id", "truncated"])
-        for i in range(window.n_nodes):
-            writer.writerow([i] + [f"{v:.12g}" for v in window.points[i]]
-                            + [int(member[i]), int(graph.truncated[i])])
+        csv.writer(fh).writerow(["node"] + window.group.coordinate_names()
+                                + ["set_id", "truncated"])
+        fh.write("".join(rows.tolist()))
 
 
 def write_edges_csv(path, graph):
     """Edge table with the (u, T) witness of each edge: csv.writer's bytes
-    (no field needs quoting).  Every row is three pieces, the source name
-    and its comma, the target name, and the witness tail; each piece is
-    formatted once into one byte pool, and EDGE_CHUNK rows at a time are
-    gathered from it by byte index."""
-    names = [f"{i}," for i in range(graph.n_nodes)]
-    tails = ["," + ",".join([*(f"{v:.12g}" for v in u), f"{t:.12g}"]) + "\r\n"
-             for u in graph.control_family for t in graph.time_samples]
-    pieces = names + tails
-    pool = np.frombuffer("".join(pieces).encode(), dtype=np.uint8)
-    size = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
-    start = np.cumsum(size) - size
-    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+    (no field needs quoting).  The lift is written in blocks of whole
+    source rows, about EDGE_CHUNK edges each (`ChainGraph.lift`).  Each
+    node name and witness tail is formatted once; a row is its edges'
+    target name and tail pieces, joined with its source name and comma."""
+    names = np.array([str(i).encode() for i in range(graph.n_nodes)],
+                     dtype=object)
+    tails = np.array([
+        ("," + ",".join([*(f"{v:.12g}" for v in u), f"{t:.12g}"])
+         + "\r\n").encode()
+        for u in graph.control_family for t in graph.time_samples],
+        dtype=object)
+    indptr = graph.lifted_indptr()
     u_names = [f"u{j}" for j in range(graph.control_family.shape[1])]
     with open(path, "wb") as fh:
         fh.write((",".join(["src", "dst", *u_names, "T"]) + "\r\n").encode())
-        for lo in range(0, graph.n_edges, EDGE_CHUNK):
-            chunk = slice(lo, lo + EDGE_CHUNK)
-            a, b = src[chunk], graph.dst[chunk]
-            w = graph.n_nodes + graph.witness[chunk].astype(np.int64)
-            # a target is its source piece without the comma
-            first = np.stack([start[a], start[b], start[w]], axis=1).ravel()
-            count = np.stack([size[a], size[b] - 1, size[w]], axis=1).ravel()
-            at = np.cumsum(count) - count
-            fh.write(pool[np.repeat(first - at, count)
-                          + np.arange(count.sum())])
+        lo = 0
+        while lo < graph.n_nodes:
+            hi = max(lo + 1, int(np.searchsorted(
+                indptr, indptr[lo] + EDGE_CHUNK, side="right")) - 1)
+            _, dst, witness = graph.lift(np.arange(lo, hi))
+            pieces = (names[dst] + tails[witness]).tolist()
+            ends = (indptr[lo + 1:hi + 1] - indptr[lo]).tolist()
+            rows, at = [], 0
+            for name, end in zip(names[lo:hi].tolist(), ends):
+                if end > at:
+                    prefix = name + b","
+                    rows.append(prefix + prefix.join(pieces[at:end]))
+                    at = end
+            fh.write(b"".join(rows))
+            lo = hi
 
 
 def sets_to_records(sets, bounds=None):

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from chaincontrol import config as cfg
@@ -17,6 +19,7 @@ from chaincontrol.algebra import NilpotentAlgebra, preset_structure
 from chaincontrol.chains import (
     EDGE_CHUNK,
     ChainControlSetApprox,
+    ChainGraph,
     GridWindow,
     LevelBounds,
     _default_time_samples,
@@ -60,12 +63,11 @@ def scalar_window(system, half=2.0, delta=0.05):
 
 
 def edge_columns(graph):
-    """(src, dst, u, t) per edge: the CSR rows expanded, each witness code
-    split into its control and snapshot indices."""
-    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
-    u, t = np.divmod(graph.witness.astype(np.int64),
-                     len(graph.snapshot_steps))
-    return src, graph.dst, u, t
+    """(src, dst, u, t) per edge of the lift, in CSR order, each witness
+    code split into its control and snapshot indices."""
+    src, dst, witness = graph.lift(np.arange(graph.n_nodes))
+    u, t = np.divmod(witness.astype(np.int64), len(graph.snapshot_steps))
+    return src, dst, u, t
 
 
 def with_edges(graph, src, dst, witness):
@@ -301,22 +303,50 @@ def test_graph_shape_and_witnesses(stable_setup):
     assert np.all(u < len(graph.control_family))
     assert np.all(t >= 0)
     assert np.all(t < len(graph.snapshot_steps))
-    # the edge record: CSR row pointers, int32 targets, one unsigned
-    # witness code per edge, at most 8 bytes per edge in all
+    assert_slice_rows(graph)
+    # snapped durations stay inside [tau, 2 tau]
+    assert np.all(graph.time_samples >= graph.tau - 1e-9)
+    assert np.all(graph.time_samples <= 2 * graph.tau + 1e-9)
+    assert len(edge_pairs(graph)) == graph.n_edges
+
+
+def assert_slice_rows(graph):
+    """The edge record: CSR row pointers over every node, rows at the slice
+    sources only, int32 targets and one unsigned witness code per edge, at
+    most 8 bytes per lifted edge in all."""
+    base, _ = graph.window.shift_split(np.arange(graph.n_nodes))
     assert graph.indptr.shape == (graph.n_nodes + 1,)
     assert graph.indptr[0] == 0
     assert np.all(np.diff(graph.indptr) >= 0)
-    assert graph.indptr[-1] == graph.n_edges
+    assert np.all(np.diff(graph.indptr)[base != np.arange(graph.n_nodes)]
+                  == 0)
+    assert graph.indptr[-1] == graph.dst.size
+    assert graph.n_edges == graph.dst.size * graph.window.n_shifts
     assert graph.dst.dtype == np.int32
+    assert graph.witness.shape == graph.dst.shape
     assert graph.witness.dtype.kind == "u"
     assert np.all(graph.witness < len(graph.control_family)
                   * len(graph.snapshot_steps))
     assert (graph.indptr.nbytes + graph.dst.nbytes + graph.witness.nbytes
             <= 8 * graph.n_edges)
-    # snapped durations stay inside [tau, 2 tau]
-    assert np.all(graph.time_samples >= graph.tau - 1e-9)
-    assert np.all(graph.time_samples <= 2 * graph.tau + 1e-9)
-    assert len(edge_pairs(graph)) == graph.n_edges
+
+
+def test_graph_keeps_slice_rows_only():
+    # conjugation-upstairs-small: 64 shifts of a torus angle and a masked
+    # circle, one slice source in 64
+    system, window, graph = _small_graph("conjugation-upstairs-small")
+    assert window.n_shifts == 64
+    assert_slice_rows(graph)
+    assert np.count_nonzero(np.diff(graph.indptr)) <= window.n_nodes // 64
+    assert graph.truncated.shape == (window.n_nodes,)
+    # the lifted rows are CSR rows: sources in order, targets sorted and
+    # distinct within each row
+    src, dst, _, _ = edge_columns(graph)
+    assert src.size == graph.n_edges
+    key = src * graph.n_nodes + dst
+    assert np.all(np.diff(key) > 0)
+    assert np.array_equal(np.searchsorted(src, np.arange(graph.n_nodes + 1)),
+                          graph.lifted_indptr())
 
 
 def test_graph_validation():
@@ -425,6 +455,93 @@ def test_scc_partition(stable_setup):
     assert len(np.unique(nodes)) == len(nodes)
     starts = [int(s.nodes[0]) for s in sets]
     assert starts == sorted(starts)
+
+
+def voltage_graph(n_slice, cells, edges):
+    """A graph whose slice rows are edges, (s, t, shift) triples: slice
+    source s to slice node t moved by shift, one index per circle.  The
+    window is a box axis of n_slice cells times one masked circle per entry
+    of cells, each a symmetric axis; slice node s is box cell s."""
+    alg = NilpotentAlgebra(preset_structure(f"abelian:{1 + len(cells)}"))
+    group = SemidirectGroup(alg, RhoAction(alg, []),
+                            angular_x_mask=[False] + [True] * len(cells))
+    window = GridWindow(group, [0.0], [float(n_slice)], [1.0], cells)
+    n_a = window.n_shifts
+    # the circle axes are innermost: node t * n_a + shift, in C order
+    code = sorted({(s * window.n_nodes + t) * n_a
+                   + int(np.ravel_multi_index(shift, cells))
+                   for s, t, shift in edges})
+    src, dst = np.divmod(np.array(code, dtype=np.int64), window.n_nodes)
+    graph = edge_graph(window.n_nodes, src, dst, np.zeros_like(dst),
+                       [[0.0]], [1.0])
+    return dataclasses.replace(graph, window=window)
+
+
+@st.composite
+def voltage_graphs(draw):
+    cells = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    n_slice = draw(st.integers(1, 5))
+    shift = st.tuples(*(st.integers(0, k - 1) for k in cells))
+    edge = st.tuples(st.integers(0, n_slice - 1),
+                     st.integers(0, n_slice - 1), shift)
+    return n_slice, cells, draw(st.lists(edge, max_size=12))
+
+
+# the explicit cases: one self-loop whose voltage 2 generates the proper
+# subgroup {0, 2} of Z_4; a 2-cycle whose voltages add up to (0, 2) in
+# Z_2 x Z_4, with a bridge out of it; two loops that generate all of Z_6
+# together but neither alone
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=voltage_graphs())
+@example(case=(1, [4], [(0, 0, (2,))]))
+@example(case=(3, [2, 4], [(0, 1, (1, 3)), (1, 0, (1, 3)), (1, 2, (0, 1))]))
+@example(case=(2, [6], [(0, 0, (2,)), (0, 0, (3,)), (1, 1, (0,))]))
+def test_voltage_graph_sets_match_the_explicit_lift(case):
+    graph = voltage_graph(*case)
+    sets = extract_chain_sets(graph)
+    # the lift written out: slice row s moved by every shift, each circle
+    # index of source and target wrapped around its circle
+    shape = graph.window.shape
+    rows = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+    ends = np.unravel_index(rows, shape), np.unravel_index(graph.dst, shape)
+    src, dst = [], []
+    for shift in np.ndindex(*shape[1:]):
+        a, b = (np.ravel_multi_index(
+            (i[0], *((x + k) % m for x, k, m in zip(i[1:], shift, shape[1:]))),
+            shape) for i in ends)
+        src.append(a)
+        dst.append(b)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    assert src.size == graph.n_edges
+    n = graph.n_nodes
+    adj = csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+    _, label = connected_components(adj, directed=True, connection="strong")
+    inner = label[src] == label[dst]
+    internal = np.bincount(label[src[inner]], minlength=n)
+    want = sorted((np.flatnonzero(label == c).tolist(), int(internal[c]))
+                  for c in np.flatnonzero(internal))
+    assert [(s.nodes.tolist(), s.internal_edges) for s in sets] == want
+
+
+def test_sixteen_circle_cells_split_into_65_sets():
+    # conjugation-upstairs with 16 cells per circle: 256 shifts of 36 slice
+    # sources.  4 slice cells with 3 self-loops each lift to 16 sets each,
+    # their loops' voltages generating a subgroup of order 16; the rest of
+    # the slice lifts to one set of 8,192 nodes
+    raw = copy.deepcopy(cfg.PRESETS["conjugation-upstairs"])
+    raw["chain"]["angle_cells"] = [16, 16]
+    c = cfg.parse_config(raw)
+    system = cfg.build_system(c)
+    window = cfg.build_window(c, system)
+    graph = build_chain_graph(system, window, c.eps, c.tau)
+    assert window.n_shifts == 256
+    assert graph.n_edges == 6_653_952
+    sets = extract_chain_sets(graph)
+    assert len(sets) == 65
+    assert sorted((s.size, s.internal_edges) for s in sets) == \
+        [(16, 48)] * 64 + [(8192, 5_922_816)]
+    nodes = np.concatenate([s.nodes for s in sets])
+    assert np.unique(nodes).size == nodes.size == 64 * 16 + 8192
 
 
 def test_zero_control_collapses_to_origin_cluster():
@@ -768,17 +885,22 @@ def test_audit_counts_corrupted_and_truncated_edges(stable_setup):
 
 
 def edge_graph(n_nodes, src, dst, witness, family, times):
-    """What write_edges_csv reads of a graph, for the given edges in order
-    of their sources over n_nodes nodes."""
+    """A graph with the given edges, in order of their sources, over
+    n_nodes cells of a line: no symmetric axis, so the rows are the whole
+    graph.  Only what write_edges_csv reads is filled in."""
+    system = scalar_system(-1.0)
+    window = GridWindow(system.group, [0.0], [float(n_nodes)], [1.0])
     src = np.asarray(src, dtype=np.int64)
-    return SimpleNamespace(
-        n_nodes=n_nodes, n_edges=src.size,
+    return ChainGraph(
+        window=window, eps=0.1, tau=1.0, radius=0.1,
+        control_family=np.asarray(family, dtype=float),
+        time_samples=np.asarray(times, dtype=float),
+        snapshot_steps=np.arange(len(times)), step=0.1, n_steps=10,
         indptr=np.searchsorted(src, np.arange(n_nodes + 1)),
         dst=np.asarray(dst, dtype=np.int32),
         witness=np.asarray(witness, dtype=np.uint8),
-        control_family=np.asarray(family, dtype=float),
-        time_samples=np.asarray(times, dtype=float),
-        snapshot_steps=np.arange(len(times)))
+        truncated=np.zeros(n_nodes, dtype=bool),
+        inflated_lower=None, inflated_upper=None)
 
 
 def assert_csv_writer_bytes(tmp_path, graph):
@@ -1204,10 +1326,10 @@ def _assert_equals_unskipped_reference(system, window, graph):
     n = window.n_nodes
     key, witness, truncated = _unskipped_reference(system, window, graph)
     assert graph.n_edges > 0
-    src, dst, _, _ = edge_columns(graph)
+    src, dst, w = graph.lift(np.arange(n))
     assert np.array_equal(src, key // n)
     assert np.array_equal(dst, key % n)
-    assert np.array_equal(graph.witness, witness)
+    assert np.array_equal(w, witness)
     assert np.array_equal(graph.truncated, truncated)
 
 
@@ -1291,24 +1413,31 @@ def test_skewed_torus_shifts_would_move_edges():
     # so the reference test above can see a bad symmetry
     system, window, graph = _small_graph("skewed-rotation-small")
     assert window.symmetric_axes == ()
-    window.symmetric_axes = (0,)
-    forced = build_chain_graph(system, window, graph.eps, graph.tau,
+    # the graph's rows are lifted through its own window, which keeps no
+    # symmetric axis
+    forced_window = copy.copy(window)
+    forced_window.symmetric_axes = (0,)
+    forced = build_chain_graph(system, forced_window, graph.eps, graph.tau,
                                control_family=graph.control_family,
                                time_samples=graph.time_samples)
     assert edge_pairs(forced) != edge_pairs(graph)
 
 
 def test_audit_clean_on_replicated_graph():
-    # 63 of every 64 conjugation-upstairs edges are copies around the circle
-    # shifts; the audit re-integrates each sampled edge from its own source
+    # 63 of every 64 conjugation-upstairs edges are lifted from the slice
+    # rows around the circle shifts; the audit samples every lifted edge
+    # and re-integrates each from its own source
     c = cfg.preset_config("conjugation-upstairs")
     system = cfg.build_system(c)
     window = cfg.build_window(c, system)
     graph = build_chain_graph(system, window, c.eps, c.tau)
     assert graph.n_edges == 1_776_896
+    assert graph.dst.size == 27_764
     report = audit_edges(system, graph, fraction=2e-5, seed=7)
-    assert report["checked"] > 0
-    assert report["failures"] == 0
+    # the sample the graph with every copy stored gave
+    assert report == {"checked": 36, "failures": 0,
+                      "worst_excess": pytest.approx(-0.004846268425570899,
+                                                    rel=1e-9)}
 
 
 def test_audit_clean_on_expanding_graph():
