@@ -86,13 +86,17 @@ class GridWindow:
     circle in angle_cells, in coordinate order; a box coordinate spans its
     bounds in cells of size delta.  lower, upper, delta and shape hold one
     entry per coordinate.  Nodes are cell centers, enumerated in C order over
-    the axes, which fixes determinism.
+    the axes, which fixes determinism.  points comes from one meshgrid, so
+    every combination of circle indices carries the same box coordinates,
+    bit for bit.
 
     symmetric_axes are the circle axes whose whole-cell shifts map the cell
     graph of any linear system on the group onto itself (see
     build_chain_graph): every angular nilpotent axis, and the torus axes
     when every action generator is skew within ACTION_ATOL, so rho(h) is
-    orthogonal.
+    orthogonal.  They are fixed when the window is built, with the group A
+    of their shifts: shift_sizes and shift_strides hold each symmetric
+    axis's cell count and stride in node numbers, and n_shifts = |A|.
     """
 
     def __init__(self, group, box_lower, box_upper, box_delta,
@@ -139,9 +143,13 @@ class GridWindow:
         self.lower[box], self.upper[box], self.delta[box] = lo, hi, d
         skew = all(np.max(np.abs(g + g.T)) <= ACTION_ATOL
                    for g in group.action.generators)
-        self.symmetric_axes = tuple(
+        self._symmetric_axes = tuple(
             a for a in range(group.dim)
             if not box[a] and (a >= group.h_dim or skew))
+        sym = list(self.symmetric_axes)
+        self.shift_sizes = shape[sym]
+        self.shift_strides = (np.cumprod(shape[::-1])[::-1] // shape)[sym]
+        self.n_shifts = math.prod(self.shift_sizes.tolist())
 
         grids = np.meshgrid(*(
             self.lower[a] + (np.arange(k) + 0.5) * self.delta[a]
@@ -159,24 +167,17 @@ class GridWindow:
         return np.stack(idx, axis=-1)
 
     @property
-    def n_shifts(self):
-        """|A|: the whole-cell shifts of the symmetric axes."""
-        return math.prod(self.shape[a] for a in self.symmetric_axes)
-
-    def circle_shifts(self):
-        """(sizes, stride): each symmetric axis's cell count, and its stride
-        in node numbers."""
-        sym, shape = list(self.symmetric_axes), np.array(self.shape)
-        return shape[sym], (np.cumprod(shape[::-1])[::-1] // shape)[sym]
+    def symmetric_axes(self):
+        """The circle axes of A, fixed when the window is built."""
+        return self._symmetric_axes
 
     def shift_split(self, nodes):
         """(base, cyc) of nodes: cyc holds each node's indices on the
         symmetric axes, and base = node - cyc @ stride is its slice node,
         at index 0 on every symmetric axis."""
-        sizes, stride = self.circle_shifts()
         nodes = np.asarray(nodes, dtype=np.int64)
-        cyc = nodes[:, None] // stride % sizes
-        return nodes - (cyc * stride).sum(axis=1), cyc
+        cyc = nodes[:, None] // self.shift_strides % self.shift_sizes
+        return nodes - (cyc * self.shift_strides).sum(axis=1), cyc
 
     def _measure_half_diameter(self):
         """Max distance from sampled cell centers to their cell corners.
@@ -294,8 +295,8 @@ class ChainGraph:
         src = np.repeat(nodes, count)
         # int32 arithmetic: node numbers fit, and it halves the traffic
         dst = self.dst[edge]
-        sizes, stride = self.window.circle_shifts()
-        for size, step, shift in zip(sizes.tolist(), stride.tolist(),
+        for size, step, shift in zip(self.window.shift_sizes.tolist(),
+                                     self.window.shift_strides.tolist(),
                                      cyc.T.astype(np.int32)):
             at = dst // step % size
             dst = dst + ((at + np.repeat(shift, count)) % size - at) * step
@@ -644,18 +645,12 @@ def central_fiber_nodes(window):
 
     For each combination of circle-axis indices (torus and angular nilpotent
     alike) the cells minimizing the box-coordinate norm are kept, ties
-    within FIBER_TOL included.  With no circle axes this is just the cells
-    nearest the origin.
+    within FIBER_TOL included.  Every combination carries the same box
+    coordinates (GridWindow), so each one's minimum is the global one.  With
+    no circle axes this is just the cells nearest the origin.
     """
     r = np.linalg.norm(window.points[:, window.box], axis=1)
-    idx = window.axis_indices()
-    key = np.zeros(window.n_nodes, dtype=np.int64)
-    for a in np.flatnonzero(~window.box):
-        key = key * window.shape[a] + idx[:, a]
-    n_keys = int(key.max()) + 1 if window.n_nodes else 0
-    best = np.full(n_keys, np.inf)
-    np.minimum.at(best, key, r)
-    return np.flatnonzero(r <= best[key] + FIBER_TOL)
+    return np.flatnonzero(r <= r.min() + FIBER_TOL)
 
 
 def extract_chain_sets(graph):
@@ -676,7 +671,7 @@ def extract_chain_sets(graph):
     if graph.n_edges == 0:
         return []
     window, n, n_a = graph.window, graph.n_nodes, graph.window.n_shifts
-    sizes, _ = window.circle_shifts()
+    sizes = window.shift_sizes
     # A numbered in C order over sizes: element a has indices elements[a]
     place = np.cumprod(sizes[::-1])[::-1] // sizes
     elements = np.arange(n_a)[:, None] // place % sizes
@@ -842,12 +837,17 @@ def theoretical_bound(certificate, c_estimates):
 def estimate_source_constants(system, window, tau, control_family=None):
     """Empirical per-level source constants C_i for theoretical_bound.
 
-    Integrates the family of constant controls over [0, 2*tau] from the
-    central-fiber cells (at most 256 of them, evenly strided), truncating
-    runs that leave the window, and records the sup of each level's source
-    term (the level component of the velocity minus its diagonal-block
-    part) every fifth step.  The action norm sup over the window's compact
-    part is added per the bound's jump-size constant.
+    Integrates the family of constant controls over [0, 2*tau] from one
+    copy of the central fiber's box cells (index 0 on every circle axis; at
+    most 2 tied cells per box axis), truncating runs that leave the window,
+    and records the sup of each level's source term (the level component of
+    the velocity minus its diagonal-block part) every fifth step.  The other
+    copies add nothing: a run's box coordinates never read its start's
+    circle coordinates (an angle enters only h = h_a + h_g; a masked circle
+    is central, fixed by the action and annihilated by D), the source term
+    zeroes the circle columns, and truncation tests box coordinates only.
+    The action norm sup over the window's compact part is added per the
+    bound's jump-size constant.
     """
     group = system.group
     alg = system.algebra
@@ -855,11 +855,7 @@ def estimate_source_constants(system, window, tau, control_family=None):
         control_family = system.range.sample_family()
     control_family = np.atleast_2d(np.asarray(control_family, dtype=float))
     seeds = central_fiber_nodes(window)
-    if seeds.size == 0:
-        raise ValidationError("no seed nodes to sample trajectories from")
-    if seeds.size > 256:
-        stride = int(math.ceil(seeds.size / 256))
-        seeds = seeds[::stride]
+    seeds = seeds[~window.axis_indices(seeds)[:, ~window.box].any(axis=1)]
     starts = window.points[seeds]
 
     h, n_steps = _step_grid(system, tau)

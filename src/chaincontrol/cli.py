@@ -12,10 +12,10 @@ chainset and conjugate write the verdicts, residual rows and failures that
 verify.verdict_run and verify.quotient_run decide; a row whose value could
 not be measured reads null and fails.
 Exit codes: 0 all verdicts passed, 2 validation failure (ValidationError,
-TauTooSmallError, a bad or missing argument) or an integrator whose error
-budget ran out or whose state overflowed (IntegratorBudgetError), each
-reported as one line on stderr, 3 a theorem check failed (a residual row
-failed or a verdict is False).
+TauTooSmallError, a bad or missing argument), an integrator whose error
+budget ran out or whose state overflowed (IntegratorBudgetError) or an
+output file that cannot be written, each reported as one line on stderr,
+3 a theorem check failed (a residual row failed or a verdict is False).
 """
 
 import argparse
@@ -467,6 +467,9 @@ def main(argv=None):
         return 2
     except IntegratorBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output file blocked by a directory or file
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -18,6 +18,7 @@ from chaincontrol import verify
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
 from chaincontrol.chains import (
     EDGE_CHUNK,
+    FIBER_TOL,
     ChainControlSetApprox,
     ChainGraph,
     GridWindow,
@@ -207,15 +208,64 @@ def test_symmetric_axes_of_presets(name):
     assert window.symmetric_axes == want.get(name, ())
 
 
+# conjugation-upstairs with its torus generator skewed, 4 cells on every
+# axis: x2 stays a masked circle, the torus angle is no symmetry
+SKEWED_MASKED_CONFIG = copy.deepcopy(cfg.PRESETS["conjugation-upstairs"])
+SKEWED_MASKED_CONFIG["torus"]["generators"] = [_skewed_rotation(3).tolist()]
+SKEWED_MASKED_CONFIG["chain"].update(x_lower=[-1.0, -1.0],
+                                     x_upper=[1.0, 1.0], delta=[0.5, 0.5],
+                                     angle_cells=[4, 4])
+
+
+def _preset_case(name, angle_cells=None):
+    """(config, system, window) of a preset, or of SKEWED_MASKED_CONFIG for
+    "skewed-masked", with angle_cells changed when given."""
+    raw = copy.deepcopy(SKEWED_MASKED_CONFIG if name == "skewed-masked"
+                        else cfg.PRESETS[name])
+    if angle_cells is not None:
+        raw["chain"]["angle_cells"] = angle_cells
+    c = cfg.parse_config(raw)
+    system = cfg.build_system(c)
+    return c, system, cfg.build_window(c, system)
+
+
 def test_symmetric_axes_skip_a_skewed_torus():
     # rho(h) of a skewed generator is not orthogonal, so its torus axis
     # stays out; the masked circle x2 stays in
-    alg = NilpotentAlgebra(preset_structure("abelian:3"))
-    group = SemidirectGroup(alg, RhoAction(alg, [_skewed_rotation(3)]),
-                            angular_x_mask=[False, False, True])
-    window = GridWindow(group, -1.0, 1.0, 0.5, angle_cells=(4, 4))
+    _, _, window = _preset_case("skewed-masked")
     assert window.box.tolist() == [False, True, True, False]
     assert window.symmetric_axes == (3,)
+
+
+def test_symmetric_axes_are_fixed_at_construction():
+    # a graph lifts around its window's shift group, which nothing can
+    # change after the build
+    _, window, graph = _small_graph("rotation-plane-small")
+    with pytest.raises(AttributeError):
+        window.symmetric_axes = ()
+    assert window.symmetric_axes == (0,)
+    assert graph.n_edges == graph.dst.size * 16
+
+
+def _fiber_by_search(window):
+    """The central fiber searched per combination of circle indices: the
+    cells within FIBER_TOL of the least box-coordinate norm of their own
+    combination."""
+    r = np.linalg.norm(window.points[:, window.box], axis=1)
+    idx = window.axis_indices()
+    key = np.zeros(window.n_nodes, dtype=np.int64)
+    for a in np.flatnonzero(~window.box):
+        key = key * window.shape[a] + idx[:, a]
+    best = np.full(int(key.max()) + 1, np.inf)
+    np.minimum.at(best, key, r)
+    return np.flatnonzero(r <= best[key] + FIBER_TOL)
+
+
+@pytest.mark.parametrize("name", [*sorted(cfg.PRESETS), "skewed-masked"])
+def test_central_fiber_matches_the_per_combination_search(name):
+    _, _, window = _preset_case(name)
+    assert np.array_equal(central_fiber_nodes(window),
+                          _fiber_by_search(window))
 
 
 @pytest.mark.parametrize("name", ["skewed-abelian:2", "skewed-heisenberg3",
@@ -718,6 +768,68 @@ def test_estimate_source_constants_scalar(stable_setup):
     assert lb.bounds[0] == pytest.approx(14.2299, abs=1e-3)
 
 
+@pytest.mark.parametrize("name", ["rotation-plane", "skewed-masked",
+                                  "conjugation-upstairs"])
+def test_box_coordinates_ignore_the_circle_coordinates_of_a_start(name):
+    # why estimate_source_constants runs one copy of the fiber's box cells:
+    # a box cell and every circle shift of it run to the same box
+    # coordinates and truncate on the same step, bit for bit.  The box is
+    # the window's less a quarter cell.  Runs toward x0 = +-1 leave it on
+    # rotation-plane, and so do runs the skewed torus control stretches;
+    # on conjugation-upstairs the plane turns rigidly and contracts
+    c, system, window = _preset_case(name)
+    box = window.box
+    idx = window.axis_indices()
+    # the fiber's box cells and the box's first corner, every copy of each
+    cells = [*central_fiber_nodes(window)[:1], 0]
+    copies = np.stack([np.flatnonzero((idx[:, box] == idx[a, box]).all(
+        axis=1)) for a in cells])
+    assert copies.shape[1] == math.prod(np.array(window.shape)[~box])
+    family = system.range.sample_family() if c.family is None else c.family
+    h, n_steps = _step_grid(system, c.tau)
+    steps = range(0, n_steps + 1, 5)
+    quarter = window.delta[box] / 4.0
+    frames, truncated = _propagate_family(
+        system, window.points[copies.ravel()], family, h, n_steps, steps,
+        window.lower[box] + quarter, window.upper[box] - quarter, box)
+    truncated = truncated.reshape(len(family), *copies.shape)
+    assert np.array_equal(truncated, np.broadcast_to(truncated[..., :1],
+                                                     truncated.shape))
+    assert truncated.any() == (name != "conjugation-upstairs")
+    coords = np.full((len(steps), copies.size * len(family), box.sum()),
+                     np.nan)
+    for at, (rows, states) in zip(coords, frames):
+        at[rows] = states[:, box]
+    coords = coords.reshape(len(steps), len(family), *copies.shape, -1)
+    assert np.array_equal(coords, np.broadcast_to(coords[..., :1, :],
+                                                  coords.shape),
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("angle_cells", [[64], [128]])
+def test_source_constants_seed_one_copy_of_the_fiber(monkeypatch,
+                                                     angle_cells):
+    # rotation-plane's fiber holds 4 box cells in every angle cell; one copy
+    # of them, all 4, seeds the estimate (an evenly strided 256 of the 512
+    # cells at 128 angles held only 2 of the 4)
+    c, system, window = _preset_case("rotation-plane", angle_cells)
+    fiber = central_fiber_nodes(window)
+    assert fiber.size == 4 * angle_cells[0]
+    starts = []
+
+    def keep(system, seeds, *args):
+        starts.append(seeds)
+        return _propagate_family(system, seeds, *args)
+
+    monkeypatch.setattr("chaincontrol.chains._propagate_family", keep)
+    estimate_source_constants(system, window, c.tau)
+    [seeds] = starts
+    assert seeds.shape[0] == 4
+    assert np.all(seeds[:, ~window.box] == window.points[0, ~window.box])
+    assert {tuple(p) for p in seeds[:, window.box]} \
+        == {tuple(p) for p in window.points[fiber][:, window.box]}
+
+
 # -- verification report -----------------------------------------------------
 
 
@@ -1055,22 +1167,28 @@ def test_anchored_runs_match_direct_integration(name):
 
 # no shrink phase: most of an example comes from the rng seed, which
 # shrinking cannot simplify, and on a failure it ran for minutes
-@settings(derandomize=True, max_examples=25, deadline=None,
+@settings(derandomize=True, max_examples=40, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(structure=st.sampled_from(["abelian:2", "heisenberg3",
-                                  "heisenberg3-coupled", "heisenberg3-torus"]),
+                                  "heisenberg3-coupled", "heisenberg3-torus",
+                                  "filiform4", "filiform5"]),
        a=st.floats(-1.5, 1.5), b=st.floats(-1.5, 1.5),
        seed=st.integers(0, 2 ** 32 - 1), first=st.floats(0.0, 1.0))
 # a row whose bits depended on the rows sharing its matmul failed the exact
 # sieve comparison here
 @example(structure="heisenberg3", a=1.05, b=0.6879290560339135, seed=686816,
          first=0.6232138864495674)
+# classes 3 and 4 whatever the draws, with rates of both signs
+@example(structure="filiform4", a=0.9, b=-0.5, seed=4, first=0.5)
+@example(structure="filiform5", a=-0.6, b=1.1, seed=5, first=0.3)
 def test_anchored_runs_match_oracle_on_random_systems(structure, a, b, seed,
                                                       first):
     # diag(a, b) on the plane; on heisenberg3 the Leibniz rule forces the
     # centre's rate a + b, under diagonal rates, coupled ones (plane block
     # [[a, c], [d, b]] and a centre row (e, f)), or a rotation-scaling
-    # [[a, -b], [b, a]] that commutes with a torus angle turning the plane
+    # [[a, -b], [b, a]] that commutes with a torus angle turning the plane;
+    # on filiform4 and filiform5 (classes 3 and 4, the quadratic BCH terms
+    # of _translate) the graded rates a + b, 2a + b and 3a + b
     rng = np.random.default_rng(seed)
     alg = NilpotentAlgebra(preset_structure(structure.split("-")[0]))
     n = alg.dim
@@ -1079,7 +1197,7 @@ def test_anchored_runs_match_oracle_on_random_systems(structure, a, b, seed,
     lo, hi = -rng.uniform(0.3, 1.5, n), rng.uniform(0.3, 1.5, n)
     starts = rng.uniform(lo, hi, (6, n))
     generators, torus_controls = [], None
-    drift = np.diag([a, b, a + b] if n == 3 else [a, b])
+    drift = np.diag([a, b] + [k * a + b for k in range(1, n - 1)])
     if structure == "heisenberg3-coupled":
         drift[[0, 1, 2, 2], [1, 0, 0, 1]] = rng.uniform(-1.0, 1.0, 4)
     if structure == "heisenberg3-torus":
@@ -1408,15 +1526,42 @@ def test_pair_blocks_change_no_edge(monkeypatch):
         assert np.array_equal(getattr(blocked, name), getattr(graph, name))
 
 
+@pytest.mark.parametrize("name", ["heisenberg-expanding-small",
+                                  "conjugation-upstairs"])
+def test_control_slices_change_no_edge(monkeypatch, name):
+    # past ANCHOR_ROW_LIMIT rows the controls run in slices, and a witness
+    # counts its control from its slice's first; one control per slice
+    # changes no edge, witness or flag
+    system, window, graph = _small_graph(name)
+    assert graph.witness.max() >= len(graph.snapshot_steps)
+    monkeypatch.setattr("chaincontrol.chains.ANCHOR_ROW_LIMIT", 1)
+    sliced = build_chain_graph(system, window, graph.eps, graph.tau,
+                               control_family=graph.control_family,
+                               time_samples=graph.time_samples)
+    for attr in ("indptr", "dst", "witness", "truncated"):
+        assert np.array_equal(getattr(sliced, attr), getattr(graph, attr))
+
+
+def test_control_slices_change_no_source_constant(monkeypatch):
+    c, system, window = _preset_case("heisenberg-expanding")
+    args = (system, window, c.tau, c.family)
+    whole = estimate_source_constants(*args)
+    monkeypatch.setattr("chaincontrol.chains.ANCHOR_ROW_LIMIT", 1)
+    assert np.array_equal(estimate_source_constants(*args), whole)
+
+
 def test_skewed_torus_shifts_would_move_edges():
     # replicating around the skewed torus axis anyway gets the graph wrong,
     # so the reference test above can see a bad symmetry
     system, window, graph = _small_graph("skewed-rotation-small")
     assert window.symmetric_axes == ()
-    # the graph's rows are lifted through its own window, which keeps no
-    # symmetric axis
-    forced_window = copy.copy(window)
-    forced_window.symmetric_axes = (0,)
+
+    class ForcedWindow(GridWindow):
+        symmetric_axes = (0,)
+
+    _, *box, _ = SMALL_WINDOWS["skewed-rotation-small"]
+    forced_window = ForcedWindow(system.group, *box)
+    assert forced_window.n_shifts == 16
     forced = build_chain_graph(system, forced_window, graph.eps, graph.tau,
                                control_family=graph.control_family,
                                time_samples=graph.time_samples)

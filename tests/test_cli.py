@@ -585,18 +585,40 @@ def test_help_exits_0(capsys, argv):
     assert "usage: chaincontrol" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
-def test_out_blocked_by_a_file_exits_2_with_one_line(tmp_path, capsys, sub):
-    # an existing file as --out, or as its parent: one line, no traceback
-    blocker = tmp_path / "taken"
-    blocker.write_text("")
-    code = main(["decompose", "--preset", "scalar-stable",
-                 "--out", str(blocker / sub)])
+# argv, the path blocked (a trailing slash: by a directory, else by an empty
+# file), --out, and what the one stderr line names
+BLOCKED_OUTPUTS = {
+    # an existing file as --out, or as its parent
+    "file": (["decompose", "--preset", "scalar-stable"], "o", "o", "--out"),
+    "under-file": (["decompose", "--preset", "scalar-stable"], "o", "o/sub",
+                   "--out"),
+    # a directory where a writer's file goes, or a file where its directory
+    # goes
+    "nodes-csv": (["chainset", "--preset", "halfstable-w2"], "o/nodes.csv/",
+                  "o", "nodes.csv"),
+    "plotdata": (["chainset", "--preset", "halfstable-w2"], "o/plotdata", "o",
+                 "plotdata"),
+    "downstairs-yaml": (["conjugate", "--preset", "scalar-stable"],
+                        "q/downstairs.yaml/", "q", "downstairs.yaml"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_OUTPUTS))
+def test_out_blocked_by_a_file_exits_2_with_one_line(tmp_path, capsys, case):
+    # a blocked output path: one line that names it, no traceback
+    argv, blocked, out, named = BLOCKED_OUTPUTS[case]
+    blocker = tmp_path / blocked
+    if blocked.endswith("/"):
+        blocker.mkdir(parents=True)
+    else:
+        blocker.parent.mkdir(parents=True, exist_ok=True)
+        blocker.write_text("")
+    code = main(argv + ["--out", str(tmp_path / out)])
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
-    assert "--out" in err
+    assert named in err
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
