@@ -43,7 +43,8 @@ n_nodes + dst) * n_w + w, with witness w = u * n_T + t of n_w = n_U * n_T;
 one sort leaves CSR rows of int32 targets with one witness code per edge.
 The graph is their lift around every shift, which no stage stores:
 `extract_chain_sets` reads its strong components off the slice as a
-voltage graph, and the writer and the audit lift whole rows on demand.
+voltage graph, the audit lifts whole rows on demand, and the writer writes
+the slice rows, whose lift the shift sizes and strides determine.
 """
 
 import csv
@@ -72,8 +73,9 @@ STEP_BLOCK = 1 << 16
 # per pair, and one step's landings can have a million candidates
 PAIR_LIMIT = 1 << 16
 FIBER_TOL = 1e-9  # ties in the box-coordinate norm of central_fiber_nodes
+ACTION_BLOCK = 4096  # torus cells action_norm_sup takes rho(h) of at once
 AUDIT_REFINE = 10  # audit_edges re-integrates at this many times finer a step
-EDGE_CHUNK = 65_536  # lifted edges write_edges_csv formats per write
+EDGE_CHUNK = 65_536  # stored edges write_edges_csv formats per write
 
 
 class GridWindow:
@@ -846,8 +848,8 @@ def estimate_source_constants(system, window, tau, control_family=None):
     circle coordinates (an angle enters only h = h_a + h_g; a masked circle
     is central, fixed by the action and annihilated by D), the source term
     zeroes the circle columns, and truncation tests box coordinates only.
-    The action norm sup over the window's compact part is added per the
-    bound's jump-size constant.
+    The action norm sup over the torus cells (`action_norm_sup`) is added
+    per the bound's jump-size constant.
     """
     group = system.group
     alg = system.algebra
@@ -881,12 +883,26 @@ def estimate_source_constants(system, window, tau, control_family=None):
                 sup[i] = max(sup[i], float(np.max(np.linalg.norm(src, axis=-1),
                                                   initial=0.0)))
 
+    return sup + action_norm_sup(window)
+
+
+def action_norm_sup(window):
+    """max(1, sup |rho(h)|_2) over every torus-angle cell center h of the
+    window: the product of the torus axes' grids, ACTION_BLOCK at a time."""
+    group = window.group
+    if not group.h_dim:
+        return 1.0
+    # the centers at index 0 on every nilpotent axis, one per torus cell,
+    # and of each its torus coordinates
+    angles = window.points.reshape(*window.shape, group.dim)[
+        (slice(None),) * group.h_dim + (0,) * group.x_dim
+        + (slice(None, group.h_dim),)].reshape(-1, group.h_dim)
     c_norm = 1.0
-    if group.h_dim:  # |rho(h)|_2 over at most 255 strided cells
-        for hh in window.points[::max(1, window.n_nodes // 128), :group.h_dim]:
-            norm = np.linalg.norm(group.action.matrix(hh), 2)
-            c_norm = max(c_norm, float(norm))
-    return sup + c_norm
+    for lo in range(0, len(angles), ACTION_BLOCK):
+        mats = group.action.matrix(angles[lo:lo + ACTION_BLOCK])
+        c_norm = max(c_norm, float(np.max(np.linalg.norm(
+            mats, 2, axis=(-2, -1)))))
+    return c_norm
 
 
 # -- audit -------------------------------------------------------------------
@@ -965,11 +981,14 @@ def write_nodes_csv(path, graph, sets):
 
 
 def write_edges_csv(path, graph):
-    """Edge table with the (u, T) witness of each edge: csv.writer's bytes
-    (no field needs quoting).  The lift is written in blocks of whole
-    source rows, about EDGE_CHUNK edges each (`ChainGraph.lift`).  Each
-    node name and witness tail is formatted once; a row is its edges'
-    target name and tail pieces, joined with its source name and comma."""
+    """Edge table of the stored rows with the (u, T) witness of each edge:
+    csv.writer's bytes (no field needs quoting).  With symmetric axes these
+    are the slice's rows, and each row src,dst,w... stands for the rows
+    src+c,dst+c,w... of every shift c in A (`ChainGraph.lift`); with none
+    they are the whole graph.  Rows go out in blocks of whole source rows,
+    about EDGE_CHUNK edges each.  Each node name and witness tail is
+    formatted once; a row is its edges' target name and tail pieces, joined
+    with its source name and comma."""
     names = np.array([str(i).encode() for i in range(graph.n_nodes)],
                      dtype=object)
     tails = np.array([
@@ -977,7 +996,7 @@ def write_edges_csv(path, graph):
          + "\r\n").encode()
         for u in graph.control_family for t in graph.time_samples],
         dtype=object)
-    indptr = graph.lifted_indptr()
+    indptr = graph.indptr
     u_names = [f"u{j}" for j in range(graph.control_family.shape[1])]
     with open(path, "wb") as fh:
         fh.write((",".join(["src", "dst", *u_names, "T"]) + "\r\n").encode())
@@ -985,8 +1004,9 @@ def write_edges_csv(path, graph):
         while lo < graph.n_nodes:
             hi = max(lo + 1, int(np.searchsorted(
                 indptr, indptr[lo] + EDGE_CHUNK, side="right")) - 1)
-            _, dst, witness = graph.lift(np.arange(lo, hi))
-            pieces = (names[dst] + tails[witness]).tolist()
+            block = slice(indptr[lo], indptr[hi])
+            pieces = (names[graph.dst[block]]
+                      + tails[graph.witness[block]]).tolist()
             ends = (indptr[lo + 1:hi + 1] - indptr[lo]).tolist()
             rows, at = [], 0
             for name, end in zip(names[lo:hi].tolist(), ends):

@@ -19,8 +19,10 @@ output file that cannot be written, each reported as one line on stderr,
 """
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -108,12 +110,23 @@ def _raw_config(args):
     return data
 
 
-def _out_dir(args, command):
+def _out_dir(args, command, files, dirs=()):
+    """The output directory, made, with the paths the command writes in it
+    checked before the first write: a directory where one of files goes
+    fails the run, and dirs are made (a file in the way fails it), so these
+    blocked paths leave no partial run.  A file that exists but cannot be
+    written is not checked here."""
     out = Path(args.out) if args.out else Path("out") / command
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, or no write permission
         raise ValidationError(f"cannot use --out {out}: {exc.strerror}")
+    for name in files:
+        if (out / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    str(out / name))
+    for name in dirs:
+        (out / name).mkdir(exist_ok=True)
     return out
 
 
@@ -183,7 +196,7 @@ def cmd_decompose(args):
         "residuals": _structure_residuals(system),
         "verdicts": {"structure_valid": True},
     }
-    out = _out_dir(args, "decompose")
+    out = _out_dir(args, "decompose", ["report.json"])
     timings = {"total": time.perf_counter() - t0}
     path = _write_report(out, body, timings)
     print(f"spectrum: {body['spectrum']}")
@@ -254,7 +267,7 @@ def cmd_simulate(args):
         gap = cross_check_residual(system, duration, g0, control)
         residuals.append(residual_row("closed_form_cross_check", gap, 1e-6))
 
-    out = _out_dir(args, "simulate")
+    out = _out_dir(args, "simulate", ["trajectory.csv", "report.json"])
     csv_path = out / "trajectory.csv"
     with open(csv_path, "w") as fh:
         fh.write(",".join(["t"] + group.coordinate_names()) + "\n")
@@ -295,17 +308,19 @@ def cmd_chainset(args):
     run = verdict_run(config, system, window, sets)
     t_bound = time.perf_counter() - t1
 
-    out = _out_dir(args, "chainset")
+    # a 1d window has no 2d slice to plot
+    plotdirs = ["plotdata"] if window.group.dim >= 2 else []
+    plots = [f"{d}/set{i}.csv" for d in plotdirs for i in range(len(sets))]
+    out = _out_dir(args, "chainset", [
+        "nodes.csv", "edges.csv", "sets.jsonl", "report.json", *plots],
+        plotdirs)
     t1 = time.perf_counter()
     write_nodes_csv(out / "nodes.csv", graph, sets)
     write_edges_csv(out / "edges.csv", graph)
-    if window.group.dim >= 2:
-        box_axes = np.flatnonzero(window.box).tolist()
-        cols = tuple(box_axes[:2]) if len(box_axes) >= 2 else (0, 1)
-        plotdir = out / "plotdata"
-        plotdir.mkdir(exist_ok=True)
-        for i, s in enumerate(sets):
-            write_plot_slice(plotdir / f"set{i}.csv", graph, s, columns=cols)
+    box_axes = np.flatnonzero(window.box).tolist()
+    cols = tuple(box_axes[:2]) if len(box_axes) >= 2 else (0, 1)
+    for name, s in zip(plots, sets):
+        write_plot_slice(out / name, graph, s, columns=cols)
     write_sets_jsonl(out / "sets.jsonl", sets, bounds=run.bound)
     t_write = time.perf_counter() - t1
 
@@ -317,6 +332,10 @@ def cmd_chainset(args):
         "tau": config.tau,
         "nodes": int(window.n_nodes),
         "edges": int(graph.n_edges),
+        # edges.csv holds the slice rows; each stands for its shifts by A
+        "lift": {"axes": list(window.symmetric_axes),
+                 "sizes": window.shift_sizes.tolist(),
+                 "strides": window.shift_strides.tolist()},
         "n_sets": len(sets),
         "set_sizes": [s.size for s in sets],
         "extents": ([float(v) for v in main_set(sets).extents]
@@ -350,7 +369,9 @@ def cmd_conjugate(args):
     config = cfg.parse_config(_raw_config(args))
     run = quotient_run(config)
     psi = run.psi
-    out = _out_dir(args, "conjugate")
+    out = _out_dir(args, "conjugate", [
+        "downstairs.yaml", "report.json",
+        *(["mapped_nodes.csv"] if run.mapped is not None else [])])
     cfg.dump_config(run.downstairs_raw, out / "downstairs.yaml")
 
     if run.mapped is not None:
@@ -388,7 +409,7 @@ def cmd_conjugate(args):
 def cmd_verify(args):
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     report = acceptance_report(seed)
-    out = _out_dir(args, "verify")
+    out = _out_dir(args, "verify", ["report.json"])
     path = _write_report(out, report["body"], report["timings"])
     checks = report["body"]["checks"]
     for rec in checks:

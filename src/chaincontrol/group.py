@@ -98,12 +98,13 @@ class RhoAction:
         self.freqs = snapped
 
     def matrix(self, h):
-        """rho(h) as a real matrix for a single parameter vector h."""
+        """rho(h) as a real matrix, batched over the leading axes of h: h
+        (..., m) gives (..., n, n) when the torus has a dimension."""
         h = np.atleast_1d(np.asarray(h, dtype=float))
         if self.n_params == 0:
             return np.eye(self.dim)
         phases = np.exp(h @ self.freqs)
-        out = (self.basis * phases) @ self.basis_inv
+        out = (self.basis * phases[..., None, :]) @ self.basis_inv
         if np.max(np.abs(out.imag)) > 1e-9:
             raise IncompatibleActionError("action matrix came out non-real")
         return out.real

@@ -1,6 +1,8 @@
 import copy
 import csv
 import dataclasses
+import hashlib
+import io
 import json
 import math
 from types import SimpleNamespace
@@ -16,6 +18,7 @@ from scipy.spatial import cKDTree
 from chaincontrol import config as cfg
 from chaincontrol import verify
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
+from chaincontrol.cli import main
 from chaincontrol.chains import (
     EDGE_CHUNK,
     FIBER_TOL,
@@ -28,6 +31,7 @@ from chaincontrol.chains import (
     _propagate_family,
     _step_grid,
     _translate,
+    action_norm_sup,
     audit_edges,
     build_chain_graph,
     central_fiber_nodes,
@@ -830,6 +834,49 @@ def test_source_constants_seed_one_copy_of_the_fiber(monkeypatch,
         == {tuple(p) for p in window.points[fiber][:, window.box]}
 
 
+def test_jump_constant_reads_every_torus_cell(monkeypatch):
+    # |rho(h)|_2 of the skewed generator S ROT S^-1 peaks at h = +-pi/2: on
+    # 261 angle cells, nearest the odd cells 65 and 195.  A sample of every
+    # 50th of the 6,525 nodes reads every second angle cell and misses both
+    c = cfg.parse_config(copy.deepcopy(SKEWED_ROTATION_CONFIG))
+    system = cfg.build_system(c)
+    window = GridWindow(system.group, -0.5, 0.5, [0.2, 0.2], (261,))
+    assert window.n_nodes // 128 == 2 * 25
+    centers = -np.pi + (np.arange(261) + 0.5) * 2.0 * np.pi / 261
+    norms = np.array([np.linalg.norm(system.group.action.matrix([h]), 2)
+                      for h in centers])
+    assert set(np.argsort(norms)[-2:].tolist()) == {65, 195}
+    assert norms[::2].max() < norms.max() - 1e-4
+
+    def no_runs(system, starts, family, h, n_steps, steps, *box):
+        # every run ends at once, so the estimate is its jump constant
+        empty = (np.zeros(0, dtype=np.int64), np.zeros((0, len(window.shape))))
+        return [empty] * len(steps), None
+
+    monkeypatch.setattr("chaincontrol.chains._propagate_family", no_runs)
+    c_est = estimate_source_constants(system, window, c.tau)
+    assert c_est == pytest.approx([norms.max()] * c_est.size, rel=1e-12)
+
+
+def test_jump_constant_reads_every_cell_of_a_two_torus(monkeypatch):
+    # T^2 with coupled generators g and -g: rho(h1, h2) = exp((h1 - h2) g)
+    # is the identity on the diagonal h1 = h2 and stretches by up to 3 off
+    # it, so only the product of the two angle grids reaches the sup
+    alg = NilpotentAlgebra(preset_structure("abelian:2"))
+    g = _skewed_rotation(2)
+    group = SemidirectGroup(alg, RhoAction(alg, [g, -g]))
+    window = GridWindow(group, -0.5, 0.5, [0.25, 0.5], (12, 10))
+    grids = [-np.pi + (np.arange(k) + 0.5) * 2.0 * np.pi / k for k in (12, 10)]
+    norms = np.array([[np.linalg.norm(group.action.matrix([a, b]), 2)
+                       for b in grids[1]] for a in grids[0]])
+    diagonal = max(np.linalg.norm(group.action.matrix([a, a]), 2)
+                   for a in grids[0])
+    assert diagonal < 1.0 + 1e-9 < 2.0 < norms.max()
+    # blocks of 7 of the 120 torus cells, the last one short
+    monkeypatch.setattr("chaincontrol.chains.ACTION_BLOCK", 7)
+    assert action_norm_sup(window) == pytest.approx(norms.max(), rel=1e-12)
+
+
 # -- verification report -----------------------------------------------------
 
 
@@ -1015,20 +1062,57 @@ def edge_graph(n_nodes, src, dst, witness, family, times):
         inflated_lower=None, inflated_upper=None)
 
 
+def stored_columns(graph):
+    """(src, dst, u, t) per stored edge (the slice rows), in CSR order."""
+    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+    u, t = np.divmod(graph.witness.astype(np.int64), len(graph.snapshot_steps))
+    return src, graph.dst, u, t
+
+
+def csv_writer_bytes(graph, columns):
+    """The bytes csv.writer writes for the edges (src, dst, u, t) of
+    columns, under edges.csv's header."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    n_u = graph.control_family.shape[1]
+    writer.writerow(["src", "dst", *(f"u{j}" for j in range(n_u)), "T"])
+    writer.writerows(
+        [a, b, *(f"{v:.12g}" for v in graph.control_family[u]),
+         f"{graph.time_samples[t]:.12g}"]
+        for a, b, u, t in zip(*(c.tolist() for c in columns)))
+    return fh.getvalue().encode()
+
+
 def assert_csv_writer_bytes(tmp_path, graph):
-    """write_edges_csv writes the bytes csv.writer writes for the rows."""
-    path, ref = tmp_path / "edges.csv", tmp_path / "edges_ref.csv"
+    """write_edges_csv writes the bytes csv.writer writes for the stored
+    rows."""
+    path = tmp_path / "edges.csv"
     write_edges_csv(path, graph)
-    with open(ref, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        n_u = graph.control_family.shape[1]
-        writer.writerow(["src", "dst", *(f"u{j}" for j in range(n_u)), "T"])
-        writer.writerows(
-            [a, b, *(f"{v:.12g}" for v in graph.control_family[u]),
-             f"{graph.time_samples[t]:.12g}"]
-            for a, b, u, t in zip(*(c.tolist() for c in edge_columns(graph))))
-    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes() == csv_writer_bytes(graph, stored_columns(graph))
     return path.read_bytes()
+
+
+def lift_edges_csv(raw, lift):
+    """edges.csv lifted by a report's "lift" rule: each row src,dst,w... once
+    per shift c of A, src and dst moved by c on every listed axis, in (src,
+    dst) order.  Written apart from the package, from the rule alone."""
+    header, *rows = raw.split(b"\r\n")[:-1]
+    cols = [row.split(b",", 2) for row in rows]
+    pairs = np.array([[int(a), int(b)] for a, b, _ in cols],
+                     dtype=np.int64).reshape(-1, 2)
+    tails = [tail for _, _, tail in cols]
+    moved = []
+    for c in np.ndindex(*lift["sizes"]):
+        v = pairs.copy()
+        for k, size, stride in zip(c, lift["sizes"], lift["strides"]):
+            at = v // stride % size
+            v += ((at + k) % size - at) * stride
+        moved.append(v)
+    moved = np.concatenate(moved)
+    order = np.lexsort((moved[:, 1], moved[:, 0]))
+    return b"".join([header + b"\r\n", *(
+        b"%d,%d,%s\r\n" % (a, b, tails[i % len(rows)])
+        for (a, b), i in zip(moved[order].tolist(), order.tolist()))])
 
 
 def test_edges_csv_without_edges_is_its_header(tmp_path):
@@ -1093,7 +1177,7 @@ def test_writers_roundtrip(tmp_path, stable_setup):
     assert rows == [
         [str(a), str(b), *(f"{v:.12g}" for v in graph.control_family[u]),
          f"{graph.time_samples[t]:.12g}"]
-        for a, b, u, t in zip(*edge_columns(graph))]
+        for a, b, u, t in zip(*stored_columns(graph))]
     # more rows than one chunk: the bytes csv.writer writes
     rng = np.random.default_rng(3)
     n_rows = EDGE_CHUNK + 1001
@@ -1114,6 +1198,36 @@ def test_writers_roundtrip(tmp_path, stable_setup):
     plot_path = tmp_path / "slice.csv"
     with pytest.raises(ValidationError):
         write_plot_slice(plot_path, graph, sets[0])
+
+
+def test_edges_csv_holds_the_stored_rows_of_a_lifted_graph(tmp_path):
+    # 64 shifts of a torus angle and a masked circle: the file holds the
+    # slice rows, and its lift by the window's rule is the graph's lift row
+    # for row
+    _, window, graph = _small_graph("conjugation-upstairs-small")
+    assert window.n_shifts == 64 and graph.dst.size > 0
+    raw = assert_csv_writer_bytes(tmp_path, graph)
+    assert raw.count(b"\r\n") == graph.dst.size + 1
+    lift = {"axes": list(window.symmetric_axes),
+            "sizes": window.shift_sizes.tolist(),
+            "strides": window.shift_strides.tolist()}
+    assert lift_edges_csv(raw, lift) == csv_writer_bytes(graph,
+                                                         edge_columns(graph))
+
+
+def test_rotation_plane_edges_lift_to_the_pinned_bytes(tmp_path):
+    # the report's rule lifts edges.csv (4,796 slice rows) to the 306,944
+    # rows a writer of the whole graph wrote, byte for byte
+    assert main(["chainset", "--preset", "rotation-plane",
+                 "--out", str(tmp_path)]) == 0
+    body = json.loads((tmp_path / "report.json").read_text())["body"]
+    assert body["lift"] == {"axes": [0], "sizes": [64], "strides": [100]}
+    raw = (tmp_path / "edges.csv").read_bytes()
+    assert raw.count(b"\r\n") == 4797
+    lifted = lift_edges_csv(raw, body["lift"])
+    assert lifted.count(b"\r\n") == body["edges"] + 1 == 306945
+    assert hashlib.sha256(lifted).hexdigest() == (
+        "82ee861507ff04eabd43f28cd8046527b22f04c6091f10b61bdf12e203f0031e")
 
 
 # -- anchored runs against the direct-integration oracle ----------------------

@@ -11,6 +11,7 @@ import yaml
 
 from chaincontrol import cli
 from chaincontrol import config as cfg
+from chaincontrol import verify
 from chaincontrol.cli import main
 from chaincontrol.errors import IntegratorBudgetError
 from chaincontrol.verify import encode_body
@@ -312,9 +313,9 @@ def test_chainset_timings_name_each_stage(tmp_path):
     stages = timings["graph_and_extract"] + timings["bound"] + timings["write"]
     assert stages <= timings["total"]
     assert set(report["body"]) == {
-        "command", "name", "seed", "eps", "tau", "nodes", "edges", "n_sets",
-        "set_sizes", "extents", "bounds", "hyperbolic", "diagnostic",
-        "failures", "residuals", "verdicts"}
+        "command", "name", "seed", "eps", "tau", "nodes", "edges", "lift",
+        "n_sets", "set_sizes", "extents", "bounds", "hyperbolic",
+        "diagnostic", "failures", "residuals", "verdicts"}
 
 
 def test_conjugate_identity_quotient(tmp_path):
@@ -600,6 +601,13 @@ BLOCKED_OUTPUTS = {
                  "plotdata"),
     "downstairs-yaml": (["conjugate", "--preset", "scalar-stable"],
                         "q/downstairs.yaml/", "q", "downstairs.yaml"),
+    # a path written last, or after another file of the same run
+    "report-json": (["chainset", "--preset", "halfstable-w2"],
+                    "o/report.json/", "o", "report.json"),
+    "trajectory-csv": (["simulate", "--preset", "scalar-stable"],
+                       "s/trajectory.csv/", "s", "trajectory.csv"),
+    "mapped-nodes-csv": (["conjugate", "--preset", "scalar-stable"],
+                         "q/mapped_nodes.csv/", "q", "mapped_nodes.csv"),
 }
 
 
@@ -613,12 +621,59 @@ def test_out_blocked_by_a_file_exits_2_with_one_line(tmp_path, capsys, case):
     else:
         blocker.parent.mkdir(parents=True, exist_ok=True)
         blocker.write_text("")
-    code = main(argv + ["--out", str(tmp_path / out)])
+    out = tmp_path / out
+    code = main(argv + ["--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
     assert named in err
+    # every path is claimed before the first write: no partial run is left
+    written = [p for p in out.rglob("*") if p.is_file() and p != blocker] \
+        if out.is_dir() else []
+    assert written == []
+
+
+def _failing_check(seed):
+    return {"passed": False, "tolerances": {}, "measured": {}}
+
+
+# argv ({dir} is the test's directory), the config written to {dir}/run.yaml
+# (or None), and the (module, name, value) patched (or None): a real input
+# that fails a theorem check where one exists, else its one failing source
+# patched
+EXIT_3 = {
+    "decompose": (["decompose", "--preset", "scalar-stable"], None,
+                  (cli, "check_derivation", lambda *args: 1.0)),
+    "simulate": (["simulate", "--preset", "scalar-unstable", "--duration",
+                  "1", "--cross-check"], None,
+                 (cli, "cross_check_residual", lambda *args: 1.0)),
+    "chainset": (["chainset", "--config", "{dir}/run.yaml"], dict(
+        copy.deepcopy(cfg.PRESETS["halfstable-w2"]),
+        chain={**cfg.PRESETS["halfstable-w2"]["chain"],
+               "require_interior": True}), None),
+    "conjugate": (["conjugate", "--config", "{dir}/run.yaml"],
+                  UNMEASURABLE["no-set"][0], None),
+    "verify": (["verify"], None,
+               (verify, "CHECKS", [(1, "failing-check", _failing_check)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_3))
+def test_every_subcommand_exits_3_with_a_report(tmp_path, capsys,
+                                                monkeypatch, case):
+    argv, raw, patch = EXIT_3[case]
+    if raw is not None:
+        cfg.dump_config(raw, tmp_path / "run.yaml")
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    out = tmp_path / "out"
+    code = main([a.replace("{dir}", str(tmp_path)) for a in argv]
+                + ["--out", str(out)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out / "report.json") as fh:
+        json.load(fh, parse_constant=pytest.fail)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
