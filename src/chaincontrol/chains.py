@@ -23,10 +23,7 @@ and the cells move in blocks of steps, one call per block, with no Python
 loop per step.  Truncation keeps its meaning: the window box is tested on
 every step, and a run ends at the first step it leaves.
 Each snapshot holds only the runs still alive, as flat row indices
-u * n_starts + start in increasing order with their states.
-`_propagate`, which integrates every cell directly, is the slow,
-independent oracle behind `audit_edges`; it has the same signature and
-result as the anchored path, so the two are interchangeable.  Exact
+u * n_starts + start in increasing order with their states.  Exact
 distances take the action's phases once per landing.
 
 The graph is built from one slice of the circle shifts.  Let k be a
@@ -43,8 +40,9 @@ n_nodes + dst) * n_w + w, with witness w = u * n_T + t of n_w = n_U * n_T;
 one sort leaves CSR rows of int32 targets with one witness code per edge.
 The graph is their lift around every shift, which no stage stores:
 `extract_chain_sets` reads its strong components off the slice as a
-voltage graph, the audit lifts whole rows on demand, and the writer writes
-the slice rows, whose lift the shift sizes and strides determine.
+voltage graph, and the writer writes the slice rows, whose lift the shift
+sizes and strides determine.  The graph's slow, independent oracles (direct
+integration, an edge audit, the lift by the rule alone) live in the tests.
 """
 
 import csv
@@ -64,8 +62,8 @@ from .lcs import _rk4_step
 from .spectral import decay_constants, power_stack
 
 NODE_LIMIT = 1_500_000
-# rows (controls x starts x kept snapshots) one anchored run may hold; larger
-# families are run in slices of controls so memory stays bounded
+# rows one anchored run may hold, per control its kept states (starts x kept
+# snapshots) and steps + 1 anchors; larger families run in control slices
 ANCHOR_ROW_LIMIT = 1 << 21
 # row-steps (rows x steps) one block of the anchored runs moves at once
 STEP_BLOCK = 1 << 16
@@ -74,7 +72,6 @@ STEP_BLOCK = 1 << 16
 PAIR_LIMIT = 1 << 16
 FIBER_TOL = 1e-9  # ties in the box-coordinate norm of central_fiber_nodes
 ACTION_BLOCK = 4096  # torus cells action_norm_sup takes rho(h) of at once
-AUDIT_REFINE = 10  # audit_edges re-integrates at this many times finer a step
 EDGE_CHUNK = 65_536  # stored edges write_edges_csv formats per write
 
 
@@ -254,8 +251,8 @@ class ChainGraph:
     1], empty unless a is in the slice, with targets dst (int32 node
     numbers, so an edge's shift is its target's) and witness codes u *
     len(snapshot_steps) + t of their smallest sampled (u, t).  The graph is
-    their lift (`lift`): n_edges = dst.size * window.n_shifts.  truncated
-    holds one flag per node.
+    their lift, node base + c having base's row with every target moved by c:
+    n_edges = dst.size * window.n_shifts.  truncated holds one flag per node.
     """
 
     window: GridWindow
@@ -282,30 +279,6 @@ class ChainGraph:
     def n_edges(self):
         return int(self.dst.size) * self.window.n_shifts
 
-    def lifted_indptr(self):
-        """CSR row pointers of the lift: its rows are its bases' rows."""
-        base, _ = self.window.shift_split(np.arange(self.n_nodes))
-        return np.append(0, np.cumsum(np.diff(self.indptr)[base]))
-
-    def lift(self, nodes):
-        """(src, dst, witness) of the lifted rows of nodes (increasing), in
-        CSR order: node base + c has base's row, every target moved by c."""
-        base, cyc = self.window.shift_split(nodes)
-        first, count = self.indptr[base], np.diff(self.indptr)[base]
-        edge = np.repeat(first - np.cumsum(count) + count, count) \
-            + np.arange(count.sum())
-        src = np.repeat(nodes, count)
-        # int32 arithmetic: node numbers fit, and it halves the traffic
-        dst = self.dst[edge]
-        for size, step, shift in zip(self.window.shift_sizes.tolist(),
-                                     self.window.shift_strides.tolist(),
-                                     cyc.T.astype(np.int32)):
-            at = dst // step % size
-            dst = dst + ((at + np.repeat(shift, count)) % size - at) * step
-        # each row is a few sorted runs, which a merge sort takes fastest
-        order = np.argsort(src * self.n_nodes + dst, kind="stable")
-        return src[order], dst[order], self.witness[edge[order]]
-
 
 def _default_time_samples(tau):
     return tau * np.array([1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0])
@@ -318,45 +291,17 @@ def _step_grid(system, tau):
     return 2.0 * tau / n_steps, n_steps
 
 
-def _control_slices(n_controls, rows_per_control):
+def _control_slices(n_controls, rows_per_control, n_steps):
     """Slices of a control family whose anchored runs stay within
-    ANCHOR_ROW_LIMIT rows."""
-    width = max(1, ANCHOR_ROW_LIMIT // max(1, rows_per_control))
+    ANCHOR_ROW_LIMIT rows, rows_per_control kept states and n_steps + 1
+    anchors per control; a grid too long for one control is refused, which
+    also bounds the flow table (n_steps + 1 matrices)."""
+    per_control = rows_per_control + n_steps + 1
+    if per_control > ANCHOR_ROW_LIMIT:
+        raise ValidationError(f"chain.tau takes {n_steps} steps, over "
+                              f"{ANCHOR_ROW_LIMIT} rows for one control")
+    width = ANCHOR_ROW_LIMIT // per_control
     return [slice(a, a + width) for a in range(0, n_controls, width)]
-
-
-def _propagate(system, starts, family, h, n_steps, steps,
-               box_lower, box_upper, box):
-    """Fixed-step runs of every start under every control of a family,
-    truncated when their box coordinates (the columns box selects) leave
-    [box_lower, box_upper].
-
-    Flat row r = u * len(starts) + start runs control r // len(starts).
-    Returns one (rows, states) pair per entry of steps (step 0 is the
-    start): the rows still alive, in increasing order, and their states.
-    Both are rebound at every step, never written in place, so the pairs
-    share arrays without copies.  Also returns the (U, N) truncation mask.
-    Integrates every row directly: the oracle of `_propagate_family`.
-    """
-    group = system.group
-    family = np.atleast_2d(np.asarray(family, dtype=float))
-    n_u, n_rows = len(family), len(starts)
-    rows = np.arange(n_u * n_rows)
-    y = np.tile(group.normalize(np.array(starts, dtype=float)), (n_u, 1))
-    truncated = np.zeros(n_u * n_rows, dtype=bool)
-
-    want = {int(s) for s in steps}
-    frames = {0: (rows, y)} if 0 in want else {}
-    for step in range(1, n_steps + 1):
-        y = group.normalize(_rk4_step(system, y, family[rows // n_rows], h))
-        coords = y[:, box]
-        out = np.any((coords < box_lower) | (coords > box_upper), axis=1)
-        if out.any():
-            truncated[rows[out]] = True
-            rows, y = rows[~out], y[~out]
-        if step in want:
-            frames[step] = (rows, y)
-    return [frames[int(s)] for s in steps], truncated.reshape(n_u, n_rows)
 
 
 def _rows_times(mats, u_of, v):
@@ -408,7 +353,11 @@ def _translate(group, anchor, flow, starts, u_of):
 
 def _propagate_family(system, starts, family, h, n_steps, steps,
                       box_lower, box_upper, box):
-    """`_propagate`, from anchors: same signature, same result.
+    """Fixed-step runs of every start under every control of a family,
+    truncated when their box coordinates (the columns box selects) leave
+    [box_lower, box_upper]: one (rows, states) pair per entry of steps (step
+    0 is the start), the flat rows r = u * len(starts) + start still alive in
+    increasing order and their states, and the (U, N) truncation mask.
 
     The anchor a_k = phi(k h, e, u) of each control comes from the
     translation identity itself.  One batched RK4 run over the first grid
@@ -509,8 +458,9 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     elements the drift flow fixes, which act by isometries and leave the box
     coordinates alone.  So every whole-cell shift of those axes carries the
     slice's edges, smallest witnesses and truncation flags to its shifted
-    sources (`ChainGraph.lift`).  With no symmetric axis the slice is the
-    whole window.
+    sources.  With no symmetric axis the slice is the whole window.  A tau
+    too long for one control's run (`_control_slices`) is refused before
+    any run.
     """
     if eps <= 0 or tau <= 0:
         raise ValidationError("eps and tau must be positive")
@@ -568,7 +518,8 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     # PAIR_LIMIT pairs at a time
     truncated = np.zeros(n_nodes, dtype=bool)
     codes = [np.zeros(0, dtype=np.int64)]
-    for part in _control_slices(len(control_family), sources.size * (n_t + 2)):
+    for part in _control_slices(len(control_family),
+                                 sources.size * (n_t + 2), n_steps):
         frames, trunc = _propagate_family(
             system, centers[sources], control_family[part], h, n_steps, snap,
             lo_inf, hi_inf, window.box)
@@ -864,7 +815,8 @@ def estimate_source_constants(system, window, tau, control_family=None):
     steps = range(0, n_steps + 1, 5)
     sup = np.zeros(alg.nilpotency_class)
     box = window.box
-    for part in _control_slices(len(control_family), len(starts) * len(steps)):
+    for part in _control_slices(len(control_family),
+                                 len(starts) * len(steps), n_steps):
         family = control_family[part]
         frames, _ = _propagate_family(
             system, starts, family, h, n_steps, steps, window.lower[box],
@@ -905,55 +857,6 @@ def action_norm_sup(window):
     return c_norm
 
 
-# -- audit -------------------------------------------------------------------
-
-
-def audit_edges(system, graph, fraction=0.01, seed=1234):
-    """Re-integrate a random sample of edges with an AUDIT_REFINE times finer
-    step and check each lands within the acceptance radius of its target
-    center.  The sample is drawn over every lifted edge, so a shifted copy
-    is re-run from its own source.
-
-    Returns a dict with the sample size, failure count, and worst excess
-    over the radius.  A re-run that leaves the window fails its edge and has
-    no excess; the worst is None, JSON's null, when no re-run stays inside.
-    A sound graph audits with zero failures.
-    """
-    if graph.n_edges == 0:
-        return {"checked": 0, "failures": 0, "worst_excess": 0.0}
-    rng = np.random.default_rng(seed)
-    k = max(1, int(math.ceil(fraction * graph.n_edges)))
-    pick = np.sort(rng.choice(graph.n_edges, size=k, replace=False))
-    window = graph.window
-    h_fine = graph.step / AUDIT_REFINE
-
-    # the picked edges, from the lifted rows of their sources only
-    indptr = graph.lifted_indptr()
-    nodes, row = np.unique(np.searchsorted(indptr, pick, side="right") - 1,
-                           return_inverse=True)
-    deg = np.diff(indptr)[nodes]
-    at = pick + (np.cumsum(deg) - deg - indptr[nodes])[row]
-    src, dst, witness = (col[at] for col in graph.lift(nodes))
-
-    failures = 0
-    worst = -np.inf
-    for code in np.unique(witness):
-        sel = witness == code
-        u_idx, t_idx = divmod(int(code), len(graph.snapshot_steps))
-        n_fine = int(graph.snapshot_steps[t_idx]) * AUDIT_REFINE
-        [(rows, states)], _ = _propagate(
-            system, window.points[src[sel]],
-            graph.control_family[u_idx], h_fine, n_fine, [n_fine],
-            graph.inflated_lower, graph.inflated_upper, window.box)
-        # a fine re-run that leaves the window fails its edge
-        d = system.group.distance(states, window.points[dst[sel][rows]])
-        excess = d - graph.radius
-        failures += int(sel.sum()) - rows.size + int(np.sum(excess > 1e-6))
-        worst = max(worst, float(np.max(excess, initial=-np.inf)))
-    return {"checked": int(k), "failures": int(failures),
-            "worst_excess": worst if worst > -np.inf else None}
-
-
 # -- structured output -------------------------------------------------------
 
 
@@ -984,8 +887,8 @@ def write_edges_csv(path, graph):
     """Edge table of the stored rows with the (u, T) witness of each edge:
     csv.writer's bytes (no field needs quoting).  With symmetric axes these
     are the slice's rows, and each row src,dst,w... stands for the rows
-    src+c,dst+c,w... of every shift c in A (`ChainGraph.lift`); with none
-    they are the whole graph.  Rows go out in blocks of whole source rows,
+    src+c,dst+c,w... of every shift c in A; with none they are the whole
+    graph.  Rows go out in blocks of whole source rows,
     about EDGE_CHUNK edges each.  Each node name and witness tail is
     formatted once; a row is its edges' target name and tail pieces, joined
     with its source name and comma."""

@@ -426,7 +426,9 @@ def _add_config_args(sp, chain=False):
     sp.add_argument("--preset", help="bundled config name")
     sp.add_argument("--config", help="path to a YAML config file")
     sp.add_argument("--out", help="output directory (default out/<command>)")
-    sp.add_argument("--seed", type=int, help="override the config seed")
+    sp.add_argument("--seed", type=int,
+                    help="override the config seed, which the report records "
+                         "and no computation reads")
     if chain:
         sp.add_argument("--eps", type=float, help="override chain.eps")
         sp.add_argument("--tau", type=float, help="override chain.tau")

@@ -177,9 +177,6 @@ class SemidirectGroup:
         return [f"theta{j}" for j in range(self.h_dim)] + \
             [f"x{j}" for j in range(self.x_dim)]
 
-    def identity(self):
-        return np.zeros(self.dim)
-
     def split(self, g):
         g = np.asarray(g, dtype=float)
         return g[..., :self.h_dim], g[..., self.h_dim:]

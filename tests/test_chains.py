@@ -20,19 +20,19 @@ from chaincontrol import verify
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
 from chaincontrol.cli import main
 from chaincontrol.chains import (
+    ANCHOR_ROW_LIMIT,
     EDGE_CHUNK,
     FIBER_TOL,
     ChainControlSetApprox,
     ChainGraph,
     GridWindow,
     LevelBounds,
+    _control_slices,
     _default_time_samples,
-    _propagate,
     _propagate_family,
     _step_grid,
     _translate,
     action_norm_sup,
-    audit_edges,
     build_chain_graph,
     central_fiber_nodes,
     decay_certificate,
@@ -51,7 +51,7 @@ from chaincontrol.errors import (
     ValidationError,
 )
 from chaincontrol.group import RhoAction, SemidirectGroup
-from chaincontrol.lcs import ControlRange, LinearControlSystem
+from chaincontrol.lcs import ControlRange, LinearControlSystem, _rk4_step
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -67,12 +67,37 @@ def scalar_window(system, half=2.0, delta=0.05):
     return GridWindow(system.group, [-half], [half], [delta])
 
 
+def lift_rows(src, dst, sizes, strides):
+    """The lift of rows src -> dst by the shifts c of A, from the rule alone:
+    each row once per c, both ends moved by c (index v // stride % size to
+    (index + c_a) % size on each axis), in CSR order, with each one's row."""
+    ends = np.stack([src, dst]).astype(np.int64)
+    moved = []
+    for c in np.ndindex(*sizes):
+        v = ends.copy()
+        for k, size, stride in zip(c, sizes, strides):
+            at = v // stride % size
+            v += ((at + k) % size - at) * stride
+        moved.append(v)
+    src, dst = np.concatenate(moved, axis=1)
+    order = np.lexsort((dst, src))
+    return src[order], dst[order], order % ends.shape[1]
+
+
+def stored_columns(graph):
+    """(src, dst, u, t) per stored edge (the slice rows), in CSR order, each
+    witness code split into its control and snapshot indices."""
+    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+    u, t = np.divmod(graph.witness.astype(np.int64), len(graph.snapshot_steps))
+    return src, graph.dst, u, t
+
+
 def edge_columns(graph):
-    """(src, dst, u, t) per edge of the lift, in CSR order, each witness
-    code split into its control and snapshot indices."""
-    src, dst, witness = graph.lift(np.arange(graph.n_nodes))
-    u, t = np.divmod(witness.astype(np.int64), len(graph.snapshot_steps))
-    return src, dst, u, t
+    """`stored_columns` of the graph's lift (`lift_rows`)."""
+    src, dst, u, t = stored_columns(graph)
+    src, dst, row = lift_rows(src, dst, graph.window.shift_sizes.tolist(),
+                              graph.window.shift_strides.tolist())
+    return src, dst, u[row], t[row]
 
 
 def with_edges(graph, src, dst, witness):
@@ -394,13 +419,14 @@ def test_graph_keeps_slice_rows_only():
     assert np.count_nonzero(np.diff(graph.indptr)) <= window.n_nodes // 64
     assert graph.truncated.shape == (window.n_nodes,)
     # the lifted rows are CSR rows: sources in order, targets sorted and
-    # distinct within each row
+    # distinct within each row, and each node's row is as long as its base's
     src, dst, _, _ = edge_columns(graph)
     assert src.size == graph.n_edges
     key = src * graph.n_nodes + dst
     assert np.all(np.diff(key) > 0)
-    assert np.array_equal(np.searchsorted(src, np.arange(graph.n_nodes + 1)),
-                          graph.lifted_indptr())
+    base, _ = window.shift_split(np.arange(graph.n_nodes))
+    assert np.array_equal(np.bincount(src, minlength=graph.n_nodes),
+                          np.diff(graph.indptr)[base])
 
 
 def test_graph_validation():
@@ -553,19 +579,8 @@ def voltage_graphs(draw):
 def test_voltage_graph_sets_match_the_explicit_lift(case):
     graph = voltage_graph(*case)
     sets = extract_chain_sets(graph)
-    # the lift written out: slice row s moved by every shift, each circle
-    # index of source and target wrapped around its circle
-    shape = graph.window.shape
-    rows = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
-    ends = np.unravel_index(rows, shape), np.unravel_index(graph.dst, shape)
-    src, dst = [], []
-    for shift in np.ndindex(*shape[1:]):
-        a, b = (np.ravel_multi_index(
-            (i[0], *((x + k) % m for x, k, m in zip(i[1:], shift, shape[1:]))),
-            shape) for i in ends)
-        src.append(a)
-        dst.append(b)
-    src, dst = np.concatenate(src), np.concatenate(dst)
+    # the lift written out by the rule alone
+    src, dst, _, _ = edge_columns(graph)
     assert src.size == graph.n_edges
     n = graph.n_nodes
     adj = csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
@@ -1003,6 +1018,39 @@ def test_verdict_run_refuses_a_short_tau_before_the_constants(monkeypatch):
 
 # -- audit -------------------------------------------------------------------
 
+AUDIT_REFINE = 10  # audit_edges re-integrates at this many times finer a step
+
+
+def audit_edges(system, graph, fraction, seed):
+    """Re-integrate a sample of the lift's edges (`edge_columns`), each from
+    its own source, with an AUDIT_REFINE times finer step (`_propagate`), and
+    count those landing past the acceptance radius of their target.  A re-run
+    that leaves the window fails its edge and has no excess; the worst excess
+    is None when no re-run stays inside.  A sound graph has no failures."""
+    if graph.n_edges == 0:
+        return {"checked": 0, "failures": 0, "worst_excess": 0.0}
+    rng = np.random.default_rng(seed)
+    k = max(1, int(math.ceil(fraction * graph.n_edges)))
+    pick = np.sort(rng.choice(graph.n_edges, size=k, replace=False))
+    src, dst, u, t = (col[pick] for col in edge_columns(graph))
+    points = graph.window.points
+    failures = 0
+    worst = -np.inf
+    for u_idx, t_idx in np.unique(np.column_stack([u, t]), axis=0).tolist():
+        sel = (u == u_idx) & (t == t_idx)
+        n_fine = int(graph.snapshot_steps[t_idx]) * AUDIT_REFINE
+        [(rows, states)], _ = _propagate(
+            system, points[src[sel]], graph.control_family[u_idx],
+            graph.step / AUDIT_REFINE, n_fine, [n_fine],
+            graph.inflated_lower, graph.inflated_upper, graph.window.box)
+        # a fine re-run that leaves the window fails its edge
+        excess = system.group.distance(states, points[dst[sel][rows]]) \
+            - graph.radius
+        failures += int(sel.sum()) - rows.size + int(np.sum(excess > 1e-6))
+        worst = max(worst, float(np.max(excess, initial=-np.inf)))
+    return {"checked": int(k), "failures": int(failures),
+            "worst_excess": worst if worst > -np.inf else None}
+
 
 def test_audit_edges_clean(stable_setup):
     system, _, graph = stable_setup
@@ -1062,13 +1110,6 @@ def edge_graph(n_nodes, src, dst, witness, family, times):
         inflated_lower=None, inflated_upper=None)
 
 
-def stored_columns(graph):
-    """(src, dst, u, t) per stored edge (the slice rows), in CSR order."""
-    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
-    u, t = np.divmod(graph.witness.astype(np.int64), len(graph.snapshot_steps))
-    return src, graph.dst, u, t
-
-
 def csv_writer_bytes(graph, columns):
     """The bytes csv.writer writes for the edges (src, dst, u, t) of
     columns, under edges.csv's header."""
@@ -1093,26 +1134,16 @@ def assert_csv_writer_bytes(tmp_path, graph):
 
 
 def lift_edges_csv(raw, lift):
-    """edges.csv lifted by a report's "lift" rule: each row src,dst,w... once
-    per shift c of A, src and dst moved by c on every listed axis, in (src,
-    dst) order.  Written apart from the package, from the rule alone."""
+    """edges.csv lifted by a report's "lift" rule (`lift_rows`): each row
+    src,dst,w... once per shift c of A, both ends moved by c, in CSR order."""
     header, *rows = raw.split(b"\r\n")[:-1]
     cols = [row.split(b",", 2) for row in rows]
-    pairs = np.array([[int(a), int(b)] for a, b, _ in cols],
-                     dtype=np.int64).reshape(-1, 2)
-    tails = [tail for _, _, tail in cols]
-    moved = []
-    for c in np.ndindex(*lift["sizes"]):
-        v = pairs.copy()
-        for k, size, stride in zip(c, lift["sizes"], lift["strides"]):
-            at = v // stride % size
-            v += ((at + k) % size - at) * stride
-        moved.append(v)
-    moved = np.concatenate(moved)
-    order = np.lexsort((moved[:, 1], moved[:, 0]))
+    src, dst = np.array([[int(a), int(b)] for a, b, _ in cols],
+                        dtype=np.int64).reshape(-1, 2).T
+    src, dst, row = lift_rows(src, dst, lift["sizes"], lift["strides"])
     return b"".join([header + b"\r\n", *(
-        b"%d,%d,%s\r\n" % (a, b, tails[i % len(rows)])
-        for (a, b), i in zip(moved[order].tolist(), order.tolist()))])
+        b"%d,%d,%s\r\n" % (a, b, cols[i][2])
+        for a, b, i in zip(src.tolist(), dst.tolist(), row.tolist()))])
 
 
 def test_edges_csv_without_edges_is_its_header(tmp_path):
@@ -1239,6 +1270,31 @@ def test_rotation_plane_edges_lift_to_the_pinned_bytes(tmp_path):
 # 2,304 x 9 x 200).
 ORACLE_STRIDE = {"heisenberg-expanding": 40, "rotation-plane": 16,
                  "conjugation-upstairs": 4}
+
+
+def _propagate(system, starts, family, h, n_steps, steps,
+               box_lower, box_upper, box):
+    """`_propagate_family`, integrating every row directly: the same
+    signature and result.  States are rebound at every step, never written
+    in place, so the frames share arrays without copies."""
+    group = system.group
+    family = np.atleast_2d(np.asarray(family, dtype=float))
+    n_u, n_rows = len(family), len(starts)
+    rows = np.arange(n_u * n_rows)
+    y = np.tile(group.normalize(np.array(starts, dtype=float)), (n_u, 1))
+    truncated = np.zeros(n_u * n_rows, dtype=bool)
+    want = {int(s) for s in steps}
+    frames = {0: (rows, y)} if 0 in want else {}
+    for step in range(1, n_steps + 1):
+        y = group.normalize(_rk4_step(system, y, family[rows // n_rows], h))
+        coords = y[:, box]
+        out = np.any((coords < box_lower) | (coords > box_upper), axis=1)
+        if out.any():
+            truncated[rows[out]] = True
+            rows, y = rows[~out], y[~out]
+        if step in want:
+            frames[step] = (rows, y)
+    return [frames[int(s)] for s in steps], truncated.reshape(n_u, n_rows)
 
 
 def _snapshot_steps(times, tau, h, n_steps):
@@ -1558,10 +1614,10 @@ def _assert_equals_unskipped_reference(system, window, graph):
     n = window.n_nodes
     key, witness, truncated = _unskipped_reference(system, window, graph)
     assert graph.n_edges > 0
-    src, dst, w = graph.lift(np.arange(n))
+    src, dst, u, t = edge_columns(graph)
     assert np.array_equal(src, key // n)
     assert np.array_equal(dst, key % n)
-    assert np.array_equal(w, witness)
+    assert np.array_equal(u * graph.snapshot_steps.size + t, witness)
     assert np.array_equal(graph.truncated, truncated)
 
 
@@ -1640,6 +1696,11 @@ def test_pair_blocks_change_no_edge(monkeypatch):
         assert np.array_equal(getattr(blocked, name), getattr(graph, name))
 
 
+def _one_each(n_controls, rows_per_control, n_steps):
+    """`_control_slices` at one control per slice."""
+    return [slice(a, a + 1) for a in range(n_controls)]
+
+
 @pytest.mark.parametrize("name", ["heisenberg-expanding-small",
                                   "conjugation-upstairs"])
 def test_control_slices_change_no_edge(monkeypatch, name):
@@ -1648,7 +1709,7 @@ def test_control_slices_change_no_edge(monkeypatch, name):
     # changes no edge, witness or flag
     system, window, graph = _small_graph(name)
     assert graph.witness.max() >= len(graph.snapshot_steps)
-    monkeypatch.setattr("chaincontrol.chains.ANCHOR_ROW_LIMIT", 1)
+    monkeypatch.setattr("chaincontrol.chains._control_slices", _one_each)
     sliced = build_chain_graph(system, window, graph.eps, graph.tau,
                                control_family=graph.control_family,
                                time_samples=graph.time_samples)
@@ -1660,8 +1721,23 @@ def test_control_slices_change_no_source_constant(monkeypatch):
     c, system, window = _preset_case("heisenberg-expanding")
     args = (system, window, c.tau, c.family)
     whole = estimate_source_constants(*args)
-    monkeypatch.setattr("chaincontrol.chains.ANCHOR_ROW_LIMIT", 1)
+    monkeypatch.setattr("chaincontrol.chains._control_slices", _one_each)
     assert np.array_equal(estimate_source_constants(*args), whole)
+
+
+def test_control_slices_count_anchors_and_refuse_one_control_over():
+    # a control holds its kept states and n_steps + 1 anchors: 9 controls of
+    # 216 kept rows share one run up to 232,799 steps, then run in slices;
+    # one control over the limit is refused, by the source constants too
+    limit = ANCHOR_ROW_LIMIT
+    assert _control_slices(9, 216, limit // 9 - 217) == [slice(0, 9)]
+    assert _control_slices(9, 216, 233_000) == [slice(0, 8), slice(8, 16)]
+    assert _control_slices(9, 216, limit - 217) == _one_each(9, 216, 0)
+    _, system, window = _preset_case("conjugation-upstairs")
+    for refused in (lambda: _control_slices(9, 216, limit - 216),
+                    lambda: estimate_source_constants(system, window, 1e5)):
+        with pytest.raises(ValidationError, match="chain.tau"):
+            refused()
 
 
 def test_skewed_torus_shifts_would_move_edges():

@@ -447,6 +447,25 @@ def test_seed_override_lands_in_report(tmp_path):
     assert read_report(out)["body"]["seed"] == 42
 
 
+@pytest.mark.parametrize("command", ["decompose", "simulate", "chainset",
+                                     "conjugate"])
+def test_seed_is_recorded_only(tmp_path, command):
+    # no computation reads the config seed: two seeds write the same files,
+    # whose report body and downstairs config differ in the seed alone
+    runs = []
+    for seed in (1, 2):
+        out = tmp_path / str(seed)
+        assert main([command, "--preset", "rotation-plane", "--seed",
+                     str(seed), "--out", str(out)]) == 0
+        run = {str(p.relative_to(out)): p.read_bytes()
+               for p in out.rglob("*") if p.is_file()}
+        body = json.loads(run.pop("report.json"))["body"]
+        down = yaml.safe_load(run.pop("downstairs.yaml", b"seed: %d" % seed))
+        assert body.pop("seed") == down.pop("seed") == seed
+        runs.append((body, down, run))
+    assert runs[0] == runs[1]
+
+
 def _preset_yaml(block, value, key=None):
     """scalar-stable as YAML, with one block or one block entry replaced."""
     raw = copy.deepcopy(cfg.PRESETS["scalar-stable"])
@@ -556,6 +575,9 @@ BAD_INPUTS = {
                   None),
     "eps-flag": (["chainset", "--preset", "scalar-stable", "--eps", "x"], None),
     "tau-flag": (["chainset", "--preset", "scalar-stable", "--tau", "x"], None),
+    # 20,000,001 anchors for one control, over ANCHOR_ROW_LIMIT: refused
+    "tau-too-long": (["chainset", "--preset", "conjugation-upstairs", "--tau",
+                      "1e5"], None),
     "duration-flag": (SIMULATE + ["--duration", "x"], None),
     "verify-seed-flag": (["verify", "--seed", "abc"], None),
     "no-subcommand": ([], None),
@@ -575,7 +597,8 @@ NAMED_KEYS = {"output-block": "output", "level-bounds": "chain.level_bounds",
               "kernel-drops-everything": "conjugation.extra_kernel",
               "torus-dim": "torus.dim",
               "angular-coords-unordered": "torus.angular_coords",
-              "angular-coords-repeated": "torus.angular_coords"}
+              "angular-coords-repeated": "torus.angular_coords",
+              "tau-too-long": "chain.tau"}
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["chainset", "--help"]])

@@ -2,10 +2,11 @@
 
 A definition (module-level function or class, or a method) counts as used
 when module-level code or another used definition in the package refers to
-its name, as a bare name or as an attribute.  The package `__init__` and
-docstrings do not count, and the pass repeats until nothing more drops out.
-`audit_edges` is the one declared exception: it is the slow, independent
-oracle of the graph, kept for audits and tests.
+its name: a function or class as a bare name or as an attribute, a method
+as an attribute only, so a local variable of the same name does not reach
+it.  The package `__init__` and docstrings do not count, and the pass
+repeats until nothing more drops out.  There is no exception: the graph's
+slow oracles live in the tests.
 
 A defaulted parameter counts as set when some call in src/ or tests/ to a
 definition of that name (a constructor by its class name) passes it, by
@@ -17,8 +18,6 @@ import ast
 from pathlib import Path
 
 import chaincontrol
-
-ALLOWED_UNUSED = {"audit_edges"}
 
 
 def _definitions(tree):
@@ -33,13 +32,14 @@ def _definitions(tree):
 
 
 def _referenced(nodes):
+    """Names the nodes refer to: bare names as is, attributes as ".name"."""
     names = set()
     for root in nodes:
         for node in ast.walk(root):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                names.add("." + node.attr)
     return names
 
 
@@ -66,10 +66,11 @@ def unused_definitions(package_dir):
     while True:
         dropped = set()
         for mod, qual, name, _, _ in defs:
+            keys = {"." + name} if "." in qual else {name, "." + name}
             if (mod, qual) not in live or name.startswith("__") \
-                    or name in ALLOWED_UNUSED or name in roots:
+                    or keys & roots:
                 continue
-            if not any(name in refs for m, q, _, _, refs in defs
+            if not any(keys & refs for m, q, _, _, refs in defs
                        if (m, q) in live and (m, q) != (mod, qual)):
                 dropped.add((mod, qual))
         if not dropped:
