@@ -394,8 +394,9 @@ def _propagate_family(system, starts, family, h, n_steps, steps,
 
     n_sub = max(1, math.ceil(h / system.step_limit - 1e-9))
     first = np.zeros((n_u, group.dim))
+    field = system.frozen_field(family)
     for _ in range(n_sub):
-        first = group.normalize(_rk4_step(system, first, family, h / n_sub))
+        first = group.normalize(_rk4_step(field, first, h / n_sub))
     anchors = np.zeros((n_steps + 1, n_u, group.dim))
     anchors[1] = first
     filled = 1  # a_0..a_filled are in the table

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
@@ -1286,7 +1287,8 @@ def _propagate(system, starts, family, h, n_steps, steps,
     want = {int(s) for s in steps}
     frames = {0: (rows, y)} if 0 in want else {}
     for step in range(1, n_steps + 1):
-        y = group.normalize(_rk4_step(system, y, family[rows // n_rows], h))
+        y = group.normalize(_rk4_step(system.frozen_field(family[rows // n_rows]),
+                                      y, h))
         coords = y[:, box]
         out = np.any((coords < box_lower) | (coords > box_upper), axis=1)
         if out.any():
@@ -1335,13 +1337,28 @@ def test_anchored_runs_match_direct_integration(name):
             assert np.all(gap <= 1e-8), float(np.max(gap, initial=0.0))
 
 
+def _derivation_basis(alg):
+    """Orthonormal basis (n * n, k) of the derivations D of alg, flattened:
+    the null space of the Leibniz rule D[e_i, e_j] = [D e_i, e_j] + [e_i,
+    D e_j], linear in the entries of D."""
+    n, c = alg.dim, alg.structure
+    rule = []
+    for unit in np.eye(n * n):
+        d = unit.reshape(n, n)
+        rule.append((np.einsum("ijk,lk->ijl", c, d)
+                     - np.einsum("pi,pjl->ijl", d, c)
+                     - np.einsum("pj,ipl->ijl", d, c)).ravel())
+    return null_space(np.array(rule).T)
+
+
 # no shrink phase: most of an example comes from the rng seed, which
 # shrinking cannot simplify, and on a failure it ran for minutes
 @settings(derandomize=True, max_examples=40, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(structure=st.sampled_from(["abelian:2", "heisenberg3",
                                   "heisenberg3-coupled", "heisenberg3-torus",
-                                  "filiform4", "filiform5"]),
+                                  "filiform4", "filiform5",
+                                  "filiform4-coupled", "filiform5-coupled"]),
        a=st.floats(-1.5, 1.5), b=st.floats(-1.5, 1.5),
        seed=st.integers(0, 2 ** 32 - 1), first=st.floats(0.0, 1.0))
 # a row whose bits depended on the rows sharing its matmul failed the exact
@@ -1351,6 +1368,8 @@ def test_anchored_runs_match_direct_integration(name):
 # classes 3 and 4 whatever the draws, with rates of both signs
 @example(structure="filiform4", a=0.9, b=-0.5, seed=4, first=0.5)
 @example(structure="filiform5", a=-0.6, b=1.1, seed=5, first=0.3)
+@example(structure="filiform4-coupled", a=0.7, b=-0.4, seed=6, first=0.4)
+@example(structure="filiform5-coupled", a=-0.5, b=0.9, seed=7, first=0.6)
 def test_anchored_runs_match_oracle_on_random_systems(structure, a, b, seed,
                                                       first):
     # diag(a, b) on the plane; on heisenberg3 the Leibniz rule forces the
@@ -1358,7 +1377,9 @@ def test_anchored_runs_match_oracle_on_random_systems(structure, a, b, seed,
     # [[a, c], [d, b]] and a centre row (e, f)), or a rotation-scaling
     # [[a, -b], [b, a]] that commutes with a torus angle turning the plane;
     # on filiform4 and filiform5 (classes 3 and 4, the quadratic BCH terms
-    # of _translate) the graded rates a + b, 2a + b and 3a + b
+    # of _translate) the graded rates a + b, 2a + b and 3a + b, plus, when
+    # coupled, a derivation drawn from the null space of the Leibniz rule
+    # (a non-diagonal lin and the cubic term of the frozen field)
     rng = np.random.default_rng(seed)
     alg = NilpotentAlgebra(preset_structure(structure.split("-")[0]))
     n = alg.dim
@@ -1370,6 +1391,9 @@ def test_anchored_runs_match_oracle_on_random_systems(structure, a, b, seed,
     drift = np.diag([a, b] + [k * a + b for k in range(1, n - 1)])
     if structure == "heisenberg3-coupled":
         drift[[0, 1, 2, 2], [1, 0, 0, 1]] = rng.uniform(-1.0, 1.0, 4)
+    if structure.startswith("filiform") and structure.endswith("-coupled"):
+        basis = _derivation_basis(alg)
+        drift += (basis @ rng.uniform(-1.0, 1.0, basis.shape[1])).reshape(n, n)
     if structure == "heisenberg3-torus":
         generators = [np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
                                 [0.0, 0.0, 0.0]])]
