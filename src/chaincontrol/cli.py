@@ -264,7 +264,8 @@ def cmd_simulate(args):
                               traj.stats["error_budget"])]
     # refused (compact-part controls) before any file is written
     if args.cross_check:
-        gap = cross_check_residual(system, duration, g0, control)
+        gap = cross_check_residual(system, duration, g0, control,
+                                   traj.endpoint)
         residuals.append(residual_row("closed_form_cross_check", gap, 1e-6))
 
     out = _out_dir(args, "simulate", ["trajectory.csv", "report.json"])

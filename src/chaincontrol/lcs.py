@@ -7,7 +7,10 @@ into a map of the state, RK4 whose step doubling estimates the error and
 sizes the next step (the full and first half step share their first stage
 and take the other three in one stacked pass: 8 field passes, 11 stages,
 per attempt), the structural identity residuals (cocycle, left
-translation), and the level-by-level closed-form solver.
+translation), and the level-by-level closed-form solver.  Independent runs
+advance in lockstep (integrate_runs): their rows are stacked for the field
+passes, the RK4 arithmetic and the estimate, while each run keeps its own
+steps and record.
 """
 
 import itertools
@@ -251,103 +254,185 @@ def _rk4_step(f, y, h, k1=None):
 def _state_scale(y, t):
     """sup over rows of |y|, by hypot so a finite state cannot overflow it;
     a state that is no longer finite ends the run."""
-    scale = float(np.hypot.reduce(y, axis=-1).max())
+    return _finite_scale(float(np.hypot.reduce(y, axis=-1).max()), t)
+
+
+def _finite_scale(scale, t):
     if not math.isfinite(scale):
         raise IntegratorBudgetError(f"state is not finite at t = {t:.6g}")
     return scale
 
 
-@np.errstate(all="ignore")  # overflow ends the run; a zero estimate grows h
-def integrate(system, duration, g0, control):
-    """Error-controlled RK4 over [0, duration], duration > 0.
+class _Run:
+    """One run of integrate_runs: its pieces, its state and its record.
+    Construction validates the run; start puts it at time 0."""
+
+    def __init__(self, system, duration, g0, control):
+        if not duration > 0:
+            raise ValidationError(f"duration must be positive, got {duration}")
+        pieces = control.pieces_over(0.0, duration)
+        for _, value in pieces:
+            if not system.range.contains(value):
+                raise ValidationError(
+                    "control function leaves the admissible range")
+        self.duration, self.g0, self.pieces = duration, g0, iter(pieces)
+        self.trajectory = None
+
+    def start(self, group):
+        y = group.normalize(self.g0)
+        self.shape = y.shape
+        self.y = y.reshape(-1, y.shape[-1])  # the run's rows
+        self.t = self.end = 0.0
+        self.times, self.points = [0.0], [y]
+        self.err = np.zeros(len(self.y))
+        self.peak = _state_scale(y, self.t)  # sup of |y| along the run
+        self.steps = self.rejected = 0
+
+    def next_piece(self, step_limit):
+        """Enter the next control piece, from step_limit; False when the
+        run has none left."""
+        while self.t == self.end:
+            piece = next(self.pieces, None)
+            if piece is None:
+                return False
+            length, self.u = piece
+            self.end = self.t + length
+            self.size = min(step_limit, length)
+        return True
+
+    def finish(self):
+        total = float(np.max(self.err))
+        budget = BUDGET_RATE * self.duration * max(1.0, self.peak)
+        if not total <= budget:  # also catches the NaN of an overflowing state
+            raise IntegratorBudgetError(
+                f"integrator error estimate {total:.3e} exceeds budget {budget:.3e}")
+        self.trajectory = Trajectory(
+            self.times, self.points,
+            {"steps": self.steps, "rejected": self.rejected,
+             "error_estimate": total, "error_budget": budget})
+
+
+@np.errstate(all="ignore")  # overflow ends a run; a zero estimate grows h
+def integrate_runs(system, runs):
+    """Error-controlled RK4 of independent (duration, g0, control) runs,
+    each over [0, duration], duration > 0; returns one Trajectory per run.
 
     A step at h and two at h/2 estimate its error by their distance / 15.
-    The two-half-step result is accepted when the largest row is at most
-    target = FRACTION * BUDGET_RATE * h * max(1, sup |y|), else retried
-    (stats["rejected"]); h then scales by min(GROW, max(SHRINK, SAFETY *
-    (target / estimate) ** (1/4))), from step_limit at each control piece.
-    The summed estimates must stay below stats["error_budget"], BUDGET_RATE
-    * duration * max(1, sup |y|), or IntegratorBudgetError is raised, as
-    it is for a non-finite trial and a step below MIN_STEP * step_limit.
+    A run's two-half-step result is accepted when its largest row is at
+    most target = FRACTION * BUDGET_RATE * h * max(1, sup |y|), else
+    retried (stats["rejected"]); its h then scales by min(GROW, max(SHRINK,
+    SAFETY * (target / estimate) ** (1/4))), from step_limit at each
+    control piece.  A run's summed estimates must stay below
+    stats["error_budget"], BUDGET_RATE * duration * max(1, sup |y|), or
+    IntegratorBudgetError is raised, as it is for a non-finite trial and a
+    step below MIN_STEP * step_limit.  Every run is validated before the
+    first step, and the first run to fail raises its own error.
+
+    The runs advance in lockstep.  The rows of a run share its steps and
+    separate runs never do: each keeps its own h, piece, estimate, sup
+    |y|, budget and record.  One attempt stacks the rows of every active
+    run and takes, for all of them at once, the field passes (frozen from
+    one control per row whenever some run enters a piece or ends), the
+    RK4 arithmetic with a per-row h, and one distance.  The full and first
+    half step share their first stage and take the other three in one
+    stacked pass: 8 field passes, 11 stages.  Every row's bits are those
+    of its run alone.
     """
-    group = system.group
-    if not duration > 0:
-        raise ValidationError(f"duration must be positive, got {duration}")
-    pieces = control.pieces_over(0.0, duration)
-    for _, value in pieces:
-        if not system.range.contains(value):
-            raise ValidationError("control function leaves the admissible range")
-
-    y = group.normalize(g0)
-    t = 0.0
-    times = [0.0]
-    points = [y]
-    err = np.zeros(y.shape[:-1])
-    peak = _state_scale(y, t)  # sup of |y| along the run
-    steps = rejected = 0
+    group, limit, m = system.group, system.step_limit, system.range.m
+    runs = [_Run(system, *run) for run in runs]
+    for run in runs:
+        run.start(group)
+        run.next_piece(limit)
     # the full step and the first half step, stacked on a leading axis
-    split = np.array([1.0, 0.5]).reshape((2,) + (1,) * y.ndim)
-    for length, u in pieces:
-        f = system.frozen_field(u)
-        end = t + length
-        size = min(system.step_limit, length)
-        while t != end:
+    split = np.array([1.0, 0.5])[:, None, None]
+    active, f = runs, None
+    while active:
+        if f is None:  # a run entered a piece or ended
+            rows = [len(r.y) for r in active]
+            firsts = np.cumsum([0] + rows[:-1])
+            f = system.frozen_field(np.concatenate([
+                np.broadcast_to(r.u, r.shape[:-1] + (m,)).reshape(-1, m)
+                for r in active]))
+        y = np.concatenate([r.y for r in active])
+        for r in active:
             # land on the piece end; stretch a step rather than leave a sliver
-            t_next = end if end - t <= 1.01 * size else t + size
-            h = t_next - t
-            k1 = f(y)  # the full and first half step share it
-            full, mid = _rk4_step(f, y, split * h, k1)
-            half = _rk4_step(f, mid, 0.5 * h)
-            estimate = group.distance(full, half) / 15.0
-            worst = np.max(estimate)
+            r.t_next = r.end if r.end - r.t <= 1.01 * r.size else r.t + r.size
+        hs = [r.t_next - r.t for r in active]
+        h = np.repeat(hs, rows)[:, None]
+        k1 = f(y)  # the full and first half step share it
+        full, mid = _rk4_step(f, y, split * h, k1)
+        half = _rk4_step(f, mid, 0.5 * h)
+        estimate = group.distance(full, half) / 15.0
+        worsts = np.maximum.reduceat(estimate, firsts)
+        settled = group.normalize(half)
+        scales = np.maximum.reduceat(np.hypot.reduce(settled, axis=-1), firsts)
+        for r, lo, n, h_r, worst, scale in zip(active, firsts, rows, hs,
+                                               worsts, scales):
+            rows_r = slice(lo, lo + n)
             if not math.isfinite(worst):
-                _state_scale(np.stack((full, half)), t_next)
+                _state_scale(np.stack((full[rows_r], half[rows_r])), r.t_next)
                 raise IntegratorBudgetError(
-                    f"integrator error estimate is not finite at t = {t_next:.6g}")
-            target = FRACTION * BUDGET_RATE * h * max(1.0, peak)
-            size = h * min(GROW, max(SHRINK, SAFETY * (target / worst) ** 0.25))
+                    f"integrator error estimate is not finite at t = {r.t_next:.6g}")
+            target = FRACTION * BUDGET_RATE * h_r * max(1.0, r.peak)
+            r.size = h_r * min(GROW, max(SHRINK, SAFETY * (target / worst) ** 0.25))
             if worst > target:
-                rejected += 1
-                if size < MIN_STEP * system.step_limit:
+                r.rejected += 1
+                if r.size < MIN_STEP * limit:
                     raise IntegratorBudgetError(
-                        f"integrator step {size:.3e} too small at t = {t:.6g}")
+                        f"integrator step {r.size:.3e} too small at t = {r.t:.6g}")
                 continue
-            err = err + estimate
-            y = group.normalize(half)
-            t = t_next
-            peak = max(peak, _state_scale(y, t))
-            steps += 1
-            times.append(t)
-            points.append(y)
-    total = float(np.max(err))
-    budget = BUDGET_RATE * duration * max(1.0, peak)
-    if not total <= budget:  # also catches the NaN of an overflowing state
-        raise IntegratorBudgetError(
-            f"integrator error estimate {total:.3e} exceeds budget {budget:.3e}")
-    return Trajectory(times, points,
-                      {"steps": steps, "rejected": rejected,
-                       "error_estimate": total, "error_budget": budget})
+            r.err = r.err + estimate[rows_r]
+            r.y = settled[rows_r]
+            r.t = r.t_next
+            r.peak = max(r.peak, _finite_scale(float(scale), r.t))
+            r.steps += 1
+            r.times.append(r.t)
+            r.points.append(r.y.reshape(r.shape))
+            if r.t == r.end:
+                f = None
+                if not r.next_piece(limit):
+                    r.finish()
+        active = [r for r in active if r.trajectory is None]
+    return [r.trajectory for r in runs]
 
 
-def translation_identity_residual(system, t, h_point, g_point, control):
-    """Distance between the two sides of the left-translation identity.
+def integrate(system, duration, g0, control):
+    """Error-controlled RK4 over [0, duration]: the one-run call of
+    integrate_runs, whose docstring gives the step controller."""
+    return integrate_runs(system, [(duration, g0, control)])[0]
+
+
+def translation_identity_residual(system, samples):
+    """Distance between the two sides of the left-translation identity, one
+    array per (t, h_point, g_point, control) sample.
 
     The trajectory from a product h*g equals the trajectory from h,
     right-multiplied by the drift flow of g.  Points may carry batch axes.
+    The two runs of every sample are integrated in one integrate_runs call.
     """
     group = system.group
-    lhs = integrate(system, t, group.multiply(h_point, g_point), control).endpoint
-    moving = integrate(system, t, h_point, control).endpoint
-    rhs = group.multiply(moving, group.linear_flow(t, g_point, system.derivation))
-    return group.distance(lhs, rhs)
+    ends = [traj.endpoint for traj in integrate_runs(system, [
+        run for t, h_point, g_point, control in samples
+        for run in ((t, group.multiply(h_point, g_point), control),
+                    (t, h_point, control))])]
+    return [group.distance(lhs, group.multiply(
+                moving, group.linear_flow(t, g_point, system.derivation)))
+            for (t, _, g_point, _), lhs, moving
+            in zip(samples, ends[::2], ends[1::2])]
 
 
-def cocycle_residual(system, t, s, g, control):
-    """Distance between the full run and the restart after time s."""
-    full = integrate(system, t + s, g, control).endpoint
-    mid = integrate(system, s, g, control).endpoint
-    then = integrate(system, t, mid, control.shift(s)).endpoint
-    return system.group.distance(full, then)
+def cocycle_residual(system, samples):
+    """Distance between the full run and the restart after time s, one
+    array per (t, s, g, control) sample.  The full runs and the runs to s
+    share one integrate_runs call, the restarts another."""
+    first = integrate_runs(system, [
+        run for t, s, g, control in samples
+        for run in ((t + s, g, control), (s, g, control))])
+    then = integrate_runs(system, [
+        (t, mid.endpoint, control.shift(s))
+        for (t, s, _, control), mid in zip(samples, first[1::2])])
+    return [system.group.distance(full.endpoint, restart.endpoint)
+            for full, restart in zip(first[::2], then)]
 
 
 # -- level-by-level closed solution -----------------------------------------
@@ -472,10 +557,10 @@ def triangular_solve(system, duration, g0, control):
     return TriangularSolution(components, ambient[-1])
 
 
-def cross_check_residual(system, duration, g0, control):
-    """Max per-level relative gap between the closed solve and integration."""
+def cross_check_residual(system, duration, g0, control, end):
+    """Max per-level relative gap between the closed solve and end, the
+    endpoint the caller integrated from g0 under control."""
     sol = triangular_solve(system, duration, g0, control)
-    end = integrate(system, duration, g0, control).endpoint
     _, x_end = system.group.split(end)
     worst = 0.0
     for level, part in enumerate(sol.components, start=1):

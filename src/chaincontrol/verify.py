@@ -39,6 +39,7 @@ from .lcs import (
     ControlFunction,
     cocycle_residual,
     cross_check_residual,
+    integrate_runs,
     translation_identity_residual,
 )
 from .spectral import GradedBlocks
@@ -310,16 +311,17 @@ def check_flow_identities(seed):
 
     The left-translation identity and the cocycle property are integrated
     on the circle-over-plane model for 50 random samples of start points,
-    durations, and piecewise controls; points are batched per (t, s,
-    control) bucket so the integrations stay cheap.  The closed
-    level-by-level solve is cross-checked against integration on the
-    expanding graded example.
+    durations, and piecewise controls, 5 batches of 10 points each with
+    its own (t, s, control).  The closed level-by-level solve is
+    cross-checked against integration on the expanding graded example.
+    Each stage's independent runs go into one integrate_runs call: the 10
+    translation runs, the 10 full and first cocycle runs, the 5 restarts
+    and the 5 cross-check runs.
     """
     rng = np.random.default_rng(seed + 2)
     system = cfg.build_system(cfg.preset_config("rotation-plane"))
-    worst_translation = 0.0
-    worst_cocycle = 0.0
     n_batches, per_batch = 5, 10
+    translation, cocycle = [], []
     for _ in range(n_batches):
         t = float(rng.uniform(0.5, 2.0))
         s = float(rng.uniform(0.25, 1.0))
@@ -331,21 +333,23 @@ def check_flow_identities(seed):
         xs = rng.uniform(-1.0, 1.0, (2, per_batch, 2))
         g = np.concatenate([theta[0], xs[0]], axis=1)
         h = np.concatenate([theta[1], xs[1]], axis=1)
-        r_t = translation_identity_residual(system, t, h, g, control)
-        r_c = cocycle_residual(system, t, s, g, control)
-        worst_translation = max(worst_translation, float(np.max(r_t)))
-        worst_cocycle = max(worst_cocycle, float(np.max(r_c)))
+        translation.append((t, h, g, control))
+        cocycle.append((t, s, g, control))
+    worst_translation = max(float(np.max(r)) for r in
+                            translation_identity_residual(system, translation))
+    worst_cocycle = max(float(np.max(r)) for r in
+                        cocycle_residual(system, cocycle))
 
     hsys = cfg.build_system(cfg.preset_config("heisenberg-expanding"))
-    worst_cross = 0.0
     n_cross = 5
+    cross = []
     for _ in range(n_cross):
         dur = float(rng.uniform(0.5, 1.5))
         breaks = [0.0, dur / 3.0, 2.0 * dur / 3.0, dur]
         control = ControlFunction(breaks, rng.uniform(-1.0, 1.0, (3, 1)))
-        g0 = rng.uniform(-0.5, 0.5, 3)
-        worst_cross = max(worst_cross,
-                          float(cross_check_residual(hsys, dur, g0, control)))
+        cross.append((dur, rng.uniform(-0.5, 0.5, 3), control))
+    worst_cross = max(float(cross_check_residual(hsys, *run, traj.endpoint))
+                      for run, traj in zip(cross, integrate_runs(hsys, cross)))
     tol = {"translation_identity": 1e-6, "cocycle": 1e-6, "cross_check": 1e-6}
     measured = {"translation_identity": worst_translation,
                 "cocycle": worst_cocycle, "cross_check": worst_cross,

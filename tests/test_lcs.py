@@ -15,6 +15,7 @@ from chaincontrol.lcs import (
     cocycle_residual,
     cross_check_residual,
     integrate,
+    integrate_runs,
     level_source,
     translation_identity_residual,
     triangular_solve,
@@ -273,6 +274,84 @@ def test_integrate_shares_first_stage(case, monkeypatch):
     assert np.array_equal(out.points, points)
 
 
+@pytest.mark.parametrize("case", sorted(cfg.PRESETS) + ["filiform4",
+                                                          "filiform5"])
+def test_integrate_runs_keep_the_bits_of_each_run_alone(case):
+    # the rows of a run share its steps and separate runs never do, so a
+    # run stacked with others takes the steps and bits of its own call
+    system = _field_case_system(case)
+    rng = np.random.default_rng(23)
+    m, dim = system.range.m, system.group.dim
+    runs = []
+    for rows, n_pieces in [(None, 2), (1, 1), (7, 3), (None, 1), (3, 3)]:
+        duration = float(rng.uniform(0.05, 0.25))
+        breaks = np.concatenate([[0.0], np.sort(rng.uniform(
+            0.0, duration, n_pieces - 1)), [duration]])
+        # a batch holds one control per row, or one for all rows
+        per_row = () if rows is None or rows == 3 else (rows,)
+        values = rng.uniform(system.range.lower, system.range.upper,
+                             (n_pieces,) + per_row + (m,))
+        g0 = rng.uniform(-1.0, 1.0, (dim,) if rows is None else (rows, dim))
+        runs.append((duration, g0, ControlFunction(breaks, values)))
+    for together, run in zip(integrate_runs(system, runs), runs):
+        alone = integrate(system, *run)
+        assert together.points.shape == alone.points.shape
+        assert np.array_equal(together.times, alone.times)
+        assert np.array_equal(together.points, alone.points)
+        assert together.stats == alone.stats
+
+
+def _perturb_stacked_pass(monkeypatch):
+    """Rows whose first control is 0.5 see a field 1e-3 off in the stacked
+    pass of the full and first half step only: an error no step meets."""
+    frozen = LinearControlSystem.frozen_field
+
+    def perturbed(self, u):
+        field = frozen(self, u)
+        off = 1e-3 * (np.asarray(u)[..., :1] == 0.5)
+        return lambda g: field(g) + off if g.ndim == 3 else field(g)
+    monkeypatch.setattr(LinearControlSystem, "frozen_field", perturbed)
+
+
+@pytest.mark.parametrize("failure, rate, bad, message", [
+    ("not finite", 1.0, (1.0, [1e308], [0.0]), "state is not finite"),
+    ("step collapses", -1.0, (1.0, [0.0], [0.5]), "too small at t = 0"),
+    ("over budget", 1.0, (1.0, [0.0], [1.0]), "exceeds budget"),
+    ("out of range", -1.0, (1.0, [0.0], [3.0]), "leaves the admissible"),
+    ("duration", -1.0, (0.0, [0.0], [0.5]), "duration must be positive"),
+])
+def test_integrate_runs_raise_the_error_of_the_failing_run(
+        failure, rate, bad, message, monkeypatch):
+    system = scalar_system(rate)
+    duration, start, value = bad
+    bad = (duration, np.array(start), ControlFunction.constant(value, 0.0, 1.0))
+    rng = np.random.default_rng(24)
+    healthy = [(d, rng.uniform(-1.0, 1.0, shape),
+                ControlFunction([0.0, 0.3, d], rng.uniform(-0.4, 0.4, (2, 1))))
+               for d, shape in [(0.6, (1,)), (1.0, (4, 1)), (0.8, (2, 1))]]
+    if failure == "step collapses":
+        _perturb_stacked_pass(monkeypatch)
+    if failure == "over budget":
+        # a share far above the budget spends it; runs at rest spend none
+        monkeypatch.setattr(lcs, "FRACTION", 1e6)
+        healthy = [(d, np.zeros(g0.shape), ControlFunction.constant(
+            [0.0], 0.0, d)) for d, g0, _ in healthy]
+    first_fails = []
+    if failure in ("out of range", "duration"):
+        # every run is validated before any run starts
+        first_fails = [(1.0, np.array([np.inf]),
+                        ControlFunction.constant([0.0], 0.0, 1.0))]
+    with pytest.raises((IntegratorBudgetError, ValidationError),
+                       match=message) as alone:
+        integrate(system, *bad)
+    with pytest.raises(type(alone.value)) as mixed:
+        integrate_runs(system, first_fails + healthy[:2] + [bad] + healthy[2:])
+    assert str(mixed.value) == str(alone.value)
+    # the healthy runs end without it
+    assert all(traj.stats["steps"] > 0
+               for traj in integrate_runs(system, healthy))
+
+
 def test_integrate_rejects_and_retries_steps():
     # the decay shrinks the error, so h grows by GROW until a step overshoots
     system = scalar_system(-10.0)
@@ -397,7 +476,7 @@ def test_cocycle_residual_small():
         g = np.concatenate([rng.uniform(-np.pi, np.pi, 1),
                             rng.standard_normal(2)])
         t, s = rng.uniform(0.2, 1.8, size=2)
-        assert cocycle_residual(system, t, s, g, u) < 1e-6
+        assert cocycle_residual(system, [(t, s, g, u)])[0] < 1e-6
 
 
 def test_translation_identity_residual_small():
@@ -411,7 +490,8 @@ def test_translation_identity_residual_small():
         g_pt = np.concatenate([rng.uniform(-np.pi, np.pi, 1),
                                rng.standard_normal(2)])
         t = rng.uniform(0.2, 2.0)
-        assert translation_identity_residual(system, t, h_pt, g_pt, u) < 1e-6
+        assert translation_identity_residual(
+            system, [(t, h_pt, g_pt, u)])[0] < 1e-6
 
 
 def test_translation_identity_trivial_cases():
@@ -419,7 +499,7 @@ def test_translation_identity_trivial_cases():
     u = ControlFunction.constant([0.3, -0.4], 0.0, 1.0)
     h_pt = np.array([0.4, 1.0, 2.0])
     e = np.zeros(system.group.dim)
-    assert translation_identity_residual(system, 1.0, h_pt, e, u) < 1e-12
+    assert translation_identity_residual(system, [(1.0, h_pt, e, u)])[0] < 1e-12
 
 
 def test_translation_identity_batched():
@@ -431,7 +511,7 @@ def test_translation_identity_batched():
                             rng.standard_normal((4, 2))], axis=1)
     g_pts = np.concatenate([rng.uniform(-np.pi, np.pi, (4, 1)),
                             rng.standard_normal((4, 2))], axis=1)
-    batch = translation_identity_residual(system, 1.0, h_pts, g_pts, u)
+    (batch,) = translation_identity_residual(system, [(1.0, h_pts, g_pts, u)])
     assert batch.shape == (4,)
 
     def accepted_error(h_pt, g_pt):
@@ -441,22 +521,49 @@ def test_translation_identity_batched():
         return sum(lcs.FRACTION * integrate(system, 1.0, start, u)
                    .stats["error_budget"] for start in starts)
 
-    # a batch steps as its worst row does, so batch and single runs agree
-    # to their error targets only; right multiplication by the drift image
-    # f of g stretches an endpoint error by at most 1 + |x_f|
+    # the rows of one run share its steps, sized by its worst row, so batch
+    # and single runs agree to their error targets only; right
+    # multiplication by the drift image f of g stretches an endpoint error
+    # by at most 1 + |x_f|
     batch_error = accepted_error(h_pts, g_pts)
     for i in range(4):
-        single = translation_identity_residual(system, 1.0, h_pts[i], g_pts[i], u)
+        (single,) = translation_identity_residual(
+            system, [(1.0, h_pts[i], g_pts[i], u)])
         _, x_f = group.split(group.linear_flow(1.0, g_pts[i], system.derivation))
         bound = (1.0 + np.linalg.norm(x_f)) * (
             batch_error + accepted_error(h_pts[i], g_pts[i]))
         assert abs(batch[i] - single) <= bound
     # equal rows take the single run's steps
-    repeated = translation_identity_residual(
-        system, 1.0, np.repeat(h_pts[:1], 3, axis=0),
-        np.repeat(g_pts[:1], 3, axis=0), u)
-    single = translation_identity_residual(system, 1.0, h_pts[0], g_pts[0], u)
+    (repeated,) = translation_identity_residual(
+        system, [(1.0, np.repeat(h_pts[:1], 3, axis=0),
+                  np.repeat(g_pts[:1], 3, axis=0), u)])
+    (single,) = translation_identity_residual(
+        system, [(1.0, h_pts[0], g_pts[0], u)])
     assert np.array_equal(repeated, np.full(3, single))
+    # separate runs never share steps: samples passed together keep the
+    # bits each has alone
+    other = ControlFunction([0.0, 0.5, 1.7], [[0.9, 0.1], [-0.6, 0.8]])
+    together = translation_identity_residual(
+        system, [(1.0, h_pts, g_pts, u), (1.7, h_pts[0], g_pts[0], other)])
+    (alone,) = translation_identity_residual(
+        system, [(1.7, h_pts[0], g_pts[0], other)])
+    assert np.array_equal(together[0], batch)
+    assert np.array_equal(together[1], alone)
+
+
+def test_cocycle_residual_batched():
+    system = rotation_plane_system()
+    rng = np.random.default_rng(8)
+    g_pts = np.concatenate([rng.uniform(-np.pi, np.pi, (4, 1)),
+                            rng.standard_normal((4, 2))], axis=1)
+    u = ControlFunction([0.0, 0.6, 2.5], rng.uniform(-1, 1, (2, 4, 2)))
+    other = ControlFunction([0.0, 1.1, 2.0], [[0.2, -0.7], [0.5, 0.4]])
+    samples = [(1.2, 0.7, g_pts, u), (0.9, 1.1, g_pts[2], other)]
+    together = cocycle_residual(system, samples)
+    assert together[0].shape == (4,) and together[1].shape == ()
+    for sample, residual in zip(samples, together):
+        (alone,) = cocycle_residual(system, [sample])
+        assert np.array_equal(residual, alone)
 
 
 def test_triangular_scalar_piecewise_hand_value():
@@ -466,7 +573,8 @@ def test_triangular_scalar_piecewise_hand_value():
     x_half = (np.exp(0.5) - 1.0) * 1.0
     expected = np.exp(0.5) * x_half + (np.exp(0.5) - 1.0) * (-0.3)
     assert sol.combined[0] == pytest.approx(expected, abs=1e-8)
-    assert cross_check_residual(system, 1.0, np.zeros(1), u) < 1e-6
+    end = integrate(system, 1.0, np.zeros(1), u).endpoint
+    assert cross_check_residual(system, 1.0, np.zeros(1), u, end) < 1e-6
 
 
 def test_triangular_abelian_classical_formula():
@@ -489,7 +597,8 @@ def test_triangular_heisenberg_matches_integrate():
         breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.2, 1.6, 2)), [1.7]])
         u = ControlFunction(breaks, rng.uniform(-1, 1, size=(3, 1)))
         x0 = 0.5 * rng.standard_normal(3)
-        assert cross_check_residual(system, 1.7, x0, u) < 1e-6
+        end = integrate(system, 1.7, x0, u).endpoint
+        assert cross_check_residual(system, 1.7, x0, u, end) < 1e-6
 
 
 def test_triangular_zero_control_zero_start():
