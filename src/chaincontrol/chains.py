@@ -788,6 +788,23 @@ def theoretical_bound(certificate, c_estimates):
                        c_estimates=c_estimates, tau=certificate.tau)
 
 
+def _row_blocks(frames):
+    """The rows and states of (rows, states) frames, in order, regrouped
+    into blocks of at most STEP_BLOCK rows: a frame is cut where it
+    overflows a block, and the pieces of each block are concatenated."""
+    held, size = [], 0
+    for rows, pts in frames:
+        for lo in range(0, len(rows), STEP_BLOCK):
+            piece = rows[lo:lo + STEP_BLOCK], pts[lo:lo + STEP_BLOCK]
+            if size + len(piece[0]) > STEP_BLOCK:
+                yield [np.concatenate(part) for part in zip(*held)]
+                held, size = [], 0
+            held.append(piece)
+            size += len(piece[0])
+    if held:
+        yield [np.concatenate(part) for part in zip(*held)]
+
+
 def estimate_source_constants(system, window, tau, control_family=None):
     """Empirical per-level source constants C_i for theoretical_bound.
 
@@ -801,7 +818,9 @@ def estimate_source_constants(system, window, tau, control_family=None):
     is central, fixed by the action and annihilated by D), the source term
     zeroes the circle columns, and truncation tests box coordinates only.
     The action norm sup over the torus cells (`action_norm_sup`) is added
-    per the bound's jump-size constant.
+    per the bound's jump-size constant.  The frames of a control slice are
+    evaluated together, in blocks of at most STEP_BLOCK rows (`_row_blocks`):
+    one field pass, two matmuls and the per-level norms per block.
     """
     group = system.group
     alg = system.algebra
@@ -822,19 +841,18 @@ def estimate_source_constants(system, window, tau, control_family=None):
         frames, _ = _propagate_family(
             system, starts, family, h, n_steps, steps, window.lower[box],
             window.upper[box], box)
-        for rows, pts in frames:
-            u_idx = rows // len(starts)
+        for rows, pts in _row_blocks(frames):
             # circle coordinates carry no level extent
             x = np.where(box, pts, 0.0)[:, group.h_dim:]
-            xdot = np.where(box, system.field(family[u_idx], pts),
+            xdot = np.where(box, system.field(family[rows // len(starts)], pts),
                             0.0)[:, group.h_dim:]
             graded_x = x @ alg.frame
             graded_v = xdot @ alg.frame
             for i, sl in enumerate(alg.level_slices):
                 b = system.blocks.block(i + 1, i + 1)
                 src = graded_v[:, sl] - graded_x[:, sl] @ b.T
-                sup[i] = max(sup[i], float(np.max(np.linalg.norm(src, axis=-1),
-                                                  initial=0.0)))
+                sup[i] = max(sup[i],
+                             float(np.max(np.linalg.norm(src, axis=-1))))
 
     return sup + action_norm_sup(window)
 

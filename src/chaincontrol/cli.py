@@ -86,8 +86,11 @@ def _raw_config(args):
         data = cfg.preset_raw(preset)
     else:
         try:
+            # libyaml's parser where PyYAML was built with it; both loaders
+            # use SafeConstructor, so they build the same dict
             with open(path) as fh:
-                data = yaml.safe_load(fh)
+                data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                                    yaml.SafeLoader))
         except OSError as exc:
             raise ValidationError(f"cannot read config {path}: {exc}")
         except yaml.YAMLError as exc:

@@ -4,7 +4,15 @@ The ambient group is T^m x_rho N where N is a simply connected nilpotent
 group in exponential coordinates, optionally with some central coordinates
 wrapped into circle factors.  Points are flat arrays (angles first, then
 nilpotent coordinates) so that every operation batches over leading axes.
+
+The sampled residuals of the drift flow and of the quotient map draw their
+N_SAMPLES in the order of a loop over samples and evaluate them in one
+stacked pass, each sample with the bits of a call of its own.  A sample
+that is not finite makes its residual NaN, which validate_linear_flow
+refuses.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -230,33 +238,56 @@ class SemidirectGroup:
         return d_h + norm
 
     def linear_flow(self, t, g, matrix):
-        """(h, x) -> (h, e^{t matrix} x) for the drift derivation matrix."""
+        """(h, x) -> (h, e^{t matrix} x) for the drift derivation matrix.
+
+        An array t broadcasts against the leading axes of g, one propagator
+        per entry from one stacked expm; each row then meets its own
+        propagator alone, so it keeps the bits of a call with its scalar t.
+        """
         h, x = self.split(np.asarray(g, dtype=float))
-        prop = expm(float(t) * np.asarray(matrix, dtype=float))
-        return self.normalize(self.join(h, x @ prop.T))
+        t = np.asarray(t, dtype=float)
+        prop = expm(t[..., None, None] * np.asarray(matrix, dtype=float))
+        if t.ndim:
+            x = (x[..., None, :] @ np.swapaxes(prop, -1, -2))[..., 0, :]
+        else:
+            x = x @ prop.T
+        return self.normalize(self.join(h, x))
 
 
+def _draws(n, draw):
+    """n draws of draw(), each a tuple, stacked field by field: the rng
+    calls keep the order of a loop over samples."""
+    return [np.array(field) for field in zip(*(draw() for _ in range(n)))]
+
+
+@np.errstate(all="ignore")  # a non-finite sample reads NaN
 def compatibility_residual(group, matrix):
-    """Sup over samples of |e^{tD} rho(h) - rho(h) e^{tD}|."""
+    """Sup over samples of |e^{tD} rho(h) - rho(h) e^{tD}|; NaN when a
+    sample is not finite."""
     rng = np.random.default_rng(8)
-    d = np.asarray(matrix, dtype=float)
-    worst = 0.0
-    for _ in range(N_SAMPLES):
-        h = rng.uniform(-np.pi, np.pi, size=group.h_dim)
-        t = rng.uniform(-2.0, 2.0)
-        prop = expm(t * d)
-        lhs = prop @ group.action.matrix(h)
-        rhs = group.action.matrix(h) @ prop
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    h, t = _draws(N_SAMPLES, lambda: (
+        rng.uniform(-np.pi, np.pi, size=group.h_dim), rng.uniform(-2.0, 2.0)))
+    prop = expm(t[:, None, None] * np.asarray(matrix, dtype=float))
+    rho = group.action.matrix(h)
+    return float(np.max(np.abs(prop @ rho - rho @ prop)))
+
+
+def _finite(worst, name):
+    """The residual worst, refused when a sample made it NaN or inf."""
+    if not math.isfinite(worst):
+        raise NotAutomorphismError(f"{name} residual is not finite")
     return worst
 
 
+@np.errstate(all="ignore")  # an overflowing flow is refused, not warned of
 def validate_linear_flow(group, matrix):
     """Drift flow must consist of group automorphisms.
 
     Checks phi_t(ab) = phi_t(a) phi_t(b) on random pairs together with the
-    action compatibility e^{tD} rho(h) = rho(h) e^{tD}.  Raises beyond
-    FLOW_ATOL.
+    action compatibility e^{tD} rho(h) = rho(h) e^{tD}, each over its
+    N_SAMPLES in one stacked pass with one stacked expm (ab, a and b share
+    their sample's propagator).  Raises unless both residuals are at
+    most FLOW_ATOL: beyond it, or not finite when some sample overflows.
     """
     d = np.asarray(matrix, dtype=float)
     if d.shape != (group.x_dim, group.x_dim):
@@ -266,20 +297,21 @@ def validate_linear_flow(group, matrix):
             "drift must annihilate angular nilpotent directions")
     check_derivation(group.algebra, d)
 
-    worst_compat = compatibility_residual(group, d)
+    worst_compat = _finite(compatibility_residual(group, d),
+                           "drift intertwining")
     if worst_compat > FLOW_ATOL:
         raise IncompatibleActionError(
             f"drift does not intertwine the action, residual {worst_compat:.3e}")
 
     rng = np.random.default_rng(8)
-    worst = 0.0
-    for _ in range(N_SAMPLES):
-        a = _random_point(group, rng)
-        b = _random_point(group, rng)
-        t = rng.uniform(-1.5, 1.5)
-        lhs = group.linear_flow(t, group.multiply(a, b), d)
-        rhs = group.multiply(group.linear_flow(t, a, d), group.linear_flow(t, b, d))
-        worst = max(worst, float(group.distance(lhs, rhs)))
+    a, b, t = _draws(N_SAMPLES, lambda: (
+        _random_point(group, rng), _random_point(group, rng),
+        rng.uniform(-1.5, 1.5)))
+    # ab, a and b under each sample's one propagator
+    ab_t, a_t, b_t = group.linear_flow(
+        t, np.stack([group.multiply(a, b), a, b]), d)
+    worst = _finite(float(np.max(group.distance(
+        ab_t, group.multiply(a_t, b_t)))), "flow automorphism")
     if worst > FLOW_ATOL:
         raise NotAutomorphismError(
             f"flow automorphism residual {worst:.3e} exceeds {FLOW_ATOL:.1e}")
@@ -338,24 +370,24 @@ class ConjugationMap:
         h, x = self.group.split(np.asarray(g, dtype=float))
         return self.target.join(h, x[..., self.keep])
 
+    @np.errstate(all="ignore")
     def homomorphism_residual(self):
+        """Sup over samples of d(psi(ab), psi(a) psi(b)), in one stacked
+        pass; NaN when a sample is not finite."""
         rng = np.random.default_rng(9)
-        worst = 0.0
-        for _ in range(N_SAMPLES):
-            a = _random_point(self.group, rng)
-            b = _random_point(self.group, rng)
-            lhs = self.apply(self.group.multiply(a, b))
-            rhs = self.target.multiply(self.apply(a), self.apply(b))
-            worst = max(worst, float(self.target.distance(lhs, rhs)))
-        return worst
+        a, b = _draws(N_SAMPLES, lambda: (_random_point(self.group, rng),
+                                          _random_point(self.group, rng)))
+        lhs = self.apply(self.group.multiply(a, b))
+        rhs = self.target.multiply(self.apply(a), self.apply(b))
+        return float(np.max(self.target.distance(lhs, rhs)))
 
+    @np.errstate(all="ignore")
     def flow_equivariance_residual(self):
+        """Sup over samples of d(psi(phi_t(g)), phi^_t(psi(g))), in one
+        stacked pass; NaN when a sample is not finite."""
         rng = np.random.default_rng(10)
-        worst = 0.0
-        for _ in range(N_SAMPLES):
-            g = _random_point(self.group, rng)
-            t = rng.uniform(-2.0, 2.0)
-            lhs = self.apply(self.group.linear_flow(t, g, self.matrix))
-            rhs = self.target.linear_flow(t, self.apply(g), self.matrix_hat)
-            worst = max(worst, float(self.target.distance(lhs, rhs)))
-        return worst
+        g, t = _draws(N_SAMPLES, lambda: (_random_point(self.group, rng),
+                                          rng.uniform(-2.0, 2.0)))
+        lhs = self.apply(self.group.linear_flow(t, g, self.matrix))
+        rhs = self.target.linear_flow(t, self.apply(g), self.matrix_hat)
+        return float(np.max(self.target.distance(lhs, rhs)))

@@ -6,11 +6,12 @@ directions.  The module provides the field, frozen once per control value
 into a map of the state, RK4 whose step doubling estimates the error and
 sizes the next step (the full and first half step share their first stage
 and take the other three in one stacked pass: 8 field passes, 11 stages,
-per attempt), the structural identity residuals (cocycle, left
-translation), and the level-by-level closed-form solver.  Independent runs
-advance in lockstep (integrate_runs): their rows are stacked for the field
-passes, the RK4 arithmetic and the estimate, while each run keeps its own
-steps and record.
+per attempt), the structural identity residuals (left translation and
+cocycle, from two integrate_runs calls), and the level-by-level
+closed-form solver.  Independent runs advance in lockstep
+(integrate_runs): their rows are stacked for the field passes, the RK4
+arithmetic and the estimate, while each run keeps its own steps and
+record.
 """
 
 import itertools
@@ -402,37 +403,37 @@ def integrate(system, duration, g0, control):
     return integrate_runs(system, [(duration, g0, control)])[0]
 
 
-def translation_identity_residual(system, samples):
-    """Distance between the two sides of the left-translation identity, one
-    array per (t, h_point, g_point, control) sample.
+def flow_identity_residuals(system, translation, cocycle):
+    """Residuals of the two structural identities of the controlled flow:
+    one array per (t, h_point, g_point, control) translation sample and one
+    per (t, s, g, control) cocycle sample, as two lists.
 
-    The trajectory from a product h*g equals the trajectory from h,
-    right-multiplied by the drift flow of g.  Points may carry batch axes.
-    The two runs of every sample are integrated in one integrate_runs call.
+    Left translation: the trajectory from a product h*g equals the
+    trajectory from h, right-multiplied by the drift flow of g.  Cocycle:
+    the full run over t + s equals the restart after time s.  Points may
+    carry batch axes.  The two translation runs of every sample and the
+    full and first cocycle runs share one integrate_runs call, the
+    restarts another.
     """
     group = system.group
-    ends = [traj.endpoint for traj in integrate_runs(system, [
-        run for t, h_point, g_point, control in samples
-        for run in ((t, group.multiply(h_point, g_point), control),
-                    (t, h_point, control))])]
-    return [group.distance(lhs, group.multiply(
-                moving, group.linear_flow(t, g_point, system.derivation)))
-            for (t, _, g_point, _), lhs, moving
-            in zip(samples, ends[::2], ends[1::2])]
-
-
-def cocycle_residual(system, samples):
-    """Distance between the full run and the restart after time s, one
-    array per (t, s, g, control) sample.  The full runs and the runs to s
-    share one integrate_runs call, the restarts another."""
+    n = 2 * len(translation)
     first = integrate_runs(system, [
-        run for t, s, g, control in samples
+        run for t, h_point, g_point, control in translation
+        for run in ((t, group.multiply(h_point, g_point), control),
+                    (t, h_point, control))] + [
+        run for t, s, g, control in cocycle
         for run in ((t + s, g, control), (s, g, control))])
     then = integrate_runs(system, [
         (t, mid.endpoint, control.shift(s))
-        for (t, s, _, control), mid in zip(samples, first[1::2])])
-    return [system.group.distance(full.endpoint, restart.endpoint)
-            for full, restart in zip(first[::2], then)]
+        for (t, s, _, control), mid in zip(cocycle, first[n + 1::2])])
+    translated = [group.distance(lhs.endpoint, group.multiply(
+                      moving.endpoint,
+                      group.linear_flow(t, g_point, system.derivation)))
+                  for (t, _, g_point, _), lhs, moving
+                  in zip(translation, first[:n:2], first[1:n:2])]
+    restarted = [group.distance(full.endpoint, restart.endpoint)
+                 for full, restart in zip(first[n::2], then)]
+    return translated, restarted
 
 
 # -- level-by-level closed solution -----------------------------------------

@@ -16,6 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from chaincontrol import chains
 from chaincontrol import config as cfg
 from chaincontrol import verify
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
@@ -1351,14 +1352,43 @@ def _derivation_basis(alg):
     return null_space(np.array(rule).T)
 
 
+RANDOM_STRUCTURES = ["abelian:2", "heisenberg3", "heisenberg3-coupled",
+                     "heisenberg3-torus", "filiform4", "filiform5",
+                     "filiform4-coupled", "filiform5-coupled"]
+
+
+def random_graded_drift(alg, structure, a, b, rng):
+    """The drift of a random system on alg, the structure's algebra, and
+    its action generators.
+
+    diag(a, b) on the plane; on heisenberg3 the Leibniz rule forces the
+    centre's rate a + b, under diagonal rates, coupled ones (plane block
+    [[a, c], [d, b]] and a centre row (e, f)), or a rotation-scaling
+    [[a, -b], [b, a]] that commutes with a torus angle turning the plane;
+    on filiform4 and filiform5 (classes 3 and 4, the quadratic BCH terms of
+    _translate) the graded rates a + b, 2a + b and 3a + b, plus, when
+    coupled, a derivation drawn from the null space of the Leibniz rule (a
+    non-diagonal lin and the cubic term of the frozen field).
+    """
+    n = alg.dim
+    if structure == "heisenberg3-torus":
+        return (np.array([[a, -b, 0.0], [b, a, 0.0], [0.0, 0.0, 2.0 * a]]),
+                [np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                           [0.0, 0.0, 0.0]])])
+    drift = np.diag([a, b] + [k * a + b for k in range(1, n - 1)])
+    if structure == "heisenberg3-coupled":
+        drift[[0, 1, 2, 2], [1, 0, 0, 1]] = rng.uniform(-1.0, 1.0, 4)
+    if structure.startswith("filiform") and structure.endswith("-coupled"):
+        basis = _derivation_basis(alg)
+        drift += (basis @ rng.uniform(-1.0, 1.0, basis.shape[1])).reshape(n, n)
+    return drift, []
+
+
 # no shrink phase: most of an example comes from the rng seed, which
 # shrinking cannot simplify, and on a failure it ran for minutes
 @settings(derandomize=True, max_examples=40, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(structure=st.sampled_from(["abelian:2", "heisenberg3",
-                                  "heisenberg3-coupled", "heisenberg3-torus",
-                                  "filiform4", "filiform5",
-                                  "filiform4-coupled", "filiform5-coupled"]),
+@given(structure=st.sampled_from(RANDOM_STRUCTURES),
        a=st.floats(-1.5, 1.5), b=st.floats(-1.5, 1.5),
        seed=st.integers(0, 2 ** 32 - 1), first=st.floats(0.0, 1.0))
 # a row whose bits depended on the rows sharing its matmul failed the exact
@@ -1372,14 +1402,6 @@ def _derivation_basis(alg):
 @example(structure="filiform5-coupled", a=-0.5, b=0.9, seed=7, first=0.6)
 def test_anchored_runs_match_oracle_on_random_systems(structure, a, b, seed,
                                                       first):
-    # diag(a, b) on the plane; on heisenberg3 the Leibniz rule forces the
-    # centre's rate a + b, under diagonal rates, coupled ones (plane block
-    # [[a, c], [d, b]] and a centre row (e, f)), or a rotation-scaling
-    # [[a, -b], [b, a]] that commutes with a torus angle turning the plane;
-    # on filiform4 and filiform5 (classes 3 and 4, the quadratic BCH terms
-    # of _translate) the graded rates a + b, 2a + b and 3a + b, plus, when
-    # coupled, a derivation drawn from the null space of the Leibniz rule
-    # (a non-diagonal lin and the cubic term of the frozen field)
     rng = np.random.default_rng(seed)
     alg = NilpotentAlgebra(preset_structure(structure.split("-")[0]))
     n = alg.dim
@@ -1387,17 +1409,9 @@ def test_anchored_runs_match_oracle_on_random_systems(structure, a, b, seed,
     family = rng.uniform(-1.0, 1.0, (3, 1))
     lo, hi = -rng.uniform(0.3, 1.5, n), rng.uniform(0.3, 1.5, n)
     starts = rng.uniform(lo, hi, (6, n))
-    generators, torus_controls = [], None
-    drift = np.diag([a, b] + [k * a + b for k in range(1, n - 1)])
-    if structure == "heisenberg3-coupled":
-        drift[[0, 1, 2, 2], [1, 0, 0, 1]] = rng.uniform(-1.0, 1.0, 4)
-    if structure.startswith("filiform") and structure.endswith("-coupled"):
-        basis = _derivation_basis(alg)
-        drift += (basis @ rng.uniform(-1.0, 1.0, basis.shape[1])).reshape(n, n)
-    if structure == "heisenberg3-torus":
-        generators = [np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
-                                [0.0, 0.0, 0.0]])]
-        drift = np.array([[a, -b, 0.0], [b, a, 0.0], [0.0, 0.0, 2.0 * a]])
+    drift, generators = random_graded_drift(alg, structure, a, b, rng)
+    torus_controls = None
+    if generators:
         torus_controls = rng.uniform(-1.0, 1.0, (1, 1))
         starts = np.hstack([rng.uniform(-np.pi, np.pi, (6, 1)), starts])
     group = SemidirectGroup(alg, RhoAction(alg, generators))
@@ -1747,6 +1761,63 @@ def test_control_slices_change_no_source_constant(monkeypatch):
     whole = estimate_source_constants(*args)
     monkeypatch.setattr("chaincontrol.chains._control_slices", _one_each)
     assert np.array_equal(estimate_source_constants(*args), whole)
+
+
+def loop_source_constants(system, window, tau, family):
+    """estimate_source_constants one frame at a time: per frame one field
+    call, two matmuls and the per-level norms."""
+    alg, group, box = system.algebra, system.group, window.box
+    seeds = central_fiber_nodes(window)
+    starts = window.points[seeds[~window.axis_indices(seeds)[:, ~box].any(
+        axis=1)]]
+    h, n_steps = _step_grid(system, tau)
+    steps = range(0, n_steps + 1, 5)
+    sup = np.zeros(alg.nilpotency_class)
+    for part in chains._control_slices(len(family), len(starts) * len(steps),
+                                       n_steps):
+        frames, _ = _propagate_family(system, starts, family[part], h,
+                                      n_steps, steps, window.lower[box],
+                                      window.upper[box], box)
+        for rows, pts in frames:
+            x = np.where(box, pts, 0.0)[:, group.h_dim:]
+            xdot = np.where(box, system.field(
+                family[part][rows // len(starts)], pts), 0.0)[:, group.h_dim:]
+            for i, sl in enumerate(alg.level_slices):
+                b = system.blocks.block(i + 1, i + 1)
+                src = (xdot @ alg.frame)[:, sl] - (x @ alg.frame)[:, sl] @ b.T
+                sup[i] = max(sup[i], float(np.max(
+                    np.linalg.norm(src, axis=-1), initial=0.0)))
+    return sup + action_norm_sup(window)
+
+
+def _coarse_expanding_case():
+    """heisenberg-expanding with delta doubled, the graph-expanding bench
+    input."""
+    raw = copy.deepcopy(cfg.PRESETS["heisenberg-expanding"])
+    raw["chain"]["delta"] = [2.0 * d for d in raw["chain"]["delta"]]
+    c = cfg.parse_config(raw)
+    system = cfg.build_system(c)
+    return c, system, cfg.build_window(c, system)
+
+
+@pytest.mark.parametrize("name", sorted(cfg.PRESETS) + ["coarse-expanding"])
+@pytest.mark.parametrize("slices", ["fitted", "one-each", "small-blocks"])
+def test_source_constants_match_the_frame_loop(monkeypatch, name, slices):
+    # the frames of a slice are evaluated in blocks of at most STEP_BLOCK
+    # rows; one control per slice, or blocks of 7 rows that cut the frames
+    # (and the anchored runs' step blocks), keep every bit
+    c, system, window = (_coarse_expanding_case()
+                         if name == "coarse-expanding"
+                         else _preset_case(name))
+    family = c.family if c.family is not None else \
+        system.range.sample_family()
+    if slices == "one-each":
+        monkeypatch.setattr("chaincontrol.chains._control_slices", _one_each)
+    if slices == "small-blocks":
+        monkeypatch.setattr("chaincontrol.chains.STEP_BLOCK", 7)
+    got = estimate_source_constants(system, window, c.tau, family)
+    assert np.array_equal(got, loop_source_constants(system, window, c.tau,
+                                                     family))
 
 
 def test_control_slices_count_anchors_and_refuse_one_control_over():

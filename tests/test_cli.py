@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,6 +95,40 @@ def test_exactly_one_config_source(tmp_path, capsys):
         "scalar-unstable\n")
     assert main(["decompose", "--config", str(tmp_path / "missing.yaml"),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_config_file_parses_alike_with_or_without_libyaml(tmp_path, capsys,
+                                                          monkeypatch,
+                                                          libyaml):
+    # --config reads through yaml.CSafeLoader where PyYAML has libyaml and
+    # falls back to yaml.SafeLoader; either gives safe_load's dict, and a
+    # malformed file fails naming its line
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    loaders = []
+    load = yaml.load
+
+    def spy(stream, Loader):
+        loaders.append(Loader)
+        return load(stream, Loader)
+
+    for name in sorted(cfg.PRESETS):
+        path = tmp_path / f"{name}.yaml"
+        cfg.dump_config(cfg.preset_raw(name), path)
+        want = yaml.safe_load(path.read_text())
+        with monkeypatch.context() as patch:
+            patch.setattr(yaml, "load", spy)
+            assert cli._raw_config(SimpleNamespace(config=str(path))) == want
+    assert set(loaders) == {yaml.CSafeLoader if libyaml else yaml.SafeLoader}
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("schema: 1\nchain: {eps: 0.2\nname: x\n")
+    assert main(["decompose", "--config", str(bad), "--out",
+                 str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == (
+        f"validation failure: config {bad} is not valid YAML (line 3)\n")
 
 
 def test_simulate_exponential_endpoint(tmp_path):
@@ -437,6 +472,47 @@ def test_conjugate_unmeasurable_row_reads_null(tmp_path, capsys, case):
         body = json.load(fh, parse_constant=pytest.fail)["body"]
     rows = {r["name"]: r for r in body["residuals"]}
     assert rows[row]["value"] is None and rows[row]["passed"] is False
+
+
+@pytest.mark.parametrize("residual", ["homomorphism_residual",
+                                      "flow_equivariance_residual"])
+def test_conjugate_non_finite_psi_residual_reads_null(tmp_path, capsys,
+                                                      monkeypatch, residual):
+    # a psi residual that overflowed is NaN: its row reads null and fails,
+    # and the report is still strict JSON
+    monkeypatch.setattr(f"chaincontrol.group.ConjugationMap.{residual}",
+                        lambda self: math.nan)
+    out = tmp_path / "j"
+    code = main(["conjugate", "--preset", "scalar-stable", "--out", str(out)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out / "report.json") as fh:
+        body = json.load(fh, parse_constant=pytest.fail)["body"]
+    rows = {r["name"]: r for r in body["residuals"]}
+    name = residual.removesuffix("_residual")
+    assert rows[name]["value"] is None and rows[name]["passed"] is False
+
+
+def test_decompose_overflowing_drift_flow_exits_2(tmp_path, capsys):
+    # e^{tD} overflows on every sample with t > 0; the residual used to drop
+    # those samples and pass at 5.3e-82
+    raw = {
+        "schema": 1, "name": "overflow",
+        "algebra": {"preset": "heisenberg3"},
+        "derivation": np.diag([1000.0, 1000.0, 2000.0]).tolist(),
+        "control": {"z": [[1.0, 1.0, 0.0]], "lower": [-1.0], "upper": [1.0]},
+        "chain": {"x_lower": [-1.0] * 3, "x_upper": [1.0] * 3,
+                  "delta": [0.5] * 3, "eps": 0.2, "tau": 1.0},
+    }
+    path = tmp_path / "overflow.yaml"
+    cfg.dump_config(raw, path)
+    out = tmp_path / "d"
+    code = main(["decompose", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "validation failure: drift intertwining residual is not finite"]
+    assert not (out / "report.json").exists()
 
 
 def test_seed_override_lands_in_report(tmp_path):

@@ -1,13 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from test_chains import RANDOM_STRUCTURES, random_graded_drift
 
+from chaincontrol import config as cfg
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
 from chaincontrol.errors import (
     IncompatibleActionError,
+    NotAutomorphismError,
     NotDerivationError,
     ValidationError,
 )
 from chaincontrol.group import (
+    N_SAMPLES,
     ConjugationMap,
     RhoAction,
     SemidirectGroup,
@@ -366,3 +373,156 @@ def test_conjugation_rejects_kernel_the_action_moves():
     group = SemidirectGroup(alg, RhoAction(alg, [gen]))
     with pytest.raises(ValidationError, match="does not preserve the kernel"):
         ConjugationMap(group, np.diag([-1.0, 0.0, 0.0]), extra_kernel=[2])
+
+
+# -- per-sample oracles of the stacked residuals ----------------------------
+
+
+def _loop_point(group, rng):
+    h = rng.uniform(-np.pi, np.pi, size=group.h_dim)
+    x = rng.standard_normal(group.x_dim)
+    return group.normalize(np.concatenate([h, x]))
+
+
+def loop_compatibility(group, d):
+    """compatibility_residual one sample at a time."""
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for _ in range(N_SAMPLES):
+        h = rng.uniform(-np.pi, np.pi, size=group.h_dim)
+        prop = expm(rng.uniform(-2.0, 2.0) * d)
+        rho = group.action.matrix(h)
+        worst = max(worst, float(np.max(np.abs(prop @ rho - rho @ prop))))
+    return worst
+
+
+def loop_automorphism(group, d):
+    """The flow automorphism residual of validate_linear_flow one sample
+    at a time."""
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for _ in range(N_SAMPLES):
+        a, b = _loop_point(group, rng), _loop_point(group, rng)
+        t = rng.uniform(-1.5, 1.5)
+        lhs = group.linear_flow(t, group.multiply(a, b), d)
+        rhs = group.multiply(group.linear_flow(t, a, d),
+                             group.linear_flow(t, b, d))
+        worst = max(worst, float(group.distance(lhs, rhs)))
+    return worst
+
+
+def loop_homomorphism(psi):
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    for _ in range(N_SAMPLES):
+        a, b = _loop_point(psi.group, rng), _loop_point(psi.group, rng)
+        lhs = psi.apply(psi.group.multiply(a, b))
+        rhs = psi.target.multiply(psi.apply(a), psi.apply(b))
+        worst = max(worst, float(psi.target.distance(lhs, rhs)))
+    return worst
+
+
+def loop_equivariance(psi):
+    rng = np.random.default_rng(10)
+    worst = 0.0
+    for _ in range(N_SAMPLES):
+        g = _loop_point(psi.group, rng)
+        t = rng.uniform(-2.0, 2.0)
+        lhs = psi.apply(psi.group.linear_flow(t, g, psi.matrix))
+        rhs = psi.target.linear_flow(t, psi.apply(g), psi.matrix_hat)
+        worst = max(worst, float(psi.target.distance(lhs, rhs)))
+    return worst
+
+
+def _residual_cases():
+    """(name, group, drift, quotient kernel): the presets, filiform4 and
+    filiform5 under graded rates, and the random graded derivations of
+    test_chains' property test."""
+    cases = []
+    for name in sorted(cfg.PRESETS):
+        c = cfg.preset_config(name)
+        system = cfg.build_system(c)
+        cases.append((name, system.group, system.derivation, c.extra_kernel))
+    for name, a, b in (("filiform4", 0.9, -0.5), ("filiform5", -0.6, 1.1)):
+        alg = NilpotentAlgebra(preset_structure(name))
+        d = np.diag([a, b] + [k * a + b for k in range(1, alg.dim - 1)])
+        cases.append((name, SemidirectGroup(alg, RhoAction(alg, [])), d, ()))
+    for seed, structure in enumerate(RANDOM_STRUCTURES):
+        rng = np.random.default_rng(seed)
+        alg = NilpotentAlgebra(preset_structure(structure.split("-")[0]))
+        a, b = rng.uniform(-1.5, 1.5, 2)
+        d, generators = random_graded_drift(alg, structure, a, b, rng)
+        cases.append((f"random-{structure}",
+                      SemidirectGroup(alg, RhoAction(alg, generators)), d, ()))
+    return cases
+
+
+RESIDUAL_CASES = _residual_cases()
+
+
+@pytest.mark.parametrize("name, group, d, kernel", RESIDUAL_CASES,
+                         ids=[case[0] for case in RESIDUAL_CASES])
+def test_stacked_residuals_keep_the_bits_of_the_sample_loop(name, group, d,
+                                                            kernel):
+    worst_compat = compatibility_residual(group, d)
+    assert worst_compat == loop_compatibility(group, d)
+    assert validate_linear_flow(group, d) == max(
+        loop_automorphism(group, d), worst_compat)
+    psi = ConjugationMap(group, d, extra_kernel=kernel)
+    assert psi.homomorphism_residual() == loop_homomorphism(psi)
+    assert psi.flow_equivariance_residual() == loop_equivariance(psi)
+
+
+def test_stacked_compatibility_matches_the_loop_off_zero():
+    # a drift that does not intertwine the rotation: every sample's
+    # residual is far from zero, so its bits are seen
+    group = rotation_heisenberg_group()
+    d = np.diag([1.0, 2.0, 3.0])
+    assert compatibility_residual(group, d) == loop_compatibility(group, d)
+
+
+@pytest.mark.parametrize("name, group, d, kernel", RESIDUAL_CASES[:8],
+                         ids=[case[0] for case in RESIDUAL_CASES[:8]])
+def test_linear_flow_of_an_array_t_is_one_call_per_t(name, group, d, kernel):
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-2.0, 2.0, 6)
+    g = np.stack([_loop_point(group, rng) for _ in range(6)])
+    stacked = group.linear_flow(t, g, d)
+    for i in range(6):
+        assert np.array_equal(stacked[i], group.linear_flow(t[i], g[i], d))
+    # one point against many t
+    shared = group.linear_flow(t, g[0], d)
+    assert shared.shape == g.shape
+    for i in range(6):
+        assert np.array_equal(shared[i], group.linear_flow(t[i], g[0], d))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_drift_flow_is_refused(monkeypatch):
+    # every sample with t > 0 overflows e^{tD}; the residual is NaN, which
+    # a running max used to drop, so the flow passed with a tiny residual
+    alg = NilpotentAlgebra(preset_structure("heisenberg3"))
+    group = SemidirectGroup(alg, RhoAction(alg, []))
+    d = np.diag([1000.0, 1000.0, 2000.0])
+    assert math.isnan(compatibility_residual(group, d))
+    with pytest.raises(NotAutomorphismError,
+                       match="^drift intertwining residual is not finite$"):
+        validate_linear_flow(group, d)
+    # the compatibility samples reach further in t, so they overflow first;
+    # with them passed, the automorphism samples are refused the same way
+    monkeypatch.setattr("chaincontrol.group.compatibility_residual",
+                        lambda group, matrix: 0.0)
+    with pytest.raises(NotAutomorphismError,
+                       match="^flow automorphism residual is not finite$"):
+        validate_linear_flow(group, d)
+
+
+def test_an_overflowing_psi_residual_is_nan():
+    # psi has no validation of its own: an overflowing flow gives NaN, not
+    # the residual of the samples that stayed finite
+    alg = NilpotentAlgebra(preset_structure("abelian:3"))
+    group = SemidirectGroup(alg, RhoAction(alg, []),
+                            angular_x_mask=[False, False, True])
+    psi = ConjugationMap(group, np.diag([1000.0, 1000.0, 0.0]))
+    assert math.isnan(psi.flow_equivariance_residual())
+    assert psi.homomorphism_residual() == 0.0

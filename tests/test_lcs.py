@@ -12,12 +12,11 @@ from chaincontrol.lcs import (
     ControlFunction,
     ControlRange,
     LinearControlSystem,
-    cocycle_residual,
     cross_check_residual,
+    flow_identity_residuals,
     integrate,
     integrate_runs,
     level_source,
-    translation_identity_residual,
     triangular_solve,
 )
 
@@ -467,6 +466,14 @@ def test_integrate_refuses_a_duration_that_is_not_positive(duration):
         integrate(system, duration, np.array([0.5, 1.0, -0.5]), u)
 
 
+def translation_residuals(system, samples):
+    return flow_identity_residuals(system, samples, [])[0]
+
+
+def cocycle_residuals(system, samples):
+    return flow_identity_residuals(system, [], samples)[1]
+
+
 def test_cocycle_residual_small():
     system = rotation_plane_system()
     rng = np.random.default_rng(2)
@@ -476,7 +483,7 @@ def test_cocycle_residual_small():
         g = np.concatenate([rng.uniform(-np.pi, np.pi, 1),
                             rng.standard_normal(2)])
         t, s = rng.uniform(0.2, 1.8, size=2)
-        assert cocycle_residual(system, [(t, s, g, u)])[0] < 1e-6
+        assert cocycle_residuals(system, [(t, s, g, u)])[0] < 1e-6
 
 
 def test_translation_identity_residual_small():
@@ -490,8 +497,7 @@ def test_translation_identity_residual_small():
         g_pt = np.concatenate([rng.uniform(-np.pi, np.pi, 1),
                                rng.standard_normal(2)])
         t = rng.uniform(0.2, 2.0)
-        assert translation_identity_residual(
-            system, [(t, h_pt, g_pt, u)])[0] < 1e-6
+        assert translation_residuals(system, [(t, h_pt, g_pt, u)])[0] < 1e-6
 
 
 def test_translation_identity_trivial_cases():
@@ -499,7 +505,7 @@ def test_translation_identity_trivial_cases():
     u = ControlFunction.constant([0.3, -0.4], 0.0, 1.0)
     h_pt = np.array([0.4, 1.0, 2.0])
     e = np.zeros(system.group.dim)
-    assert translation_identity_residual(system, [(1.0, h_pt, e, u)])[0] < 1e-12
+    assert translation_residuals(system, [(1.0, h_pt, e, u)])[0] < 1e-12
 
 
 def test_translation_identity_batched():
@@ -511,7 +517,7 @@ def test_translation_identity_batched():
                             rng.standard_normal((4, 2))], axis=1)
     g_pts = np.concatenate([rng.uniform(-np.pi, np.pi, (4, 1)),
                             rng.standard_normal((4, 2))], axis=1)
-    (batch,) = translation_identity_residual(system, [(1.0, h_pts, g_pts, u)])
+    (batch,) = translation_residuals(system, [(1.0, h_pts, g_pts, u)])
     assert batch.shape == (4,)
 
     def accepted_error(h_pt, g_pt):
@@ -527,25 +533,23 @@ def test_translation_identity_batched():
     # by at most 1 + |x_f|
     batch_error = accepted_error(h_pts, g_pts)
     for i in range(4):
-        (single,) = translation_identity_residual(
-            system, [(1.0, h_pts[i], g_pts[i], u)])
+        (single,) = translation_residuals(system, [(1.0, h_pts[i], g_pts[i], u)])
         _, x_f = group.split(group.linear_flow(1.0, g_pts[i], system.derivation))
         bound = (1.0 + np.linalg.norm(x_f)) * (
             batch_error + accepted_error(h_pts[i], g_pts[i]))
         assert abs(batch[i] - single) <= bound
     # equal rows take the single run's steps
-    (repeated,) = translation_identity_residual(
+    (repeated,) = translation_residuals(
         system, [(1.0, np.repeat(h_pts[:1], 3, axis=0),
                   np.repeat(g_pts[:1], 3, axis=0), u)])
-    (single,) = translation_identity_residual(
-        system, [(1.0, h_pts[0], g_pts[0], u)])
+    (single,) = translation_residuals(system, [(1.0, h_pts[0], g_pts[0], u)])
     assert np.array_equal(repeated, np.full(3, single))
     # separate runs never share steps: samples passed together keep the
     # bits each has alone
     other = ControlFunction([0.0, 0.5, 1.7], [[0.9, 0.1], [-0.6, 0.8]])
-    together = translation_identity_residual(
+    together = translation_residuals(
         system, [(1.0, h_pts, g_pts, u), (1.7, h_pts[0], g_pts[0], other)])
-    (alone,) = translation_identity_residual(
+    (alone,) = translation_residuals(
         system, [(1.7, h_pts[0], g_pts[0], other)])
     assert np.array_equal(together[0], batch)
     assert np.array_equal(together[1], alone)
@@ -559,11 +563,37 @@ def test_cocycle_residual_batched():
     u = ControlFunction([0.0, 0.6, 2.5], rng.uniform(-1, 1, (2, 4, 2)))
     other = ControlFunction([0.0, 1.1, 2.0], [[0.2, -0.7], [0.5, 0.4]])
     samples = [(1.2, 0.7, g_pts, u), (0.9, 1.1, g_pts[2], other)]
-    together = cocycle_residual(system, samples)
+    together = cocycle_residuals(system, samples)
     assert together[0].shape == (4,) and together[1].shape == ()
     for sample, residual in zip(samples, together):
-        (alone,) = cocycle_residual(system, [sample])
+        (alone,) = cocycle_residuals(system, [sample])
         assert np.array_equal(residual, alone)
+
+
+def test_flow_identity_residuals_share_the_first_integration(monkeypatch):
+    # the translation runs and the full and first cocycle runs go into one
+    # integrate_runs call, the restarts into a second; each residual keeps
+    # the bits it has with the other identity's samples absent
+    system = rotation_plane_system()
+    rng = np.random.default_rng(9)
+    g_pts, h_pts = (np.concatenate([rng.uniform(-np.pi, np.pi, (3, 1)),
+                                    rng.standard_normal((3, 2))], axis=1)
+                    for _ in range(2))
+    u = ControlFunction([0.0, 0.8, 2.6], rng.uniform(-1, 1, (2, 3, 2)))
+    other = ControlFunction([0.0, 1.1, 2.0], [[0.2, -0.7], [0.5, 0.4]])
+    translation = [(1.4, h_pts, g_pts, u), (0.6, h_pts[1], g_pts[0], other)]
+    cocycle = [(1.1, 0.9, g_pts, u), (0.5, 1.3, h_pts[2], other)]
+    calls = []
+    counted = lcs.integrate_runs
+    monkeypatch.setattr(lcs, "integrate_runs", lambda system, runs: (
+        calls.append(len(runs)) or counted(system, runs)))
+    moved, restarted = flow_identity_residuals(system, translation, cocycle)
+    assert calls == [8, 2]
+    for both, alone in ((moved, translation_residuals(system, translation)),
+                        (restarted, cocycle_residuals(system, cocycle))):
+        assert len(both) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(both, alone))
+    assert flow_identity_residuals(system, [], []) == ([], [])
 
 
 def test_triangular_scalar_piecewise_hand_value():
