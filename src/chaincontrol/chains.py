@@ -7,7 +7,8 @@ each constant control of a finite family; endpoints sampled at durations
 inside [tau, 2*tau] that land within eps plus the cell slack of another
 center become directed edges.  The exact distance decides every edge; its
 kd-tree prefilter, periodic on the circle axes, has a certified radius
-(`GridWindow.query_radii`).
+(`GridWindow.query_radii`) from the spectral norm of the linear BCH part
+at each landing.
 Strongly connected components with at least one internal edge approximate
 chain control sets; the per-level bound formula turns empirical source
 suprema into boundedness diagnostics.
@@ -24,7 +25,8 @@ loop per step.  Truncation keeps its meaning: the window box is tested on
 every step, and a run ends at the first step it leaves.
 Each snapshot holds only the runs still alive, as flat row indices
 u * n_starts + start in increasing order with their states.  Exact
-distances take the action's phases once per landing.
+distances take the action's phases once per landing, and none when the
+action is orthogonal.
 
 The graph is built from one slice of the circle shifts.  Let k be a
 right translation the drift flow fixes: a masked central circle, or a torus
@@ -57,7 +59,6 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial import cKDTree
 
 from .errors import TauTooSmallError, ValidationError
-from .group import ACTION_ATOL
 from .lcs import _rk4_step
 from .spectral import decay_constants, power_stack
 
@@ -92,10 +93,11 @@ class GridWindow:
     symmetric_axes are the circle axes whose whole-cell shifts map the cell
     graph of any linear system on the group onto itself (see
     build_chain_graph): every angular nilpotent axis, and the torus axes
-    when every action generator is skew within ACTION_ATOL, so rho(h) is
-    orthogonal.  They are fixed when the window is built, with the group A
-    of their shifts: shift_sizes and shift_strides hold each symmetric
-    axis's cell count and stride in node numbers, and n_shifts = |A|.
+    when the action is orthogonal (`RhoAction.orthogonal`: every generator
+    skew within ACTION_ATOL).  They are fixed when the window is built,
+    with the group A of their shifts: shift_sizes and shift_strides hold
+    each symmetric axis's cell count and stride in node numbers, and
+    n_shifts = |A|.
     """
 
     def __init__(self, group, box_lower, box_upper, box_delta,
@@ -140,11 +142,9 @@ class GridWindow:
         self.upper = np.full(group.dim, np.pi)
         self.delta = 2.0 * np.pi / shape
         self.lower[box], self.upper[box], self.delta[box] = lo, hi, d
-        skew = all(np.max(np.abs(g + g.T)) <= ACTION_ATOL
-                   for g in group.action.generators)
         self._symmetric_axes = tuple(
             a for a in range(group.dim)
-            if not box[a] and (a >= group.h_dim or skew))
+            if not box[a] and (a >= group.h_dim or group.action.orthogonal))
         sym = list(self.symmetric_axes)
         self.shift_sizes = shape[sym]
         self.shift_strides = (np.cumprod(shape[::-1])[::-1] // shape)[sym]
@@ -204,23 +204,27 @@ class GridWindow:
         and masked coordinates (central, unreached, fixed by rho) move by
         the entries of z, and their gaps wrapped around the circle are at
         most those.  The rest moves by bch(x_a, y) - x_a, y = rho(h_a) x_z,
-        whose BCH terms are bounded with |y| <= rho |x_z| (rho = cond_2 of
-        the action's eigenbasis >= sup_h |rho(h)|), |[x_a, v]| <= A |v|
+        which is L_a y - [k>=3] [y,[x_a,y]]/12 - [k>=4] [y,[x_a,[x_a,y]]]/24
+        for nilpotency class k, with the linear BCH part
+        L_a = I + ad(x_a)/2 + [k>=3] ad(x_a)^2/12.  Its terms are bounded
+        with |y| <= rho |x_z| (rho = cond_2 of the action's eigenbasis >=
+        sup_h |rho(h)|), |L_a y| <= |L_a|_2 |y|, |[x_a, v]| <= A |v|
         (A = |ad(x_a)|_F) and |[u, v]| <= kap |u| |v| (kap =
         |structure|_F).  So the gap, the norm of the per-axis differences
         with the circle axes wrapped, is at most f(a) d(a, b), with
-        nilpotency class k and
-        f = rho (1 + A/2 + [k>=3] (A^2/12 + kap A rho cut/12)
+        f = rho (|L_a|_2 + [k>=3] kap A rho cut/12
                  + [k>=4] kap A^2 rho cut/24) >= 1,
-        padded by 1e-9 relative for rounding.
+        since L_a is unipotent (ad(x_a) is nilpotent), so |L_a|_2 >= 1.
+        f is padded by 1e-9 relative for rounding.
         """
         alg = self.group.algebra
         k = alg.nilpotency_class
         rho = float(np.linalg.cond(self.group.action.basis))
         ky = float(np.linalg.norm(alg.structure)) * rho * cut  # kap rho cut
-        a = np.linalg.norm(alg.ad(self.group.split(landed)[1]), axis=(-2, -1))
-        f = 1.0 + a / 2.0 + (k >= 3) * a * (a + ky) / 12.0 \
-            + (k >= 4) * a * a * ky / 24.0
+        ad = alg.ad(self.group.split(landed)[1])
+        a = np.linalg.norm(ad, axis=(-2, -1))
+        f = np.linalg.norm(_bch_linear_part(alg, ad), 2, axis=(-2, -1)) \
+            + (k >= 3) * a * ky / 12.0 + (k >= 4) * a * a * ky / 24.0
         return rho * f * cut * (1.0 + 1e-9)
 
     def inflated_bounds(self, pad):
@@ -304,6 +308,16 @@ def _control_slices(n_controls, rows_per_control, n_steps):
     return [slice(a, a + width) for a in range(0, n_controls, width)]
 
 
+def _bch_linear_part(alg, ad):
+    """L_a = I + ad(x_a)/2 + [k>=3] ad(x_a)^2/12 from ad = ad(x_a), batched:
+    the part of y -> bch(x_a, y) - x_a that is linear in y, for nilpotency
+    class k."""
+    lin = np.eye(alg.dim) + ad / 2.0
+    if alg.nilpotency_class >= 3:
+        lin += ad @ ad / 12.0
+    return lin
+
+
 def _rows_times(mats, u_of, v):
     """mats[:, u_of[r]] @ v[r] for every row r: (B, n_u, p, q) matrices, (R,)
     controls and (R, q) vectors give (B, R, p).  Multiply-adds one column of
@@ -320,7 +334,7 @@ def _translate(group, anchor, flow, starts, u_of):
 
     B steps at once: anchors (B, n_u, dim), flows (B, n, n) and starts
     (R, dim) give (B, R, dim).  With y = rho(h_a) flow x_g and nilpotency
-    class k, bch(x_a, y) = x_a + (I + ad(x_a)/2 + [k>=3] ad(x_a)^2/12) y
+    class k, bch(x_a, y) = x_a + L_a y (`_bch_linear_part`)
     - [k>=3] [y,[x_a,y]]/12 - [k>=4] [y,[x_a,[x_a,y]]]/24: one affine map
     per anchor, plus the terms quadratic in y through `bracket`.  The
     affine map is a fixed-order sequence of multiply-adds (`_rows_times`),
@@ -336,10 +350,7 @@ def _translate(group, anchor, flow, starts, u_of):
     rho_f = np.broadcast_to(np.swapaxes(group.action.apply(
         h_a[..., None, :], np.swapaxes(flow, -1, -2)[:, None]), -1, -2),
         ad.shape)
-    lin = np.eye(group.x_dim) + ad / 2.0
-    if k >= 3:
-        lin += ad @ ad / 12.0
-    x = _rows_times(lin @ rho_f, u_of, x_g)
+    x = _rows_times(_bch_linear_part(alg, ad) @ rho_f, u_of, x_g)
     x += x_a[:, u_of]
     if k >= 3:
         x_row = x_a[:, u_of]

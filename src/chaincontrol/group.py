@@ -4,6 +4,9 @@ The ambient group is T^m x_rho N where N is a simply connected nilpotent
 group in exponential coordinates, optionally with some central coordinates
 wrapped into circle factors.  Points are flat arrays (angles first, then
 nilpotent coordinates) so that every operation batches over leading axes.
+When every action generator is skew (`RhoAction.orthogonal`), the torus
+acts by rotations, and the distance, a norm of the nilpotent part, skips
+rho altogether.
 
 The sampled residuals of the drift flow and of the quotient map draw their
 N_SAMPLES in the order of a loop over samples and evaluate them in one
@@ -43,6 +46,10 @@ class RhoAction:
     joint complex eigenbasis.  Periodicity of each coordinate forces every
     generator's spectrum onto i*Z, which is validated, and lets rho(h) be
     evaluated for batches of h through phase multiplication.
+
+    orthogonal holds when every generator is skew within ACTION_ATOL, so
+    every rho(h) is a rotation: it keeps norms, and the torus acts by
+    isometries.
     """
 
     def __init__(self, algebra, generators):
@@ -62,6 +69,8 @@ class RhoAction:
         self.generators = gens
         self.n_params = len(gens)
         self.dim = n
+        self.orthogonal = all(np.max(np.abs(g + g.T)) <= ACTION_ATOL
+                              for g in gens)
 
         if not gens:
             self.basis = np.eye(n, dtype=complex)
@@ -216,18 +225,24 @@ class SemidirectGroup:
     def distance(self, a, b, owner=None):
         """Left-invariant distance d(a, b) = d_H part + |x part of a^{-1} b|.
 
-        d_H is the norm of the wrapped angle difference.  The nilpotent part of a^{-1} b is rho(-h_a) bch(-x_a, x_b); angular
-        nilpotent coordinates are wrapped before taking the norm.  With an
-        index array owner: d(a[owner], b), bit for bit, one phase per a row.
+        d_H is the norm of the wrapped angle difference.  The nilpotent
+        part of a^{-1} b is rho(-h_a) bch(-x_a, x_b); angular nilpotent
+        coordinates are wrapped before taking the norm.  rho fixes them, so
+        the wrap commutes with rho, and an orthogonal action keeps the
+        norm: then the norm is taken of bch(-x_a, x_b) itself, with no
+        rotation.  With an index array owner: d(a[owner], b), bit for bit,
+        one phase per a row.
         """
         h_a, x_a = self.split(np.asarray(a, dtype=float))
         h_b, x_b = self.split(np.asarray(b, dtype=float))
         h_row, x_row = (h_a, x_a) if owner is None else (h_a[owner], x_a[owner])
         d_h = (np.linalg.norm(wrap_angle(h_b - h_row), axis=-1)
                if self.h_dim else 0.0)
-        x_rel = self.action.apply(-h_a, self.algebra.bch(-x_row, x_b), owner)
+        # bch returns a fresh array, and so does apply
+        x_rel = self.algebra.bch(-x_row, x_b)
+        if not self.action.orthogonal:
+            x_rel = self.action.apply(-h_a, x_rel, owner)
         if self.x_mask.any():
-            x_rel = np.array(x_rel, copy=True)
             x_rel[..., self.x_mask] = wrap_angle(x_rel[..., self.x_mask])
         # norm's squares overflow past about 1e154, where hypot's do not
         with np.errstate(over="ignore"):

@@ -335,6 +335,99 @@ def test_query_radii_cover_group_balls(name, cut):
     assert np.all(gap <= radii), float(np.max(gap / radii))
 
 
+def first_order_radii(window, landed, cut):
+    """The query radii from the first-order factor of the linear BCH part,
+    1 + A/2 + [k>=3] A^2/12 (A = |ad(x_a)|_F) in place of |L_a|_2."""
+    group = window.group
+    alg = group.algebra
+    k = alg.nilpotency_class
+    rho = float(np.linalg.cond(group.action.basis))
+    ky = float(np.linalg.norm(alg.structure)) * rho * cut
+    a = np.linalg.norm(alg.ad(group.split(landed)[1]), axis=(-2, -1))
+    f = 1.0 + a / 2.0 + (k >= 3) * a * (a + ky) / 12.0 \
+        + (k >= 4) * a * a * ky / 24.0
+    return rho * f * cut * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("name", ["abelian:2", "skewed-abelian:2",
+                                  "heisenberg3", "skewed-heisenberg3",
+                                  "filiform4", "filiform5",
+                                  "conjugation-upstairs"])
+def test_spectral_radii_never_exceed_the_first_order_factor(name):
+    # |L_a|_2 <= 1 + |ad(x_a)|_2/2 + |ad(x_a)|_2^2/12 and the spectral norm
+    # is at most the Frobenius one, on landings of classes 1-4 with |x_a| up
+    # to 10 and at the identity, where both factors are 1; on an abelian
+    # algebra L_a = I and the radii do not move
+    group = _radii_case(name)
+    window = GridWindow(group, -1.0, 1.0, 0.5,
+                        angle_cells=(4,) * int(group.angular_mask.sum()))
+    rng = np.random.default_rng(19)
+    n = 20_000
+    x_a = rng.standard_normal((n, group.x_dim))
+    x_a *= rng.uniform(0.0, 10.0, (n, 1)) / np.linalg.norm(x_a, axis=1,
+                                                          keepdims=True)
+    x_a[0] = 0.0
+    a = group.normalize(np.hstack([rng.uniform(-np.pi, np.pi,
+                                               (n, group.h_dim)), x_a]))
+    cut = 0.9
+    radii = window.query_radii(a, cut)
+    old = first_order_radii(window, a, cut)
+    assert np.all(radii <= old)
+    assert radii[0] == old[0]
+    if group.algebra.nilpotency_class == 1:
+        assert np.array_equal(radii, old)
+    else:
+        assert np.median(radii / old) < 0.95
+
+
+@pytest.mark.parametrize("name", ["abelian:2", "heisenberg3", "filiform4",
+                                  "filiform5", "conjugation-upstairs"])
+def test_query_radii_of_a_snapshot_with_no_live_row(name):
+    # a snapshot after every run has left the window holds no landing: the
+    # batched spectral norm meets an empty stack and gives no radius
+    group = _radii_case(name)
+    window = GridWindow(group, -1.0, 1.0, 0.5,
+                        angle_cells=(4,) * int(group.angular_mask.sum()))
+    radii = window.query_radii(np.zeros((0, group.dim)), 0.5)
+    assert radii.shape == (0,)
+
+
+def test_spectral_radii_cut_candidates_not_edges(monkeypatch):
+    # on the graph-expanding bench input the spectral radii take 25,858
+    # kd-tree candidates where the first-order factor took 43,706; the
+    # exact distance decides the same 10,446 edges, every graph byte kept
+    c, system, window = _coarse_expanding_case()
+    counts = []
+
+    class Counting(cKDTree):
+        def query_ball_point(self, *args, **kwargs):
+            balls = super().query_ball_point(*args, **kwargs)
+            counts.append(sum(len(b) for b in balls))
+            return balls
+
+    monkeypatch.setattr("chaincontrol.chains.cKDTree", Counting)
+
+    def build():
+        counts.clear()
+        return build_chain_graph(system, window, c.eps, c.tau,
+                                 control_family=c.family,
+                                 time_samples=c.times)
+
+    graph = build()
+    assert sum(counts) == 25_858
+    assert graph.n_edges == 10_446
+    digest = hashlib.sha256()
+    for part in (graph.indptr, graph.dst, graph.witness, graph.truncated):
+        digest.update(part.tobytes())
+    assert digest.hexdigest() == \
+        "f23e09d51528593de059b44be233dac48cf62983149041267f8668aeae07e3db"
+    monkeypatch.setattr(GridWindow, "query_radii", first_order_radii)
+    first_order = build()
+    assert sum(counts) == 43_706
+    for part in ("indptr", "dst", "witness", "truncated"):
+        assert np.array_equal(getattr(first_order, part), getattr(graph, part))
+
+
 @pytest.mark.parametrize("name", ["skewed-abelian:2", "skewed-heisenberg3",
                                   "filiform4", "filiform5",
                                   "conjugation-upstairs"])

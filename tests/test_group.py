@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from test_chains import RANDOM_STRUCTURES, random_graded_drift
+from test_chains import (
+    RANDOM_STRUCTURES,
+    _preset_case,
+    _radii_case,
+    random_graded_drift,
+)
 
 from chaincontrol import config as cfg
 from chaincontrol.algebra import NilpotentAlgebra, preset_structure
@@ -157,6 +162,75 @@ def test_distance_with_owner_equals_gathered_rows(make):
     b = group.normalize(a[owner] + rng.standard_normal((5000, group.dim)))
     assert np.array_equal(group.distance(a, b, owner),
                           group.distance(a[owner], b))
+
+
+def _random_pairs(group, rng, n=4000):
+    """n point pairs (a, b) with |x| around 3 and b near a."""
+    a = group.normalize(np.concatenate([
+        rng.uniform(-np.pi, np.pi, size=(n, group.h_dim)),
+        3.0 * rng.standard_normal((n, group.x_dim))], axis=1))
+    return a, group.normalize(a + rng.standard_normal((n, group.dim)))
+
+
+def _random_skew_group(seed):
+    """T^1 on abelian:3 through Q (k J + 0) Q^T, J the quarter turn, k a
+    random integer frequency and Q a random rotation; exactly skew."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    block = np.zeros((3, 3))
+    block[:2, :2] = rng.integers(1, 4) * ROT
+    m = q @ block @ q.T
+    alg = NilpotentAlgebra(preset_structure("abelian:3"))
+    return SemidirectGroup(alg, RhoAction(alg, [(m - m.T) / 2.0]))
+
+
+def _explicit_distance(group, a, b):
+    """The wrapped angle gap plus |rho(-h_a) bch(-x_a, x_b)|, rho(-h_a) as
+    the matrix of action.matrix, the masked circles wrapped."""
+    h_a, x_a = group.split(a)
+    h_b, x_b = group.split(b)
+    rho = group.action.matrix(-h_a)
+    x_rel = (rho @ group.algebra.bch(-x_a, x_b)[..., None])[..., 0]
+    x_rel[..., group.x_mask] = wrap_angle(x_rel[..., group.x_mask])
+    return (np.linalg.norm(wrap_angle(h_b - h_a), axis=-1)
+            + np.linalg.norm(x_rel, axis=-1))
+
+
+ORTHOGONAL_CASES = ["rotation-plane", "conjugation-upstairs",
+                    *(f"random-skew-{seed}" for seed in range(4))]
+
+
+@pytest.mark.parametrize("name", ORTHOGONAL_CASES)
+def test_an_orthogonal_action_takes_no_rotation_in_the_distance(name):
+    # |rho(-h_a) w| = |w|, and rho fixes the masked circle: the distance
+    # with no rotation is the explicit one within 4 ulp of the scale, the
+    # largest distance of the batch (rho's rounding alone reaches 5 ulp of
+    # some smaller distances)
+    group = (_random_skew_group(int(name.rsplit("-", 1)[1]))
+             if name.startswith("random-skew") else
+             cfg.build_system(cfg.preset_config(name)).group)
+    assert group.action.orthogonal
+    a, b = _random_pairs(group, np.random.default_rng(12))
+    got, want = group.distance(a, b), _explicit_distance(group, a, b)
+    assert np.max(np.abs(got - want)) <= 4.0 * np.spacing(np.max(want))
+
+
+@pytest.mark.parametrize("name", ["skewed-abelian:2", "skewed-heisenberg3",
+                                  "skewed-masked"])
+def test_a_skewed_action_keeps_the_bits_of_the_rotated_distance(name):
+    # rho(h) of a skewed generator stretches, so it stays in the distance,
+    # with the bits of rho(-h_a) bch(-x_a, x_b) taken through apply
+    group = (_preset_case(name)[1].group if name == "skewed-masked"
+             else _radii_case(name))
+    assert not group.action.orthogonal
+    a, b = _random_pairs(group, np.random.default_rng(13))
+    h_a, x_a = group.split(a)
+    h_b, x_b = group.split(b)
+    x_rel = group.action.apply(-h_a, group.algebra.bch(-x_a, x_b))
+    x_rel[..., group.x_mask] = wrap_angle(x_rel[..., group.x_mask])
+    want = (np.linalg.norm(wrap_angle(h_b - h_a), axis=-1)
+            + np.linalg.norm(x_rel, axis=-1))
+    assert np.array_equal(group.distance(a, b), want)
 
 
 def test_distance_identity_gives_norm():
