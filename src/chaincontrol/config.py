@@ -8,6 +8,7 @@ numerics start.
 """
 
 import copy
+import numbers
 
 import numpy as np
 import yaml
@@ -75,8 +76,16 @@ def _convert(kind, value, name):
         raise ValidationError(f"{name} has an invalid value {value!r}")
 
 
+def _int(value):
+    """An integer value as it is: a float, a bool or a string is refused,
+    not truncated or read as 0/1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(value)
+    return int(value)
+
+
 def _ints(values):
-    return tuple(int(k) for k in values)
+    return tuple(_int(k) for k in values)
 
 
 def _known(block, where):
@@ -115,7 +124,7 @@ def parse_config(data):
              f"expected {SCHEMA_VERSION}")
     _known(data, "")
     name = str(data.get("name", "run"))
-    seed = _convert(int, data.get("seed", 0), "seed")
+    seed = _convert(_int, data.get("seed", 0), "seed")
     _require(0 <= seed < 2 ** 64, "seed must fit in 64 bits")
 
     alg_block = _block(data, "algebra", required=True)

@@ -66,11 +66,16 @@ def test_check_3_flow_identities(report):
     assert rec["passed"]
 
 
+def _no_false_verdict(entry):
+    assert all(v is not False for v in entry["verdicts"].values())
+    assert entry["failures"] == []
+
+
 def test_check_4_scalar_line_sets(report):
     rec = _record(report, 4)
     for name in ("scalar-stable", "scalar-unstable"):
         entry = rec["measured"][name]
-        assert entry["n_sets"] == 1
+        _no_false_verdict(entry)
         lo, hi = entry["hull"]
         assert abs(lo + 1.0) <= entry["tolerance"]
         assert abs(hi - 1.0) <= entry["tolerance"]
@@ -80,8 +85,7 @@ def test_check_4_scalar_line_sets(report):
 def test_check_5_rotation_fiber_glue(report):
     rec = _record(report, 5)
     m = rec["measured"]
-    assert m["n_sets"] == 1
-    assert m["fiber_fraction"] == 1.0
+    _no_false_verdict(m)
     assert m["angle_cells_covered"] == m["angle_cells"] == 64
     assert rec["passed"]
 
@@ -111,10 +115,10 @@ def test_check_8_flat_direction_growth(report):
     rec = _record(report, 8)
     for w in (2, 4, 8):
         entry = rec["measured"][f"w{w}"]
-        assert entry["n_sets"] == 1
+        _no_false_verdict(entry)
         assert entry["boundary_touch"][0] == [True, True]
         assert entry["boundary_touch"][1] == [False, False]
-        assert entry["bound_refused"]
+        assert entry["diagnostic"].startswith("unbounded direction detected")
     assert rec["passed"]
 
 
@@ -135,3 +139,27 @@ def test_check_6_fails_on_refused_bound(monkeypatch):
     m = rec["measured"]
     assert m["bounds"] is None and m["source_constants"] is None
     assert m["failures"][-1].startswith("no contraction at this tau")
+
+
+@pytest.mark.parametrize("check", [verify.check_scalar_line_sets,
+                                   verify.check_rotation_fiber_glue,
+                                   verify.check_flat_direction_growth])
+def test_preset_checks_fail_on_a_false_verdict(monkeypatch, check):
+    # checks 4, 5 and 8 take the chainset verdicts from verdict_run: one
+    # False verdict (unique, flipped here) fails the check, with its record
+    verdict_run = verify.verdict_run
+
+    def flipped(*args):
+        run = verdict_run(*args)
+        run.verdicts = {**run.verdicts, "unique": False}
+        run.failures = run.failures + ["unique flipped"]
+        return run
+
+    monkeypatch.setattr(verify, "verdict_run", flipped)
+    rec = check(verify.DEFAULT_SEED)
+    assert rec["passed"] is False
+    m = rec["measured"]
+    entries = [m] if "verdicts" in m else list(m.values())
+    for entry in entries:
+        assert entry["verdicts"]["unique"] is False
+        assert entry["failures"][-1] == "unique flipped"

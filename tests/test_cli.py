@@ -406,6 +406,23 @@ def _flat_z_yaml(extra_kernel, derivation=None):
     return yaml.safe_dump(raw)
 
 
+@pytest.mark.parametrize("name", ["conjugation-upstairs", "flat-z"])
+def test_quotient_nearest_distances_in_blocks_keep_every_bit(monkeypatch,
+                                                             name):
+    # the nearest downstairs distances run over blocks of mapped rows, about
+    # PAIR_LIMIT pairs each; blocks of one row keep every bit
+    config = (cfg.parse_config(FLAT_Z) if name == "flat-z"
+              else cfg.preset_config(name))
+    whole = verify.quotient_run(config)
+    monkeypatch.setattr(verify, "PAIR_LIMIT", 7)
+    blocked = verify.quotient_run(config)
+    row = whole.residuals[-1]
+    assert row["name"] == "set_inclusion" and row["value"] is not None
+    assert len(whole.mapped) > 1
+    assert blocked.residuals[-1] == row
+    assert blocked.mapped_fraction == whole.mapped_fraction
+
+
 def test_conjugate_drops_a_flat_central_axis(tmp_path):
     path = tmp_path / "flat_z.yaml"
     path.write_text(yaml.safe_dump(FLAT_Z))
@@ -639,6 +656,15 @@ BAD_INPUTS = {
                                  _angular_yaml([2, 1], [4, 8])),
     "angular-coords-repeated": (["chainset", "--config", "{file}"],
                                 _angular_yaml([2, 2], [4, 8])),
+    # an integer key takes an integer: a float is not truncated and a bool
+    # is not read as 0 or 1
+    "angle-cells-float": (["chainset", "--config", "{file}"],
+                          _angular_yaml([1, 2], [8.7, 8])),
+    "angular-coords-float": (["chainset", "--config", "{file}"],
+                             _angular_yaml([2.9], [4])),
+    "kernel-float": (["conjugate", "--config", "{file}"], _flat_z_yaml([0.5])),
+    "seed-bool": (["decompose", "--config", "{file}"],
+                  _preset_yaml("seed", True)),
     # a flag override meets a chain block that is not a mapping
     "chain-int-eps-flag": (["chainset", "--config", "{file}", "--eps", "0.1"],
                            _preset_yaml("chain", 3)),
@@ -674,6 +700,10 @@ NAMED_KEYS = {"output-block": "output", "level-bounds": "chain.level_bounds",
               "torus-dim": "torus.dim",
               "angular-coords-unordered": "torus.angular_coords",
               "angular-coords-repeated": "torus.angular_coords",
+              "angle-cells-float": "chain.angle_cells",
+              "angular-coords-float": "torus.angular_coords",
+              "kernel-float": "conjugation.extra_kernel",
+              "seed-bool": "seed",
               "tau-too-long": "chain.tau"}
 
 
