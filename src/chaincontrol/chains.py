@@ -11,7 +11,9 @@ kd-tree prefilter, periodic on the circle axes, has a certified radius
 at each landing.
 Strongly connected components with at least one internal edge approximate
 chain control sets; the per-level bound formula turns empirical source
-suprema into boundedness diagnostics.
+suprema into boundedness diagnostics.  One decay record per run
+(`LevelBounds`) holds each graded level's constants, the refusal line of a
+bound that cannot exist, and the bound once formed.
 
 Cell runs come from the translation identity of a linear system,
 phi(t, g, u) = phi(t, e, u) * phi_t(g): the run from g is the run from the
@@ -50,7 +52,7 @@ integration, an edge audit, the lift by the rule alone) live in the tests.
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -58,7 +60,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial import cKDTree
 
-from .errors import TauTooSmallError, ValidationError
+from .errors import NotHyperbolicError, ValidationError
 from .lcs import _rk4_step
 from .spectral import decay_constants, power_stack
 
@@ -731,72 +733,80 @@ def main_set(sets):
 
 
 @dataclass
-class DecayCertificate:
-    """Per-level decay constants of the graded diagonal blocks at one tau."""
-
-    kappa: np.ndarray
-    mu: np.ndarray
-    contraction: np.ndarray  # kappa_i e^{-tau mu_i}, < 1 on every level
-    tau: float
-
-
-@dataclass
 class LevelBounds:
-    """Per-level boundedness diagnostic from the decay certificate."""
+    """Per-level decay record of the graded diagonal blocks at one tau, and
+    the bound formed from it (theoretical_bound).
 
-    bounds: np.ndarray
+    kappa and mu hold each level's decay constants, NaN on a level whose
+    block is not hyperbolic, where notes holds the reason (None on the
+    others).  contraction holds kappa_i e^{-tau mu_i}.  refusal is the line
+    that refuses the bound, or None.  c_estimates and bounds are None until
+    the bound is formed.
+    """
+
     kappa: np.ndarray
     mu: np.ndarray
-    contraction: np.ndarray  # kappa_i e^{-tau mu_i}, must be < 1
-    c_estimates: np.ndarray
-    tau: float
+    notes: list
+    contraction: np.ndarray
+    refusal: str
+    c_estimates: np.ndarray = None
+    bounds: np.ndarray = None
+
+    @property
+    def hyperbolic(self):
+        """Every graded diagonal block is hyperbolic."""
+        return all(note is None for note in self.notes)
 
 
 def decay_certificate(system, tau):
-    """The per-level kappa_i, mu_i and contraction kappa_i e^{-tau mu_i}.
+    """The decay record of every graded level at tau, refused or not.
 
-    Each graded diagonal block must be hyperbolic (NotHyperbolicError) and
-    tau large enough that every contraction is below 1 (TauTooSmallError).
-    The refusal reads only the drift and tau, so a run asks for it before
-    it estimates any source constant.
+    decay_constants runs once per graded diagonal block.  A block that is
+    not hyperbolic refuses the bound as an unbounded direction (the first
+    such level's note); else a contraction of at least 1 refuses it as too
+    short a tau.  The record reads only the drift and tau, so a run asks for
+    it before it estimates any source constant.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")
     levels = system.algebra.nilpotency_class
-    kappa = np.empty(levels)
-    mu = np.empty(levels)
-    for i in range(1, levels + 1):
-        dec = decay_constants(system.blocks.block(i, i))
-        kappa[i - 1] = dec["kappa"]
-        mu[i - 1] = dec["mu"]
+    kappa, mu = np.full((2, levels), np.nan)
+    notes = [None] * levels
+    for i in range(levels):
+        try:
+            dec = decay_constants(system.blocks.block(i + 1, i + 1))
+        except NotHyperbolicError as exc:
+            notes[i] = str(exc)
+            continue
+        kappa[i], mu[i] = dec["kappa"], dec["mu"]
     contraction = kappa * np.exp(-tau * mu)
-    if np.any(contraction >= 1.0):
+    flat = [note for note in notes if note is not None]
+    refusal = f"unbounded direction detected: {flat[0]}" if flat else None
+    if not flat and np.any(contraction >= 1.0):
         bad = int(np.argmax(contraction)) + 1
-        raise TauTooSmallError(
-            f"kappa e^(-tau mu) = {contraction[bad - 1]:.6f} >= 1 at level "
-            f"{bad}; increase tau")
-    return DecayCertificate(kappa=kappa, mu=mu, contraction=contraction,
-                            tau=float(tau))
+        refusal = (f"no contraction at this tau: kappa e^(-tau mu) = "
+                   f"{contraction[bad - 1]:.6f} >= 1 at level {bad}; "
+                   f"increase tau")
+    return LevelBounds(kappa=kappa, mu=mu, notes=notes,
+                       contraction=contraction, refusal=refusal)
 
 
 def theoretical_bound(certificate, c_estimates):
-    """Per-level bound B_i = 2 C_i (1 + kappa_i/mu_i) / (1 - kappa_i e^{-tau mu_i}).
+    """The record with the C_i and the per-level bound
+    B_i = 2 C_i (1 + kappa_i/mu_i) / (1 - kappa_i e^{-tau mu_i}) filled in.
 
-    The certificate (decay_certificate) carries the refusal: a flat
-    direction or too short a tau is refused there, before any C_i is
-    estimated.  The C_i are empirical source suprema (see
-    estimate_source_constants), so the result is a diagnostic, not a
-    certificate.
+    A refused record (decay_certificate) has no bound.  The C_i are
+    empirical source suprema (see estimate_source_constants), so the result
+    is a diagnostic, not a certificate.
     """
+    if certificate.refusal is not None:
+        raise ValidationError(f"no bound: {certificate.refusal}")
     c_estimates = np.asarray(c_estimates, dtype=float)
     if c_estimates.shape != certificate.kappa.shape or np.any(c_estimates < 0):
         raise ValidationError("need one nonnegative source constant per level")
-    kappa, mu = certificate.kappa, certificate.mu
-    d_i = c_estimates * (1.0 + kappa / mu)
-    bounds = 2.0 * d_i / (1.0 - certificate.contraction)
-    return LevelBounds(bounds=bounds, kappa=kappa, mu=mu,
-                       contraction=certificate.contraction,
-                       c_estimates=c_estimates, tau=certificate.tau)
+    d_i = c_estimates * (1.0 + certificate.kappa / certificate.mu)
+    return replace(certificate, c_estimates=c_estimates,
+                   bounds=2.0 * d_i / (1.0 - certificate.contraction))
 
 
 def estimate_source_constants(system, window, tau, control_family=None):
@@ -938,7 +948,8 @@ def write_edges_csv(path, graph):
 
 
 def sets_to_records(sets, bounds=None):
-    """JSON-ready descriptions of extracted sets."""
+    """JSON-ready descriptions of extracted sets, each held to the per-level
+    bounds when given."""
     records = []
     for i, s in enumerate(sets):
         rec = {
@@ -952,8 +963,8 @@ def sets_to_records(sets, bounds=None):
             "boundary_touch": s.boundary_touch.astype(int).tolist(),
         }
         if bounds is not None:
-            rec["bounds"] = [float(v) for v in bounds.bounds]
-            rec["within_bounds"] = bool(np.all(s.extents <= bounds.bounds))
+            rec["bounds"] = [float(v) for v in bounds]
+            rec["within_bounds"] = bool(np.all(s.extents <= bounds))
         records.append(rec)
     return records
 

@@ -11,11 +11,16 @@ a separate "timings" key that stays outside the reproducibility contract.
 chainset and conjugate write the verdicts, residual rows and failures that
 verify.verdict_run and verify.quotient_run decide; a row whose value could
 not be measured reads null and fails.
+decompose's levels and hyperbolic flag, and chainset's hyperbolic flag and
+diagnostic, come from one decay record (chains.decay_certificate), in which
+a bound refused for a flat direction or too short a tau is a value, not an
+error.
 Exit codes: 0 all verdicts passed, 2 validation failure (ValidationError,
-TauTooSmallError, a bad or missing argument), an integrator whose error
-budget ran out or whose state overflowed (IntegratorBudgetError) or an
-output file that cannot be written, each reported as one line on stderr,
-3 a theorem check failed (a residual row failed or a verdict is False).
+a bad or missing argument), an integrator whose error budget ran out or
+whose state overflowed (IntegratorBudgetError), an output file that cannot
+be written or a run that ran out of memory (MemoryError), each reported as
+one line on stderr, 3 a theorem check failed (a residual row failed or a
+verdict is False).
 """
 
 import argparse
@@ -33,26 +38,17 @@ import yaml
 from . import config as cfg
 from .algebra import STRUCTURE_ATOL, structure_residuals
 from .chains import (
+    decay_certificate,
     main_set,
     write_edges_csv,
     write_nodes_csv,
     write_plot_slice,
     write_sets_jsonl,
 )
-from .errors import (
-    IntegratorBudgetError,
-    NotHyperbolicError,
-    TauTooSmallError,
-    ValidationError,
-)
+from .errors import IntegratorBudgetError, ValidationError
 from .group import FLOW_ATOL
 from .lcs import ControlFunction, cross_check_residual, integrate
-from .spectral import (
-    DERIVATION_ATOL,
-    SpectralSplit,
-    check_derivation,
-    decay_constants,
-)
+from .spectral import DERIVATION_ATOL, SpectralSplit, check_derivation
 from .verify import (
     DEFAULT_SEED,
     acceptance_report,
@@ -166,26 +162,21 @@ def cmd_decompose(args):
     t0 = time.perf_counter()
     config = cfg.parse_config(_raw_config(args))
     system = cfg.build_system(config)
-    alg = system.algebra
 
     split = SpectralSplit(system.derivation)
     dims = {"stable": int(split.dims[0]), "center": int(split.dims[1]),
             "unstable": int(split.dims[2])}
+    decay = decay_certificate(system, config.tau)
     levels = []
-    hyperbolic = True
-    for i in range(1, alg.nilpotency_class + 1):
-        block = system.blocks.block(i, i)
-        entry = {"level": i, "dim": int(block.shape[0])}
-        try:
-            dec = decay_constants(block)
-            entry["kappa"] = float(dec["kappa"])
-            entry["mu"] = float(dec["mu"])
-        except NotHyperbolicError as exc:
-            hyperbolic = False
-            entry["kappa"] = None
-            entry["mu"] = None
-            entry["note"] = str(exc)
+    for i, (note, sl) in enumerate(zip(decay.notes,
+                                       system.algebra.level_slices)):
+        entry = {"level": i + 1, "dim": sl.stop - sl.start}
+        if note is None:
+            entry.update(kappa=float(decay.kappa[i]), mu=float(decay.mu[i]))
+        else:
+            entry.update(kappa=None, mu=None, note=note)
         levels.append(entry)
+    hyperbolic = decay.hyperbolic
 
     body = {
         "command": "decompose",
@@ -310,6 +301,7 @@ def cmd_chainset(args):
 
     t1 = time.perf_counter()
     run = verdict_run(config, system, window, sets)
+    bound = run.bound
     t_bound = time.perf_counter() - t1
 
     # a 1d window has no 2d slice to plot
@@ -325,7 +317,7 @@ def cmd_chainset(args):
     cols = tuple(box_axes[:2]) if len(box_axes) >= 2 else (0, 1)
     for name, s in zip(plots, sets):
         write_plot_slice(out / name, graph, s, columns=cols)
-    write_sets_jsonl(out / "sets.jsonl", sets, bounds=run.bound)
+    write_sets_jsonl(out / "sets.jsonl", sets, bounds=bound.bounds)
     t_write = time.perf_counter() - t1
 
     body = {
@@ -344,10 +336,10 @@ def cmd_chainset(args):
         "set_sizes": [s.size for s in sets],
         "extents": ([float(v) for v in main_set(sets).extents]
                     if sets else None),
-        "bounds": ([float(v) for v in run.bound.bounds]
-                   if run.bound is not None else None),
-        "hyperbolic": run.bound is not None,
-        "diagnostic": run.diagnostic,
+        "bounds": (None if bound.bounds is None
+                   else [float(v) for v in bound.bounds]),
+        "hyperbolic": bound.hyperbolic,
+        "diagnostic": bound.refusal,
         "failures": run.failures,
         "residuals": _structure_residuals(system) + run.residuals,
         "verdicts": run.verdicts,
@@ -359,8 +351,8 @@ def cmd_chainset(args):
           f"chain sets {body['n_sets']}")
     for key, value in run.verdicts.items():
         print(f"  {key}: {value}")
-    if run.diagnostic:
-        print(f"  note: {run.diagnostic}")
+    if bound.refusal:
+        print(f"  note: {bound.refusal}")
     print(f"report: {path}")
     return _exit_code(body)
 
@@ -489,7 +481,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return int(args.func(args))
-    except (ValidationError, TauTooSmallError) as exc:
+    except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     except IntegratorBudgetError as exc:
@@ -497,6 +489,10 @@ def main(argv=None):
         return 2
     except OSError as exc:  # an output file blocked by a directory or file
         print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a graph or array larger than memory allows
+        print(f"out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 2
 
 

@@ -119,9 +119,9 @@ def _matrix(value, name):
 def parse_config(data):
     """Validate a raw dict and return a RunConfig."""
     _require(isinstance(data, dict), "config root must be a mapping")
-    _require(data.get("schema") == SCHEMA_VERSION,
-             f"unsupported schema {data.get('schema')!r}, "
-             f"expected {SCHEMA_VERSION}")
+    schema = _convert(_int, data.get("schema"), "schema")
+    _require(schema == SCHEMA_VERSION,
+             f"unsupported schema {schema!r}, expected {SCHEMA_VERSION}")
     _known(data, "")
     name = str(data.get("name", "run"))
     seed = _convert(_int, data.get("seed", 0), "seed")

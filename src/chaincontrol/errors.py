@@ -33,9 +33,5 @@ class NotHyperbolicError(ValidationError):
     """Spectrum touches the imaginary axis where hyperbolicity is required."""
 
 
-class TauTooSmallError(ValueError):
-    """Chain period too small for the contraction bound to converge."""
-
-
 class IntegratorBudgetError(RuntimeError):
     """Integrator error estimate exceeds its budget for the run."""

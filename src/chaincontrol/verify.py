@@ -10,7 +10,9 @@ the comparison as a final record.
 The verdict policy of a run lives here too, once per run kind:
 verdict_run for chainset and quotient_run for conjugate return the
 verdicts, the residual rows behind them and, for chainset, one failure
-line per False verdict.  The command line writes these records, and
+line per False verdict and the run's decay record (`chains.LevelBounds`):
+whether every graded block is hyperbolic, the refusal line of a bound that
+cannot exist, and the bound.  The command line writes these records, and
 checks 4 through 8 read the same ones: each preset check holds its run to
 every verdict and adds only its own geometry.
 """
@@ -37,7 +39,6 @@ from .chains import (
     main_set,
     theoretical_bound,
 )
-from .errors import NotHyperbolicError, TauTooSmallError
 from .group import ConjugationMap
 from .lcs import (
     ControlFunction,
@@ -91,11 +92,10 @@ def all_passed(residuals, verdicts):
 @dataclass
 class ChainVerdict:
     """Verdicts of a chain run, the rows behind them, one failure line per
-    False verdict, and the bound they were held to (None with a diagnostic
-    when refused)."""
+    False verdict, and the decay record they were held to (its bounds None,
+    with its refusal line, when refused)."""
 
     bound: LevelBounds
-    diagnostic: str
     verdicts: dict
     residuals: list
     failures: list
@@ -104,26 +104,19 @@ class ChainVerdict:
 def verdict_run(config, system, window, sets):
     """The chainset verdict policy for one chain run.
 
-    The decay certificate comes first: a refused bound (a flat direction,
-    or no contraction at this tau) comes back as None with a diagnostic,
-    and no source constant is estimated for it.  Otherwise the source
-    constants are estimated and form the per-level bound.  The verdicts
-    are unique (exactly one set), fiber_containment (every central-fiber
-    node in the main set), extents (the main set's per-level extents within
-    the bound; "n/a" with no bound) and interior (the main set off the
-    window boundary; "n/a" unless the config sets require_interior).
+    The decay record comes first: a refused bound (a flat direction, or no
+    contraction at this tau) carries its refusal line, and no source
+    constant is estimated for it.  Otherwise the source constants are
+    estimated and form the per-level bound.  The verdicts are unique
+    (exactly one set), fiber_containment (every central-fiber node in the
+    main set), extents (the main set's per-level extents within the bound;
+    "n/a" with no bound) and interior (the main set off the window
+    boundary; "n/a" unless the config sets require_interior).
     """
-    bound = diagnostic = None
-    try:
-        certificate = decay_certificate(system, config.tau)
-    except NotHyperbolicError as exc:
-        diagnostic = f"unbounded direction detected: {exc}"
-    except TauTooSmallError as exc:
-        diagnostic = f"no contraction at this tau: {exc}"
-    else:
-        consts = estimate_source_constants(system, window, config.tau,
-                                           control_family=config.family)
-        bound = theoretical_bound(certificate, consts)
+    bound = decay_certificate(system, config.tau)
+    if bound.refusal is None:
+        bound = theoretical_bound(bound, estimate_source_constants(
+            system, window, config.tau, control_family=config.family))
 
     main = main_set(sets)
     fiber = central_fiber_nodes(window)
@@ -133,7 +126,7 @@ def verdict_run(config, system, window, sets):
     residuals = [residual_row("extra_chain_sets", abs(len(sets) - 1), 0),
                  residual_row("missing_fiber_nodes", missing, 0)]
     over = []
-    if main is not None and bound is not None:
+    if main is not None and bound.bounds is not None:
         over = np.flatnonzero(main.extents > bound.bounds)
         for i, (ext, lim) in enumerate(zip(main.extents, bound.bounds), 1):
             residuals.append(residual_row(f"level_{i}_extent", ext, lim))
@@ -143,7 +136,7 @@ def verdict_run(config, system, window, sets):
     verdicts = {
         "unique": len(sets) == 1,
         "fiber_containment": main is not None and missing == 0,
-        "extents": "n/a" if bound is None else not len(over),
+        "extents": "n/a" if bound.bounds is None else not len(over),
         "interior": touches == 0 if config.require_interior else "n/a",
     }
     why = {
@@ -156,7 +149,7 @@ def verdict_run(config, system, window, sets):
         "interior": "extracted set touches the window boundary",
     }
     failures = [why[k] for k, v in verdicts.items() if v is False]
-    return ChainVerdict(bound, diagnostic, verdicts, residuals, failures)
+    return ChainVerdict(bound, verdicts, residuals, failures)
 
 
 @dataclass
@@ -426,12 +419,12 @@ def check_expanding_containment(seed):
     identity cell, keep its per-level extents below the bound, and stay
     off the window boundary.  The run window itself must sit inside the
     bound box inflated by 1.5, so no part of the predicted region is cut.
-    A refused bound fails the check, with its diagnostic among the
-    failures.
+    A refused bound fails the check, with the record's refusal line among
+    the failures.
     """
     c, system, window, sets, run = _run_preset("heisenberg-expanding")
     bound = run.bound
-    refused = bound is None
+    refused = bound.refusal is not None
 
     corners = np.array(list(itertools.product(*zip(c.x_lower, c.x_upper))))
     window_ext = level_extents(system.algebra, corners)
@@ -450,7 +443,7 @@ def check_expanding_containment(seed):
                              else [float(v) for v in bound.c_estimates]),
         "window_extents": [float(v) for v in window_ext],
         "window_inside_inflated_box": window_inside,
-        "failures": run.failures + ([run.diagnostic] if refused else []),
+        "failures": run.failures + ([bound.refusal] if refused else []),
     }
     passed = (not refused and not run.failures and window_inside
               and bool(np.all(bound.contraction < 1.0)))
@@ -501,12 +494,12 @@ def check_flat_direction_growth(seed):
             touch = bt.astype(bool).tolist()
             ok = ok and bool(bt[0, 0]) and bool(bt[0, 1])
             ok = ok and not bool(bt[1].any())
-        ok = ok and run.bound is None and run.diagnostic.startswith(
-            "unbounded direction detected")
+        refusal = run.bound.refusal or ""
+        ok = ok and refusal.startswith("unbounded direction detected")
         details[f"w{w}"] = {"verdicts": run.verdicts,
                             "failures": run.failures,
                             "boundary_touch": touch,
-                            "diagnostic": run.diagnostic}
+                            "diagnostic": run.bound.refusal}
         passed = passed and ok
     return {"passed": bool(passed),
             "tolerances": {"flat_axis_touch": "both ends, every width"},

@@ -6,11 +6,12 @@ its record passed, re-checks the headline numbers against the stated
 tolerances, and enforces the per-check time budget on both passes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chaincontrol import verify
-from chaincontrol.errors import TauTooSmallError
 from chaincontrol.verify import acceptance_report
 
 BUDGETS = {1: 10.0, 2: 10.0, 3: 60.0, 4: 60.0, 5: 300.0,
@@ -130,8 +131,12 @@ def test_check_9_deterministic_reports(report):
 
 def test_check_6_fails_on_refused_bound(monkeypatch):
     # a refused bound is a failed check with its record, not an exception
-    def refuse(*args, **kwargs):
-        raise TauTooSmallError("kappa e^(-tau mu) = 1.2 >= 1 at level 1")
+    certificate = verify.decay_certificate
+
+    def refuse(system, tau):
+        return replace(certificate(system, tau), refusal=(
+            "no contraction at this tau: kappa e^(-tau mu) = 1.200000 >= 1 "
+            "at level 1; increase tau"))
 
     monkeypatch.setattr(verify, "decay_certificate", refuse)
     rec = verify.check_expanding_containment(verify.DEFAULT_SEED)

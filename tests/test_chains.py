@@ -47,11 +47,7 @@ from chaincontrol.chains import (
     write_plot_slice,
     write_sets_jsonl,
 )
-from chaincontrol.errors import (
-    NotHyperbolicError,
-    TauTooSmallError,
-    ValidationError,
-)
+from chaincontrol.errors import ValidationError
 from chaincontrol.group import RhoAction, SemidirectGroup
 from chaincontrol.lcs import ControlRange, LinearControlSystem, _rk4_step
 
@@ -839,25 +835,56 @@ def test_theoretical_bound_heisenberg_levels():
     assert np.all(lb.bounds > 0.0)
 
 
-def test_theoretical_bound_tau_too_small():
-    alg = NilpotentAlgebra(preset_structure("abelian:2"))
+def _drift_system(preset, derivation):
+    """A system on preset's algebra with the given drift, one control per
+    coordinate."""
+    alg = NilpotentAlgebra(preset_structure(preset))
     group = SemidirectGroup(alg, RhoAction(alg, []))
-    system = LinearControlSystem(group, [[1.0, 4.0], [0.0, 1.2]],
-                                 np.eye(2), ControlRange([-1.0] * 2, [1.0] * 2))
-    with pytest.raises(TauTooSmallError):
-        decay_certificate(system, 0.01)
+    n = alg.dim
+    return LinearControlSystem(group, derivation, np.eye(n),
+                               ControlRange([-1.0] * n, [1.0] * n))
+
+
+def test_theoretical_bound_tau_too_small():
+    # a refused bound is a value of the record, not an exception
+    system = _drift_system("abelian:2", [[1.0, 4.0], [0.0, 1.2]])
+    record = decay_certificate(system, 0.01)
+    assert record.hyperbolic and record.notes == [None]
+    assert record.bounds is None and record.contraction[0] >= 1.0
+    assert record.refusal.startswith(
+        "no contraction at this tau: kappa e^(-tau mu) = ")
+    assert record.refusal.endswith(" >= 1 at level 1; increase tau")
+    with pytest.raises(ValidationError):
+        theoretical_bound(record, [1.0])
     # a long enough dwell restores the contraction
     lb = theoretical_bound(decay_certificate(system, 10.0), [1.0])
-    assert lb.contraction[0] < 1.0
+    assert lb.refusal is None and lb.contraction[0] < 1.0
 
 
 def test_theoretical_bound_not_hyperbolic():
-    alg = NilpotentAlgebra(preset_structure("abelian:2"))
-    group = SemidirectGroup(alg, RhoAction(alg, []))
-    system = LinearControlSystem(group, np.diag([0.0, -1.0]),
-                                 np.eye(2), ControlRange([-1.0] * 2, [1.0] * 2))
-    with pytest.raises(NotHyperbolicError):
-        decay_certificate(system, 1.0)
+    system = _drift_system("abelian:2", np.diag([0.0, -1.0]))
+    record = decay_certificate(system, 1.0)
+    assert not record.hyperbolic and record.bounds is None
+    assert np.isnan(record.kappa[0]) and np.isnan(record.mu[0])
+    assert record.notes[0] == ("matrix has spectrum on the imaginary axis, "
+                               "no decay rate exists")
+    assert record.refusal == f"unbounded direction detected: {record.notes[0]}"
+
+
+def test_decay_record_reads_every_level_and_a_flat_one_wins():
+    # a flat first level leaves the second level's constants in the record
+    record = decay_certificate(_drift_system(
+        "heisenberg3", np.diag([0.0, -1.0, -1.0])), 1.0)
+    assert record.notes[0] is not None and record.notes[1] is None
+    assert record.kappa[1] == 1.0 and record.mu[1] == pytest.approx(0.9)
+    assert record.refusal.startswith("unbounded direction detected")
+    # a non-normal first level overshoots at this short a tau, and the flat
+    # centre (trace 0) still decides the refusal
+    record = decay_certificate(_drift_system(
+        "heisenberg3", [[1.0, 4.0, 0.0], [0.0, -1.0, 0.0],
+                        [0.0, 0.0, 0.0]]), 0.01)
+    assert record.contraction[0] >= 1.0 and record.notes[1] is not None
+    assert record.refusal.startswith("unbounded direction detected")
 
 
 def test_theoretical_bound_validation():
@@ -1002,26 +1029,30 @@ def _fake_set(nodes, extents, touch=False, identity=True):
 
 
 def _level_bounds(limit):
-    """LevelBounds with the given per-level limits; the rest is filler."""
+    """A decay record with the given per-level bounds (None: refused as a
+    flat direction); the rest is filler."""
+    if limit is None:
+        return LevelBounds(kappa=np.full(1, np.nan), mu=np.full(1, np.nan),
+                           notes=["flat direction"],
+                           contraction=np.full(1, np.nan),
+                           refusal="unbounded direction detected: flat "
+                                   "direction")
     ones = np.ones(len(limit))
-    return LevelBounds(bounds=np.asarray(limit, dtype=float), kappa=ones,
-                       mu=ones, contraction=0.5 * ones, c_estimates=ones,
-                       tau=1.0)
+    return LevelBounds(kappa=ones, mu=ones, notes=[None] * len(limit),
+                       contraction=0.5 * ones, refusal=None,
+                       c_estimates=ones, bounds=np.asarray(limit, dtype=float))
 
 
-def _verdicts(monkeypatch, sets, fiber, bound, require_interior):
+def _verdicts(monkeypatch, sets, fiber, limit, require_interior):
     """verdict_run's policy on fake sets, with the central fiber and the
-    bound given (None refuses it as a flat direction)."""
-    def certify_or_refuse(*args):
-        if bound is None:
-            raise NotHyperbolicError("flat direction")
-
+    per-level bounds given (None refuses the bound as a flat direction)."""
+    record = _level_bounds(limit)
     monkeypatch.setattr(verify, "central_fiber_nodes",
                         lambda window: np.asarray(fiber, dtype=np.int64))
-    monkeypatch.setattr(verify, "decay_certificate", certify_or_refuse)
+    monkeypatch.setattr(verify, "decay_certificate", lambda *args: record)
     monkeypatch.setattr(verify, "estimate_source_constants",
                         lambda *args, **kwargs: None)
-    monkeypatch.setattr(verify, "theoretical_bound", lambda *args: bound)
+    monkeypatch.setattr(verify, "theoretical_bound", lambda *args: record)
     config = SimpleNamespace(tau=1.0, family=None,
                              require_interior=require_interior)
     return verify.verdict_run(config, None, None, sets)
@@ -1030,8 +1061,8 @@ def _verdicts(monkeypatch, sets, fiber, bound, require_interior):
 def test_verify_report_passes(monkeypatch):
     s = _fake_set([3, 4, 5], [0.5])
     for interior in (False, True):
-        rec = _verdicts(monkeypatch, [s], [4], _level_bounds([1.0]), interior)
-        assert rec.failures == [] and rec.diagnostic is None
+        rec = _verdicts(monkeypatch, [s], [4], [1.0], interior)
+        assert rec.failures == [] and rec.bound.refusal is None
         assert rec.verdicts == {"unique": True, "fiber_containment": True,
                                 "extents": True,
                                 "interior": True if interior else "n/a"}
@@ -1046,8 +1077,7 @@ def test_verify_report_itemizes_failures(monkeypatch):
     b = _fake_set([10], [0.1])
     touch = "extracted set touches the window boundary"
     for interior in (False, True):
-        rec = _verdicts(monkeypatch, [a, b], [5], _level_bounds([1.0]),
-                        interior)
+        rec = _verdicts(monkeypatch, [a, b], [5], [1.0], interior)
         assert rec.failures == [
             "2 chain control sets extracted, expected 1",
             "1 of 1 central-fiber nodes outside the main set",
@@ -1065,8 +1095,8 @@ def test_verify_report_itemizes_failures(monkeypatch):
 def test_verify_report_no_sets(monkeypatch):
     for interior in (False, True):
         rec = _verdicts(monkeypatch, [], [0], None, interior)
-        assert rec.bound is None
-        assert rec.diagnostic.startswith("unbounded direction detected")
+        assert rec.bound.bounds is None
+        assert rec.bound.refusal.startswith("unbounded direction detected")
         assert rec.verdicts["unique"] is False
         assert rec.verdicts["fiber_containment"] is False
         assert rec.verdicts["extents"] == "n/a"
@@ -1093,8 +1123,9 @@ def _refused_run(monkeypatch, raw):
 def test_verdict_run_refuses_a_flat_direction_before_the_constants(
         monkeypatch):
     rec = _refused_run(monkeypatch, cfg.preset_raw("halfstable-w2"))
-    assert rec.bound is None and rec.verdicts["extents"] == "n/a"
-    assert rec.diagnostic == (
+    assert rec.bound.bounds is None and rec.verdicts["extents"] == "n/a"
+    assert not rec.bound.hyperbolic
+    assert rec.bound.refusal == (
         "unbounded direction detected: matrix has spectrum on the imaginary "
         "axis, no decay rate exists")
 
@@ -1105,10 +1136,11 @@ def test_verdict_run_refuses_a_short_tau_before_the_constants(monkeypatch):
     raw["derivation"] = [[-1.0, 4.0], [0.0, -1.2]]
     raw["chain"].update(tau=0.01, times=[0.01, 0.02])
     rec = _refused_run(monkeypatch, raw)
-    assert rec.bound is None and rec.verdicts["extents"] == "n/a"
-    assert rec.diagnostic.startswith("no contraction at this tau: kappa "
-                                     "e^(-tau mu) = ")
-    assert rec.diagnostic.endswith(" >= 1 at level 1; increase tau")
+    assert rec.bound.bounds is None and rec.verdicts["extents"] == "n/a"
+    assert rec.bound.hyperbolic
+    assert rec.bound.refusal.startswith("no contraction at this tau: kappa "
+                                        "e^(-tau mu) = ")
+    assert rec.bound.refusal.endswith(" >= 1 at level 1; increase tau")
 
 
 # -- audit -------------------------------------------------------------------
@@ -1315,7 +1347,7 @@ def test_writers_roundtrip(tmp_path, stable_setup):
     assert_csv_writer_bytes(tmp_path, big)
 
     sets_path = tmp_path / "sets.jsonl"
-    write_sets_jsonl(sets_path, sets, bounds=lb)
+    write_sets_jsonl(sets_path, sets, bounds=lb.bounds)
     recs = [json.loads(l) for l in sets_path.read_text().splitlines()]
     assert len(recs) == 1
     assert recs[0]["contains_identity"] is True

@@ -287,6 +287,62 @@ def test_chainset_flat_direction_diagnostic(tmp_path):
     assert (out / "plotdata" / "set0.csv").exists()
 
 
+# abelian:2 with a contracting but non-normal drift: every graded block is
+# hyperbolic, yet kappa e^(-tau mu) = 11.8 at this short a tau
+NON_NORMAL_SHORT_TAU = {
+    "schema": 1, "name": "non-normal-short-tau",
+    "algebra": {"preset": "abelian:2"},
+    "derivation": [[-1.0, 4.0], [0.0, -1.0]],
+    "control": {"z": [[1.0, 0.5]], "lower": [-1.0], "upper": [1.0]},
+    "chain": {"x_lower": [-2.0, -2.0], "x_upper": [2.0, 2.0],
+              "delta": [0.25, 0.25], "eps": 0.2, "tau": 0.3},
+}
+
+
+def test_chainset_short_tau_is_hyperbolic_with_no_bound(tmp_path):
+    # hyperbolic means every graded block is, not that a bound was formed
+    path = tmp_path / "run.yaml"
+    cfg.dump_config(NON_NORMAL_SHORT_TAU, path)
+    out = tmp_path / "c"
+    assert main(["chainset", "--config", str(path), "--out", str(out)]) == 0
+    body = read_report(out)["body"]
+    assert body["nodes"] == 256
+    assert body["hyperbolic"] is True and body["bounds"] is None
+    assert body["diagnostic"].startswith(
+        "no contraction at this tau: kappa e^(-tau mu) = 11.802304 >= 1")
+    assert body["verdicts"]["extents"] == "n/a"
+    out = tmp_path / "d"
+    assert main(["decompose", "--config", str(path), "--out", str(out)]) == 0
+    assert read_report(out)["body"]["hyperbolic"] is True
+
+
+@pytest.mark.parametrize("name", sorted(cfg.PRESETS))
+def test_chainset_and_decompose_agree_on_hyperbolic(tmp_path, name):
+    flags = {}
+    for command in ("chainset", "decompose"):
+        out = tmp_path / command
+        assert main([command, "--preset", name, "--out", str(out)]) == 0
+        flags[command] = read_report(out)["body"]["hyperbolic"]
+    assert flags["chainset"] == flags["decompose"]
+
+
+@pytest.mark.parametrize("message, line", [
+    ("std::bad_alloc", "out of memory: std::bad_alloc"),
+    ("", "out of memory: allocation failed")])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                             message, line):
+    # a graph too large for memory ends in one stderr line, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "chain_run", exhausted)
+    out = tmp_path / "c"
+    code = main(["chainset", "--preset", "scalar-stable", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
 def test_chainset_interior_requirement_fails_with_exit_3(tmp_path):
     raw = copy.deepcopy(cfg.PRESETS["halfstable-w2"])
     raw["chain"]["require_interior"] = True
@@ -665,6 +721,10 @@ BAD_INPUTS = {
     "kernel-float": (["conjugate", "--config", "{file}"], _flat_z_yaml([0.5])),
     "seed-bool": (["decompose", "--config", "{file}"],
                   _preset_yaml("seed", True)),
+    "schema-bool": (["decompose", "--config", "{file}"],
+                    _preset_yaml("schema", True)),
+    "schema-float": (["decompose", "--config", "{file}"],
+                     _preset_yaml("schema", 1.0)),
     # a flag override meets a chain block that is not a mapping
     "chain-int-eps-flag": (["chainset", "--config", "{file}", "--eps", "0.1"],
                            _preset_yaml("chain", 3)),
@@ -704,6 +764,8 @@ NAMED_KEYS = {"output-block": "output", "level-bounds": "chain.level_bounds",
               "angular-coords-float": "torus.angular_coords",
               "kernel-float": "conjugation.extra_kernel",
               "seed-bool": "seed",
+              "schema-bool": "schema",
+              "schema-float": "schema",
               "tau-too-long": "chain.tau"}
 
 
