@@ -68,11 +68,16 @@ NODE_LIMIT = 1_500_000
 # rows one anchored run may hold, per control its kept states (starts x kept
 # snapshots) and steps + 1 anchors; larger families run in control slices
 ANCHOR_ROW_LIMIT = 1 << 21
-# row-steps (rows x steps) one block of the anchored runs moves at once
-STEP_BLOCK = 1 << 16
-# candidate pairs one exact-distance call takes; it holds about 200 bytes
-# per pair, and one step's landings can have a million candidates
-PAIR_LIMIT = 1 << 16
+# row-steps (rows x steps) one `_translate` call moves at once; more live
+# rows than this go in row blocks of one step
+STEP_BLOCK = 1 << 14
+# candidate pairs one block of landings may bring (their a-priori bound, one
+# landing at least): its kd-tree lists (about 36 bytes per candidate), its
+# exact distances (about 200 bytes per pair) and its hit codes
+PAIR_LIMIT = 1 << 14
+# stored edges (slice rows) a graph may keep: its int64 codes, merged and
+# sorted, stay within about 600 MB
+EDGE_LIMIT = 1 << 24
 FIBER_TOL = 1e-9  # ties in the box-coordinate norm of central_fiber_nodes
 ACTION_BLOCK = 4096  # torus cells action_norm_sup takes rho(h) of at once
 EDGE_CHUNK = 65_536  # stored edges write_edges_csv formats per write
@@ -229,6 +234,14 @@ class GridWindow:
             + (k >= 3) * a * ky / 12.0 + (k >= 4) * a * a * ky / 24.0
         return rho * f * cut * (1.0 + 1e-9)
 
+    def ball_cells(self, radii):
+        """A-priori bound on the centers a kd-tree ball of each radius
+        holds: along each axis an interval of length 2 r holds at most
+        floor(2 r / delta) + 1 of its centers, and never more than the axis
+        has."""
+        per_axis = np.floor(2.0 * np.asarray(radii)[:, None] / self.delta) + 1
+        return np.minimum(per_axis, self.shape).prod(axis=1)
+
     def inflated_bounds(self, pad):
         """Box bounds enlarged by pad plus one cell on each box coordinate."""
         margin = pad + self.delta[self.box]
@@ -364,6 +377,57 @@ def _translate(group, anchor, flow, starts, u_of):
     return group.normalize(np.concatenate([h_a[:, u_of] + h_g, x], axis=-1))
 
 
+def _anchor_table(system, family, h, n_steps):
+    """(flows, anchors) on the grid of n_steps steps of h: the drift-flow
+    powers F_k = (e^{hD})^k, (n_steps + 1, n, n), and the anchors a_k =
+    phi(k h, e, u) of every control of family, (n_steps + 1, U, dim).
+
+    One batched RK4 run over the first grid step, at the step limit
+    `integrate` uses, gives a_1; the exact identity a_{m+j} = a_m *
+    Phi_{mh}(a_j) then fills the table a_0..a_n by doubling, a_{m+1}..a_{2m}
+    in one batched product per m = 1, 2, 4, ..., as `power_stack` fills its
+    powers.  (Running RK4 over the whole grid instead lets its relative
+    error act on anchors that an expanding drift drives far out, |a| ~ 22
+    on heisenberg-expanding, and put landings 1.4e-8 off direct
+    integration.)
+
+    The system keeps its latest flows and anchor table, read-only, in
+    run_tables, so the graph build and the source-constant estimate of one
+    run build them once: the flows whenever the grid matches, the anchors
+    when the control slice does too.
+    """
+    memo = system.run_tables
+    grid = (h, n_steps)
+    if memo.get("flows", (None,))[0] != grid:
+        flows = power_stack(expm(h * system.derivation),
+                            np.eye(system.algebra.dim), n_steps)
+        flows.flags.writeable = False
+        memo["flows"] = (grid, flows)
+    flows = memo["flows"][1]
+    key = grid + (family.shape, family.tobytes())
+    if memo.get("anchors", (None,))[0] == key:
+        return flows, memo["anchors"][1]
+
+    group = system.group
+    n_sub = max(1, math.ceil(h / system.step_limit - 1e-9))
+    first = np.zeros((len(family), group.dim))
+    field = system.frozen_field(family)
+    for _ in range(n_sub):
+        first = group.normalize(_rk4_step(field, first, h / n_sub))
+    anchors = np.zeros((n_steps + 1, len(family), group.dim))
+    anchors[1] = first
+    filled = 1  # a_0..a_filled are in the table
+    while filled < n_steps:
+        take = min(filled, n_steps - filled)
+        h_j, x_j = group.split(anchors[1:take + 1])
+        anchors[filled + 1:filled + take + 1] = group.multiply(
+            anchors[filled], group.join(h_j, x_j @ flows[filled].T))
+        filled += take
+    anchors.flags.writeable = False
+    memo["anchors"] = (key, anchors)
+    return flows, anchors
+
+
 def _propagate_family(system, starts, family, h, n_steps, steps,
                       box_lower, box_upper, box):
     """Fixed-step runs of every start under every control of a family,
@@ -372,27 +436,21 @@ def _propagate_family(system, starts, family, h, n_steps, steps,
     0 is the start), the flat rows r = u * len(starts) + start still alive in
     increasing order and their states, and the (U, N) truncation mask.
 
-    The anchor a_k = phi(k h, e, u) of each control comes from the
-    translation identity itself.  One batched RK4 run over the first grid
-    step, at the step limit `integrate` uses, gives a_1; the exact identity
-    a_{m+j} = a_m * Phi_{mh}(a_j) then fills the table a_0..a_n by doubling,
-    a_{m+1}..a_{2m} in one batched product per m = 1, 2, 4, ..., as
-    `power_stack` fills its powers.  (Running RK4 over the whole grid
-    instead lets its relative error act on anchors that an expanding drift
-    drives far out, |a| ~ 22 on heisenberg-expanding, and put landings
-    1.4e-8 off direct integration.)  The state of start g at step k is then
-    a_k * (h_g, F_k x_g) with the drift flow F_k = (e^{hD})^k, an affine map
-    (`_translate`).
+    The state of start g at step k is a_k * (h_g, F_k x_g), with the
+    anchor a_k = phi(k h, e, u) of its control and the drift flow F_k =
+    (e^{hD})^k (`_anchor_table`), an affine map (`_translate`).
 
-    The runs move in blocks of steps, each at most STEP_BLOCK row-steps (one
-    step at least): one `_translate` call gives every live row's state on
-    every step of the block.  The box is tested on every step, and a
-    cumulative OR of the exits over the block's steps ends each row at its
-    first exit, so a row that leaves and comes back within a block is in no
-    later frame.  Only rows still alive enter the next block.
+    The runs move in blocks of steps, each at most STEP_BLOCK row-steps:
+    one step per block while more than STEP_BLOCK rows are alive, and then
+    the rows too go in blocks of STEP_BLOCK.  Each `_translate` call gives
+    its rows' states on every step of its block; only the steps wanted are
+    kept.  The box is tested on every step, and a cumulative OR of the
+    exits over the block's steps ends each row at its first exit, so a row
+    that leaves and comes back within a block is in no later frame.  Only
+    rows still alive enter the next block.
 
-    With s0 = min(steps) > 0 the rows are first sieved at s0: a block of
-    that one step gives each row's state there, and the rows outside the
+    With s0 = min(steps) > 0 the rows are first sieved at s0: blocks of
+    that one step give each row's state there, and the rows outside the
     box are truncated unmoved.  The sieve is exact: a row's state has the
     same bits in any block, so a dropped row is in no frame, and a kept
     row, which may have left and come back, is still tested on every step.
@@ -402,52 +460,41 @@ def _propagate_family(system, starts, family, h, n_steps, steps,
     family = np.atleast_2d(np.asarray(family, dtype=float))
     y0 = group.normalize(np.array(starts, dtype=float))
     n_u, n_rows = len(family), len(y0)
-    flows = power_stack(expm(h * system.derivation),
-                        np.eye(system.algebra.dim), n_steps)
+    flows, anchors = _anchor_table(system, family, h, n_steps)
 
-    n_sub = max(1, math.ceil(h / system.step_limit - 1e-9))
-    first = np.zeros((n_u, group.dim))
-    field = system.frozen_field(family)
-    for _ in range(n_sub):
-        first = group.normalize(_rk4_step(field, first, h / n_sub))
-    anchors = np.zeros((n_steps + 1, n_u, group.dim))
-    anchors[1] = first
-    filled = 1  # a_0..a_filled are in the table
-    while filled < n_steps:
-        take = min(filled, n_steps - filled)
-        h_j, x_j = group.split(anchors[1:take + 1])
-        anchors[filled + 1:filled + take + 1] = group.multiply(
-            anchors[filled], group.join(h_j, x_j @ flows[filled].T))
-        filled += take
-
-    def block(rows, lo, hi):
-        """States of rows on steps lo..hi-1, (hi - lo, rows, dim), and their
-        (hi - lo, rows) masks of the steps outside the box."""
-        u_of, start_of = np.divmod(rows, n_rows)
-        states = _translate(group, anchors[lo:hi], flows[lo:hi],
-                            y0[start_of], u_of)
-        coords = states[..., box]
-        return states, np.any((coords < box_lower) | (coords > box_upper),
-                              axis=-1)
+    def block(rows, lo, hi, keep):
+        """The (hi - lo, rows) masks of steps lo..hi-1 outside the box, and
+        the states of rows on the steps lo + keep, (len(keep), rows, dim)."""
+        width = max(1, STEP_BLOCK // (hi - lo))
+        states, out = [], []
+        for at in range(0, rows.size, width):
+            u_of, start_of = np.divmod(rows[at:at + width], n_rows)
+            moved = _translate(group, anchors[lo:hi], flows[lo:hi],
+                               y0[start_of], u_of)
+            coords = moved[..., box]
+            out.append(np.any((coords < box_lower) | (coords > box_upper),
+                              axis=-1))
+            states.append(moved[keep])
+        return np.concatenate(states, axis=1), np.concatenate(out, axis=1)
 
     rows = np.arange(n_u * n_rows)
     truncated = np.zeros(n_u * n_rows, dtype=bool)
     want = sorted({int(s) for s in steps})
-    if want and want[0] > 0:
-        _, (out,) = block(rows, want[0], want[0] + 1)
+    if want and want[0] > 0 and rows.size:
+        _, (out,) = block(rows, want[0], want[0] + 1, [])
         truncated[rows[out]] = True
         rows = rows[~out]
     frames = {0: (rows, y0[rows % n_rows])} if 0 in want else {}
     step = 1
     while step <= n_steps and rows.size:
         stop = min(n_steps + 1, step + max(1, STEP_BLOCK // rows.size))
-        states, out = block(rows, step, stop)
+        keep = [s - step for s in want if step <= s < stop]
+        states, out = block(rows, step, stop, keep)
         # gone[i]: the rows that have left by step + i
         gone = np.logical_or.accumulate(out, axis=0)
-        for s in want:
-            if step <= s < stop:
-                alive = ~gone[s - step]
-                frames[s] = (rows[alive], states[s - step][alive])
+        for j, k in enumerate(keep):
+            alive = ~gone[k]
+            frames[step + k] = (rows[alive], states[j][alive])
         truncated[rows[gone[-1]]] = True
         rows = rows[~gone[-1]]
         step = stop
@@ -455,6 +502,57 @@ def _propagate_family(system, starts, family, h, n_steps, steps,
     dead = (rows, np.zeros((0, group.dim)))
     return ([frames.get(int(s), dead) for s in steps],
             truncated.reshape(n_u, n_rows))
+
+
+def _block_hits(group, tree, offset, centers, landed, radii, cut):
+    """(owner, dst) of the centers within the cut of one block of landings:
+    the kd-tree candidates within each landing's radius, decided by the
+    exact distance PAIR_LIMIT pairs at a time."""
+    balls = tree.query_ball_point(landed + offset, radii,
+                                  return_sorted=False)
+    owner = np.repeat(np.arange(len(landed)), [len(b) for b in balls])
+    dst = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.asarray(b, dtype=np.int64) for b in balls if len(b)])
+    del balls  # Python lists: about 36 bytes per candidate
+    hit = np.concatenate([np.zeros(0, dtype=bool)] + [
+        group.distance(landed, centers[dst[lo:lo + PAIR_LIMIT]],
+                       owner[lo:lo + PAIR_LIMIT]) <= cut
+        for lo in range(0, owner.size, PAIR_LIMIT)])
+    return owner[hit], dst[hit]
+
+
+def _first_per_pair(code, n_w):
+    """Edge codes (src * n_nodes + dst) * n_w + w sorted and cut to the
+    first code of each (src, dst) pair, the one of its smallest witness."""
+    code.sort()
+    pair = code // n_w
+    first = np.empty(code.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    del pair
+    return code[first]
+
+
+def _merge_due(held, merged):
+    """The kept codes are merged once they pass twice their last merged
+    size plus PAIR_LIMIT: they stay within about three times the merged
+    pairs, and at least as many codes arrive between two merges as the
+    first of them kept, so a merge costs a bounded amount per code."""
+    return held > 2 * merged + PAIR_LIMIT
+
+
+def _merge_codes(kept, n_w):
+    """The list kept of blocks of codes, emptied, as one sorted block with
+    each pair at its smallest witness; more than EDGE_LIMIT pairs are
+    refused."""
+    code = np.concatenate(kept)
+    kept.clear()
+    code = _first_per_pair(code, n_w)
+    if code.size > EDGE_LIMIT:
+        raise ValidationError(
+            f"graph has over {EDGE_LIMIT} stored edges (EDGE_LIMIT); use "
+            f"coarser cells (chain.delta) or a smaller chain.eps")
+    return code
 
 
 def build_chain_graph(system, window, eps, tau, control_family=None,
@@ -475,6 +573,19 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     sources.  With no symmetric axis the slice is the whole window.  A tau
     too long for one control's run (`_control_slices`) is refused before
     any run.
+
+    Every transient array of the build is bounded by the block constants.
+    The runs move at most STEP_BLOCK row-steps per `_translate` call
+    (`_propagate_family`), and the query radii are taken STEP_BLOCK
+    landings at a time.  The landings of a snapshot go to the kd-tree in
+    blocks whose a-priori candidate count (`GridWindow.ball_cells`) fits in
+    PAIR_LIMIT, one landing at least, and each block's hit codes are sorted
+    and cut to their first code per pair, its smallest witness.  The kept
+    codes are merged the same way whenever they pass twice their last merged
+    size plus PAIR_LIMIT, so the minimum witness of each pair survives and
+    the graph has the same bits as one sort of every hit.  The kept codes
+    themselves are bounded only by the graph: more than EDGE_LIMIT stored
+    edges are refused.
     """
     if eps <= 0 or tau <= 0:
         raise ValidationError("eps and tau must be positive")
@@ -527,11 +638,10 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     base, _ = window.shift_split(np.arange(n_nodes))
     sources = np.flatnonzero(base == np.arange(n_nodes))
 
-    # hits: the codes of the pairs within the cut, one per landing; one
-    # query per step over every control of a slice, its exact distances
-    # PAIR_LIMIT pairs at a time
+    # the hit codes of each block of landings, cut to their first code per
+    # pair, and merged as they grow (see above)
     truncated = np.zeros(n_nodes, dtype=bool)
-    codes = [np.zeros(0, dtype=np.int64)]
+    kept, held, merged = [np.zeros(0, dtype=np.int64)], 0, 0
     for part in _control_slices(len(control_family),
                                  sources.size * (n_t + 2), n_steps):
         frames, trunc = _propagate_family(
@@ -539,27 +649,31 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
             lo_inf, hi_inf, window.box)
         truncated[sources] |= trunc.any(axis=0)
         for t_idx, (rows, landed) in enumerate(frames):
-            balls = tree.query_ball_point(
-                landed + offset, window.query_radii(landed, cut),
-                return_sorted=False)
-            owner = np.repeat(np.arange(rows.size), [len(b) for b in balls])
-            if owner.size == 0:
-                continue
-            flat_dst = np.concatenate(
-                [np.asarray(b, dtype=np.int64) for b in balls if len(b)])
-            del balls  # Python lists: about 36 bytes per candidate
-            blocks = [slice(lo, lo + PAIR_LIMIT)
-                      for lo in range(0, owner.size, PAIR_LIMIT)]
-            hit = np.concatenate([system.group.distance(
-                landed, centers[flat_dst[b]], owner[b]) for b in blocks]) <= cut
-            u_of, start_of = np.divmod(rows[owner[hit]], sources.size)
-            codes.append((sources[start_of] * n_nodes + flat_dst[hit]) * n_w
-                         + (part.start + u_of) * n_t + t_idx)
-    # each pair keeps its smallest witness: the first code of its run; the
-    # sorted codes are CSR rows, and row a starts at the first code of src a
-    code = np.sort(np.concatenate(codes))
-    del frames, codes
-    code = code[np.diff(code // n_w, prepend=-1) != 0]
+            radii = np.concatenate([np.zeros(0)] + [
+                window.query_radii(landed[lo:lo + STEP_BLOCK], cut)
+                for lo in range(0, rows.size, STEP_BLOCK)])
+            reach = np.cumsum(window.ball_cells(radii))
+            lo = 0
+            while lo < rows.size:
+                hi = max(lo + 1, int(np.searchsorted(
+                    reach, PAIR_LIMIT + (reach[lo - 1] if lo else 0),
+                    side="right")))
+                owner, dst = _block_hits(system.group, tree, offset, centers,
+                                         landed[lo:hi], radii[lo:hi], cut)
+                u_of, start_of = np.divmod(rows[lo:hi][owner], sources.size)
+                kept.append(_first_per_pair(
+                    (sources[start_of] * n_nodes + dst) * n_w
+                    + (part.start + u_of) * n_t + t_idx, n_w))
+                held += kept[-1].size
+                if _merge_due(held, merged):
+                    kept = [_merge_codes(kept, n_w)]
+                    held = merged = kept[0].size
+                lo = hi
+    del frames
+    # the sorted codes are CSR rows, and row a starts at the first code of
+    # src a
+    code = _merge_codes(kept, n_w)
+    del kept
     indptr = np.searchsorted(code, np.arange(n_nodes + 1) * (n_nodes * n_w))
     witness = (code % n_w).astype(np.min_scalar_type(n_w - 1))
     code //= n_w
@@ -824,7 +938,9 @@ def estimate_source_constants(system, window, tau, control_family=None):
     The action norm sup over the torus cells (`action_norm_sup`) is added
     per the bound's jump-size constant.  The frames of a control slice are
     joined and evaluated STEP_BLOCK rows at a time: one field pass, two
-    matmuls and the per-level norms per block.
+    matmuls and the per-level norms per block.  The runs read the system's
+    drift-flow powers and anchor table (`_anchor_table`), which the graph
+    build of the same run has built when its control slice is the same.
     """
     group = system.group
     alg = system.algebra

@@ -198,6 +198,9 @@ class LinearControlSystem:
         self._lin_drift, self._lin_rows = lin[0], lin[1:].reshape(m, -1)
         norm_d = float(np.linalg.norm(self.derivation, 2)) if group.x_dim else 0.0
         self.step_limit = 1e-3 / max(1.0, norm_d)
+        # the latest drift-flow powers and anchor table of a chain run, which
+        # chains._anchor_table fills and reads
+        self.run_tables = {}
 
     # -- field -------------------------------------------------------------
 

@@ -25,6 +25,7 @@ from chaincontrol.chains import (
     ANCHOR_ROW_LIMIT,
     EDGE_CHUNK,
     FIBER_TOL,
+    PAIR_LIMIT,
     ChainControlSetApprox,
     ChainGraph,
     GridWindow,
@@ -50,6 +51,7 @@ from chaincontrol.chains import (
 from chaincontrol.errors import ValidationError
 from chaincontrol.group import RhoAction, SemidirectGroup
 from chaincontrol.lcs import ControlRange, LinearControlSystem, _rk4_step
+from chaincontrol.spectral import power_stack
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -1625,23 +1627,34 @@ def test_block_ends_a_row_at_its_first_exit():
                                   "filiform4-small"])
 def test_step_blocks_change_no_frame(monkeypatch, name):
     # the runs move in blocks of STEP_BLOCK row-steps; blocks of a few
-    # row-steps (one step each while more rows are alive) and of an odd
-    # size give the same frames and truncation, bit for bit, with and
-    # without the sieve
+    # row-steps (one step each and the rows split too, the sieve's
+    # included, while more rows are alive) and of an odd size give the same
+    # frames and truncation, bit for bit, with and without the sieve, and
+    # no _translate call takes more than STEP_BLOCK row-steps
     system, window, graph = _small_graph(name)
     args = (system, window.points[::3], graph.control_family, graph.step,
             graph.n_steps)
     box = (graph.inflated_lower, graph.inflated_upper, window.box)
     wanted = (graph.snapshot_steps, range(0, graph.n_steps + 1, 5))
     default = [_propagate_family(*args, steps, *box) for steps in wanted]
-    for block in (5, 997):
+    row_steps = []
+
+    def counted(group, anchor, flow, starts, u_of):
+        row_steps.append(len(anchor) * len(u_of))
+        return _translate(group, anchor, flow, starts, u_of)
+
+    monkeypatch.setattr("chaincontrol.chains._translate", counted)
+    assert len(graph.control_family) * len(window.points[::3]) > 61
+    for block in (61, 997):
         monkeypatch.setattr("chaincontrol.chains.STEP_BLOCK", block)
+        row_steps.clear()
         for (frames, truncated), steps in zip(default, wanted):
             got, got_truncated = _propagate_family(*args, steps, *box)
             assert np.array_equal(got_truncated, truncated)
             for (rows, states), (ref_rows, ref_states) in zip(got, frames):
                 assert np.array_equal(rows, ref_rows)
                 assert np.array_equal(states, ref_states)
+        assert 0 < max(row_steps) <= block
 
 
 def _oracle_edges(system, window, graph):
@@ -1682,6 +1695,19 @@ FILIFORM4_CONFIG = {
               "delta": [0.32, 0.32, 0.2, 0.2], "eps": 0.1, "tau": 0.5},
 }
 
+# class 4, for the cubic BCH term of the anchored runs: filiform5 with the
+# graded diagonal derivation diag(a, b, a + b, 2a + b, 3a + b), a = b = -1,
+# on 128 cells
+FILIFORM5_CONFIG = {
+    "schema": 1, "seed": 1, "algebra": {"preset": "filiform5"},
+    "derivation": np.diag([-1.0, -1.0, -2.0, -3.0, -4.0]).tolist(),
+    "control": {"z": [[1.0, 1.0, 0.0, 0.0, 0.0]], "lower": [-1.0],
+                "upper": [1.0]},
+    "chain": {"x_lower": [-0.8, -0.8, -0.4, -0.4, -0.4],
+              "x_upper": [0.8, 0.8, 0.4, 0.4, 0.4],
+              "delta": [0.4] * 5, "eps": 0.1, "tau": 0.5},
+}
+
 # rotation-plane with the torus generator skewed (S ROT S^-1, S = diag(1, 3)):
 # rho(h) stretches, so torus shifts do not map its graph onto itself
 SKEWED_ROTATION_CONFIG = copy.deepcopy(cfg.PRESETS["rotation-plane"])
@@ -1703,6 +1729,7 @@ SMALL_WINDOWS = {
     "conjugation-upstairs-small": ("conjugation-upstairs", -0.25, 0.25,
                                    [0.25, 0.25], (8, 8), 1),
     "filiform4-small": (FILIFORM4_CONFIG, 2),
+    "filiform5-small": (FILIFORM5_CONFIG, 2),
 }
 
 
@@ -1857,6 +1884,122 @@ def test_pair_blocks_change_no_edge(monkeypatch):
                                 time_samples=graph.time_samples)
     for name in ("indptr", "dst", "witness", "truncated"):
         assert np.array_equal(getattr(blocked, name), getattr(graph, name))
+
+
+@pytest.mark.parametrize("name,limit", [
+    ("scalar-stable", 1), ("heisenberg-expanding-small", 1),
+    ("filiform4-small", 4999), ("filiform5-small", 97),
+    ("rotation-plane-small", 1), ("conjugation-upstairs-small", 1)])
+def test_tiny_budgets_change_no_graph_bit(monkeypatch, name, limit):
+    # classes 1 to 4 and both kinds of circle axis: row blocks of 97
+    # row-steps split the sieve's rows, a PAIR_LIMIT of 1 sends one landing
+    # per kd-tree call (a few landings on the dense class 3 and 4 graphs,
+    # whose 1.2e4 and 6.5e4 stored edges make that slow), and the kept
+    # codes are merged after every block; every graph array keeps its bits
+    system, window, graph = _small_graph(name)
+    landings, merges = [], []
+
+    class Counting(cKDTree):
+        def query_ball_point(self, x, r, **kwargs):
+            landings.append(len(x))
+            return super().query_ball_point(x, r, **kwargs)
+
+    def counted_merge(kept, n_w):
+        merges.append(len(kept))
+        return merge(kept, n_w)
+
+    merge = chains._merge_codes
+    monkeypatch.setattr("chaincontrol.chains.cKDTree", Counting)
+    monkeypatch.setattr("chaincontrol.chains._merge_codes", counted_merge)
+    monkeypatch.setattr("chaincontrol.chains._merge_due", lambda *_: True)
+    monkeypatch.setattr("chaincontrol.chains.STEP_BLOCK", 97)
+    monkeypatch.setattr("chaincontrol.chains.PAIR_LIMIT", limit)
+    tiny = build_chain_graph(system, window, graph.eps, graph.tau,
+                             control_family=graph.control_family,
+                             time_samples=graph.time_samples)
+    assert graph.n_edges > 0
+    assert len(landings) > len(graph.snapshot_steps)
+    assert limit > 1 or set(landings) == {1}
+    # one merge after each block, and the last one
+    assert len(merges) == len(landings) + 1
+    for attr in ("indptr", "dst", "witness", "truncated"):
+        assert np.array_equal(getattr(tiny, attr), getattr(graph, attr))
+
+
+@pytest.mark.parametrize("name,limit", [
+    ("heisenberg-expanding", PAIR_LIMIT), ("coarse-expanding", PAIR_LIMIT),
+    ("heisenberg-expanding-small", 97), ("conjugation-upstairs-small", 97),
+    ("filiform5-small", 97)])
+def test_kdtree_calls_hold_at_most_pair_limit_candidates(monkeypatch, name,
+                                                         limit):
+    # each kd-tree call takes a run of landings whose a-priori candidate
+    # bound fits in PAIR_LIMIT, so it returns at most PAIR_LIMIT candidates
+    # unless it holds one landing, and the bound is at least each landing's
+    # true count
+    if name.endswith("-small"):
+        system, window, graph = _small_graph(name)
+        c = SimpleNamespace(eps=graph.eps, tau=graph.tau,
+                            family=graph.control_family,
+                            times=graph.time_samples)
+    else:
+        c, system, window = (_coarse_expanding_case()
+                             if name == "coarse-expanding"
+                             else _preset_case(name))
+    calls = []
+
+    class Counting(cKDTree):
+        def query_ball_point(self, x, r, **kwargs):
+            balls = super().query_ball_point(x, r, **kwargs)
+            counts = np.array([len(b) for b in balls])
+            assert np.all(window.ball_cells(r) >= counts)
+            calls.append((len(balls), int(counts.sum())))
+            return balls
+
+    monkeypatch.setattr("chaincontrol.chains.cKDTree", Counting)
+    monkeypatch.setattr("chaincontrol.chains.PAIR_LIMIT", limit)
+    build_chain_graph(system, window, c.eps, c.tau, control_family=c.family,
+                      time_samples=c.times)
+    assert all(total <= limit or n == 1 for n, total in calls)
+    # more calls than snapshots: the landings were split
+    assert len(calls) > 4
+
+
+def test_edge_limit_refuses_a_larger_graph(monkeypatch):
+    # the merged kept pairs are held to EDGE_LIMIT: a graph with exactly
+    # that many stored edges builds, one more is refused with one line
+    system, window, graph = _small_graph("heisenberg-expanding-small")
+    args = (system, window, graph.eps, graph.tau)
+    kwargs = {"control_family": graph.control_family,
+              "time_samples": graph.time_samples}
+    monkeypatch.setattr("chaincontrol.chains.EDGE_LIMIT", graph.dst.size)
+    assert np.array_equal(build_chain_graph(*args, **kwargs).dst, graph.dst)
+    monkeypatch.setattr("chaincontrol.chains.EDGE_LIMIT", graph.dst.size - 1)
+    with pytest.raises(ValidationError, match="EDGE_LIMIT"):
+        build_chain_graph(*args, **kwargs)
+
+
+def test_one_drift_power_stack_per_chainset_run(monkeypatch):
+    # the graph build and the source-constant estimate of one chainset run
+    # share the drift-flow powers and, on the same control slice, the
+    # anchor table: the estimate builds neither again
+    stacks, first_steps = [], []
+
+    def counted_stack(*args):
+        stacks.append(1)
+        return power_stack(*args)
+
+    def counted_step(*args):
+        first_steps.append(1)
+        return _rk4_step(*args)
+
+    monkeypatch.setattr("chaincontrol.chains.power_stack", counted_stack)
+    monkeypatch.setattr("chaincontrol.chains._rk4_step", counted_step)
+    c = cfg.preset_config("heisenberg-expanding")
+    system, window, _, sets = verify.chain_run(c)
+    built = len(first_steps)
+    run = verify.verdict_run(c, system, window, sets)
+    assert run.bound.bounds is not None
+    assert len(stacks) == 1 and len(first_steps) == built > 0
 
 
 def _one_each(n_controls, rows_per_control, n_steps):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from chaincontrol import cli
+from chaincontrol import chains, cli
 from chaincontrol import config as cfg
 from chaincontrol import verify
 from chaincontrol.cli import main
@@ -343,6 +343,18 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_edge_limit_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # a graph with more stored edges than EDGE_LIMIT is refused with one
+    # stderr line naming the limit, before any output is written
+    monkeypatch.setattr(chains, "EDGE_LIMIT", 100)
+    out = tmp_path / "c"
+    code = main(["chainset", "--preset", "scalar-stable", "--out", str(out)])
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "over 100 stored edges (EDGE_LIMIT)" in line
+    assert not out.exists()
+
+
 def test_chainset_interior_requirement_fails_with_exit_3(tmp_path):
     raw = copy.deepcopy(cfg.PRESETS["halfstable-w2"])
     raw["chain"]["require_interior"] = True
@@ -466,17 +478,26 @@ def _flat_z_yaml(extra_kernel, derivation=None):
 def test_quotient_nearest_distances_in_blocks_keep_every_bit(monkeypatch,
                                                              name):
     # the nearest downstairs distances run over blocks of mapped rows, about
-    # PAIR_LIMIT pairs each; blocks of one row keep every bit
+    # PAIR_LIMIT pairs each; blocks of one row keep every bit.  So do the
+    # graph builds' blocks upstairs and downstairs: row blocks of 97
+    # row-steps, a few landings per kd-tree call and a merge of the kept
+    # codes after every block
     config = (cfg.parse_config(FLAT_Z) if name == "flat-z"
               else cfg.preset_config(name))
     whole = verify.quotient_run(config)
     monkeypatch.setattr(verify, "PAIR_LIMIT", 7)
+    monkeypatch.setattr(chains, "STEP_BLOCK", 97)
+    monkeypatch.setattr(chains, "PAIR_LIMIT", 997)
+    monkeypatch.setattr(chains, "_merge_due", lambda *_: True)
     blocked = verify.quotient_run(config)
     row = whole.residuals[-1]
     assert row["name"] == "set_inclusion" and row["value"] is not None
     assert len(whole.mapped) > 1
     assert blocked.residuals[-1] == row
     assert blocked.mapped_fraction == whole.mapped_fraction
+    for sets in ("usets", "dsets"):
+        assert [s.nodes.tolist() for s in getattr(blocked, sets)] == \
+            [s.nodes.tolist() for s in getattr(whole, sets)]
 
 
 def test_conjugate_drops_a_flat_central_axis(tmp_path):
