@@ -1,16 +1,6 @@
 """Chain control sets of linear control systems on low-dimensional Lie groups."""
 
-from .errors import (
-    DefectiveClusteringError,
-    IncompatibleActionError,
-    IntegratorBudgetError,
-    NotAutomorphismError,
-    NotDerivationError,
-    NotHyperbolicError,
-    NotNilpotentError,
-    SeriesNotPreservedError,
-    ValidationError,
-)
+from .errors import IntegratorBudgetError, NotHyperbolicError, ValidationError
 from .algebra import NilpotentAlgebra, bch_dynkin, preset_structure, quotient_by_central
 from .spectral import (
     GradedBlocks,
@@ -104,12 +94,6 @@ __all__ = [
     "acceptance_report",
     "run_battery",
     "ValidationError",
-    "NotNilpotentError",
-    "NotDerivationError",
-    "SeriesNotPreservedError",
-    "DefectiveClusteringError",
-    "NotAutomorphismError",
-    "IncompatibleActionError",
     "NotHyperbolicError",
     "IntegratorBudgetError",
 ]

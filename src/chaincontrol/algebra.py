@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import NotNilpotentError, ValidationError
+from .errors import ValidationError
 
 MAX_CLASS = 4
 MAX_DIM = 8
@@ -173,8 +173,7 @@ class NilpotentAlgebra:
             spanned = np.einsum("ijk,jl->kil", c, prev).reshape(n, -1)
             bases.append(_orthonormal_range(spanned))
         if bases[-1].shape[1] != 0:
-            raise NotNilpotentError(
-                f"series not exhausted within class {MAX_CLASS}")
+            raise ValidationError(f"series not exhausted within class {MAX_CLASS}")
         while bases[-1].shape[1] == 0 and len(bases) > 1:
             bases.pop()
         self.nilpotency_class = len(bases)

@@ -138,7 +138,7 @@ class GridWindow:
         # refused before any per-axis grid is allocated
         n_nodes = float(np.prod(snapped)) * math.prod(cells)
         if n_nodes > NODE_LIMIT:
-            raise ValidationError(f"window has {n_nodes:.0f} cells, over the "
+            raise ValidationError(f"window has {n_nodes:.7g} cells, over the "
                                   f"{NODE_LIMIT} limit")
         self.n_nodes = int(n_nodes)
 
@@ -313,12 +313,14 @@ def _step_grid(system, tau):
 def _control_slices(n_controls, rows_per_control, n_steps):
     """Slices of a control family whose anchored runs stay within
     ANCHOR_ROW_LIMIT rows, rows_per_control kept states and n_steps + 1
-    anchors per control; a grid too long for one control is refused, which
-    also bounds the flow table (n_steps + 1 matrices)."""
+    anchors per control; one control over the limit is refused, which also
+    bounds the flow table (n_steps + 1 matrices)."""
     per_control = rows_per_control + n_steps + 1
     if per_control > ANCHOR_ROW_LIMIT:
-        raise ValidationError(f"chain.tau takes {n_steps} steps, over "
-                              f"{ANCHOR_ROW_LIMIT} rows for one control")
+        raise ValidationError(
+            f"one control needs {rows_per_control} kept states and {n_steps + 1} "
+            f"anchors, over ANCHOR_ROW_LIMIT ({ANCHOR_ROW_LIMIT}) rows; use "
+            f"coarser cells (chain.delta) or a shorter chain.tau")
     width = ANCHOR_ROW_LIMIT // per_control
     return [slice(a, a + width) for a in range(0, n_controls, width)]
 
@@ -570,9 +572,9 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     elements the drift flow fixes, which act by isometries and leave the box
     coordinates alone.  So every whole-cell shift of those axes carries the
     slice's edges, smallest witnesses and truncation flags to its shifted
-    sources.  With no symmetric axis the slice is the whole window.  A tau
-    too long for one control's run (`_control_slices`) is refused before
-    any run.
+    sources.  With no symmetric axis the slice is the whole window.  A
+    window and tau whose kept states and anchors overflow one control's run
+    (`_control_slices`) are refused before the kd-tree is built.
 
     Every transient array of the build is bounded by the block constants.
     The runs move at most STEP_BLOCK row-steps per `_translate` call
@@ -626,6 +628,12 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
         if not system.range.contains(u):
             raise ValidationError(f"control sample {u} outside the range")
 
+    centers = window.points
+    base, _ = window.shift_split(np.arange(n_nodes))
+    sources = np.flatnonzero(base == np.arange(n_nodes))
+    parts = _control_slices(len(control_family), sources.size * (n_t + 2),
+                            n_steps)
+
     radius = eps + window.half_diameter
     cut = radius + 1e-12
     lo_inf, hi_inf = window.inflated_bounds(radius)
@@ -634,16 +642,11 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     offset = np.where(window.box, 0.0, np.pi)
     tree = cKDTree(window.points + offset, boxsize=2.0 * offset)
 
-    centers = window.points
-    base, _ = window.shift_split(np.arange(n_nodes))
-    sources = np.flatnonzero(base == np.arange(n_nodes))
-
     # the hit codes of each block of landings, cut to their first code per
     # pair, and merged as they grow (see above)
     truncated = np.zeros(n_nodes, dtype=bool)
     kept, held, merged = [np.zeros(0, dtype=np.int64)], 0, 0
-    for part in _control_slices(len(control_family),
-                                 sources.size * (n_t + 2), n_steps):
+    for part in parts:
         frames, trunc = _propagate_family(
             system, centers[sources], control_family[part], h, n_steps, snap,
             lo_inf, hi_inf, window.box)

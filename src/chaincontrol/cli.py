@@ -223,6 +223,10 @@ def _parse_control(args, m, duration):
         starts = [r[0] for r in rows]
         if abs(starts[0]) > 1e-12:
             raise ValidationError("first control piece must start at time 0")
+        late = [t for t in starts if t >= duration]
+        if late:
+            raise ValidationError(f"control piece starts at {late[0]}, not before "
+                                  f"--duration {duration}")
         values = [r[1:] for r in rows]
         return ControlFunction(starts + [duration], values)
     if args.control is not None:

@@ -1,32 +1,15 @@
-"""Exception types raised by validation and construction routines."""
+"""Exception types raised by validation and construction routines.
+
+A type exists only where a handler tells it apart: `cli.main` turns a
+ValidationError into exit 2 and an IntegratorBudgetError into its budget
+line, and `chains.decay_certificate` records a NotHyperbolicError as a flat
+level's note.  Every other refusal is a ValidationError whose message names
+what failed.
+"""
 
 
 class ValidationError(ValueError):
     """Input data fails a structural requirement (shape, symmetry, identity)."""
-
-
-class NotNilpotentError(ValidationError):
-    """Bracket tensor does not terminate within the allowed nilpotency class."""
-
-
-class NotDerivationError(ValidationError):
-    """Candidate matrix violates the Leibniz rule beyond tolerance."""
-
-
-class SeriesNotPreservedError(ValidationError):
-    """Linear map fails to map each descending-series ideal into itself."""
-
-
-class DefectiveClusteringError(ValidationError):
-    """Real Schur clustering produced inconsistent invariant-subspace dims."""
-
-
-class NotAutomorphismError(ValidationError):
-    """Flow or map fails the automorphism property beyond tolerance."""
-
-
-class IncompatibleActionError(ValidationError):
-    """Twisting action does not commute with drift or bracket as required."""
 
 
 class NotHyperbolicError(ValidationError):

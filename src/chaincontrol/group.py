@@ -21,11 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import quotient_by_central
-from .errors import (
-    IncompatibleActionError,
-    NotAutomorphismError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .spectral import check_derivation
 
 TWO_PI = 2.0 * np.pi
@@ -64,8 +60,7 @@ class RhoAction:
             for j in range(i + 1, len(gens)):
                 comm = gens[i] @ gens[j] - gens[j] @ gens[i]
                 if np.max(np.abs(comm)) > 1e-10:
-                    raise IncompatibleActionError(
-                        "action generators do not commute")
+                    raise ValidationError("action generators do not commute")
         self.generators = gens
         self.n_params = len(gens)
         self.dim = n
@@ -81,11 +76,10 @@ class RhoAction:
         for g in gens:
             eigs = np.linalg.eigvals(g)
             if np.max(np.abs(eigs.real)) > ACTION_ATOL:
-                raise IncompatibleActionError(
+                raise ValidationError(
                     "angular generator has spectrum off the imaginary axis")
             if np.max(np.abs(eigs.imag - np.round(eigs.imag))) > ACTION_ATOL:
-                raise IncompatibleActionError(
-                    "angular generator frequencies are not integers")
+                raise ValidationError("angular generator frequencies are not integers")
 
         # joint diagonalization through a generic real combination
         rng = np.random.default_rng(913)
@@ -103,15 +97,14 @@ class RhoAction:
                 basis = vecs
                 break
         if basis is None:
-            raise IncompatibleActionError(
-                "could not jointly diagonalize the action generators")
+            raise ValidationError("could not jointly diagonalize the action generators")
         self.basis = basis
         self.basis_inv = np.linalg.inv(basis)
         freqs = np.stack([np.diag(self.basis_inv @ g @ basis) for g in gens])
         # snap to exact i*integers so rho is exactly 2pi periodic
         snapped = 1j * np.round(freqs.imag)
         if np.max(np.abs(freqs - snapped)) > ACTION_ATOL:
-            raise IncompatibleActionError("joint spectrum is not integral")
+            raise ValidationError("joint spectrum is not integral")
         self.freqs = snapped
 
     def matrix(self, h):
@@ -123,7 +116,7 @@ class RhoAction:
         phases = np.exp(h @ self.freqs)
         out = (self.basis * phases[..., None, :]) @ self.basis_inv
         if np.max(np.abs(out.imag)) > 1e-9:
-            raise IncompatibleActionError("action matrix came out non-real")
+            raise ValidationError("action matrix came out non-real")
         return out.real
 
     def apply(self, h, x, owner=None):
@@ -290,7 +283,7 @@ def compatibility_residual(group, matrix):
 def _finite(worst, name):
     """The residual worst, refused when a sample made it NaN or inf."""
     if not math.isfinite(worst):
-        raise NotAutomorphismError(f"{name} residual is not finite")
+        raise ValidationError(f"{name} residual is not finite")
     return worst
 
 
@@ -308,14 +301,13 @@ def validate_linear_flow(group, matrix):
     if d.shape != (group.x_dim, group.x_dim):
         raise ValidationError("drift matrix has wrong shape")
     if group.x_mask.any() and np.max(np.abs(d[:, group.x_mask])) > 0:
-        raise NotAutomorphismError(
-            "drift must annihilate angular nilpotent directions")
+        raise ValidationError("drift must annihilate angular nilpotent directions")
     check_derivation(group.algebra, d)
 
     worst_compat = _finite(compatibility_residual(group, d),
                            "drift intertwining")
     if worst_compat > FLOW_ATOL:
-        raise IncompatibleActionError(
+        raise ValidationError(
             f"drift does not intertwine the action, residual {worst_compat:.3e}")
 
     rng = np.random.default_rng(8)
@@ -328,7 +320,7 @@ def validate_linear_flow(group, matrix):
     worst = _finite(float(np.max(group.distance(
         ab_t, group.multiply(a_t, b_t)))), "flow automorphism")
     if worst > FLOW_ATOL:
-        raise NotAutomorphismError(
+        raise ValidationError(
             f"flow automorphism residual {worst:.3e} exceeds {FLOW_ATOL:.1e}")
     return max(worst, worst_compat)
 

@@ -10,13 +10,7 @@ chain-set bounds.
 import numpy as np
 from scipy.linalg import expm, schur
 
-from .errors import (
-    DefectiveClusteringError,
-    NotDerivationError,
-    NotHyperbolicError,
-    SeriesNotPreservedError,
-    ValidationError,
-)
+from .errors import NotHyperbolicError, ValidationError
 
 DERIVATION_ATOL = 1e-10  # Leibniz residual a derivation may carry
 GRADED_ATOL = 1e-12  # upper graded blocks of a series-preserving map; the
@@ -35,7 +29,7 @@ def _norm2(m):
 def check_derivation(algebra, matrix):
     """Largest Leibniz residual |D[a,b] - [Da,b] - [a,Db]| over basis pairs.
 
-    Raises NotDerivationError above DERIVATION_ATOL; returns the residual
+    Raises ValidationError above DERIVATION_ATOL; returns the residual
     otherwise.
     """
     d = np.asarray(matrix, dtype=float)
@@ -46,7 +40,7 @@ def check_derivation(algebra, matrix):
     rhs = np.einsum("ia,ibm->abm", d, c) + np.einsum("jb,ajm->abm", d, c)
     residual = float(np.max(np.abs(lhs - rhs))) if c.size else 0.0
     if residual > DERIVATION_ATOL:
-        raise NotDerivationError(f"Leibniz rule fails, residual {residual:.3e}")
+        raise ValidationError(f"Leibniz rule fails, residual {residual:.3e}")
     return residual
 
 
@@ -77,15 +71,14 @@ class SpectralSplit:
         dims = (self.stable_basis.shape[1], self.center_basis.shape[1],
                 self.unstable_basis.shape[1])
         if sum(dims) != n:
-            raise DefectiveClusteringError(
-                f"invariant subspace dims {dims} do not sum to {n}")
+            raise ValidationError(f"invariant subspace dims {dims} do not sum to {n}")
         self.dims = dims
 
         stacked = np.hstack([self.stable_basis, self.center_basis, self.unstable_basis])
         try:
             coeffs = np.linalg.solve(stacked, np.eye(n))
         except np.linalg.LinAlgError as exc:
-            raise DefectiveClusteringError(f"subspace bases are degenerate: {exc}")
+            raise ValidationError(f"subspace bases are degenerate: {exc}")
         cuts = np.cumsum([0, *dims])
         parts = []
         rows = []
@@ -99,12 +92,12 @@ class SpectralSplit:
 
         ident = self.pi_stable + self.pi_center + self.pi_unstable
         if np.max(np.abs(ident - np.eye(n))) > 1e-9:
-            raise DefectiveClusteringError("projections do not sum to identity")
+            raise ValidationError("projections do not sum to identity")
         for pi in parts:
             if _norm2(pi @ pi - pi) > 1e-8:
-                raise DefectiveClusteringError("projection is not idempotent")
+                raise ValidationError("projection is not idempotent")
             if _norm2(pi @ d - d @ pi) > 1e-7 * max(1.0, _norm2(d)):
-                raise DefectiveClusteringError("projection does not commute with matrix")
+                raise ValidationError("projection does not commute with matrix")
 
 
 class GradedBlocks:
@@ -138,8 +131,7 @@ def block_decompose(algebra, matrix):
     blocks = GradedBlocks(algebra, matrix)
     residual = blocks.upper_residual()
     if residual > GRADED_ATOL:
-        raise SeriesNotPreservedError(
-            f"upper graded blocks nonzero, residual {residual:.3e}")
+        raise ValidationError(f"upper graded blocks nonzero, residual {residual:.3e}")
     return blocks
 
 
@@ -199,7 +191,7 @@ def decay_constants(matrix):
 
     split = SpectralSplit(d)
     if split.dims[1] != 0:
-        raise DefectiveClusteringError("center subspace must be empty here")
+        raise ValidationError("center subspace must be empty here")
     weights = np.exp(mu * DECAY_STEP * np.arange(n_steps + 1))
 
     # propagate inside each invariant subspace: e^{tD} pi = Q e^{tS} C with

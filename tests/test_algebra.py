@@ -7,7 +7,7 @@ from chaincontrol.algebra import (
     preset_structure,
     quotient_by_central,
 )
-from chaincontrol.errors import NotNilpotentError, ValidationError
+from chaincontrol.errors import ValidationError
 from chaincontrol.group import RhoAction, SemidirectGroup
 from chaincontrol.lcs import ControlRange, LinearControlSystem
 
@@ -201,7 +201,7 @@ def test_rejects_jacobi_violation():
 def test_rejects_non_nilpotent():
     c = np.zeros((2, 2, 2))
     c[0, 1, 1], c[1, 0, 1] = 1.0, -1.0  # [e1,e2] = e2, solvable not nilpotent
-    with pytest.raises(NotNilpotentError):
+    with pytest.raises(ValidationError, match="^series not exhausted within class"):
         NilpotentAlgebra(c)
 
 

@@ -2103,6 +2103,26 @@ def test_control_slices_count_anchors_and_refuse_one_control_over():
             refused()
 
 
+def test_kept_states_over_the_row_limit_are_refused_before_the_kd_tree(
+        monkeypatch):
+    # one control's kept states alone fill ANCHOR_ROW_LIMIT: the line names
+    # both counts and chain.delta, and no kd-tree is built
+    system, window, graph = _small_graph("heisenberg-expanding-small")
+    kept = window.n_nodes * (graph.time_samples.size + 2)
+    monkeypatch.setattr("chaincontrol.chains.ANCHOR_ROW_LIMIT", kept)
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("kd-tree built before the refusal")
+
+    monkeypatch.setattr("chaincontrol.chains.cKDTree", no_tree)
+    with pytest.raises(ValidationError, match=(
+            f"^one control needs {kept} kept states and {graph.n_steps + 1} "
+            r"anchors, over ANCHOR_ROW_LIMIT .*chain\.delta")):
+        build_chain_graph(system, window, graph.eps, graph.tau,
+                          control_family=graph.control_family,
+                          time_samples=graph.time_samples)
+
+
 def test_skewed_torus_shifts_would_move_edges():
     # replicating around the skewed torus axis anyway gets the graph wrong,
     # so the reference test above can see a bad symmetry

@@ -666,6 +666,9 @@ BAD_INPUTS = {
     # 4e12 cells: refused before any grid is allocated
     "delta-too-fine": (["chainset", "--preset", "scalar-stable", "--delta",
                         "1e-12"], None),
+    # one cell over NODE_LIMIT: the count prints exactly, not rounded to it
+    "delta-one-cell-too-fine": (["chainset", "--preset", "scalar-stable",
+                                 "--delta", repr(4.0 / 1_500_001)], None),
     "control-flag": (SIMULATE + ["--control", "abc"], None),
     "start-flag": (SIMULATE + ["--start", "abc"], None),
     "duration-nan": (SIMULATE + ["--duration", "nan"], None),
@@ -761,6 +764,13 @@ BAD_INPUTS = {
     # 20,000,001 anchors for one control, over ANCHOR_ROW_LIMIT: refused
     "tau-too-long": (["chainset", "--preset", "conjugation-upstairs", "--tau",
                       "1e5"], None),
+    # 750,000 cells, within NODE_LIMIT, but 3,000,000 kept states for one
+    # control: refused before the kd-tree, naming the cell size
+    "kept-states-too-many": (["chainset", "--preset", "halfstable-w2",
+                              "--delta", "0.004"], None),
+    # a piece starting at 2 with the default --duration 1 is not unordered
+    "control-after-duration": (SIMULATE + ["--control-file", "{file}"],
+                               "0.0,0.5\n2.0,0.2\n"),
     "duration-flag": (SIMULATE + ["--duration", "x"], None),
     "verify-seed-flag": (["verify", "--seed", "abc"], None),
     "no-subcommand": ([], None),
@@ -787,7 +797,10 @@ NAMED_KEYS = {"output-block": "output", "level-bounds": "chain.level_bounds",
               "seed-bool": "seed",
               "schema-bool": "schema",
               "schema-float": "schema",
-              "tau-too-long": "chain.tau"}
+              "delta-one-cell-too-fine": "window has 1500001 cells",
+              "tau-too-long": "chain.tau",
+              "kept-states-too-many": "chain.delta",
+              "control-after-duration": "--duration"}
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["chainset", "--help"]])

@@ -12,6 +12,10 @@ A defaulted parameter counts as set when some call in src/ or tests/ to a
 definition of that name (a constructor by its class name) passes it, by
 keyword or by position.  One that nothing sets has one value in use and
 belongs in a module constant.
+
+An exception class in `errors` exists only where some `except` clause in
+src/ names it: a type no handler tells apart says nothing its message does
+not.
 """
 
 import ast
@@ -125,3 +129,22 @@ def test_every_defaulted_parameter_is_set_somewhere():
     package = Path(chaincontrol.__file__).parent
     unset = unset_parameters(package, Path(__file__).parent)
     assert unset == [], "parameters no call sets: " + ", ".join(unset)
+
+
+def unhandled_exceptions(package_dir):
+    """Classes of the errors module that no except clause in the package names."""
+    package = Path(package_dir)
+    handled = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        handled |= _referenced(node.type for node in ast.walk(tree)
+                               if isinstance(node, ast.ExceptHandler) and node.type)
+    return sorted(name for _, name, node in
+                  _definitions(ast.parse((package / "errors.py").read_text()))
+                  if isinstance(node, ast.ClassDef)
+                  and not {name, "." + name} & handled)
+
+
+def test_every_exception_type_is_told_apart_by_a_handler():
+    unhandled = unhandled_exceptions(Path(chaincontrol.__file__).parent)
+    assert unhandled == [], "exception types no except clause names: " + ", ".join(unhandled)
