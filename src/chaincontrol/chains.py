@@ -591,8 +591,6 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     """
     if eps <= 0 or tau <= 0:
         raise ValidationError("eps and tau must be positive")
-    if window.n_nodes == 0:
-        raise ValidationError("window is empty")
     if window.group is not system.group:
         raise ValidationError("window was built for a different group")
 
@@ -608,8 +606,13 @@ def build_chain_graph(system, window, eps, tau, control_family=None,
     time_samples = np.sort(np.unique(np.asarray(time_samples, dtype=float)))
     if time_samples.size == 0:
         raise ValidationError("need at least one time sample")
-    if np.any(time_samples < tau - 1e-9) or np.any(time_samples > 2 * tau + 1e-9):
-        raise ValidationError("time samples must lie in [tau, 2*tau]")
+    outside = time_samples[(time_samples < tau - 1e-9)
+                           | (time_samples > 2 * tau + 1e-9)]
+    if outside.size:
+        raise ValidationError(
+            f"time samples {', '.join(f'{t:g}' for t in outside)} (chain.times) "
+            f"lie outside [tau, 2*tau] = [{tau:g}, {2 * tau:g}]; move them "
+            f"inside it or change chain.tau")
 
     h, n_steps = _step_grid(system, tau)
     snap = np.rint(time_samples / h).astype(int)

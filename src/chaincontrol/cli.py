@@ -64,12 +64,15 @@ from .verify import (
 
 
 def _numbers(text, what):
-    """Comma separated numbers from a flag or a file row."""
+    """Comma separated finite numbers from a flag or a file row."""
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise ValidationError(f"{what} must be comma separated numbers, "
                               f"got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{what} must be finite, got {text!r}")
+    return values
 
 
 def _raw_config(args):

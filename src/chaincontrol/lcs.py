@@ -99,10 +99,6 @@ class ControlFunction:
     def t_end(self):
         return float(self.breaks[-1])
 
-    @property
-    def m(self):
-        return self.values.shape[1]
-
     def value(self, t):
         if t < self.t_begin - 1e-12 or t > self.t_end + 1e-12:
             raise ValidationError(f"control undefined at time {t}")

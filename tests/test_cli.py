@@ -671,6 +671,11 @@ BAD_INPUTS = {
                                  "--delta", repr(4.0 / 1_500_001)], None),
     "control-flag": (SIMULATE + ["--control", "abc"], None),
     "start-flag": (SIMULATE + ["--start", "abc"], None),
+    # a non-finite flag value or file row is refused by name, before the
+    # integrator or the control range sees it
+    "start-nan": (SIMULATE + ["--start", "nan"], None),
+    "control-inf": (SIMULATE + ["--control", "inf"], None),
+    "control-file-nan": (SIMULATE + ["--control-file", "{file}"], "0.0,nan\n"),
     "duration-nan": (SIMULATE + ["--duration", "nan"], None),
     "duration-inf": (SIMULATE + ["--duration", "inf"], None),
     "control-file-row": (SIMULATE + ["--control-file", "{file}"], "0.0,abc\n"),
@@ -771,6 +776,9 @@ BAD_INPUTS = {
     # a piece starting at 2 with the default --duration 1 is not unordered
     "control-after-duration": (SIMULATE + ["--control-file", "{file}"],
                                "0.0,0.5\n2.0,0.2\n"),
+    # --tau 0.5 leaves the preset's chain.times [2.0, 3.0] outside [0.5, 1]
+    "times-outside-tau": (["chainset", "--preset", "rotation-plane", "--tau",
+                           "0.5"], None),
     "duration-flag": (SIMULATE + ["--duration", "x"], None),
     "verify-seed-flag": (["verify", "--seed", "abc"], None),
     "no-subcommand": ([], None),
@@ -800,7 +808,11 @@ NAMED_KEYS = {"output-block": "output", "level-bounds": "chain.level_bounds",
               "delta-one-cell-too-fine": "window has 1500001 cells",
               "tau-too-long": "chain.tau",
               "kept-states-too-many": "chain.delta",
-              "control-after-duration": "--duration"}
+              "control-after-duration": "--duration",
+              "start-nan": "--start",
+              "control-inf": "--control",
+              "control-file-nan": "control file row",
+              "times-outside-tau": "chain.times"}
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["chainset", "--help"]])

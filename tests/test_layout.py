@@ -4,9 +4,12 @@ A definition (module-level function or class, or a method) counts as used
 when module-level code or another used definition in the package refers to
 its name: a function or class as a bare name or as an attribute, a method
 as an attribute only, so a local variable of the same name does not reach
-it.  The package `__init__` and docstrings do not count, and the pass
-repeats until nothing more drops out.  There is no exception: the graph's
-slow oracles live in the tests.
+it.  Docstrings do not count, and the pass repeats until nothing more drops
+out.  There is no exception: the graph's slow oracles live in the tests.
+
+The package `__init__` is its docstring alone: callers import the modules,
+so a name bound there would be one more place a definition stays reachable
+from, and importing one module would load them all.
 
 A defaulted parameter counts as set when some call in src/ or tests/ to a
 definition of that name (a constructor by its class name) passes it, by
@@ -51,8 +54,6 @@ def unused_definitions(package_dir):
     defs = []  # (module, qualified name, name, node, own references)
     roots = set()
     for path in sorted(Path(package_dir).glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         module_code = [n for n in tree.body
                        if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
@@ -148,3 +149,9 @@ def unhandled_exceptions(package_dir):
 def test_every_exception_type_is_told_apart_by_a_handler():
     unhandled = unhandled_exceptions(Path(chaincontrol.__file__).parent)
     assert unhandled == [], "exception types no except clause names: " + ", ".join(unhandled)
+
+
+def test_the_package_root_binds_no_names():
+    tree = ast.parse(Path(chaincontrol.__file__).read_text())
+    assert len(tree.body) == 1 and ast.get_docstring(tree), \
+        "__init__.py holds more than its docstring"
