@@ -50,6 +50,7 @@ integration, an edge audit, the lift by the rule alone) live in the tests.
 """
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -223,10 +224,16 @@ class GridWindow:
                  + [k>=4] kap A^2 rho cut/24) >= 1,
         since L_a is unipotent (ad(x_a) is nilpotent), so |L_a|_2 >= 1.
         f is padded by 1e-9 relative for rounding.
+
+        In an abelian algebra ad(x_a) = 0, so L_a = I and f = 1: every
+        radius is rho cut (1 + 1e-9), the bits of the general form, with no
+        per-landing SVD.
         """
         alg = self.group.algebra
         k = alg.nilpotency_class
         rho = float(np.linalg.cond(self.group.action.basis))
+        if k < 2:
+            return np.full(len(landed), rho * cut * (1.0 + 1e-9))
         ky = float(np.linalg.norm(alg.structure)) * rho * cut  # kap rho cut
         ad = alg.ad(self.group.split(landed)[1])
         a = np.linalg.norm(ad, axis=(-2, -1))
@@ -473,6 +480,8 @@ def _propagate_family(system, starts, family, h, n_steps, steps,
             u_of, start_of = np.divmod(rows[at:at + width], n_rows)
             moved = _translate(group, anchors[lo:hi], flows[lo:hi],
                                y0[start_of], u_of)
+            # a fancy index, not compress: it holds the box axis outermost,
+            # so np.any below reduces across rows, not along each short row
             coords = moved[..., box]
             out.append(np.any((coords < box_lower) | (coords > box_upper),
                               axis=-1))
@@ -509,15 +518,20 @@ def _propagate_family(system, starts, family, h, n_steps, steps,
 def _block_hits(group, tree, offset, centers, landed, radii, cut):
     """(owner, dst) of the centers within the cut of one block of landings:
     the kd-tree candidates within each landing's radius, decided by the
-    exact distance PAIR_LIMIT pairs at a time."""
+    exact distance PAIR_LIMIT pairs at a time.  The kd-tree's lists are
+    flattened in two passes over them, the sizes and then every target,
+    with no array per landing, and the candidate centers are gathered by
+    take, not fancy indexing of rows."""
     balls = tree.query_ball_point(landed + offset, radii,
                                   return_sorted=False)
-    owner = np.repeat(np.arange(len(landed)), [len(b) for b in balls])
-    dst = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        np.asarray(b, dtype=np.int64) for b in balls if len(b)])
+    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
+    owner = np.repeat(np.arange(len(landed)), sizes)
+    dst = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
+                      count=owner.size)
     del balls  # Python lists: about 36 bytes per candidate
     hit = np.concatenate([np.zeros(0, dtype=bool)] + [
-        group.distance(landed, centers[dst[lo:lo + PAIR_LIMIT]],
+        group.distance(landed,
+                       centers.take(dst[lo:lo + PAIR_LIMIT], axis=0),
                        owner[lo:lo + PAIR_LIMIT]) <= cut
         for lo in range(0, owner.size, PAIR_LIMIT)])
     return owner[hit], dst[hit]
@@ -769,7 +783,10 @@ def extract_chain_sets(graph):
                      shape=(n, n))
     _, label = connected_components(adj, directed=True, connection="strong")
     inner = label[src] == label[tgt]
-    src, tgt, volt = src[inner], tgt[inner], cyc[graph.dst[inner]]
+    src, tgt = src[inner], tgt[inner]
+    # take gathers the rows of 2-D arrays, several times faster than fancy
+    # indexing
+    volt = cyc.take(graph.dst[inner], axis=0)
 
     # a BFS forest: node n roots every component at its first node, and
     # only edges within a component are followed; then the potentials, the
@@ -785,9 +802,10 @@ def extract_chain_sets(graph):
     pot = np.zeros((n + 1, sizes.size), dtype=np.int64)
     pot[tgt[on_tree]] = volt[on_tree]
     while np.any(pred != n):
-        pot = (pot + pot[pred]) % sizes
+        pot = (pot + pot.take(pred, axis=0)) % sizes
         pred = pred[pred]
-    defect = (pot[src] + volt - pot[tgt]) % sizes @ place
+    defect = (pot.take(src, axis=0) + volt
+              - pot.take(tgt, axis=0)) % sizes @ place
 
     # coset[r][a]: the smallest element of a + H, one row per component with
     # a nonzero defect; row 0 is H = {0}
@@ -810,7 +828,8 @@ def extract_chain_sets(graph):
            * np.count_nonzero(coset == 0, axis=1)[row_of])
     label = label[base]
     keys, label = np.unique(label * n_a + coset[
-        row_of[label], (cyc - pot[base]) % sizes @ place], return_inverse=True)
+        row_of[label], (cyc - pot.take(base, axis=0)) % sizes @ place],
+        return_inverse=True)
     counts = e_c[keys // n_a]
     # each component's members in node order, from one stable sort; sets
     # are ordered by their smallest node, never by library internals
@@ -1013,7 +1032,9 @@ def write_nodes_csv(path, graph, sets):
 
     csv.writer's bytes (no field needs quoting), built per column: each
     axis's cell centers and each (set_id, truncated) tail are formatted
-    once, and the rows are joined from per-column arrays of strings."""
+    once, and the rows are joined from per-column arrays of strings.
+    np.unique merges 0.0 and -0.0, but a cell center, lower plus a positive
+    product, is never -0.0."""
     window = graph.window
     member = np.full(window.n_nodes, -1, dtype=np.int64)
     for i, s in enumerate(sets):
@@ -1098,15 +1119,23 @@ def write_sets_jsonl(path, sets, bounds=None):
 
 
 def write_plot_slice(path, graph, chain_set, columns=(0, 1)):
-    """2D or 3D coordinate slice of a set's member cells, for plotting."""
+    """2D or 3D coordinate slice of a set's member cells, for plotting.
+
+    csv.writer's bytes (no field needs quoting), built per column as in
+    write_nodes_csv: each distinct value of a column is formatted once.
+    np.unique merges 0.0 and -0.0 (one would print as the other), but a
+    cell center, lower plus a positive product, is never -0.0."""
     if len(columns) not in (2, 3):
         raise ValidationError("plot slices are 2D or 3D")
     dim = graph.window.points.shape[1]
     if any(c < 0 or c >= dim for c in columns):
         raise ValidationError(f"slice columns {columns} outside dimension {dim}")
     pts = graph.window.points[chain_set.nodes][:, list(columns)]
+    rows = np.full(len(pts), "", dtype=object)
+    for j, column in enumerate(pts.T):
+        values, at = np.unique(column, return_inverse=True)
+        sep = "," if j else ""
+        rows += np.array([f"{sep}{v:.12g}" for v in values], dtype=object)[at]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{j}" for j in columns])
-        for row in pts:
-            writer.writerow([f"{v:.12g}" for v in row])
+        csv.writer(fh).writerow([f"c{j}" for j in columns])
+        fh.write("".join((rows + "\r\n").tolist()))

@@ -28,11 +28,47 @@ TWO_PI = 2.0 * np.pi
 ACTION_ATOL = 1e-8  # integrality of the action spectrum, joint diagonality
 FLOW_ATOL = 1e-8  # automorphism and intertwining residuals of the drift flow
 N_SAMPLES = 20  # random samples behind each identity residual
+# entries from which wrap_angle shifts instead of calling np.mod: below it
+# the range test costs more than np.mod
+WRAP_SHIFT_MIN = 1024
 
 
 def wrap_angle(values):
-    """Reduce angles into [-pi, pi)."""
-    return np.mod(np.asarray(values, dtype=float) + np.pi, TWO_PI) - np.pi
+    """Reduce angles into [-pi, pi): mod(v + pi, 2 pi) - pi, with np.mod's
+    bits.
+
+    np.mod takes the exact fmod(r, 2 pi) of r = v + pi and adds 2 pi to a
+    negative remainder.  For r in [-2 pi, 4 pi), as for any difference of
+    two wrapped angles, that is r + 2 pi when r < 0, r - 2 pi (exact by
+    Sterbenz's lemma) when r >= 2 pi, and r otherwise: one shift in place,
+    at a quarter of np.mod's cost or less on large arrays.  Arrays under
+    WRAP_SHIFT_MIN entries, or with an entry out of that range or NaN,
+    take np.mod itself."""
+    r = np.asarray(values, dtype=float) + np.pi
+    if r.size < WRAP_SHIFT_MIN or not (
+            -TWO_PI <= r.min() and r.max() < 2.0 * TWO_PI):
+        return np.mod(r, TWO_PI) - np.pi
+    # +1 where r < 0, -1 where r >= 2 pi: a shift by exactly 2 pi or 0
+    turns = (r < 0.0).view(np.int8) - (r >= TWO_PI).view(np.int8)
+    r += TWO_PI * turns
+    r -= np.pi
+    return r
+
+
+def row_norm(x):
+    """np.linalg.norm(x, axis=-1), bit for bit, without its per-row reduce.
+
+    Numpy adds a reduced axis shorter than 8 entries left to right, so
+    sqrt((x0*x0 + x1*x1) + x2*x2 ...), summed one column at a time, has
+    its bits.  From 8 columns on numpy sums pairwise, and the norm itself
+    is taken.  A row whose squares overflow reads inf in both."""
+    n = x.shape[-1]
+    if not 0 < n < 8:
+        return np.linalg.norm(x, axis=-1)
+    s = x[..., 0] * x[..., 0]
+    for j in range(1, n):
+        s += x[..., j] * x[..., j]
+    return np.sqrt(s)
 
 
 class RhoAction:
@@ -224,22 +260,25 @@ class SemidirectGroup:
         the wrap commutes with rho, and an orthogonal action keeps the
         norm: then the norm is taken of bch(-x_a, x_b) itself, with no
         rotation.  With an index array owner: d(a[owner], b), bit for bit,
-        one phase per a row.
+        one phase per a row, each row of a gathered once by take (a copy of
+        the same values, several times faster than fancy indexing of rows).
+        Both norms are row_norm's column sums, with np.linalg.norm's bits
+        (it takes the norm itself from 8 columns on).
         """
-        h_a, x_a = self.split(np.asarray(a, dtype=float))
+        a = np.asarray(a, dtype=float)
         h_b, x_b = self.split(np.asarray(b, dtype=float))
-        h_row, x_row = (h_a, x_a) if owner is None else (h_a[owner], x_a[owner])
-        d_h = (np.linalg.norm(wrap_angle(h_b - h_row), axis=-1)
-               if self.h_dim else 0.0)
+        row = a if owner is None else a.take(owner, axis=0)
+        h_row, x_row = self.split(row)
+        d_h = row_norm(wrap_angle(h_b - h_row)) if self.h_dim else 0.0
         # bch returns a fresh array, and so does apply
         x_rel = self.algebra.bch(-x_row, x_b)
         if not self.action.orthogonal:
-            x_rel = self.action.apply(-h_a, x_rel, owner)
+            x_rel = self.action.apply(-self.split(a)[0], x_rel, owner)
         if self.x_mask.any():
             x_rel[..., self.x_mask] = wrap_angle(x_rel[..., self.x_mask])
         # norm's squares overflow past about 1e154, where hypot's do not
         with np.errstate(over="ignore"):
-            norm = np.linalg.norm(x_rel, axis=-1)
+            norm = row_norm(x_rel)
         finite = np.isfinite(norm)
         if not finite.all():
             norm = np.where(finite, norm, np.hypot.reduce(x_rel, axis=-1))

@@ -30,6 +30,8 @@ from chaincontrol.chains import (
     ChainGraph,
     GridWindow,
     LevelBounds,
+    _bch_linear_part,
+    _block_hits,
     _control_slices,
     _default_time_samples,
     _propagate_family,
@@ -388,6 +390,40 @@ def test_query_radii_of_a_snapshot_with_no_live_row(name):
                         angle_cells=(4,) * int(group.angular_mask.sum()))
     radii = window.query_radii(np.zeros((0, group.dim)), 0.5)
     assert radii.shape == (0,)
+
+
+def svd_radii(window, landed, cut):
+    """query_radii's general form on every algebra: |L_a|_2 from a batched
+    SVD per landing, with the class-3 and class-4 terms."""
+    group = window.group
+    alg = group.algebra
+    k = alg.nilpotency_class
+    rho = float(np.linalg.cond(group.action.basis))
+    ky = float(np.linalg.norm(alg.structure)) * rho * cut
+    ad = alg.ad(group.split(landed)[1])
+    a = np.linalg.norm(ad, axis=(-2, -1))
+    f = np.linalg.norm(_bch_linear_part(alg, ad), 2, axis=(-2, -1)) \
+        + (k >= 3) * a * ky / 12.0 + (k >= 4) * a * a * ky / 24.0
+    return rho * f * cut * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("name", ["abelian:2", "skewed-abelian:2",
+                                  "conjugation-upstairs", "heisenberg3",
+                                  "filiform4"])
+def test_abelian_radii_keep_the_bits_of_the_svd_form(name):
+    # ad(x_a) = 0 on an abelian algebra, so L_a = I and every radius is
+    # rho cut (1 + 1e-9) with no SVD; the other classes take the SVD form
+    group = _radii_case(name)
+    window = GridWindow(group, -1.0, 1.0, 0.5,
+                        angle_cells=(4,) * int(group.angular_mask.sum()))
+    rng = np.random.default_rng(29)
+    a = group.normalize(np.hstack([
+        rng.uniform(-np.pi, np.pi, (3000, group.h_dim)),
+        5.0 * rng.standard_normal((3000, group.x_dim))]))
+    for cut in (0.3, 0.9, 2.0):
+        radii = window.query_radii(a, cut)
+        assert radii.shape == (3000,)
+        assert np.array_equal(radii, svd_radii(window, a, cut))
 
 
 def test_spectral_radii_cut_candidates_not_edges(monkeypatch):
@@ -1358,6 +1394,82 @@ def test_writers_roundtrip(tmp_path, stable_setup):
     plot_path = tmp_path / "slice.csv"
     with pytest.raises(ValidationError):
         write_plot_slice(plot_path, graph, sets[0])
+
+
+def plot_slice_oracle(path, points, columns):
+    """write_plot_slice as it was: one csv.writer row per member cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"c{j}" for j in columns])
+        for row in points[:, list(columns)]:
+            writer.writerow([f"{v:.12g}" for v in row])
+
+
+@pytest.mark.parametrize("case", [
+    ("conjugation-upstairs", (1, 2), "all"),
+    ("conjugation-upstairs", (1, 2, 0), "all"),
+    ("conjugation-upstairs", (0, 3), "all"),
+    ("conjugation-upstairs", (0, 1, 3), "random"),
+    ("conjugation-upstairs", (1, 2), "one"),
+    ("rotation-plane", (0, 1, 2), "random"),
+    ("heisenberg-expanding", (0, 1, 2), "random")])
+def test_plot_slice_keeps_the_bytes_of_the_row_loop(tmp_path, case):
+    # 2- and 3-column slices, over box axes and the circle axes (the torus
+    # angle 0 and the masked circle 3 of conjugation-upstairs), of every
+    # cell, a random set and a one-node set
+    name, columns, members = case
+    _, _, window = _preset_case(name)
+    rng = np.random.default_rng(31)
+    nodes = {"all": np.arange(window.n_nodes),
+             "random": np.sort(rng.choice(window.n_nodes, window.n_nodes // 3,
+                                          replace=False)),
+             "one": np.array([window.n_nodes // 2])}[members]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_plot_slice(got, SimpleNamespace(window=window),
+                     SimpleNamespace(nodes=nodes), columns=columns)
+    plot_slice_oracle(want, window.points[nodes], columns)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\r\n") == nodes.size + 1
+
+
+def _block_hits_by_lists(group, tree, offset, centers, landed, radii, cut):
+    """_block_hits with an array per kd-tree list, as it was."""
+    balls = tree.query_ball_point(landed + offset, radii,
+                                  return_sorted=False)
+    owner = np.repeat(np.arange(len(landed)), [len(b) for b in balls])
+    dst = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.asarray(b, dtype=np.int64) for b in balls if len(b)])
+    hit = group.distance(landed, centers[dst], owner) <= cut
+    return owner[hit], dst[hit]
+
+
+@pytest.mark.parametrize("mix", ["all-empty", "mixed"])
+def test_block_hits_flatten_the_kdtree_lists(mix):
+    # a block whose balls are all empty (every landing far outside the
+    # box), and one mixing empty and non-empty balls: int64 (owner, dst)
+    # equal to the per-list path's
+    _, system, window = _preset_case("conjugation-upstairs")
+    group = system.group
+    offset = np.where(window.box, 0.0, np.pi)
+    tree = cKDTree(window.points + offset, boxsize=2.0 * offset)
+    rng = np.random.default_rng(37)
+    landed = window.points[rng.choice(window.n_nodes, 400)] \
+        + rng.uniform(-0.2, 0.2, (400, group.dim))
+    far = np.ones(400, dtype=bool) if mix == "all-empty" \
+        else rng.random(400) < 0.5
+    landed[far, np.flatnonzero(window.box)[0]] += 100.0
+    landed = group.normalize(landed)
+    cut = 0.3
+    radii = window.query_radii(landed, cut)
+    balls = tree.query_ball_point(landed + offset, radii)
+    sizes = np.array([len(b) for b in balls])
+    assert np.all(sizes[far] == 0) and np.all(sizes[~far] > 0)
+    got = _block_hits(group, tree, offset, window.points, landed, radii, cut)
+    want = _block_hits_by_lists(group, tree, offset, window.points, landed,
+                                radii, cut)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and np.array_equal(g, w)
+    assert (got[0].size > 0) == (mix == "mixed")
 
 
 def test_edges_csv_holds_the_stored_rows_of_a_lifted_graph(tmp_path):

@@ -15,10 +15,13 @@ from chaincontrol.algebra import NilpotentAlgebra, preset_structure
 from chaincontrol.errors import ValidationError
 from chaincontrol.group import (
     N_SAMPLES,
+    TWO_PI,
+    WRAP_SHIFT_MIN,
     ConjugationMap,
     RhoAction,
     SemidirectGroup,
     compatibility_residual,
+    row_norm,
     validate_linear_flow,
     wrap_angle,
 )
@@ -49,6 +52,43 @@ def test_wrap_angle_values():
     assert wrap_angle(0.3) == pytest.approx(0.3)
     assert np.allclose(wrap_angle([2 * np.pi, -2 * np.pi, 7.0]),
                        [0.0, 0.0, 7.0 - 2 * np.pi])
+
+
+def _np_mod_wrap(values):
+    return np.mod(np.asarray(values, dtype=float) + np.pi, TWO_PI) - np.pi
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", ["differences", "edges", "above-range",
+                                  "below-range", "nan", "small"])
+def test_wrap_angle_keeps_the_bits_of_np_mod(case):
+    # the shift on arrays of WRAP_SHIFT_MIN entries or more with every
+    # v + pi in [-2 pi, 4 pi), np.mod on the rest: the same bits
+    rng = np.random.default_rng(43)
+    n = 4 * WRAP_SHIFT_MIN
+    if case == "differences":
+        v = rng.uniform(-np.pi, np.pi, (n, 2)) - rng.uniform(-np.pi, np.pi,
+                                                             (n, 2))
+    elif case == "edges":
+        # v + pi at -2 pi (fmod's -0.0), 0, 2 pi and just below 4 pi, and
+        # one ulp to each side: at -pi - ulp the remainder -ulp rounds up to
+        # 2 pi, so the wrap reads pi
+        v = np.array([-3.0 * np.pi, -np.pi, 0.0, np.pi, 3.0 * np.pi])
+        v = np.concatenate([v, np.nextafter(v, np.inf),
+                            np.nextafter(v, -np.inf)])
+        v = np.resize(v[(v + np.pi >= -TWO_PI) & (v + np.pi < 2 * TWO_PI)], n)
+        assert np.pi in _np_mod_wrap(v)
+    elif case.endswith("range"):
+        v = rng.uniform(-3.0 * np.pi, 3.0 * np.pi, n)
+        v[17] = 3.0 * np.pi if case == "above-range" else -3.5 * np.pi
+    elif case == "nan":
+        v = rng.uniform(-np.pi, np.pi, n)
+        v[5] = np.nan
+    else:
+        v = rng.uniform(-3.0 * np.pi, 3.0 * np.pi, WRAP_SHIFT_MIN - 1)
+    got, want = wrap_angle(v), _np_mod_wrap(v)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_torus_group_laws():
@@ -341,6 +381,68 @@ def test_distance_is_finite_past_square_overflow():
     d = group.distance(a, b)
     assert d[0] == pytest.approx(np.sqrt(5.0) * 1e200, rel=1e-15)
     assert d[1] == np.linalg.norm(b[1] - a[1])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_row_norm_keeps_the_bits_of_linalg_norm(n):
+    # column sums left to right below 8 columns, the norm itself from 8 on;
+    # magnitudes from 1e-150 to 1e150 (squares under- and overflowing the
+    # normal range), one row overflowing to inf, and a 3-axis batch
+    rng = np.random.default_rng(40 + n)
+    x = rng.choice([-1.0, 1.0], size=(20_000, n)) \
+        * 10.0 ** rng.uniform(-150.0, 150.0, (20_000, n))
+    x[0] = 1e200
+    with np.errstate(over="ignore"):
+        got, want = row_norm(x), np.linalg.norm(x, axis=-1)
+    assert np.isinf(got[0]) and np.array_equal(got, want)
+    cube = rng.standard_normal((7, 11, n))
+    assert np.array_equal(row_norm(cube), np.linalg.norm(cube, axis=-1))
+    assert np.array_equal(row_norm(cube[0, 0]),
+                          np.linalg.norm(cube[0, 0], axis=-1))
+
+
+def _distance_oracle(group, a, b, owner=None):
+    """SemidirectGroup.distance as it was before its column-sum norms, its
+    single gather and its shifted wraps: the oracle the current form keeps
+    bit for bit."""
+    h_a, x_a = group.split(np.asarray(a, dtype=float))
+    h_b, x_b = group.split(np.asarray(b, dtype=float))
+    h_row, x_row = (h_a, x_a) if owner is None else (h_a[owner], x_a[owner])
+    d_h = (np.linalg.norm(_np_mod_wrap(h_b - h_row), axis=-1)
+           if group.h_dim else 0.0)
+    x_rel = group.algebra.bch(-x_row, x_b)
+    if not group.action.orthogonal:
+        x_rel = group.action.apply(-h_a, x_rel, owner)
+    if group.x_mask.any():
+        x_rel[..., group.x_mask] = _np_mod_wrap(x_rel[..., group.x_mask])
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x_rel, axis=-1)
+    finite = np.isfinite(norm)
+    if not finite.all():
+        norm = np.where(finite, norm, np.hypot.reduce(x_rel, axis=-1))
+    return d_h + norm
+
+
+@pytest.mark.parametrize("name", ["conjugation-upstairs", "heisenberg3",
+                                  "filiform4", "skewed-heisenberg3"])
+def test_distance_keeps_the_bits_of_the_oracle(name):
+    # the torus plus a masked circle, classes 2 and 4 with no torus, and a
+    # non-orthogonal action; with and without owner, one row overflowing
+    # its squares (the hypot fallback) on an unmasked coordinate that no
+    # bracket takes in (x0 of the abelian algebra, else the last, central)
+    group = _radii_case(name)
+    rng = np.random.default_rng(41)
+    a = group.normalize(np.concatenate([
+        rng.uniform(-np.pi, np.pi, size=(500, group.h_dim)),
+        3.0 * rng.standard_normal((500, group.x_dim))], axis=1))
+    owner = rng.integers(0, 500, size=6000)
+    b = group.normalize(a[owner] + rng.standard_normal((6000, group.dim)))
+    b[0, group.h_dim if group.x_mask.any() else -1] = 1e200
+    got = group.distance(a, b, owner)
+    assert np.isfinite(got[0])
+    assert np.array_equal(got, _distance_oracle(group, a, b, owner))
+    got = group.distance(a[owner], b)
+    assert np.array_equal(got, _distance_oracle(group, a[owner], b))
 
 
 def test_angular_mask_wraps_central_coordinate():
